@@ -17,7 +17,7 @@ up (flip a 0 slot) or one level down (flip a 1 slot).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -214,26 +214,27 @@ def _apply(model: QuantizedModel, cand: _Candidate) -> int:
     return pre
 
 
-def _fallback_ranking(model, grads, state) -> List[Tuple[int, int, float]]:
+def _fallback_ranking(model, grads, state) -> Iterator[Tuple[int, int, float]]:
     """Untouched unprotected weights ordered for free sign-bit flips."""
-    entries = []
+    layer_ids, indices, ests, mags = [], [], [], []
     for pidx, layer in model.parametric():
         codes = layer.weight.codes.reshape(-1)
-        bits = layer.weight.bits
-        half = 1 << (bits - 1)
-        scale = layer.weight.scale
+        half = 1 << (layer.weight.bits - 1)
         g = grads[pidx].reshape(-1)
-        delta = np.where(codes < 0, half, -half) * scale
-        est = g * delta
-        protected = model.protected_in(pidx)
-        touched = state.touched[pidx]
-        for i in range(codes.size):
-            if i in protected or i in touched:
-                continue
-            entries.append((pidx, i, float(est[i]), float(abs(g[i]))))
+        est = g * (np.where(codes < 0, half, -half) * layer.weight.scale)
+        skip = set(model.protected_in(pidx)) | state.touched[pidx]
+        keep = np.ones(codes.size, dtype=bool)
+        keep[np.fromiter(skip, dtype=np.int64, count=len(skip))] = False
+        idx = np.flatnonzero(keep)
+        layer_ids.append(np.full(idx.size, pidx, dtype=np.int64))
+        indices.append(idx)
+        ests.append(est[idx])
+        mags.append(np.abs(g[idx]))
+    layer_ids, indices, ests, mags = map(np.concatenate, (layer_ids, indices, ests, mags))
     # loss-increasing flips first, then by gradient magnitude, then address
-    entries.sort(key=lambda e: (e[2] <= 0, -e[3], e[0], e[1]))
-    return [(p, i, e) for p, i, e, _ in entries]
+    order = np.lexsort((indices, layer_ids, -mags, ests <= 0))
+    for k in order:
+        yield int(layer_ids[k]), int(indices[k]), float(ests[k])
 
 
 def bfa_attack(

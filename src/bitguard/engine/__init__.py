@@ -3,6 +3,7 @@
 from .quantized import QuantizedTensor, quantize_array
 from .layers import AffineNorm, Batch, Conv2d, Dense, MaxPool2, NoiseSpec, QuantizedModel, ReLU
 from .functional import (
+    ActivationPrefix,
     backward,
     curvature_diag,
     evaluate,
@@ -24,6 +25,7 @@ __all__ = [
     "NoiseSpec",
     "QuantizedModel",
     "ReLU",
+    "ActivationPrefix",
     "backward",
     "curvature_diag",
     "evaluate",

@@ -14,41 +14,26 @@ import numpy as np
 
 from ..bitcodec import TcuCodeword
 from ..errors import FormatError
-from .layers import AffineNorm, Conv2d, Dense, MaxPool2, QuantizedModel, ReLU
+from .layers import LAYER_KINDS, PARAMETRIC_KINDS, QuantizedModel
 from .quantized import QuantizedTensor
 
 FORMAT_VERSION = 1
 
 
 def _layer_to_json(layer) -> dict:
+    out = {"kind": layer.kind, "name": layer.name}
     if layer.kind == "conv2d":
-        return {
-            "kind": "conv2d",
-            "name": layer.name,
-            "stride": layer.stride,
-            "pad": layer.pad,
-            "shape": list(layer.weight.codes.shape),
-            "bits": layer.weight.bits,
-            "scale": layer.weight.scale,
-            "codes": layer.weight.codes.reshape(-1).tolist(),
-        }
-    if layer.kind == "dense":
-        return {
-            "kind": "dense",
-            "name": layer.name,
-            "shape": list(layer.weight.codes.shape),
-            "bits": layer.weight.bits,
-            "scale": layer.weight.scale,
-            "codes": layer.weight.codes.reshape(-1).tolist(),
-        }
-    if layer.kind == "affine_norm":
-        return {
-            "kind": "affine_norm",
-            "name": layer.name,
-            "scale": layer.scale.tolist(),
-            "shift": layer.shift.tolist(),
-        }
-    return {"kind": layer.kind, "name": layer.name}
+        out.update(stride=layer.stride, pad=layer.pad)
+    if layer.kind in PARAMETRIC_KINDS:
+        out.update(
+            shape=list(layer.weight.codes.shape),
+            bits=layer.weight.bits,
+            scale=layer.weight.scale,
+            codes=layer.weight.codes.reshape(-1).tolist(),
+        )
+    elif layer.kind == "affine_norm":
+        out.update(scale=layer.scale.tolist(), shift=layer.shift.tolist())
+    return out
 
 
 def model_to_json(model: QuantizedModel) -> dict:
@@ -71,21 +56,17 @@ def model_from_json(obj: dict) -> QuantizedModel:
     layers: List = []
     for spec in obj["layers"]:
         kind = spec["kind"]
-        if kind in ("conv2d", "dense"):
-            codes = np.array(spec["codes"], dtype=np.int64).reshape(spec["shape"])
-            weight = QuantizedTensor(codes, float(spec["scale"]), int(spec["bits"]))
-            if kind == "conv2d":
-                layers.append(Conv2d(weight, int(spec["stride"]), int(spec["pad"]), spec["name"]))
-            else:
-                layers.append(Dense(weight, spec["name"]))
-        elif kind == "affine_norm":
-            layers.append(AffineNorm(np.array(spec["scale"]), np.array(spec["shift"]), spec["name"]))
-        elif kind == "relu":
-            layers.append(ReLU(spec["name"]))
-        elif kind == "maxpool2":
-            layers.append(MaxPool2(spec["name"]))
-        else:
+        if kind not in LAYER_KINDS:
             raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
+        args: List = []
+        if kind in PARAMETRIC_KINDS:
+            codes = np.array(spec["codes"], dtype=np.int64).reshape(spec["shape"])
+            args = [QuantizedTensor(codes, float(spec["scale"]), int(spec["bits"]))]
+            if kind == "conv2d":
+                args += [int(spec["stride"]), int(spec["pad"])]
+        elif kind == "affine_norm":
+            args = [np.array(spec["scale"]), np.array(spec["shift"])]
+        layers.append(LAYER_KINDS[kind](*args, name=spec["name"]))
     model = QuantizedModel(layers, head=obj["head"], input_bits=int(obj["input_bits"]))
     for pidx_s, words in obj.get("protected", {}).items():
         model.protected[int(pidx_s)] = {

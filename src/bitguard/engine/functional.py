@@ -3,6 +3,13 @@
 All entry points are pure with respect to the model: they read weight codes
 and never write them.  Randomness (weight noise) is driven entirely by the
 seed argument, so identical calls return identical results.
+
+Every forward pass goes through one layer walker, _walk, which dispatches
+on a per-kind step table.  It can start at any layer and keeps backward
+caches only when asked to record them, so inference frees temporary arrays
+as it goes.  An ActivationPrefix stores a reference model's clean inputs
+to each parametric layer on one batch; evaluate(..., prefix=) then re-runs
+only the layers from the first one that differs from the reference.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import numpy as np
 
 from ..errors import InputError, NumericError
 from . import ops
-from .layers import Batch, NoiseSpec, QuantizedModel
+from .layers import PARAMETRIC_KINDS, Batch, NoiseSpec, QuantizedModel
 
 
 def _layer_peak(layer) -> float:
@@ -34,38 +41,60 @@ def _noisy_weights(model: QuantizedModel, noise: Optional[NoiseSpec], rng) -> Li
     return weights
 
 
-def _run_forward(model: QuantizedModel, inputs: np.ndarray, weights: List[np.ndarray]):
-    x = inputs
-    caches = []
-    pidx = 0
-    # non-finite values are detected after the pass; keep the pass itself quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_forward_loop(model, x, weights, caches, pidx)
+def _conv2d(layer, x, w):
+    out, cols = ops.conv2d_forward(x, w, layer.stride, layer.pad)
+    return out, (cols, w, x.shape, layer.stride, layer.pad)
 
 
-def _run_forward_loop(model, x, weights, caches, pidx):
-    for layer in model.layers:
-        if layer.kind == "conv2d":
-            x_shape = x.shape
-            x, cols = ops.conv2d_forward(x, weights[pidx], layer.stride, layer.pad)
-            caches.append(("conv2d", (cols, weights[pidx], x_shape, layer.stride, layer.pad)))
-            pidx += 1
-        elif layer.kind == "dense":
-            x_shape = x.shape
-            x, flat = ops.dense_forward(x, weights[pidx])
-            caches.append(("dense", (flat, weights[pidx], x_shape)))
-            pidx += 1
-        elif layer.kind == "relu":
-            x, pre = ops.relu_forward(x)
-            caches.append(("relu", pre))
-        elif layer.kind == "maxpool2":
-            x, cache = ops.maxpool2_forward(x)
-            caches.append(("maxpool2", cache))
-        elif layer.kind == "affine_norm":
-            caches.append(("affine_norm", layer.scale))
-            x = ops.affine_forward(x, layer.scale, layer.shift)
-        else:
+def _dense(layer, x, w):
+    out, flat = ops.dense_forward(x, w)
+    return out, (flat, w, x.shape)
+
+
+# kind -> step(layer, x, weight) -> (output, backward cache); ops are looked
+# up at call time so that wrapping an op in the ops module takes effect
+_STEPS = {
+    "conv2d": _conv2d,
+    "dense": _dense,
+    "relu": lambda layer, x, w: ops.relu_forward(x),
+    "maxpool2": lambda layer, x, w: ops.maxpool2_forward(x),
+    "affine_norm": lambda layer, x, w: (ops.affine_forward(x, layer.scale, layer.shift),
+                                        layer.scale),
+}
+
+
+def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
+          start: int = 0, record: bool = False):
+    """Yield (layer, output, cache) for model.layers[start:] fed x.
+
+    weights holds one array per parametric layer of the whole model.  The
+    cache is what _backprop needs when record is set, else None, so an
+    inference pass frees each layer's temporary arrays as it goes.  Callers
+    hold np.errstate: non-finite values are detected after the pass.
+    """
+    pidx = sum(1 for layer in model.layers[:start] if layer.kind in PARAMETRIC_KINDS)
+    for layer in model.layers[start:]:
+        step = _STEPS.get(layer.kind)
+        if step is None:
             raise InputError(f"unknown layer kind {layer.kind!r}")
+        w = None
+        if layer.kind in PARAMETRIC_KINDS:
+            w = weights[pidx]
+            pidx += 1
+        x, cache = step(layer, x, w)
+        if not record:
+            cache = None
+        yield layer, x, cache
+
+
+def _run(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
+         start: int = 0, record: bool = False):
+    """Output of model.layers[start:] on x plus the (kind, cache) list."""
+    caches = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer, x, cache in _walk(model, x, weights, start, record):
+            if record:
+                caches.append((layer.kind, cache))
     return x, caches
 
 
@@ -75,33 +104,15 @@ def _check_finite(
     loss: float,
     inputs: np.ndarray,
     weights: List[np.ndarray],
+    start: int = 0,
 ) -> None:
     if np.isfinite(loss) and np.all(np.isfinite(logits)):
         return
     # replay layer by layer to name the first offending one
-    x = inputs
-    pidx = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        _locate_nonfinite(model, x, weights, pidx)
-    raise NumericError("non-finite loss", layer=model.layers[-1].name)
-
-
-def _locate_nonfinite(model, x, weights, pidx):
-    for layer in model.layers:
-        if layer.kind == "conv2d":
-            x, _ = ops.conv2d_forward(x, weights[pidx], layer.stride, layer.pad)
-            pidx += 1
-        elif layer.kind == "dense":
-            x, _ = ops.dense_forward(x, weights[pidx])
-            pidx += 1
-        elif layer.kind == "relu":
-            x, _ = ops.relu_forward(x)
-        elif layer.kind == "maxpool2":
-            x, _ = ops.maxpool2_forward(x)
-        else:
-            x = ops.affine_forward(x, layer.scale, layer.shift)
-        if not np.all(np.isfinite(x)):
-            raise NumericError("non-finite activation", layer=layer.name)
+        for layer, x, _ in _walk(model, inputs, weights, start):
+            if not np.all(np.isfinite(x)):
+                raise NumericError("non-finite activation", layer=layer.name)
     raise NumericError("non-finite loss", layer=model.layers[-1].name)
 
 
@@ -143,6 +154,16 @@ def _backprop(model: QuantizedModel, caches, dlogits: np.ndarray, per_sample: bo
     return grads
 
 
+def _infer(model: QuantizedModel, batch: Batch, weights: List[np.ndarray],
+           start: int = 0, x: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
+    """(logits, loss) of model.layers[start:] fed x (default: batch inputs)."""
+    x = batch.inputs if x is None else x
+    logits, _ = _run(model, x, weights, start)
+    loss, _, _ = _head_loss(model, logits, batch.labels)
+    _check_finite(model, logits, loss, x, weights, start)
+    return logits, loss
+
+
 def forward(
     model: QuantizedModel,
     batch: Batch,
@@ -157,11 +178,7 @@ def forward(
     if len(batch) == 0:
         raise InputError("empty batch")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    weights = _noisy_weights(model, noise, rng)
-    logits, _ = _run_forward(model, batch.inputs, weights)
-    loss, _, _ = _head_loss(model, logits, batch.labels)
-    _check_finite(model, logits, loss, batch.inputs, weights)
-    return logits, loss
+    return _infer(model, batch, _noisy_weights(model, noise, rng))
 
 
 def loss_and_grads(
@@ -185,7 +202,7 @@ def loss_and_grads(
     for k in range(samples):
         rng = np.random.default_rng(streams[k])
         weights = _noisy_weights(model, noise, rng)
-        logits, caches = _run_forward(model, batch.inputs, weights)
+        logits, caches = _run(model, batch.inputs, weights, record=True)
         loss, dlogits, _ = _head_loss(model, logits, batch.labels)
         _check_finite(model, logits, loss, batch.inputs, weights)
         gk = _backprop(model, caches, dlogits, per_sample=False)
@@ -219,9 +236,7 @@ def loss_with_weights(model: QuantizedModel, batch: Batch, weights: List[np.ndar
     arrays = [np.asarray(w, dtype=np.float64) for w in weights]
     if len(arrays) != len(model.parametric()):
         raise InputError("one weight array per parametric layer is required")
-    logits, _ = _run_forward(model, batch.inputs, arrays)
-    loss, _, _ = _head_loss(model, logits, batch.labels)
-    _check_finite(model, logits, loss, batch.inputs, arrays)
+    _, loss = _infer(model, batch, arrays)
     return loss
 
 
@@ -229,28 +244,9 @@ def activations(model: QuantizedModel, batch: Batch) -> List[np.ndarray]:
     """Noise-free output of every layer in order, for calibration and debug."""
     if len(batch) == 0:
         raise InputError("empty batch")
-    weights = [layer.weight.dequantized() for _, layer in model.parametric()]
-    outs: List[np.ndarray] = []
-    x = batch.inputs
-    pidx = 0
+    weights = _noisy_weights(model, None, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in model.layers:
-            if layer.kind == "conv2d":
-                x, _ = ops.conv2d_forward(x, weights[pidx], layer.stride, layer.pad)
-                pidx += 1
-            elif layer.kind == "dense":
-                x, _ = ops.dense_forward(x, weights[pidx])
-                pidx += 1
-            elif layer.kind == "relu":
-                x, _ = ops.relu_forward(x)
-            elif layer.kind == "maxpool2":
-                x, _ = ops.maxpool2_forward(x)
-            elif layer.kind == "affine_norm":
-                x = ops.affine_forward(x, layer.scale, layer.shift)
-            else:
-                raise InputError(f"unknown layer kind {layer.kind!r}")
-            outs.append(x)
-    return outs
+        return [x for _, x, _ in _walk(model, batch.inputs, weights)]
 
 
 def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List[np.ndarray]:
@@ -261,12 +257,12 @@ def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List
     """
     if len(batch) == 0:
         raise InputError("empty batch")
-    weights = [layer.weight.dequantized() for _, layer in model.parametric()]
+    weights = _noisy_weights(model, None, None)
     total = [np.zeros_like(w) for w in weights]
     n = len(batch)
     for start in range(0, n, chunk):
         part = Batch(batch.inputs[start : start + chunk], batch.labels[start : start + chunk])
-        logits, caches = _run_forward(model, part.inputs, weights)
+        logits, caches = _run(model, part.inputs, weights, record=True)
         loss, _, dper = _head_loss(model, logits, part.labels)
         _check_finite(model, logits, loss, part.inputs, weights)
         per = _backprop(model, caches, dper, per_sample=True)
@@ -275,15 +271,90 @@ def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List
     return [t / n for t in total]
 
 
+def _params(layer) -> tuple:
+    if layer.kind in PARAMETRIC_KINDS:
+        return layer.weight.codes, layer.weight.scale
+    if layer.kind == "affine_norm":
+        return layer.scale, layer.shift
+    return ()
+
+
+def _structure(model: QuantizedModel) -> list:
+    return [
+        (layer.kind, getattr(layer, "stride", None), getattr(layer, "pad", None),
+         [np.shape(p) for p in _params(layer)])
+        for layer in model.layers
+    ]
+
+
+class ActivationPrefix:
+    """A reference model's clean activations on one batch, for evaluate.
+
+    Holds the batch inputs, the input of every parametric layer and the
+    logits, plus a copy of the reference's codes, scales and affine
+    parameters.  evaluate(model, batch, prefix=p) re-runs only the layers
+    from the first one at which model differs from the reference: a changed
+    parametric layer resumes at its own input, a changed affine layer at the
+    nearest stored boundary before it, and an unchanged model returns the
+    stored logits.  The result equals a full noise-free evaluate bit for bit.
+    """
+
+    def __init__(self, model: QuantizedModel, batch: Batch):
+        if len(batch) == 0:
+            raise InputError("empty batch")
+        self.structure = _structure(model)
+        self.params = [tuple(np.copy(p) for p in _params(layer)) for layer in model.layers]
+        weights = _noisy_weights(model, None, None)
+        x = batch.inputs.copy()
+        self.acts: Dict[int, np.ndarray] = {0: x}
+        n_layers = len(model.layers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (_, x, _) in enumerate(_walk(model, x, weights), start=1):
+                if i == n_layers or model.layers[i].kind in PARAMETRIC_KINDS:
+                    self.acts[i] = x
+        loss, _, _ = _head_loss(model, x, batch.labels)
+        _check_finite(model, x, loss, batch.inputs, weights)
+        for a in self.acts.values():
+            a.flags.writeable = False
+
+    def resume(self, model: QuantizedModel, batch: Batch) -> Tuple[int, np.ndarray]:
+        """(start layer, its input) for evaluating model on batch."""
+        if _structure(model) != self.structure:
+            raise InputError("prefix was built for another layer structure")
+        if not np.array_equal(batch.inputs, self.acts[0]):
+            raise InputError("prefix was built on another batch")
+        boundary = 0
+        for i, (layer, ref) in enumerate(zip(model.layers, self.params)):
+            if i in self.acts:
+                boundary = i
+            if not all(np.array_equal(a, b) for a, b in zip(_params(layer), ref)):
+                return boundary, self.acts[boundary]
+        return len(model.layers), self.acts[len(model.layers)]
+
+
 def evaluate(
     model: QuantizedModel,
     dataset: Batch,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
+    prefix: Optional[ActivationPrefix] = None,
 ) -> float:
-    """Fraction of argmax-correct predictions on the dataset."""
+    """Fraction of argmax-correct predictions on the dataset.
+
+    With prefix (an ActivationPrefix built on this dataset for a model of
+    the same layer structure) only the layers from the first one that
+    differs from the prefix's reference model are run; the accuracy is the
+    same as without it.  A prefix holds noise-free activations, so it
+    cannot be combined with nonzero noise.
+    """
     if model.head != "xent":
         raise InputError("evaluate requires a classification head")
-    logits, _ = forward(model, dataset, noise, seed)
+    if prefix is None:
+        logits, _ = forward(model, dataset, noise, seed)
+    else:
+        if noise is not None and noise.std > 0:
+            raise InputError("a prefix holds noise-free activations")
+        start, x = prefix.resume(model, dataset)
+        logits, _ = _infer(model, dataset, _noisy_weights(model, None, None), start, x)
     pred = np.argmax(logits, axis=1)
     return float((pred == np.asarray(dataset.labels, dtype=np.int64)).mean())

@@ -114,6 +114,7 @@ class AffineNorm:
 
 
 LAYER_KINDS = {cls.kind: cls for cls in (Conv2d, Dense, ReLU, MaxPool2, AffineNorm)}
+PARAMETRIC_KINDS = (Conv2d.kind, Dense.kind)
 
 
 class QuantizedModel:
@@ -140,7 +141,7 @@ class QuantizedModel:
     def parametric(self) -> List[Tuple[int, object]]:
         out = []
         for layer in self.layers:
-            if layer.kind in ("conv2d", "dense"):
+            if layer.kind in PARAMETRIC_KINDS:
                 out.append((len(out), layer))
         return out
 
@@ -155,17 +156,8 @@ class QuantizedModel:
         return self.protected.get(pidx, {})
 
     def clone(self) -> "QuantizedModel":
-        layers = []
-        for layer in self.layers:
-            if layer.kind == "conv2d":
-                layers.append(Conv2d(layer.weight.copy(), layer.stride, layer.pad, layer.name))
-            elif layer.kind == "dense":
-                layers.append(Dense(layer.weight.copy(), layer.name))
-            elif layer.kind == "affine_norm":
-                layers.append(AffineNorm(layer.scale.copy(), layer.shift.copy(), layer.name))
-            else:
-                layers.append(copy.copy(layer))
-        dup = QuantizedModel(layers, head=self.head, input_bits=self.input_bits)
+        dup = QuantizedModel(copy.deepcopy(self.layers), head=self.head,
+                             input_bits=self.input_bits)
         dup.protected = {
             pidx: {i: word.copy() for i, word in words.items()}
             for pidx, words in self.protected.items()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> Tuple[int, int]:
@@ -22,13 +23,10 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     oh, ow = conv_out_hw(h, w, k, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c * k * k, oh * ow), dtype=np.float64)
-    for di in range(k):
-        for dj in range(k):
-            patch = x[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
-            # row index c*(k*k) + di*k + dj matches the (O, C, k, k) weight layout
-            cols[:, di * k + dj :: k * k, :] = patch.reshape(n, c, oh * ow)
-    return cols
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    # (N, C, k, k, oh, ow): row c*(k*k) + di*k + dj matches the (O, C, k, k) weights
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3), dtype=np.float64)
+    return cols.reshape(n, c * k * k, oh * ow)
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], k: int, stride: int, pad: int) -> np.ndarray:
@@ -93,26 +91,37 @@ def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dout * (x > 0)
 
 
+def _pool_slices(x: np.ndarray):
+    """The four strided 2x2-window members, in first-max tie order."""
+    h2, w2 = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    return [x[:, :, r:h2:2, s:w2:2] for r in (0, 1) for s in (0, 1)]
+
+
+def _pool_max(x: np.ndarray) -> np.ndarray:
+    a, b, c, d = _pool_slices(x)
+    # later members go first: np.maximum keeps its second argument on a
+    # +-0 tie (x86), so the earliest zero's sign survives as with argmax
+    return np.maximum(d, np.maximum(c, np.maximum(b, a)))
+
+
 def maxpool2_forward(x: np.ndarray):
-    """2x2 stride-2 max pooling; odd trailing rows/columns are dropped."""
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    win = x[:, :, : h2 * 2, : w2 * 2].reshape(n, c, h2, 2, w2, 2)
-    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    amax = np.argmax(win, axis=-1)  # first maximum wins ties
-    out = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
-    return out, (amax, x.shape)
+    """2x2 stride-2 max pooling; odd trailing rows/columns are dropped.
+
+    NaN propagates.  The cache is the input itself: the backward pass
+    re-derives the first-maximum routing from it.
+    """
+    return _pool_max(x), x
 
 
-def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
-    amax, x_shape = cache
-    n, c, h, w = x_shape
-    h2, w2 = h // 2, w // 2
-    dwin = np.zeros((n, c, h2, w2, 4), dtype=np.float64)
-    np.put_along_axis(dwin, amax[..., None], dout[..., None], axis=-1)
-    dwin = dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    dx = np.zeros(x_shape, dtype=np.float64)
-    dx[:, :, : h2 * 2, : w2 * 2] = dwin.reshape(n, c, h2 * 2, w2 * 2)
+def maxpool2_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Route each window's gradient to its first maximal member."""
+    out = _pool_max(x)
+    dx = np.zeros(x.shape, dtype=np.float64)
+    free = np.ones(out.shape, dtype=bool)
+    for member, grad in zip(_pool_slices(x), _pool_slices(dx)):
+        hit = free & (member == out)
+        grad[...] = np.where(hit, dout, 0.0)
+        free &= ~hit
     return dx
 
 

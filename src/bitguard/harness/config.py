@@ -73,8 +73,12 @@ class ExperimentConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        """Stable digest of the canonical JSON form."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Stable digest of the canonical JSON form, out_dir left out.
+
+        The hash names the experiment, not the directory it is written to.
+        """
+        fields = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
+        canon = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def validate(self) -> "ExperimentConfig":

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bitcodec import code_range, _ceil_log2
-from .engine import Batch, evaluate
+from .engine import ActivationPrefix, Batch, evaluate
 from .errors import ConfigError, InputError
 
 # group sizes tried by the plan search, largest (cheapest) first
@@ -478,7 +478,9 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         raise InputError("accuracy-drop budget must be positive")
     if flip_budget < 1:
         raise InputError("flip budget must be >= 1")
-    acc0 = evaluate(model, val_set)
+    # every trial differs from model in one layer only
+    prefix = ActivationPrefix(model, val_set)
+    acc0 = evaluate(model, val_set, prefix=prefix)
     plan = LockPlan(eta=eta)
 
     for pidx, layer in model.parametric():
@@ -538,7 +540,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
             lp = LayerLockPlan(G, K, codes, ids,
                                watch_core=core, watch_margin=margin)
             _overwrite_groups(trial, pidx, lp, feas, None)
-            if acc0 - evaluate(trial, val_set) < eta:
+            if acc0 - evaluate(trial, val_set, prefix=prefix) < eta:
                 chosen = lp
                 break
         plan.layers[pidx] = chosen

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attacker import AttackBudget, bfa_attack
 from .bitcodec import ledger_lock, ledger_tcu
-from .engine import Batch, NoiseSpec, evaluate
+from .engine import ActivationPrefix, Batch, NoiseSpec, evaluate
 from .engine.functional import curvature_diag
 from .errors import InputError
 from .lockdown import (
@@ -163,7 +163,8 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
     }
     if not margins:
         return
-    acc0 = evaluate(protected, val_set)
+    prefix = ActivationPrefix(protected, val_set)
+    acc0 = evaluate(protected, val_set, prefix=prefix)
 
     def joint_drop(fraction: float) -> float:
         flags = {}
@@ -178,7 +179,7 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
                 flags[pidx] = merged
         if not flags:
             return 0.0
-        return acc0 - evaluate(lock(protected, flags, lockdown), val_set)
+        return acc0 - evaluate(lock(protected, flags, lockdown), val_set, prefix=prefix)
 
     best = 0.0
     if joint_drop(1.0) < cap:

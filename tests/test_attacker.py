@@ -5,12 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from bitguard.attacker import GRAD_STEP_UNITS, AttackBudget, AttackTrace, bfa_attack
+from bitguard.attacker import (
+    GRAD_STEP_UNITS,
+    AttackBudget,
+    AttackTrace,
+    _fallback_ranking,
+    _FlipState,
+    bfa_attack,
+)
 from bitguard.bitcodec import flip_bit, tcu_decode, tcu_encode, to_unsigned
 from bitguard.engine import Batch, NoiseSpec, backward, forward
 from bitguard.errors import ConfigError, InputError
 
-from conftest import chain_dense_model, dense_model
+from conftest import chain_dense_model, dense_model, toy_cnn_model
 
 
 def linear_batch(xs, ys):
@@ -233,6 +240,41 @@ class TestProtectedWeights:
         for flip in trace.flips:
             du = to_unsigned(flip.post_code, 4) - to_unsigned(flip.pre_code, 4)
             assert abs(du) == 1
+
+
+def sorted_fallback_reference(model, grads, state):
+    """The fallback order as a Python sort over per-weight tuples."""
+    entries = []
+    for pidx, layer in model.parametric():
+        codes = layer.weight.codes.reshape(-1)
+        half = 1 << (layer.weight.bits - 1)
+        g = grads[pidx].reshape(-1)
+        est = g * (np.where(codes < 0, half, -half) * layer.weight.scale)
+        for i in range(codes.size):
+            if i in model.protected_in(pidx) or i in state.touched[pidx]:
+                continue
+            entries.append((pidx, i, float(est[i]), float(abs(g[i]))))
+    entries.sort(key=lambda e: (e[2] <= 0, -e[3], e[0], e[1]))
+    return [(p, i, e) for p, i, e, _ in entries]
+
+
+class TestFallbackRanking:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_tuple_sort_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        model = toy_cnn_model(bits=4, seed=seed)
+        # few distinct gradient values (zeros and +-0.0 among them) force ties
+        grads = [rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=l.weight.codes.shape)
+                 for _, l in model.parametric()]
+        state = _FlipState(model)
+        for pidx, layer in model.parametric():
+            n = layer.weight.size
+            picks = rng.permutation(n)[: n // 3]
+            state.touched[pidx] = set(picks[: n // 6].tolist())
+            model.protected[pidx] = {int(i): tcu_encode(0, 4) for i in picks[n // 6 :]}
+        got = list(_fallback_ranking(model, grads, state))
+        assert got == sorted_fallback_reference(model, grads, state)
+        assert all(type(p) is int and type(i) is int and type(e) is float for p, i, e in got)
 
 
 class TestTraceSerialization:

@@ -7,8 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bitguard.engine import (
+    ActivationPrefix,
     Batch,
     Dense,
     NoiseSpec,
@@ -24,7 +28,9 @@ from bitguard.engine import (
     quantize_array,
     save_model,
 )
+from bitguard.engine import functional, ops
 from bitguard.errors import InputError, NumericError
+from bitguard.harness.pretrain import build_desk_model
 
 from conftest import dense_model, random_batch, toy_cnn_model
 
@@ -74,7 +80,21 @@ def test_nonfinite_activation_names_layer():
     batch = batch_for(3, 2, 4)
     with pytest.raises(NumericError) as err:
         forward(model, batch)
-    assert err.value.layer is not None
+    assert err.value.layer == "dense0"
+
+
+def test_nonfinite_conv_activation_names_first_offending_layer():
+    model = toy_cnn_model(seed=3)
+    batch = random_batch(8, 1, 6, 3, seed=3)
+    prefix = ActivationPrefix(model, batch)
+    # the second conv's weights overflow to +-inf; every earlier layer is finite
+    model.layers[3].weight.scale = 1e308
+    with pytest.raises(NumericError) as err:
+        forward(model, batch)
+    assert err.value.layer == "conv2d3"
+    with pytest.raises(NumericError) as err:
+        evaluate(model, batch, prefix=prefix)
+    assert err.value.layer == "conv2d3"
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +235,138 @@ def test_evaluate_deterministic_under_noise():
     data = random_batch(8, 1, 40, 3, seed=21)
     noise = NoiseSpec(std=0.05)
     assert evaluate(model, data, noise, seed=5) == evaluate(model, data, noise, seed=5)
+
+
+def edited_clones(model, rng):
+    """(expected start layer, clone) for an unedited clone, a code edit in
+    each parametric layer, a scale edit, and an edit of each affine layer."""
+    n_layers = len(model.layers)
+    boundaries = [0] + [i for i, l in enumerate(model.layers) if l.kind in ("conv2d", "dense")]
+    cases = [(n_layers, model.clone())]
+    for i, layer in enumerate(model.layers):
+        dup = model.clone()
+        if layer.kind in ("conv2d", "dense"):
+            flat = dup.layers[i].weight.codes.reshape(-1)
+            pick = rng.permutation(flat.size)[: max(1, flat.size // 4)]
+            flat[pick] = np.where(flat[pick] == 0, 1, 0)
+            cases.append((i, dup))
+            scaled = model.clone()
+            scaled.layers[i].weight.scale *= 1.5
+            cases.append((i, scaled))
+        elif layer.kind == "affine_norm":
+            dup.layers[i].shift = dup.layers[i].shift + 0.25
+            cases.append((max(b for b in boundaries if b <= i), dup))
+    return cases
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (toy_cnn_model(seed=5), random_batch(8, 1, 30, 3, seed=6)),
+    lambda: (build_desk_model(bits=8, hw=12, classes=10, seed=2),
+             random_batch(12, 1, 40, 10, seed=4)),
+], ids=["toy_cnn", "desk_cnn"])
+def test_evaluate_with_prefix_equals_full_evaluate(build):
+    model, data = build()
+    prefix = ActivationPrefix(model, data)
+    cases = edited_clones(model, np.random.default_rng(0))
+    assert len(cases) > 2 * len(model.parametric())
+    for start, dup in cases:
+        got_start, x = prefix.resume(dup, data)
+        assert got_start == start
+        full, _ = forward(dup, data)
+        weights = functional._noisy_weights(dup, None, None)
+        resumed, _ = functional._infer(dup, data, weights, got_start, x)
+        assert resumed.tobytes() == full.tobytes()
+        assert evaluate(dup, data, prefix=prefix) == evaluate(dup, data)
+
+
+def test_prefix_rejects_other_batch_structure_and_noise():
+    model = toy_cnn_model(seed=5)
+    data = random_batch(8, 1, 20, 3, seed=6)
+    prefix = ActivationPrefix(model, data)
+    with pytest.raises(InputError, match="batch"):
+        evaluate(model, random_batch(8, 1, 20, 3, seed=7), prefix=prefix)
+    with pytest.raises(InputError, match="batch"):
+        evaluate(model, data.take(np.arange(10)), prefix=prefix)
+    with pytest.raises(InputError, match="structure"):
+        evaluate(toy_cnn_model(seed=5, channels=(1, 2, 4)), data, prefix=prefix)
+    other = toy_cnn_model(seed=5)
+    other.layers[3].pad = 0
+    with pytest.raises(InputError, match="structure"):
+        evaluate(other, data, prefix=prefix)
+    with pytest.raises(InputError, match="noise"):
+        evaluate(model, data, NoiseSpec(std=0.05), prefix=prefix)
+    # the prefix is a snapshot: editing the reference afterwards is an edit
+    model.layers[6].weight.codes[0, 0] += 1
+    assert prefix.resume(model, data)[0] == 6
+    assert evaluate(model, data, prefix=prefix) == evaluate(model, data)
+
+
+# ---------------------------------------------------------------------------
+# ops
+# ---------------------------------------------------------------------------
+
+
+def loop_im2col(x, k, stride, pad):
+    """Reference unfold: one strided copy per kernel offset."""
+    n, c, h, w = x.shape
+    oh, ow = ops.conv_out_hw(h, w, k, stride, pad)
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c * k * k, oh * ow), dtype=np.float64)
+    for di in range(k):
+        for dj in range(k):
+            patch = x[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
+            cols[:, di * k + dj :: k * k, :] = patch.reshape(n, c, oh * ow)
+    return cols
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape,k", [((3, 2, 7, 9), 3), ((2, 3, 6, 6), 2), ((1, 1, 5, 8), 3)])
+def test_im2col_matches_loop_bytes(shape, k, stride, pad):
+    x = np.random.default_rng(sum(shape) + k).standard_normal(shape)
+    x[0, 0, 0, :2] = [-0.0, np.inf]
+    got, want = ops.im2col(x, k, stride, pad), loop_im2col(x, k, stride, pad)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def argmax_pool(x, dout):
+    """Reference pool: argmax over each flattened 2x2 window (first max wins)."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = x[:, :, : h2 * 2, : w2 * 2].reshape(n, c, h2, 2, w2, 2)
+    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
+    amax = np.argmax(win, axis=-1)
+    out = np.take_along_axis(win, amax[..., None], axis=-1)[..., 0]
+    dwin = np.zeros((n, c, h2, w2, 4))
+    np.put_along_axis(dwin, amax[..., None], dout[..., None], axis=-1)
+    dx = np.zeros(x.shape)
+    dwin = dwin.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    dx[:, :, : h2 * 2, : w2 * 2] = dwin.reshape(n, c, h2 * 2, w2 * 2)
+    return out, dx
+
+
+pool_inputs = st.tuples(
+    st.integers(1, 2), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7)
+).flatmap(lambda shape: arrays(
+    np.float64, shape,
+    # a few repeated values make ties, signed zeros included
+    elements=st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 2.0, np.nan]),
+                       st.floats(-4, 4, allow_nan=False)),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_inputs)
+def test_maxpool_matches_argmax_reference(x):
+    out, cache = ops.maxpool2_forward(x)
+    dout = np.arange(1.0, out.size + 1).reshape(out.shape)
+    want_out, want_dx = argmax_pool(x, dout)
+    assert out.shape == want_out.shape
+    assert np.array_equal(out, want_out, equal_nan=True)
+    # a NaN never reaches the backward pass: the logits check stops it first
+    if not np.isnan(x).any():
+        assert np.array_equal(ops.maxpool2_backward(dout, cache), want_dx)
 
 
 # ---------------------------------------------------------------------------

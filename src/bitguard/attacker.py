@@ -12,6 +12,14 @@ address space allows.
 Flips never reuse a bit address, so every recorded flip stays effective.
 For weights stored as TCU codewords the only reachable moves are one level
 up (flip a 0 slot) or one level down (flip a 1 slot).
+
+A step costs one gradient pass plus O(n) array work.  Each layer keeps a
+move table: for every weight, the largest and the smallest code delta over
+its remaining moves.  The estimate g * scale * delta is linear in delta, so
+a weight's best move is one of the two, and a flip recomputes only the
+flipped weight's row.  The clean losses come from an ActivationPrefix that
+follows the attacked copy, so the loss after a flip re-runs only the layers
+from the flipped one on.
 """
 
 from __future__ import annotations
@@ -22,8 +30,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from .bitcodec import BitAddress, to_signed
-from .engine import Batch, NoiseSpec, QuantizedModel, forward
-from .engine.functional import loss_and_grads
+from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, loss_and_grads
 from .errors import ConfigError, InputError
 
 # one emulated flip attempt costs a forward plus backward pass, priced at
@@ -132,75 +139,112 @@ class _Candidate:
     new_code: int
     slot_flip: bool  # True when the flip lands in a TCU codeword slot
 
-    def beats(self, other: Optional["_Candidate"]) -> bool:
-        if other is None:
-            return True
-        if self.est != other.est:
-            return self.est > other.est
-        return (self.layer, self.weight, self.bit) < (other.layer, other.weight, other.bit)
+
+class _Moves:
+    """One layer's move table: each weight's extreme reachable code deltas.
+
+    A plain weight's moves are its unused bits.  A TCU word's moves are one
+    level up through its first free 0 slot and one level down through its
+    first free 1 slot; the words sit in a slot matrix padded with -1, and
+    slot_used marks flipped and padding slots.  hi/lo hold the largest and
+    smallest delta over a weight's moves and hi_bit/lo_bit the bit or slot
+    that makes it; blocked marks weights with no move left.
+    """
+
+    def __init__(self, layer, protected):
+        self.layer = layer
+        bits = layer.weight.bits
+        n = layer.weight.codes.size
+        self.used = np.zeros((n, bits), dtype=bool)
+        words = sorted(protected)
+        self.row = np.full(n, -1, dtype=np.int64)
+        self.row[words] = np.arange(len(words))
+        width = max((word.width for word in protected.values()), default=0)
+        self.slots = np.full((len(words), width), -1, dtype=np.int8)
+        for r, i in enumerate(words):
+            self.slots[r, : protected[i].width] = protected[i].word
+        self.slot_used = self.slots < 0
+        self.hi, self.lo = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        self.hi_bit, self.lo_bit = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        self.blocked = np.zeros(n, dtype=bool)
+        self.refresh(np.arange(n))
+
+    def refresh(self, idx: np.ndarray) -> None:
+        """Recompute the table rows of the weights idx from their codes."""
+        bits = self.layer.weight.bits
+        codes = self.layer.weight.codes.reshape(-1)
+        span, half = 1 << bits, 1 << (bits - 1)
+        plain, words = idx[self.row[idx] < 0], idx[self.row[idx] >= 0]
+
+        c = codes[plain]
+        patterns = (c & (span - 1))[:, None] ^ (1 << np.arange(bits))[None, :]
+        delta = np.where(patterns >= half, patterns - span, patterns) - c[:, None]
+        self._set(plain, delta, np.broadcast_to(np.arange(bits), delta.shape), ~self.used[plain])
+
+        if not words.size:
+            return
+        c = codes[words]
+        u = (c & (span - 1))[:, None] + np.array([1, -1])
+        delta = np.where(u >= half, u - span, u) - c[:, None]
+        rows = self.row[words]
+        slot, free = [], []
+        for target in (0, 1):  # level up flips a 0 slot, level down a 1 slot
+            avail = (self.slots[rows] == target) & ~self.slot_used[rows]
+            slot.append(np.argmax(avail, axis=1))
+            free.append(avail.any(axis=1))
+        self._set(words, delta, np.stack(slot, axis=1), np.stack(free, axis=1))
+
+    def _set(self, idx, delta, bit, free) -> None:
+        k = np.arange(idx.size)
+        hi = np.argmax(np.where(free, delta, np.iinfo(np.int64).min), axis=1)
+        lo = np.argmin(np.where(free, delta, np.iinfo(np.int64).max), axis=1)
+        self.hi[idx], self.hi_bit[idx] = delta[k, hi], bit[k, hi]
+        self.lo[idx], self.lo_bit[idx] = delta[k, lo], bit[k, lo]
+        self.blocked[idx] = ~free.any(axis=1)
+
+    def best(self, pidx: int, g: np.ndarray) -> _Candidate:
+        """The layer's move with the largest estimate under gradient g.
+
+        The estimate (g * scale) * delta is linear in delta, so a weight's
+        best move is its hi or its lo one; argmax keeps the lowest index.
+        """
+        gs = g.reshape(-1) * self.layer.weight.scale
+        est_hi, est_lo = gs * self.hi, gs * self.lo
+        est = np.maximum(est_hi, est_lo)
+        est[self.blocked] = -np.inf
+        w = int(np.argmax(est))
+        take_hi = est_hi[w] >= est_lo[w]
+        delta, bit = (self.hi[w], self.hi_bit[w]) if take_hi else (self.lo[w], self.lo_bit[w])
+        code = int(self.layer.weight.codes.reshape(-1)[w])
+        return _Candidate(float(est[w]), pidx, w, int(bit), code + int(delta), bool(self.row[w] >= 0))
+
+    def mark(self, weight: int, bit: int, slot_flip: bool) -> None:
+        if slot_flip:
+            self.slot_used[self.row[weight], bit] = True
+        else:
+            self.used[weight, bit] = True
+        self.refresh(np.array([weight]))
 
 
 class _FlipState:
-    """Bookkeeping of used bit addresses and touched weights."""
+    """Bookkeeping of used bit addresses, touched weights and move tables."""
 
     def __init__(self, model: QuantizedModel):
-        self.used_bcd: Dict[int, np.ndarray] = {}
-        self.used_slots: Dict[int, Dict[int, Set[int]]] = {}
-        self.touched: Dict[int, Set[int]] = {}
-        for pidx, layer in model.parametric():
-            n = layer.weight.codes.size
-            self.used_bcd[pidx] = np.zeros((n, layer.weight.bits), dtype=bool)
-            self.used_slots[pidx] = {}
-            self.touched[pidx] = set()
+        self.moves = [_Moves(layer, model.protected_in(pidx)) for pidx, layer in model.parametric()]
+        self.touched: Dict[int, Set[int]] = {pidx: set() for pidx, _ in model.parametric()}
 
     def mark(self, cand: _Candidate) -> None:
-        if cand.slot_flip:
-            self.used_slots[cand.layer].setdefault(cand.weight, set()).add(cand.bit)
-        else:
-            self.used_bcd[cand.layer][cand.weight, cand.bit] = True
+        self.moves[cand.layer].mark(cand.weight, cand.bit, cand.slot_flip)
         self.touched[cand.layer].add(cand.weight)
 
-
-def _layer_candidates(pidx, layer, grads, state, protected) -> Optional[_Candidate]:
-    codes = layer.weight.codes.reshape(-1)
-    bits = layer.weight.bits
-    scale = layer.weight.scale
-    g = grads[pidx].reshape(-1)
-    n = codes.size
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-
-    unsigned = codes & mask
-    patterns = unsigned[:, None] ^ (1 << np.arange(bits))[None, :]
-    signed = np.where(patterns >= half, patterns - (1 << bits), patterns)
-    est = g[:, None] * scale * (signed - codes[:, None]).astype(np.float64)
-    est[state.used_bcd[pidx]] = -np.inf
-    if protected:
-        est[sorted(protected.keys()), :] = -np.inf
-
-    best: Optional[_Candidate] = None
-    flat = int(np.argmax(est))
-    w, b = divmod(flat, bits)
-    if np.isfinite(est[w, b]):
-        best = _Candidate(float(est[w, b]), pidx, w, b, int(signed[w, b]), False)
-
-    # TCU-stored weights: the reachable moves are one level up or down
-    for i in sorted(protected.keys()):
-        word = protected[i]
-        used = state.used_slots[pidx].get(i, set())
-        u_now = int(codes[i]) & mask
-        for target, du in ((0, +1), (1, -1)):
-            slots = np.nonzero(word.word == target)[0]
-            slot = next((int(s) for s in slots if int(s) not in used), None)
-            if slot is None:
-                continue
-            new_code = to_signed(u_now + du, bits)
-            cand = _Candidate(
-                float(g[i] * scale * (new_code - codes[i])), pidx, int(i), slot, new_code, True
-            )
-            if cand.beats(best):
+    def best(self, grads: List[np.ndarray]) -> Optional[_Candidate]:
+        """The move with the largest estimate; ties go to the lowest address."""
+        best: Optional[_Candidate] = None
+        for pidx, moves in enumerate(self.moves):
+            cand = moves.best(pidx, grads[pidx])
+            if cand.est > (-np.inf if best is None else best.est):
                 best = cand
-    return best if best is not None and np.isfinite(best.est) else None
+        return best
 
 
 def _apply(model: QuantizedModel, cand: _Candidate) -> int:
@@ -263,9 +307,17 @@ def bfa_attack(
     work = model.clone()
     state = _FlipState(work)
     trace = AttackTrace()
-    _, trace.initial_loss = forward(work, attack_set)
+    prefix = ActivationPrefix(work, attack_set)
+    _, trace.initial_loss = prefix.follow(work, attack_set)
     seed_root = np.random.SeedSequence(seed)
     grads: Optional[List[np.ndarray]] = None
+
+    def record(cand: _Candidate, fallback: bool) -> None:
+        pre = _apply(work, cand)
+        state.mark(cand)
+        _, loss_after = prefix.follow(work, attack_set)
+        trace.flips.append(FlipRecord(BitAddress(cand.layer, cand.weight, cand.bit), pre,
+                                      cand.new_code, cand.est, loss_after, fallback))
 
     while len(trace.flips) < budget.max_flips:
         if trace.units_used + step_cost > budget.inference_units:
@@ -273,27 +325,10 @@ def bfa_attack(
         step_seed = int(seed_root.spawn(1)[0].generate_state(1)[0])
         _, grads = loss_and_grads(work, attack_set, step_noise, step_seed)
         trace.units_used += step_cost
-
-        best: Optional[_Candidate] = None
-        for pidx, layer in work.parametric():
-            cand = _layer_candidates(pidx, layer, grads, state, work.protected_in(pidx))
-            if cand is not None and cand.beats(best):
-                best = cand
+        best = state.best(grads)
         if best is None or best.est <= 0:
             break
-        pre = _apply(work, best)
-        state.mark(best)
-        _, loss_after = forward(work, attack_set)
-        trace.flips.append(
-            FlipRecord(
-                BitAddress(best.layer, best.weight, best.bit),
-                pre,
-                best.new_code,
-                best.est,
-                loss_after,
-                fallback=False,
-            )
-        )
+        record(best, fallback=False)
 
     if len(trace.flips) < budget.max_flips and grads is not None:
         layers = [l for _, l in work.parametric()]
@@ -310,32 +345,16 @@ def bfa_attack(
                 to_signed((int(layer.weight.codes.reshape(-1)[i]) & ((1 << bits) - 1)) ^ (1 << (bits - 1)), bits),
                 False,
             )
-            _record_fallback(work, attack_set, trace, state, cand)
+            record(cand, fallback=True)
         # tiny models can exhaust untouched weights; walk remaining addresses
         if len(trace.flips) < budget.max_flips:
             for cand in _remaining_addresses(work, state):
                 if len(trace.flips) >= budget.max_flips:
                     break
-                _record_fallback(work, attack_set, trace, state, cand)
+                record(cand, fallback=True)
 
-    _, trace.final_loss = forward(work, attack_set)
+    _, trace.final_loss = prefix.follow(work, attack_set)
     return work, trace
-
-
-def _record_fallback(work, attack_set, trace, state, cand: _Candidate) -> None:
-    pre = _apply(work, cand)
-    state.mark(cand)
-    _, loss_after = forward(work, attack_set)
-    trace.flips.append(
-        FlipRecord(
-            BitAddress(cand.layer, cand.weight, cand.bit),
-            pre,
-            cand.new_code,
-            cand.est,
-            loss_after,
-            fallback=True,
-        )
-    )
 
 
 def _remaining_addresses(work: QuantizedModel, state: _FlipState):
@@ -344,21 +363,17 @@ def _remaining_addresses(work: QuantizedModel, state: _FlipState):
         codes = layer.weight.codes.reshape(-1)
         bits = layer.weight.bits
         mask = (1 << bits) - 1
-        protected = work.protected_in(pidx)
-        used = state.used_bcd[pidx]
+        moves = state.moves[pidx]
         for i in range(codes.size):
-            if i in protected:
-                word = protected[i]
-                used_slots = state.used_slots[pidx].get(i, set())
-                for slot in range(word.width):
-                    if slot in used_slots:
-                        continue
-                    du = 1 if word.word[slot] == 0 else -1
+            row = moves.row[i]
+            if row >= 0:
+                for slot in np.flatnonzero(~moves.slot_used[row]).tolist():
+                    du = 1 if moves.slots[row, slot] == 0 else -1
                     new_u = (int(codes[i]) & mask) + du
                     yield _Candidate(0.0, pidx, i, slot, to_signed(new_u, bits), True)
             else:
                 for b in range(bits):
-                    if used[i, b]:
+                    if moves.used[i, b]:
                         continue
                     new_code = to_signed((int(codes[i]) & mask) ^ (1 << b), bits)
                     yield _Candidate(0.0, pidx, i, b, new_code, False)

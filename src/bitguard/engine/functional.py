@@ -9,7 +9,8 @@ on a per-kind step table.  It can start at any layer and keeps backward
 caches only when asked to record them, so inference frees temporary arrays
 as it goes.  An ActivationPrefix stores a reference model's clean inputs
 to each parametric layer on one batch; evaluate(..., prefix=) then re-runs
-only the layers from the first one that differs from the reference.
+only the layers from the first one that differs from the reference, and
+ActivationPrefix.follow does the same for a model edited step by step.
 """
 
 from __future__ import annotations
@@ -123,24 +124,33 @@ def _head_loss(model: QuantizedModel, logits: np.ndarray, labels: np.ndarray):
 
 
 def _backprop(model: QuantizedModel, caches, dlogits: np.ndarray, per_sample: bool):
+    """Weight gradients in layer order (per sample when per_sample is set).
+
+    Stops at the first parametric layer: nothing needs the gradient of the
+    model input.
+    """
+    first = next(i for i, (kind, _) in enumerate(caches) if kind in PARAMETRIC_KINDS)
     grads: List[np.ndarray] = []
     dx = dlogits
-    for (kind, cache) in reversed(caches):
+    for pos in range(len(caches) - 1, first - 1, -1):
+        kind, cache = caches[pos]
         if kind == "conv2d":
             cols, w, x_shape, stride, pad = cache
+            x_shape = None if pos == first else x_shape
             if per_sample:
                 grads.append(ops.conv2d_grad_per_sample(dx, cols, w.shape))
-                d2 = dx.reshape(dx.shape[0], dx.shape[1], -1)
-                dcols = np.matmul(w.reshape(w.shape[0], -1).T, d2)
-                dx = ops.col2im(dcols, x_shape, w.shape[2], stride, pad)
+                if x_shape is not None:
+                    dx = ops.conv2d_input_grad(dx, w, x_shape, stride, pad)
             else:
                 dx, dw = ops.conv2d_backward(dx, cols, w, x_shape, stride, pad)
                 grads.append(dw)
         elif kind == "dense":
             flat, w, x_shape = cache
+            x_shape = None if pos == first else x_shape
             if per_sample:
                 grads.append(ops.dense_grad_per_sample(dx, flat))
-                dx = (dx @ w).reshape(x_shape)
+                if x_shape is not None:
+                    dx = (dx @ w).reshape(x_shape)
             else:
                 dx, dw = ops.dense_backward(dx, flat, w, x_shape)
                 grads.append(dw)
@@ -296,26 +306,22 @@ class ActivationPrefix:
     from the first one at which model differs from the reference: a changed
     parametric layer resumes at its own input, a changed affine layer at the
     nearest stored boundary before it, and an unchanged model returns the
-    stored logits.  The result equals a full noise-free evaluate bit for bit.
+    stored logits.  follow(model, batch) does the same and then makes model
+    the reference, so a sequence of edits each re-runs only its suffix.  The
+    results equal a full noise-free forward bit for bit.
     """
 
     def __init__(self, model: QuantizedModel, batch: Batch):
         if len(batch) == 0:
             raise InputError("empty batch")
         self.structure = _structure(model)
-        self.params = [tuple(np.copy(p) for p in _params(layer)) for layer in model.layers]
-        weights = _noisy_weights(model, None, None)
-        x = batch.inputs.copy()
-        self.acts: Dict[int, np.ndarray] = {0: x}
         n_layers = len(model.layers)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (_, x, _) in enumerate(_walk(model, x, weights), start=1):
-                if i == n_layers or model.layers[i].kind in PARAMETRIC_KINDS:
-                    self.acts[i] = x
-        loss, _, _ = _head_loss(model, x, batch.labels)
-        _check_finite(model, x, loss, batch.inputs, weights)
-        for a in self.acts.values():
-            a.flags.writeable = False
+        self.params: List[tuple] = [()] * n_layers
+        # the stored boundaries: batch inputs, parametric-layer inputs, logits
+        self.acts: Dict[int, np.ndarray] = dict.fromkeys(
+            i for i in range(n_layers + 1)
+            if i in (0, n_layers) or model.layers[i].kind in PARAMETRIC_KINDS)
+        self._rerun(model, batch, 0, batch.inputs.copy())
 
     def resume(self, model: QuantizedModel, batch: Batch) -> Tuple[int, np.ndarray]:
         """(start layer, its input) for evaluating model on batch."""
@@ -330,6 +336,29 @@ class ActivationPrefix:
             if not all(np.array_equal(a, b) for a, b in zip(_params(layer), ref)):
                 return boundary, self.acts[boundary]
         return len(model.layers), self.acts[len(model.layers)]
+
+    def follow(self, model: QuantizedModel, batch: Batch) -> Tuple[np.ndarray, float]:
+        """Noise-free (logits, loss) of model on batch; model becomes the reference.
+
+        Raises the NumericError forward would raise, leaving the prefix as it was.
+        """
+        return self._rerun(model, batch, *self.resume(model, batch))
+
+    def _rerun(self, model: QuantizedModel, batch: Batch, start: int, x: np.ndarray):
+        weights = _noisy_weights(model, None, None)
+        acts = {start: x}
+        logits = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (_, logits, _) in enumerate(_walk(model, x, weights, start), start=start + 1):
+                if i in self.acts:
+                    acts[i] = logits
+        loss, _, _ = _head_loss(model, logits, batch.labels)
+        _check_finite(model, logits, loss, x, weights, start)
+        for a in acts.values():
+            a.flags.writeable = False
+        self.acts.update(acts)
+        self.params[start:] = [tuple(np.copy(p) for p in _params(l)) for l in model.layers[start:]]
+        return logits, loss
 
 
 def evaluate(

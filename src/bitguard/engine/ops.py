@@ -53,19 +53,26 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
 
 
 def conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape, stride: int, pad: int):
+    """(dx, dw) of a convolution; dx is None when x_shape is None.
+
+    dw is the per-sample gradient summed over the batch.
+    """
+    dw = conv2d_grad_per_sample(dout, cols, w.shape).sum(axis=0)
+    if x_shape is None:
+        return None, dw
+    return conv2d_input_grad(dout, w, x_shape, stride, pad), dw
+
+
+def conv2d_input_grad(dout: np.ndarray, w: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
     n, out_ch = dout.shape[:2]
-    k = w.shape[2]
-    d2 = dout.reshape(n, out_ch, -1)
-    dw = np.einsum("nop,nkp->ok", d2, cols).reshape(w.shape)
-    dcols = np.matmul(w.reshape(out_ch, -1).T, d2)
-    dx = col2im(dcols, x_shape, k, stride, pad)
-    return dx, dw
+    dcols = np.matmul(w.reshape(out_ch, -1).T, dout.reshape(n, out_ch, -1))
+    return col2im(dcols, x_shape, w.shape[2], stride, pad)
 
 
 def conv2d_grad_per_sample(dout: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
     n, out_ch = dout.shape[:2]
     d2 = dout.reshape(n, out_ch, -1)
-    return np.einsum("nop,nkp->nok", d2, cols).reshape((n,) + w_shape)
+    return np.matmul(d2, cols.transpose(0, 2, 1)).reshape((n,) + w_shape)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray):
@@ -74,9 +81,11 @@ def dense_forward(x: np.ndarray, w: np.ndarray):
 
 
 def dense_backward(dout: np.ndarray, flat: np.ndarray, w: np.ndarray, x_shape):
+    """(dx, dw) of a dense layer; dx is None when x_shape is None."""
     dw = dout.T @ flat
-    dx = (dout @ w).reshape(x_shape)
-    return dx, dw
+    if x_shape is None:
+        return None, dw
+    return (dout @ w).reshape(x_shape), dw
 
 
 def dense_grad_per_sample(dout: np.ndarray, flat: np.ndarray) -> np.ndarray:

@@ -9,15 +9,16 @@ from bitguard.attacker import (
     GRAD_STEP_UNITS,
     AttackBudget,
     AttackTrace,
+    _apply,
     _fallback_ranking,
     _FlipState,
     bfa_attack,
 )
-from bitguard.bitcodec import flip_bit, tcu_decode, tcu_encode, to_unsigned
+from bitguard.bitcodec import flip_bit, tcu_decode, tcu_encode, to_signed, to_unsigned
 from bitguard.engine import Batch, NoiseSpec, backward, forward
 from bitguard.errors import ConfigError, InputError
 
-from conftest import chain_dense_model, dense_model, toy_cnn_model
+from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model
 
 
 def linear_batch(xs, ys):
@@ -39,6 +40,48 @@ def exhaustive_flip_losses(model, batch):
                 _, loss = forward(clone, batch)
                 out[(pidx, w, b)] = loss - base
     return base, out
+
+
+def protect_share(model, share, seed):
+    """TCU-encode a random share of every layer's weights in place."""
+    rng = np.random.default_rng(seed)
+    for pidx, layer in model.parametric():
+        flat = layer.weight.codes.reshape(-1)
+        pick = rng.permutation(flat.size)[: max(1, int(flat.size * share))]
+        model.protected[pidx] = {int(i): tcu_encode(int(flat[i]), layer.weight.bits) for i in pick}
+    return model
+
+
+def best_move_reference(model, grads, used):
+    """Brute-force scan of every legal move: (est, address, new code) of the
+    best one, ties to the lowest (layer, weight, bit), or None.
+
+    used holds the (layer, weight, bit) addresses already flipped.  A plain
+    weight offers each unused bit; a TCU word offers its first free 0 slot
+    (one level up) and its first free 1 slot (one level down).
+    """
+    best = None
+    for pidx, layer in model.parametric():
+        bits = layer.weight.bits
+        flat = layer.weight.codes.reshape(-1)
+        g = grads[pidx].reshape(-1)
+        words = model.protected_in(pidx)
+        for w in range(flat.size):
+            code = int(flat[w])
+            if w in words:
+                moves = []
+                for target, du in ((0, 1), (1, -1)):
+                    free = [s for s in range(words[w].width)
+                            if words[w].word[s] == target and (pidx, w, s) not in used]
+                    if free:
+                        moves.append((free[0], to_signed(to_unsigned(code, bits) + du, bits)))
+            else:
+                moves = [(b, flip_bit(code, b, bits)) for b in range(bits) if (pidx, w, b) not in used]
+            for b, new in moves:
+                est = g[w] * layer.weight.scale * (new - code)
+                if best is None or (-est, pidx, w, b) < (-best[0], *best[1]):
+                    best = (est, (pidx, w, b), new)
+    return best
 
 
 class TestBudgetValidation:
@@ -179,34 +222,64 @@ class TestExhaustion:
 class TestGreedyConsistency:
     def test_each_step_maximizes_first_order_estimate(self):
         # replay the attack: before each guided flip, recompute the gradient
-        # and scan every legal candidate; the recorded flip must be the
-        # lexicographically-first maximizer with a positive estimate
-        model = chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=2)
+        # and scan every legal candidate, TCU slots included; the recorded
+        # flip must be the lowest-address maximizer, with the same estimate
         rng = np.random.default_rng(3)
-        batch = Batch(rng.standard_normal((5, 3)), np.arange(5) % 3)
-        _, trace = bfa_attack(model, batch, AttackBudget(5, 15, 5))
+        cases = [
+            (chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=2),
+             Batch(rng.standard_normal((5, 3)), np.arange(5) % 3), AttackBudget(5, 15, 5)),
+            (protect_share(toy_cnn_model(bits=6, seed=1), 0.4, seed=1),
+             random_batch(8, 1, 6, 3, seed=1), AttackBudget(10, 30, 6)),
+            (protect_share(chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=4), 0.5, seed=4),
+             Batch(rng.standard_normal((5, 3)), np.arange(5) % 3), AttackBudget(12, 36, 5)),
+        ]
+        slot_flips = 0
+        for model, batch, budget in cases:
+            _, trace = bfa_attack(model, batch, budget)
+            work, used = model.clone(), set()
+            for flip in trace.flips:
+                if flip.fallback:
+                    break
+                est, addr, new = best_move_reference(work, backward(work, batch), used)
+                a = flip.address
+                assert (a.layer, a.weight, a.bit) == addr
+                assert flip.est_gain == est and est > 0
+                assert flip.post_code == new
+                if a.weight in work.protected_in(a.layer):
+                    work.protected[a.layer][a.weight].word[a.bit] ^= 1
+                    slot_flips += 1
+                dict(work.parametric())[a.layer].weight.codes.reshape(-1)[a.weight] = flip.post_code
+                used.add(addr)
+        assert slot_flips >= 2
 
-        work = model.clone()
-        for flip in trace.flips:
-            grads = backward(work, batch)
-            best_est, best_key = None, None
-            for pidx, layer in work.parametric():
-                bits = layer.weight.bits
-                flat = layer.weight.codes.reshape(-1)
-                g = grads[pidx].reshape(-1)
-                for w in range(flat.size):
-                    for b in range(bits):
-                        new = flip_bit(int(flat[w]), b, bits)
-                        est = g[w] * layer.weight.scale * (new - int(flat[w]))
-                        key = (pidx, w, b)
-                        if est > 0 and (best_est is None or est > best_est):
-                            best_est, best_key = est, key
-            if flip.fallback:
-                break
-            assert (flip.address.layer, flip.address.weight, flip.address.bit) == best_key
-            assert flip.est_gain == pytest.approx(best_est, rel=1e-12)
-            a = flip.address
-            dict(work.parametric())[a.layer].weight.codes.reshape(-1)[a.weight] = flip.post_code
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_matches_reference_with_ties(self, seed):
+        # few distinct gradient values and one scale for every layer make
+        # equal estimates common within and across layers; the tiny model
+        # runs until every move of every weight is used
+        rng = np.random.default_rng(seed)
+        models = [protect_share(toy_cnn_model(bits=4, seed=seed), 0.3, seed),
+                  protect_share(chain_dense_model([(2, 2), (2, 2)], bits=4, seed=seed), 0.5, seed)]
+        for model, steps in zip(models, (40, 200)):
+            for _, layer in model.parametric():
+                layer.weight.scale = 0.25
+            state, used = _FlipState(model), set()
+            for _ in range(steps):
+                grads = [rng.choice([-1.0, -0.5, 0.5, 1.0], size=l.weight.codes.shape)
+                         for _, l in model.parametric()]
+                cand, ref = state.best(grads), best_move_reference(model, grads, used)
+                if ref is None:
+                    assert cand is None
+                    break
+                est, addr, new = ref
+                assert (cand.layer, cand.weight, cand.bit) == addr
+                assert cand.est == est and cand.new_code == new
+                assert cand.slot_flip == (cand.weight in model.protected_in(cand.layer))
+                _apply(model, cand)
+                state.mark(cand)
+                used.add(addr)
+            else:
+                assert steps == 40
 
     def test_est_gain_positive_on_guided_flips(self):
         model = chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=7)
@@ -293,13 +366,26 @@ class TestTraceSerialization:
             assert a.est_gain == b.est_gain and a.loss_after == b.loss_after
 
     def test_loss_fields_are_clean_measurements(self):
-        model = dense_model([[3], [-2]], scale=0.25, bits=4)
-        batch = linear_batch([[1.0], [0.5], [1.5]], [0, 0, 0])
-        _, base = forward(model, batch)
-        attacked, trace = bfa_attack(model, batch, AttackBudget(1, 3, 3))
-        assert trace.initial_loss == pytest.approx(base, rel=1e-12)
-        _, after = forward(attacked, batch)
-        assert trace.final_loss == pytest.approx(after, rel=1e-12)
+        # every recorded loss equals a full forward pass exactly; the toy CNN
+        # attack flips the first conv, the later conv and the dense layer,
+        # so the suffix after each flip starts at layer 0 and beyond
+        cases = [
+            (dense_model([[3], [-2]], scale=0.25, bits=4),
+             linear_batch([[1.0], [0.5], [1.5]], [0, 0, 0]), AttackBudget(2, 3, 3)),
+            (toy_cnn_model(bits=6, seed=0), random_batch(8, 1, 6, 3, seed=0), AttackBudget(12, 24, 6)),
+            (protect_share(toy_cnn_model(bits=6, seed=3), 0.3, seed=3),
+             random_batch(8, 1, 6, 3, seed=3), AttackBudget(12, 24, 6)),
+        ]
+        for model, batch, budget in cases:
+            attacked, trace = bfa_attack(model, batch, budget)
+            assert trace.initial_loss == forward(model, batch)[1]
+            work = model.clone()
+            for flip in trace.flips:
+                a = flip.address
+                dict(work.parametric())[a.layer].weight.codes.reshape(-1)[a.weight] = flip.post_code
+                assert flip.loss_after == forward(work, batch)[1]
+            assert trace.final_loss == forward(attacked, batch)[1]
+            assert {f.address.layer for f in trace.flips} == {p for p, _ in model.parametric()}
 
 
 class TestDeterminismAndNoise:

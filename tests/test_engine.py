@@ -13,11 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 from bitguard.engine import (
     ActivationPrefix,
+    AffineNorm,
     Batch,
     Dense,
     NoiseSpec,
     QuantizedModel,
     QuantizedTensor,
+    ReLU,
     backward,
     curvature_diag,
     evaluate,
@@ -138,6 +140,17 @@ def test_gradients_match_finite_differences_dense_sse():
     grads = backward(model, batch)
     fd = fd_gradient(model, batch)
     assert np.max(np.abs(grads[0] - fd[0])) < 1e-8
+
+
+def test_gradients_match_finite_differences_below_first_parametric_layer():
+    # the backward pass stops at the first parametric layer
+    inner = toy_cnn_model(bits=6, seed=4)
+    model = QuantizedModel([AffineNorm(np.array([1.5]), np.array([-0.25])), ReLU()] + inner.layers)
+    batch = random_batch(8, 1, 4, 3, seed=6)
+    curv = curvature_diag(model, batch)
+    for g, f, c in zip(backward(model, batch), fd_gradient(model, batch), curv):
+        assert g.shape == f.shape == c.shape
+        assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-3)) < 1e-4
 
 
 def test_loss_and_grads_reports_consistent_loss():
@@ -301,6 +314,47 @@ def test_prefix_rejects_other_batch_structure_and_noise():
     assert evaluate(model, data, prefix=prefix) == evaluate(model, data)
 
 
+def test_prefix_follows_a_sequence_of_edits():
+    model = toy_cnn_model(seed=5)
+    data = random_batch(8, 1, 20, 3, seed=6)
+    prefix = ActivationPrefix(model, data)
+    n_layers = len(model.layers)
+
+    def code_edit(i):
+        flat = model.layers[i].weight.codes.reshape(-1)
+        flat[i] = 0 if flat[i] else 1
+
+    def scale_edit(i):
+        model.layers[i].weight.scale *= 1.5
+
+    def shift_edit(i):
+        model.layers[i].shift = model.layers[i].shift + 0.25
+
+    # (edit, layer, expected resume layer): first layer, later layers, the
+    # affine layer (resumes at the boundary before it), and no edit at all
+    edits = [(code_edit, 0, 0), (code_edit, 6, 6), (shift_edit, 1, 0), (scale_edit, 3, 3),
+             (None, None, n_layers), (code_edit, 3, 3), (code_edit, 0, 0)]
+    for edit, layer, start in edits:
+        if edit is not None:
+            edit(layer)
+        assert prefix.resume(model, data)[0] == start
+        logits, loss = prefix.follow(model, data)
+        want_logits, want_loss = forward(model, data)
+        assert logits.tobytes() == want_logits.tobytes() and loss == want_loss
+        assert prefix.resume(model, data)[0] == n_layers
+        assert evaluate(model, data, prefix=prefix) == evaluate(model, data)
+    with pytest.raises(InputError, match="batch"):
+        prefix.follow(model, random_batch(8, 1, 20, 3, seed=7))
+    # a failing pass raises as forward does and leaves the prefix as it was
+    model.layers[3].weight.scale = 1e308
+    with pytest.raises(NumericError) as err:
+        prefix.follow(model, data)
+    assert err.value.layer == "conv2d3"
+    model.layers[3].weight.scale = 0.04
+    assert prefix.resume(model, data)[0] == 3
+    assert prefix.follow(model, data)[1] == forward(model, data)[1]
+
+
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
@@ -328,6 +382,26 @@ def test_im2col_matches_loop_bytes(shape, k, stride, pad):
     got, want = ops.im2col(x, k, stride, pad), loop_im2col(x, k, stride, pad)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [1, 2])
+def test_conv_weight_grads_match_einsum(n, stride, pad):
+    rng = np.random.default_rng(100 * n + 10 * stride + pad)
+    x = rng.standard_normal((n, 3, 7, 6))
+    w = rng.standard_normal((4, 3, 3, 3))
+    out, cols = ops.conv2d_forward(x, w, stride, pad)
+    dout = rng.standard_normal(out.shape)
+    d2 = dout.reshape(n, 4, -1)
+    per = ops.conv2d_grad_per_sample(dout, cols, w.shape)
+    dx, dw = ops.conv2d_backward(dout, cols, w, x.shape, stride, pad)
+    np.testing.assert_allclose(per, np.einsum("nop,nkp->nok", d2, cols).reshape(per.shape), rtol=1e-12)
+    np.testing.assert_allclose(dw, np.einsum("nop,nkp->ok", d2, cols).reshape(w.shape), rtol=1e-12)
+    assert np.array_equal(dw, per.sum(axis=0))
+    assert dx.shape == x.shape
+    no_dx, dw_only = ops.conv2d_backward(dout, cols, w, None, stride, pad)
+    assert no_dx is None and np.array_equal(dw_only, dw)
 
 
 def argmax_pool(x, dout):

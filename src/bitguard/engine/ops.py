@@ -22,7 +22,9 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     n, c, h, w = x.shape
     oh, ow = conv_out_hw(h, w, k, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     # (N, C, k, k, oh, ow): row c*(k*k) + di*k + dj matches the (O, C, k, k) weights
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3), dtype=np.float64)

@@ -14,6 +14,16 @@ from ..errors import ConfigError
 ENV_PREFIX = "BITGUARD_"
 
 
+def config_digest(data: dict) -> str:
+    """Stable digest of a config's canonical JSON form, out_dir left out.
+
+    The hash names the experiment, not the directory it is written to.
+    """
+    fields = {k: v for k, v in data.items() if k != "out_dir"}
+    canon = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 @dataclass
 class ModelConfig:
     bits: int = 8
@@ -73,13 +83,8 @@ class ExperimentConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        """Stable digest of the canonical JSON form, out_dir left out.
-
-        The hash names the experiment, not the directory it is written to.
-        """
-        fields = {k: v for k, v in self.to_dict().items() if k != "out_dir"}
-        canon = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        """`config_digest` of this config."""
+        return config_digest(self.to_dict())
 
     def validate(self) -> "ExperimentConfig":
         if not self.seeds:

@@ -6,10 +6,9 @@ disjoint and reproducible from the seed alone.
 """
 
 import gzip
-import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -63,22 +62,12 @@ def load_idx(path: str) -> np.ndarray:
 
 @dataclass
 class DatasetSplits:
-    """Disjoint train/val/test/attack batches plus identifying hashes."""
+    """Disjoint train/val/test/attack batches."""
 
     train: Batch
     val: Batch
     test: Batch
     attack: Batch
-
-    def hashes(self) -> Dict[str, str]:
-        out = {}
-        for name in ("train", "val", "test", "attack"):
-            batch: Batch = getattr(self, name)
-            digest = hashlib.sha256()
-            digest.update(np.ascontiguousarray(batch.inputs).tobytes())
-            digest.update(np.ascontiguousarray(batch.labels).tobytes())
-            out[name] = digest.hexdigest()
-        return out
 
 
 def _quantize_pixels(x: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Experiment orchestration: a staged pipeline fanned out over seeds.
 
 Stages form a prefix chain (train, attack, protect, lock, plan, eval,
-report); requesting a stage runs everything up to and including it.  Each
-seed is an isolated job with its own seed stream, so results are identical
-whether the grid runs serially or on a worker pool.  Wall-clock timings
-are collected separately from report rows: reports must be byte-identical
-across reruns.
+report); requesting a stage runs everything up to and including it.  A
+noise sweep trains the same model and attacks it under every (noise std,
+gradient averaging) cell instead.  Both run every seed as an isolated
+`_seed_job` with its own seed stream through one fan-out whose merge is
+ordered by the config's seed list, so results are identical whether the
+grid runs serially or on a worker pool.  Wall-clock timings are collected
+separately from report rows: reports must be byte-identical across reruns.
 """
 
 import time
@@ -19,9 +21,9 @@ import numpy as np
 from ..attacker import AttackBudget, bfa_attack
 from ..engine import NoiseSpec, evaluate, save_model
 from ..errors import ConfigError
-from ..planner import build_defense, end_to_end_eval, synergy_search
+from ..planner import DefensePlan, build_defense, end_to_end_eval, synergy_search
 from ..unary_guard import draw_attack_batch
-from .config import ExperimentConfig, _build
+from .config import ExperimentConfig, _build, config_digest
 from .datasets import DatasetSplits, make_dataset
 from .pretrain import build_desk_model, pretrain
 
@@ -77,16 +79,16 @@ def _primary_budgets(cfg: ExperimentConfig) -> List[AttackBudget]:
 
 
 def _tag(rows: List[dict], stage: str, seed: int, method: str,
-         alpha: Optional[float], eta: Optional[float],
-         memory: Dict[str, float]) -> List[dict]:
+         plan: DefensePlan, memory: Dict[str, float]) -> List[dict]:
     """Stamp shared identity and ledger fields onto evaluation rows."""
+    eta = plan.eta if np.isfinite(plan.eta) else None
     out = []
     for r in rows:
         out.append({
             "stage": stage,
             "seed": seed,
             "method": method,
-            "alpha": alpha,
+            "alpha": plan.alpha,
             "eta": eta,
             "m_tcu": memory.get("m_tcu", 0.0),
             "m_lock": memory.get("m_lock", 0.0),
@@ -97,14 +99,17 @@ def _tag(rows: List[dict], stage: str, seed: int, method: str,
 
 
 def _seed_job(cfg_dict: dict, seed: int, stage: str,
-              checkpoint_dir: Optional[str]) -> Tuple[List[dict], Dict[str, float]]:
-    """Full pipeline for one seed; top level so a process pool can run it."""
+              checkpoint_dir: Optional[str],
+              sweep: Optional[Tuple[List[float], List[int]]] = None
+              ) -> Tuple[List[dict], Dict[str, float]]:
+    """Rows and timings of one seed; top level so a process pool can run it.
+
+    The model is trained once.  With sweep = (stds, samples_grid) it is
+    then attacked undefended under every (noise std, averaging) cell;
+    otherwise the pipeline runs through `stage`.
+    """
     cfg = _build(cfg_dict)
-    rank = _stage_rank(stage)
-    rows: List[dict] = []
-    timings: Dict[str, float] = {}
     att, dfn = cfg.attacker, cfg.defense
-    noise = _noise(att.noise_std, att.grad_samples)
 
     t0 = time.perf_counter()
     splits = _splits_for(cfg)
@@ -114,67 +119,83 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
                        batch_size=cfg.model.batch_size, lr=cfg.model.lr,
                        seed=seed, floor=cfg.model.floor)
     clean_acc = evaluate(model, splits.val)
-    rows.append({
+
+    def attack_row(stage_name: str, key: List[int], budget: AttackBudget,
+                   noise: Optional[NoiseSpec], **cell) -> dict:
+        """One undefended attack on the trained model, drawn from `key`."""
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        attack_set = draw_attack_batch(splits.attack, budget.batch_size, rng)
+        attack_seed = int(rng.integers(0, 2**31 - 1))
+        attacked, trace = bfa_attack(model, attack_set, budget,
+                                     noise=noise, seed=attack_seed)
+        return {
+            "stage": stage_name, "seed": seed, "method": "undefended", **cell,
+            "clean_acc": clean_acc,
+            "post_attack_acc": evaluate(attacked, splits.val),
+            "flips_used": len(trace.flips),
+            "fallback_flips": trace.fallback_count,
+        }
+
+    if sweep is not None:
+        stds, samples_grid = sweep
+        rows = [
+            attack_row("noise", [seed, 0x5EED, s_idx, n_idx, t_idx],
+                       AttackBudget(att.max_flips, units, att.batch_size, samples),
+                       _noise(std, samples), noise_std=std,
+                       grad_samples=samples, inference_units=units)
+            for s_idx, std in enumerate(stds)
+            for n_idx, samples in enumerate(samples_grid)
+            for t_idx, units in enumerate(att.inference_units)
+        ]
+        return rows, {"sweep": time.perf_counter() - t0}
+
+    rank = _stage_rank(stage)
+    noise = _noise(att.noise_std, att.grad_samples)
+    rows = [{
         "stage": "train", "seed": seed, "method": "pretrain",
         "clean_acc": clean_acc, "epochs_ran": len(history.epochs),
         "reached_floor": history.reached_floor,
-    })
+    }]
     if checkpoint_dir is not None:
         path = Path(checkpoint_dir)
         path.mkdir(parents=True, exist_ok=True)
         save_model(model, str(path / f"seed{seed}.json"))
-    timings["train"] = time.perf_counter() - t0
+    timings = {"train": time.perf_counter() - t0}
 
     if rank >= _stage_rank("attack"):
         t0 = time.perf_counter()
-        bs_grid = att.batch_grid or [att.batch_size]
-        for b_idx, bs in enumerate(bs_grid):
+        for b_idx, bs in enumerate(att.batch_grid or [att.batch_size]):
             for t_idx, units in enumerate(att.inference_units):
-                budget = AttackBudget(att.max_flips, units, bs, att.grad_samples)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, 0xA77ACC, b_idx, t_idx]))
-                attack_set = draw_attack_batch(splits.attack, bs, rng)
-                attack_seed = int(rng.integers(0, 2**31 - 1))
-                attacked, trace = bfa_attack(model, attack_set, budget,
-                                             noise=noise, seed=attack_seed)
-                rows.append({
-                    "stage": "attack", "seed": seed, "method": "undefended",
-                    "batch_size": bs, "inference_units": units,
-                    "clean_acc": clean_acc,
-                    "post_attack_acc": evaluate(attacked, splits.val),
-                    "flips_used": len(trace.flips),
-                    "fallback_flips": trace.fallback_count,
-                })
+                rows.append(attack_row(
+                    "attack", [seed, 0xA77ACC, b_idx, t_idx],
+                    AttackBudget(att.max_flips, units, bs, att.grad_samples),
+                    noise, batch_size=bs, inference_units=units))
         timings["attack"] = time.perf_counter() - t0
 
     budgets = _primary_budgets(cfg)
-    if rank >= _stage_rank("protect"):
-        t0 = time.perf_counter()
-        plan = build_defense(model, dfn.alpha_grid[0], np.inf, budgets,
-                             splits.val, dfn.trials, dfn.emulations, seed,
-                             noise=noise, attack_pool=splits.attack,
-                             assignment=dfn.assignment)
+
+    def build(alpha: float, eta: float) -> DefensePlan:
+        return build_defense(model, alpha, [eta], budgets, splits.val,
+                             dfn.trials, dfn.emulations, seed, noise=noise,
+                             attack_pool=splits.attack,
+                             assignment=dfn.assignment)[0]
+
+    def evaluate_plan(stage_name: str, method: str, plan: DefensePlan) -> None:
         rep = end_to_end_eval(model, plan, budgets, dfn.emulations,
                               splits.val, seed=1000 + seed, noise=noise,
                               attack_pool=splits.attack)
-        rows += _tag(rep.rows, "protect", seed, "tcu",
-                     dfn.alpha_grid[0], None, rep.memory)
+        rows.extend(_tag(rep.rows, stage_name, seed, method, plan, rep.memory))
+
+    if rank >= _stage_rank("protect"):
+        t0 = time.perf_counter()
+        evaluate_plan("protect", "tcu", build(dfn.alpha_grid[0], np.inf))
         timings["protect"] = time.perf_counter() - t0
 
     if rank >= _stage_rank("lock"):
         t0 = time.perf_counter()
-        plan = build_defense(model, 0.0, dfn.eta_grid[0], budgets,
-                             splits.val, dfn.trials, dfn.emulations, seed,
-                             noise=noise, attack_pool=splits.attack,
-                             assignment=dfn.assignment)
-        rep = end_to_end_eval(model, plan, budgets, dfn.emulations,
-                              splits.val, seed=1000 + seed, noise=noise,
-                              attack_pool=splits.attack)
-        rows += _tag(rep.rows, "lock", seed, "lock",
-                     0.0, dfn.eta_grid[0], rep.memory)
+        evaluate_plan("lock", "lock", build(0.0, dfn.eta_grid[0]))
         timings["lock"] = time.perf_counter() - t0
 
-    chosen = None
     if rank >= _stage_rank("plan"):
         t0 = time.perf_counter()
         chosen, log = synergy_search(model, budgets, splits.val,
@@ -197,13 +218,36 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
 
     if rank >= _stage_rank("eval"):
         t0 = time.perf_counter()
-        rep = end_to_end_eval(model, chosen, budgets, dfn.emulations,
-                              splits.val, seed=1000 + seed, noise=noise,
-                              attack_pool=splits.attack)
-        rows += _tag(rep.rows, "eval", seed, "synergy",
-                     chosen.alpha, chosen_eta, rep.memory)
+        evaluate_plan("eval", "synergy", chosen)
         timings["eval"] = time.perf_counter() - t0
 
+    return rows, timings
+
+
+def _fan_out(config: ExperimentConfig, config_hash: str, jobs: int,
+             *job_args) -> Tuple[List[dict], Dict[str, float]]:
+    """Run `_seed_job` for every seed and merge in the config's seed order.
+
+    jobs > 1 fans seeds out over a process pool; the ordered merge keeps
+    the result independent of scheduling.
+    """
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    cfg_dict = config.to_dict()
+    if jobs > 1 and len(config.seeds) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(config.seeds))) as pool:
+            futures = [pool.submit(_seed_job, cfg_dict, seed, *job_args)
+                       for seed in config.seeds]
+            results = [fut.result() for fut in futures]
+    else:
+        results = [_seed_job(cfg_dict, seed, *job_args) for seed in config.seeds]
+
+    rows: List[dict] = []
+    timings: Dict[str, float] = {}
+    for seed, (seed_rows, seed_times) in zip(config.seeds, results):
+        rows.extend({"config_hash": config_hash, **r} for r in seed_rows)
+        for name, secs in seed_times.items():
+            timings[f"seed{seed}.{name}"] = secs
     return rows, timings
 
 
@@ -267,123 +311,40 @@ def run_experiment(config: ExperimentConfig, stage: str = "report",
                    out_dir: Optional[str] = None) -> ExperimentReport:
     """Execute the pipeline through `stage` for every configured seed.
 
-    jobs > 1 fans seeds out over a process pool; the merge is ordered by
-    the config's seed list, so the report does not depend on scheduling.
-    Files are written only when `write` is true (default: only for the
-    report stage).
+    jobs > 1 fans seeds out over a process pool.  Files are written only
+    when `write` is true (default: only for the report stage).
     """
     config.validate()
     _stage_rank(stage)
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     if write is None:
         write = stage == "report"
     out = out_dir or config.out_dir
     checkpoint_dir = str(Path(out) / "checkpoints") if write else None
     run_stage = "eval" if stage == "report" else stage
 
-    cfg_dict = config.to_dict()
-    per_seed: Dict[int, Tuple[List[dict], Dict[str, float]]] = {}
-    if jobs > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(config.seeds))) as pool:
-            futures = {
-                seed: pool.submit(_seed_job, cfg_dict, seed, run_stage,
-                                  checkpoint_dir)
-                for seed in config.seeds
-            }
-            for seed, fut in futures.items():
-                per_seed[seed] = fut.result()
-    else:
-        for seed in config.seeds:
-            per_seed[seed] = _seed_job(cfg_dict, seed, run_stage, checkpoint_dir)
-
     config_hash = config.config_hash()
-    rows: List[dict] = []
-    timings: Dict[str, float] = {}
-    for seed in config.seeds:
-        seed_rows, seed_times = per_seed[seed]
-        for r in seed_rows:
-            rows.append({"config_hash": config_hash, **r})
-        for name, secs in seed_times.items():
-            timings[f"seed{seed}.{name}"] = secs
-
-    report = ExperimentReport(config_hash, cfg_dict, rows, _aggregate(rows),
-                              timings)
+    rows, timings = _fan_out(config, config_hash, jobs, run_stage, checkpoint_dir)
+    report = ExperimentReport(config_hash, config.to_dict(), rows,
+                              _aggregate(rows), timings)
     if write:
         from .reports import write_report
         write_report(report, out)
     return report
 
 
-def _sweep_job(cfg_dict: dict, seed: int, stds: List[float],
-               samples_grid: List[int]) -> Tuple[List[dict], Dict[str, float]]:
-    """Train once, then attack under every (noise std, averaging) cell."""
-    cfg = _build(cfg_dict)
-    rows: List[dict] = []
-    t0 = time.perf_counter()
-    splits = _splits_for(cfg)
-    model = build_desk_model(bits=cfg.model.bits, hw=cfg.model.hw,
-                             classes=cfg.model.classes, seed=seed)
-    pretrain(model, splits, epochs=cfg.model.epochs,
-             batch_size=cfg.model.batch_size, lr=cfg.model.lr,
-             seed=seed, floor=cfg.model.floor)
-    clean_acc = evaluate(model, splits.val)
-    att = cfg.attacker
-
-    for s_idx, std in enumerate(stds):
-        for n_idx, samples in enumerate(samples_grid):
-            noise = _noise(std, samples)
-            for t_idx, units in enumerate(att.inference_units):
-                budget = AttackBudget(att.max_flips, units,
-                                      att.batch_size, samples)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, 0x5EED, s_idx, n_idx, t_idx]))
-                attack_set = draw_attack_batch(splits.attack, att.batch_size, rng)
-                attack_seed = int(rng.integers(0, 2**31 - 1))
-                attacked, trace = bfa_attack(model, attack_set, budget,
-                                             noise=noise, seed=attack_seed)
-                rows.append({
-                    "stage": "noise", "seed": seed, "method": "undefended",
-                    "noise_std": std, "grad_samples": samples,
-                    "inference_units": units, "clean_acc": clean_acc,
-                    "post_attack_acc": evaluate(attacked, splits.val),
-                    "flips_used": len(trace.flips),
-                    "fallback_flips": trace.fallback_count,
-                })
-    return rows, {"sweep": time.perf_counter() - t0}
-
-
 def run_noise_sweep(config: ExperimentConfig, stds: List[float],
                     samples_grid: List[int], jobs: int = 1) -> ExperimentReport:
-    """Mean post-attack accuracy per (noise std, gradient averaging) cell."""
+    """Mean post-attack accuracy per (noise std, gradient averaging) cell.
+
+    Both grids are part of the report's config and its hash.
+    """
     config.validate()
     if not stds or not samples_grid:
         raise ConfigError("noise sweep grids must be nonempty")
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-
-    cfg_dict = config.to_dict()
-    per_seed: Dict[int, Tuple[List[dict], Dict[str, float]]] = {}
-    if jobs > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(config.seeds))) as pool:
-            futures = {
-                seed: pool.submit(_sweep_job, cfg_dict, seed, stds, samples_grid)
-                for seed in config.seeds
-            }
-            for seed, fut in futures.items():
-                per_seed[seed] = fut.result()
-    else:
-        for seed in config.seeds:
-            per_seed[seed] = _sweep_job(cfg_dict, seed, stds, samples_grid)
-
-    config_hash = config.config_hash()
-    rows: List[dict] = []
-    timings: Dict[str, float] = {}
-    for seed in config.seeds:
-        seed_rows, seed_times = per_seed[seed]
-        for r in seed_rows:
-            rows.append({"config_hash": config_hash, **r})
-        for name, secs in seed_times.items():
-            timings[f"seed{seed}.{name}"] = secs
+    grids = (list(stds), list(samples_grid))
+    cfg_dict = {**config.to_dict(),
+                "noise_sweep": {"stds": grids[0], "samples_grid": grids[1]}}
+    config_hash = config_digest(cfg_dict)
+    rows, timings = _fan_out(config, config_hash, jobs, "train", None, grids)
     return ExperimentReport(config_hash, cfg_dict, rows, _aggregate(rows),
                             timings)

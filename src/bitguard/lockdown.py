@@ -3,7 +3,7 @@
 Components:
   * SignatureTable / compute_signatures / detect: parity checksums over
     stored MSBs that flag victim weight groups after an attack.
-  * group_centroids: curvature-aware per-group centroid (closed form).
+  * group_centroids: curvature-weighted per-group centroid (closed form).
   * global_kmeans: plain 1-D Lloyd clustering of the group centroids.
   * LockPlan / search_lock_plan: cheapest (G, K) configuration per layer
     whose recovery-footprint lock stays within the accuracy-drop budget.
@@ -143,20 +143,20 @@ def detect(model, table: SignatureTable) -> DetectionReport:
     return DetectionReport(flagged)
 
 
-def group_centroids(weights: np.ndarray, g: np.ndarray, h: np.ndarray,
-                    group_size: int,
+def group_centroids(weights: np.ndarray, h: np.ndarray, group_size: int,
                     include: Optional[np.ndarray] = None) -> np.ndarray:
-    """Curvature-aware centroid of each consecutive weight group.
+    """Curvature-weighted centroid of each consecutive weight group.
 
-    Minimizes sum_i g_i (w_i - c) + 0.5 h_i (w_i - c)^2 over the group,
-    giving c = (sum h_i w_i + sum g_i) / sum h_i.  Groups whose curvature
-    sums to zero fall back to the plain mean; fully-excluded groups get 0.
+    Minimizes sum_i 0.5 h_i (w_i - c)^2 over the group, giving
+    c = sum h_i w_i / sum h_i.  There is no gradient term: near convergence
+    its offset g/h amplifies sampling noise without bound and pushes
+    centroids off the representable range.  Groups whose curvature sums to
+    zero fall back to the plain mean; fully-excluded groups get 0.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
     h = np.asarray(h, dtype=np.float64).reshape(-1)
-    if w.shape != g.shape or w.shape != h.shape:
-        raise InputError("weights, gradients and curvature must match in size")
+    if w.shape != h.shape:
+        raise InputError("weights and curvature must match in size")
     if np.any(h < 0):
         raise InputError("curvature must be elementwise nonnegative")
     keep = np.ones(w.size, dtype=bool) if include is None else include.reshape(-1)
@@ -168,14 +168,13 @@ def group_centroids(weights: np.ndarray, g: np.ndarray, h: np.ndarray,
         return np.concatenate([x, np.full(pad, fill)]).reshape(n_groups, group_size)
 
     kw = chunks(np.where(keep, w, 0.0))
-    kg = chunks(np.where(keep, g, 0.0))
     kh = chunks(np.where(keep, h, 0.0))
     kn = chunks(keep.astype(np.float64))
 
     h_sum = kh.sum(axis=1)
     cnt = kn.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        aware = (np.sum(kh * kw, axis=1) + kg.sum(axis=1)) / h_sum
+        aware = np.sum(kh * kw, axis=1) / h_sum
         mean = kw.sum(axis=1) / cnt
     out = np.where(h_sum > 0, aware, np.where(cnt > 0, mean, 0.0))
     return out
@@ -459,9 +458,8 @@ def _group_flip_scores(score: np.ndarray, group_size: int) -> np.ndarray:
 
 
 def search_lock_plan(model, val_set: Batch, eta: float,
-                     grads: List[np.ndarray], curvature: List[np.ndarray],
-                     seed: int = 0, cluster_cap: int = 256,
-                     flip_budget: int = 100,
+                     curvature: List[np.ndarray], seed: int = 0,
+                     cluster_cap: int = 256, flip_budget: int = 100,
                      hit_weights: Optional[Dict[int, np.ndarray]] = None) -> LockPlan:
     """Cheapest feasible (G, K) per layer under the accuracy-drop budget.
 
@@ -488,7 +486,6 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         bits, scale = layer.weight.bits, layer.weight.scale
         lo, hi = code_range(bits)
         w = layer.weight.dequantized().reshape(-1)
-        g = np.asarray(grads[pidx], dtype=np.float64).reshape(-1)
         h = np.asarray(curvature[pidx], dtype=np.float64).reshape(-1)
         protected = set(model.protected_in(pidx))
         include = np.ones(n, dtype=bool)
@@ -506,7 +503,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         codes_flat = layer.weight.codes.reshape(-1)
         half = 1 << (bits - 1)
         dw = np.where(codes_flat < 0, half, -half) * scale
-        flip_score = g * dw + 0.5 * h * dw * dw
+        flip_score = 0.5 * h * dw * dw
         flip_score[~include] = -np.inf
 
         candidates = []
@@ -523,7 +520,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         chosen = LayerLockPlan(None, None)
         for _, negG, K, G in candidates:
             if G not in cent_cache:
-                cent_cache[G] = group_centroids(w, g, h, G, include=include)
+                cent_cache[G] = group_centroids(w, h, G, include=include)
                 order = np.argsort(-_group_flip_scores(flip_score, G),
                                    kind="stable")
                 top = order[: min(flip_budget, order.size)]

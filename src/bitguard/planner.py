@@ -2,11 +2,14 @@
 
 Components:
   * DefensePlan: one (alpha, eta) configuration with its plans and ledgers.
+  * build_defense: the one per-alpha builder; one unary search, and one
+    curvature snapshot and emulated attack footprint shared by every
+    finite eta.
   * end_to_end_eval: the shared evaluation protocol; every reported number
     in the package flows through this pipeline.
   * synergy_search: greedy descent over the alpha grid crossed with the eta
-    grid, stopping when total memory stops improving, constrained by a
-    resumed-accuracy target.
+    grid, building each alpha through build_defense, stopping when total
+    memory stops improving, constrained by a resumed-accuracy target.
 
 Memory totals quote the reported payload mode; the exact as-built mode is
 carried alongside in every report.
@@ -301,12 +304,18 @@ def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
     return PipelineReport(rows, summary, measure_memory(model, plan.unary, plan.lockdown))
 
 
-def build_defense(model, alpha: float, eta: float, budgets: List[AttackBudget],
-                  val_set: Batch, trials: int, emulations: int, seed: int,
+def build_defense(model, alpha: float, etas: List[float],
+                  budgets: List[AttackBudget], val_set: Batch, trials: int,
+                  emulations: int, seed: int,
                   noise: Optional[NoiseSpec] = None,
                   attack_pool: Optional[Batch] = None,
-                  assignment: str = "top") -> DefensePlan:
-    """Construct the (alpha, eta) plan pair on a clean model."""
+                  assignment: str = "top") -> List[DefensePlan]:
+    """Construct one (alpha, eta) plan per eta on a clean model.
+
+    The unary search, the curvature snapshot and the emulated attack
+    footprint depend only on alpha, so they are computed once and shared by
+    every eta; an infinite eta disables locking.
+    """
     emulation_budget = max(budgets, key=lambda b: (b.max_flips, b.inference_units))
     if alpha > 0:
         unary = search_protection(model, alpha, trials, emulations,
@@ -317,22 +326,23 @@ def build_defense(model, alpha: float, eta: float, budgets: List[AttackBudget],
         unary = empty_unary_plan()
     protected = apply_protection(model, unary)
 
-    if np.isfinite(eta):
-        # Curvature-weighted centroids only: the closed form's gradient
-        # offset g/h amplifies sampling noise without bound near convergence
-        # and pushes centroids off the representable range.
+    if any(np.isfinite(eta) for eta in etas):
         h = [x.reshape(-1) for x in curvature_diag(protected, val_set)]
-        g = [np.zeros_like(x) for x in h]
         hits = emulate_hit_weights(protected, budgets, emulations,
                                    val_set, seed=seed, noise=noise,
                                    attack_pool=attack_pool)
-        lockdown = search_lock_plan(protected, val_set, eta, g, h, seed=seed,
-                                    flip_budget=emulation_budget.max_flips,
-                                    hit_weights=hits)
-        trim_watch_margins(protected, lockdown, val_set, cap=eta)
-    else:
-        lockdown = disabled_lock_plan(protected)
-    return DefensePlan(alpha=alpha, eta=eta, unary=unary, lockdown=lockdown)
+    plans = []
+    for eta in etas:
+        if np.isfinite(eta):
+            lockdown = search_lock_plan(protected, val_set, eta, h, seed=seed,
+                                        flip_budget=emulation_budget.max_flips,
+                                        hit_weights=hits)
+            trim_watch_margins(protected, lockdown, val_set, cap=eta)
+        else:
+            lockdown = disabled_lock_plan(protected)
+        plans.append(DefensePlan(alpha=alpha, eta=eta, unary=unary,
+                                 lockdown=lockdown))
+    return plans
 
 
 def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
@@ -344,8 +354,9 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
                    assignment: str = "top") -> Tuple[DefensePlan, List[dict]]:
     """Greedy (alpha, eta) sweep minimizing memory under an accuracy floor.
 
-    Alphas are visited in descending order; the descent stops when the best
-    total memory seen for an alpha exceeds the previous alpha's best.  Among
+    Alphas are visited in descending order, the a-th one built by
+    build_defense with seed + a; the descent stops when the best total
+    memory seen for an alpha exceeds the previous alpha's best.  Among
     feasible plans (mean resumed accuracy >= clean - target_drop) the
     cheapest wins; if none is feasible the most accurate plan is returned
     flagged infeasible.  The full evaluation log is returned for reporting.
@@ -355,44 +366,16 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
     alphas = sorted(alpha_grid, reverse=True)
     clean_acc = evaluate(model, val_set)
     target = clean_acc - target_drop
-    emulation_budget = max(budgets, key=lambda b: (b.max_flips, b.inference_units))
 
     log: List[dict] = []
     evaluated: List[DefensePlan] = []
     prev_best: Optional[float] = None
     for a_idx, alpha in enumerate(alphas):
-        # The unary search, the curvature snapshot and the emulated attack
-        # footprint depend only on alpha; sharing them across the eta sweep
-        # keeps results identical.
-        if alpha > 0:
-            unary = search_protection(model, alpha, trials, emulations,
-                                      emulation_budget, val_set,
-                                      seed=seed + a_idx, noise=noise,
-                                      attack_pool=attack_pool,
-                                      assignment=assignment)
-        else:
-            unary = empty_unary_plan()
-        protected = apply_protection(model, unary)
-        h = [x.reshape(-1) for x in curvature_diag(protected, val_set)]
-        g = [np.zeros_like(x) for x in h]
-        hits = None
-        if any(np.isfinite(eta) for eta in eta_grid):
-            hits = emulate_hit_weights(protected, budgets, emulations,
-                                       val_set, seed=seed + a_idx, noise=noise,
-                                       attack_pool=attack_pool)
-
         alpha_best = np.inf
-        for eta in eta_grid:
-            if np.isfinite(eta):
-                lockdown = search_lock_plan(
-                    protected, val_set, eta, g, h, seed=seed + a_idx,
-                    flip_budget=emulation_budget.max_flips,
-                    hit_weights=hits)
-                trim_watch_margins(protected, lockdown, val_set, cap=eta)
-            else:
-                lockdown = disabled_lock_plan(protected)
-            plan = DefensePlan(alpha=alpha, eta=eta, unary=unary,
-                               lockdown=lockdown)
+        for plan in build_defense(model, alpha, eta_grid, budgets, val_set,
+                                  trials, emulations, seed + a_idx,
+                                  noise=noise, attack_pool=attack_pool,
+                                  assignment=assignment):
             report = end_to_end_eval(model, plan, budgets, emulations,
                                      val_set, seed=seed, noise=noise,
                                      attack_pool=attack_pool)
@@ -403,7 +386,7 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
             alpha_best = min(alpha_best, report.memory["total"])
             log.append({
                 "alpha": alpha,
-                "eta": eta if np.isfinite(eta) else None,
+                "eta": plan.eta if np.isfinite(plan.eta) else None,
                 "total_memory": report.memory["total"],
                 "m_tcu": report.memory["m_tcu"],
                 "m_lock": report.memory["m_lock"],
@@ -422,19 +405,3 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
         chosen = max(evaluated, key=lambda p: (p.accuracy["resumed_mean"], -p.memory["total"]))
         chosen.feasible = False
     return chosen, log
-
-
-def pareto_front(log: List[dict]) -> List[dict]:
-    """Entries not dominated in (total memory, resumed mean accuracy)."""
-    front = []
-    for row in log:
-        dominated = any(
-            other["total_memory"] <= row["total_memory"]
-            and other["resumed_mean"] >= row["resumed_mean"]
-            and (other["total_memory"] < row["total_memory"]
-                 or other["resumed_mean"] > row["resumed_mean"])
-            for other in log
-        )
-        if not dominated:
-            front.append(row)
-    return sorted(front, key=lambda r: r["total_memory"])

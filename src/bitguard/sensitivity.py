@@ -9,7 +9,6 @@ protection budget is assigned to the most exposed layers first.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -31,32 +30,6 @@ class SensitivityMap:
     curvature: List[np.ndarray]  # diagonal curvature estimate per weight
     msb_delta: List[np.ndarray]  # dequantized deviation of a sign-bit flip
     layer_names: List[str]
-
-    def layer_summary(self) -> List[dict]:
-        rows = []
-        for i, name in enumerate(self.layer_names):
-            s = self.scores[i]
-            q50, q75 = np.percentile(s, [50, 75])
-            rows.append(
-                {
-                    "layer": i,
-                    "name": name,
-                    "weights": int(s.size),
-                    "score_mean": float(s.mean()),
-                    "score_max": float(s.max()),
-                    "score_q50": float(q50),
-                    "score_q75": float(q75),
-                    "layer_score": float((q50 + q75) / 2),
-                }
-            )
-        return rows
-
-    def to_csv(self, path: str) -> None:
-        rows = self.layer_summary()
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
 
 
 def msb_flip_deltas(model: QuantizedModel) -> List[np.ndarray]:

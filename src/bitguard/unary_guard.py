@@ -11,8 +11,6 @@ attacks the model), then re-emulates the union of the per-layer winners to
 report cross-layer numbers.
 """
 
-import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -134,8 +132,7 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
                       budget: AttackBudget, val_set: Batch,
                       seed: int = 0, noise: Optional[NoiseSpec] = None,
                       attack_pool: Optional[Batch] = None,
-                      assignment: str = "top",
-                      time_cap_s: Optional[float] = None) -> UnaryPlan:
+                      assignment: str = "top") -> UnaryPlan:
     """Pick protection indices that maximize worst-case post-attack accuracy.
 
     Per budgeted layer: `trials` candidate index sets are sampled with
@@ -162,8 +159,6 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
 
     root = np.random.SeedSequence(seed)
     layer_seqs = root.spawn(len(sizes) + 1)
-    started = time.monotonic()
-    capped = False
 
     plan = UnaryPlan(alpha=alpha)
     for pidx, layer in model.parametric():
@@ -176,9 +171,6 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         best_worst = -np.inf
         log: List[float] = []
         for t in range(trials):
-            if time_cap_s is not None and t > 0 and time.monotonic() - started > time_cap_s:
-                capped = True
-                break
             rng = np.random.default_rng(trial_seqs[t])
             indices = _sample_indices(scores, count, rng)
             candidate = UnaryPlan(alpha=alpha, layers={pidx: indices.tolist()})
@@ -191,10 +183,6 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         plan.layers[pidx] = best_idx.tolist()
         plan.layer_worst[pidx] = best_worst
         plan.trial_log[pidx] = log
-
-    if capped:
-        done = {p: len(v) for p, v in plan.trial_log.items()}
-        warnings.warn(f"protection search hit the time cap; trials completed: {done}")
 
     union_accs = _emulate(model, plan, budget, noise, val_set, pool,
                           emulations, layer_seqs[-1])

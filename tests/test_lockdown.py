@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bitguard.bitcodec import code_range, flip_bit, ledger_lock, tcu_encode
-from bitguard.engine import Batch, backward, evaluate
+from bitguard.engine import Batch, evaluate
 from bitguard.engine.functional import curvature_diag
 from bitguard.errors import ConfigError, InputError
 from bitguard.lockdown import (
@@ -122,22 +122,21 @@ class TestSignatures:
 
 class TestGroupCentroids:
     def test_plain_mean_example(self):
-        np.testing.assert_allclose(group_centroids([1, 3], [0, 0], [1, 1], 2), [2.0])
+        np.testing.assert_allclose(group_centroids([1, 3], [1, 1], 2), [2.0])
 
     def test_single_weight_closed_form(self):
-        # centroid = w + g/h
-        np.testing.assert_allclose(group_centroids([2.0], [0.5], [0.25], 1), [4.0])
+        # a one-weight group's centroid is the weight, whatever its curvature
+        np.testing.assert_allclose(group_centroids([2.0], [0.25], 1), [2.0])
 
     def test_grid_search_oracle(self):
         # closed form matches a zooming 1-D grid argmin within 1e-6
         rng = np.random.default_rng(0)
         w = rng.normal(0, 1, 8)
-        g = rng.normal(0, 0.2, 8)
         h = np.abs(rng.normal(0, 1, 8)) + 0.1
-        closed = group_centroids(w, g, h, 8)[0]
+        closed = group_centroids(w, h, 8)[0]
 
         def objective(c):
-            return np.sum(g * (w - c) + 0.5 * h * (w - c) ** 2)
+            return np.sum(0.5 * h * (w - c) ** 2)
 
         span = (w.min() - 2.0, w.max() + 2.0)
         for _ in range(4):
@@ -148,23 +147,23 @@ class TestGroupCentroids:
         assert abs(closed - best) < 1e-6
 
     def test_zero_curvature_falls_back_to_mean(self):
-        np.testing.assert_allclose(group_centroids([1, 5], [9, 9], [0, 0], 2), [3.0])
+        np.testing.assert_allclose(group_centroids([1, 5], [0, 0], 2), [3.0])
 
     def test_excluded_weights_do_not_contribute(self):
         include = np.array([True, False])
         np.testing.assert_allclose(
-            group_centroids([1, 99], [0, 0], [1, 1], 2, include=include), [1.0]
+            group_centroids([1, 99], [1, 1], 2, include=include), [1.0]
         )
 
     def test_fully_excluded_group_is_zero(self):
         include = np.array([False, False])
-        np.testing.assert_allclose(group_centroids([1, 2], [0, 0], [1, 1], 2, include=include), [0.0])
+        np.testing.assert_allclose(group_centroids([1, 2], [1, 1], 2, include=include), [0.0])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
-            group_centroids([1, 2], [0], [1, 1], 2)
+            group_centroids([1, 2], [1], 2)
         with pytest.raises(InputError):
-            group_centroids([1, 2], [0, 0], [1, -1], 2)
+            group_centroids([1, 2], [1, -1], 2)
 
 
 class TestGlobalKmeans:
@@ -296,13 +295,12 @@ class TestSearchLockPlan:
         train = random_batch(8, 1, 64, 3, seed=1)
         crude_fit(model, train, steps=40)
         val = random_batch(8, 1, 48, 3, seed=2)
-        g = [x.reshape(-1) for x in backward(model, val)]
         h = [x.reshape(-1) for x in curvature_diag(model, val)]
-        return model, val, g, h
+        return model, val, h
 
     def test_full_budget_picks_cheapest_candidate(self):
-        model, val, g, h = self.fitted()
-        plan = search_lock_plan(model, val, eta=1.1, grads=g, curvature=h, seed=0)
+        model, val, h = self.fitted()
+        plan = search_lock_plan(model, val, eta=1.1, curvature=h, seed=0)
         for pidx in plan.layers:
             assert plan.layers[pidx].group_size == 512
             assert plan.layers[pidx].clusters == 1
@@ -310,9 +308,9 @@ class TestSearchLockPlan:
     def test_no_cheaper_candidate_is_feasible(self):
         # exhaustive sweep oracle: every candidate cheaper than the chosen
         # one must fail the full-layer-lock feasibility test
-        model, val, g, h = self.fitted()
+        model, val, h = self.fitted()
         eta = 0.02
-        plan = search_lock_plan(model, val, eta=eta, grads=g, curvature=h, seed=0)
+        plan = search_lock_plan(model, val, eta=eta, curvature=h, seed=0)
         acc0 = evaluate(model, val)
         for pidx, layer in model.parametric():
             chosen = plan.layers[pidx]
@@ -333,7 +331,7 @@ class TestSearchLockPlan:
                     K *= 2
                     if not better:
                         continue
-                    cents = group_centroids(w, g[pidx], h[pidx], G)
+                    cents = group_centroids(w, h[pidx], G)
                     seq = np.random.SeedSequence([0, pidx, G, K_this])
                     ck, ids = global_kmeans(cents, K_this, seed=seq.entropy)
                     lo_c, hi_c = code_range(bits)
@@ -347,9 +345,9 @@ class TestSearchLockPlan:
                     assert acc0 - evaluate(trial, val) >= eta
 
     def test_validated_drop_holds_for_emitted_plan(self):
-        model, val, g, h = self.fitted()
+        model, val, h = self.fitted()
         eta = 0.02
-        plan = search_lock_plan(model, val, eta=eta, grads=g, curvature=h, seed=0)
+        plan = search_lock_plan(model, val, eta=eta, curvature=h, seed=0)
         acc0 = evaluate(model, val)
         for pidx, layer in model.parametric():
             lp = plan.layers[pidx]
@@ -362,14 +360,15 @@ class TestSearchLockPlan:
             assert acc0 - evaluate(trial, val) < eta
 
     def test_hopeless_layer_marked_unlockable(self):
-        # synthetic gradients push every centroid against the code ceiling,
-        # so no candidate passes a tight budget and the layer opts out
+        # with one cluster allowed every candidate locks the diagonal layer
+        # to a single code and collapses both logits, so no candidate
+        # passes a tight budget and the layer opts out
         model = dense_model([[7, 0], [0, 7]], scale=0.1, bits=4)
         val = Batch(np.eye(2), np.array([0, 1]))
         assert evaluate(model, val) == 1.0
-        g = [np.full(4, 10.0)]
         h = [np.ones(4)]
-        plan = search_lock_plan(model, val, eta=0.01, grads=g, curvature=h, seed=0)
+        plan = search_lock_plan(model, val, eta=0.01, curvature=h, seed=0,
+                                cluster_cap=1)
         assert plan.layers[0].group_size is None
         assert plan.layers[0].clusters is None
         assert ledger_lock(plan, model).component_bits == 0
@@ -378,14 +377,14 @@ class TestSearchLockPlan:
         model = dense_model([[1]], scale=0.1, bits=4)
         val = Batch(np.ones((1, 1)), np.array([0]))
         with pytest.raises(InputError):
-            search_lock_plan(model, val, eta=0.0, grads=[np.zeros(1)], curvature=[np.zeros(1)])
+            search_lock_plan(model, val, eta=0.0, curvature=[np.zeros(1)])
 
     def test_flip_budget_must_be_positive(self):
         model = dense_model([[1]], scale=0.1, bits=4)
         val = Batch(np.ones((1, 1)), np.array([0]))
         with pytest.raises(InputError):
-            search_lock_plan(model, val, eta=0.1, grads=[np.zeros(1)],
-                             curvature=[np.zeros(1)], flip_budget=0)
+            search_lock_plan(model, val, eta=0.1, curvature=[np.zeros(1)],
+                             flip_budget=0)
 
     def test_feasibility_scoped_to_flip_budget(self):
         # locking every group of the diagonal layer collapses both logits,
@@ -394,10 +393,9 @@ class TestSearchLockPlan:
         # must admit the candidate the budget-wide overwrite would reject
         model = dense_model([[7, 0], [0, 7]], scale=0.1, bits=4)
         val = Batch(np.eye(2), np.array([0, 1]))
-        g = [np.zeros(4)]
         h = [np.array([10.0, 1.0, 1.0, 9.0])]
         eta = 0.25
-        plan = search_lock_plan(model, val, eta=eta, grads=g, curvature=h,
+        plan = search_lock_plan(model, val, eta=eta, curvature=h,
                                 seed=0, flip_budget=1)
         lp = plan.layers[0]
         assert (lp.group_size, lp.clusters) == (2, 1)
@@ -412,10 +410,10 @@ class TestSearchLockPlan:
     def test_tight_budget_never_costs_feasibility(self):
         # on this fitted model a budget-1 overwrite is a strict subset of
         # the budget-wide one, so the tight plan must not be more expensive
-        model, val, g, h = self.fitted()
-        wide = search_lock_plan(model, val, eta=0.02, grads=g, curvature=h,
+        model, val, h = self.fitted()
+        wide = search_lock_plan(model, val, eta=0.02, curvature=h,
                                 seed=0, flip_budget=10**9)
-        tight = search_lock_plan(model, val, eta=0.02, grads=g, curvature=h,
+        tight = search_lock_plan(model, val, eta=0.02, curvature=h,
                                  seed=0, flip_budget=1)
         for pidx, layer in model.parametric():
             assert wide.layers[pidx].group_size is not None
@@ -428,8 +426,8 @@ class TestSearchLockPlan:
             assert t_cost <= w_cost
 
     def test_plan_json_roundtrip(self):
-        model, val, g, h = self.fitted()
-        plan = search_lock_plan(model, val, eta=0.02, grads=g, curvature=h, seed=0)
+        model, val, h = self.fitted()
+        plan = search_lock_plan(model, val, eta=0.02, curvature=h, seed=0)
         plan.layers[99] = LayerLockPlan(None, None)  # unlockable entry survives
         back = LockPlan.from_json(json.loads(json.dumps(plan.to_json())))
         assert back.eta == plan.eta
@@ -446,9 +444,9 @@ class TestSearchLockPlan:
             np.testing.assert_array_equal(sig, bsig)
 
     def test_search_deterministic(self):
-        model, val, g, h = self.fitted()
-        p1 = search_lock_plan(model, val, eta=0.02, grads=g, curvature=h, seed=4)
-        p2 = search_lock_plan(model, val, eta=0.02, grads=g, curvature=h, seed=4)
+        model, val, h = self.fitted()
+        p1 = search_lock_plan(model, val, eta=0.02, curvature=h, seed=4)
+        p2 = search_lock_plan(model, val, eta=0.02, curvature=h, seed=4)
         for pidx in p1.layers:
             a, b = p1.layers[pidx], p2.layers[pidx]
             assert (a.group_size, a.clusters) == (b.group_size, b.clusters)
@@ -467,9 +465,8 @@ class TestRecoveryFlow:
         train = random_batch(8, 1, 64, 3, seed=1)
         crude_fit(model, train, steps=40)
         val = random_batch(8, 1, 48, 3, seed=2)
-        g = [x.reshape(-1) for x in backward(model, val)]
         h = [x.reshape(-1) for x in curvature_diag(model, val)]
-        plan = search_lock_plan(model, val, eta=0.02, grads=g, curvature=h, seed=0)
+        plan = search_lock_plan(model, val, eta=0.02, curvature=h, seed=0)
 
         atk = random_batch(8, 1, 16, 3, seed=3)
         attacked, trace = bfa_attack(model, atk, AttackBudget(10, 30, 16))
@@ -484,8 +481,7 @@ class TestRecoveryFlow:
     def test_flagged_groups_subset_of_all_groups(self):
         model = toy_cnn_model(bits=6, seed=0)
         val = random_batch(8, 1, 32, 3, seed=2)
-        g = [np.zeros(l.weight.size) for _, l in model.parametric()]
         h = [np.ones(l.weight.size) for _, l in model.parametric()]
-        plan = search_lock_plan(model, val, eta=1.1, grads=g, curvature=h, seed=0)
+        plan = search_lock_plan(model, val, eta=1.1, curvature=h, seed=0)
         report = detect(model, plan.signatures)
         assert report.total_flagged == 0

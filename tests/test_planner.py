@@ -18,7 +18,6 @@ from bitguard.planner import (
     emulate_hit_weights,
     end_to_end_eval,
     measure_memory,
-    pareto_front,
     synergy_search,
     trim_watch_margins,
 )
@@ -43,9 +42,9 @@ def budgets_pair():
 class TestCorners:
     def test_pure_unary_plan(self, fitted):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, eta=float("inf"),
+        plan = build_defense(model, alpha=0.02, etas=[float("inf")],
                              budgets=budgets_pair(), val_set=val,
-                             trials=2, emulations=1, seed=0, attack_pool=train)
+                             trials=2, emulations=1, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 2, val,
                                  seed=0, attack_pool=train)
         assert report.memory["m_lock"] == 0.0
@@ -54,9 +53,9 @@ class TestCorners:
 
     def test_pure_lock_plan(self, fitted):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.0, eta=0.02,
+        plan = build_defense(model, alpha=0.0, etas=[0.02],
                              budgets=budgets_pair(), val_set=val,
-                             trials=2, emulations=1, seed=0, attack_pool=train)
+                             trials=2, emulations=1, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 2, val,
                                  seed=0, attack_pool=train)
         assert report.memory["m_tcu"] == 0.0
@@ -77,9 +76,9 @@ class TestCorners:
 class TestLedgers:
     def test_total_is_component_sum(self, fitted):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, eta=0.02,
+        plan = build_defense(model, alpha=0.02, etas=[0.02],
                              budgets=budgets_pair(), val_set=val,
-                             trials=1, emulations=1, seed=0, attack_pool=train)
+                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
         mem = measure_memory(model, plan.unary, plan.lockdown)
         baseline = mem["baseline_bits"]
         assert mem["total"] == (mem["tcu_bits"] + mem["lock_bits"]) / baseline
@@ -90,9 +89,9 @@ class TestLedgers:
 
     def test_bit_counts_are_integers(self, fitted):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.01, eta=0.02,
+        plan = build_defense(model, alpha=0.01, etas=[0.02],
                              budgets=budgets_pair(), val_set=val,
-                             trials=1, emulations=1, seed=0, attack_pool=train)
+                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
         mem = measure_memory(model, plan.unary, plan.lockdown)
         for key in ("tcu_bits", "tcu_bits_exact", "lock_bits", "baseline_bits"):
             assert mem[key] == int(mem[key])
@@ -101,9 +100,9 @@ class TestLedgers:
 class TestPipeline:
     def test_rows_cover_budget_grid(self, fitted):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, eta=0.02,
+        plan = build_defense(model, alpha=0.02, etas=[0.02],
                              budgets=budgets_pair(), val_set=val,
-                             trials=1, emulations=1, seed=0, attack_pool=train)
+                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 3, val,
                                  seed=1, attack_pool=train)
         assert len(report.rows) == 2 * 3
@@ -116,9 +115,9 @@ class TestPipeline:
 
     def test_bitwise_deterministic(self, fitted):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.01, eta=0.02,
+        plan = build_defense(model, alpha=0.01, etas=[0.02],
                              budgets=budgets_pair(), val_set=val,
-                             trials=1, emulations=1, seed=0, attack_pool=train)
+                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
         dumps = [
             json.dumps(
                 end_to_end_eval(model, plan, budgets_pair(), 2, val,
@@ -158,9 +157,9 @@ class TestPipeline:
         # locking flagged groups should on average not hurt relative to the
         # attacked model (loose sanity margin at toy scale)
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, eta=0.02,
+        plan = build_defense(model, alpha=0.02, etas=[0.02],
                              budgets=budgets_pair(), val_set=val,
-                             trials=2, emulations=2, seed=0, attack_pool=train)
+                             trials=2, emulations=2, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 3, val,
                                  seed=2, attack_pool=train)
         assert report.summary["resumed_mean"] >= report.summary["post_attack_mean"] - 0.05
@@ -206,6 +205,19 @@ class TestSynergySearch:
             synergy_search(model, budgets_pair(), val, alpha_grid=(0.01,),
                            eta_grid=(), attack_pool=train)
 
+    def test_chosen_plan_matches_build_defense(self, fitted):
+        # the a-th alpha of the descending grid is built with seed + a
+        model, train, val = fitted
+        plan, _ = synergy_search(model, budgets_pair(), val,
+                                 alpha_grid=(0.01, 0.02), eta_grid=(0.02,),
+                                 trials=1, emulations=1, seed=3,
+                                 attack_pool=train, target_drop=0.5)
+        a_idx = [0.02, 0.01].index(plan.alpha)
+        rebuilt = build_defense(model, plan.alpha, [plan.eta], budgets_pair(),
+                                val, 1, 1, seed=3 + a_idx, attack_pool=train)[0]
+        for part in ("alpha", "eta", "unary", "lockdown"):
+            assert rebuilt.to_json()[part] == plan.to_json()[part], part
+
     def test_plan_serializes_to_strict_json(self, fitted):
         model, train, val = fitted
         plan, _ = synergy_search(model, budgets_pair(), val,
@@ -218,17 +230,16 @@ class TestSynergySearch:
 
 class TestContainment:
     def locked_setup(self):
-        from bitguard.engine.functional import backward, curvature_diag
+        from bitguard.engine.functional import curvature_diag
         from bitguard.lockdown import search_lock_plan
 
         model = toy_cnn_model(bits=6, seed=0)
         train = random_batch(8, 1, 64, 3, seed=1)
         crude_fit(model, train, steps=40)
         val = random_batch(8, 1, 48, 3, seed=2)
-        g = [x.reshape(-1) for x in backward(model, val)]
         h = [x.reshape(-1) for x in curvature_diag(model, val)]
         hits = {0: np.array([0, 5]), 1: np.array([3])}
-        plan = search_lock_plan(model, val, eta=0.5, grads=g, curvature=h,
+        plan = search_lock_plan(model, val, eta=0.5, curvature=h,
                                 seed=0, flip_budget=2, hit_weights=hits)
         return model, val, plan
 
@@ -337,19 +348,3 @@ class TestContainment:
         lp.watch_core = None
         lp.watch_margin = None
         assert ledger_lock(plan, model).index_bits == 0
-
-
-class TestParetoFront:
-    def test_dominated_rows_dropped(self):
-        log = [
-            {"total_memory": 0.05, "resumed_mean": 0.80},
-            {"total_memory": 0.04, "resumed_mean": 0.85},  # dominates the first
-            {"total_memory": 0.02, "resumed_mean": 0.70},
-            {"total_memory": 0.03, "resumed_mean": 0.70},  # dominated by above
-        ]
-        front = pareto_front(log)
-        assert [r["total_memory"] for r in front] == [0.02, 0.04]
-
-    def test_single_row_survives(self):
-        row = {"total_memory": 0.1, "resumed_mean": 0.5}
-        assert pareto_front([row]) == [row]

@@ -149,14 +149,3 @@ def test_budget_conservation_properties(sizes, rate):
         assert budgets.sum() == min(total, sizes_arr.sum())
         assert np.all(budgets >= 0)
         assert np.all(budgets <= sizes_arr)
-
-
-def test_csv_export_roundtrip(tmp_path):
-    model = toy_cnn_model(seed=8)
-    batch = random_batch(8, 1, 10, 3, seed=8)
-    smap = weight_sensitivity(model, batch)
-    path = tmp_path / "sensitivity.csv"
-    smap.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + len(smap.layer_names)
-    assert lines[0].startswith("layer,name,weights")

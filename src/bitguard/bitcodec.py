@@ -380,10 +380,5 @@ def ledger_lock(plan, model) -> MemoryLedger:
         n_groups = -(-n // lp.group_size)
         ledger.cluster_id_bits += n_groups * _ceil_log2(lp.clusters)
         ledger.signature_bits += n_groups * (2 if lp.group_size > 1 else 1)
-        watch = [np.asarray(part, dtype=np.int64)
-                 for part in (getattr(lp, "watch_core", None),
-                              getattr(lp, "watch_margin", None))
-                 if part is not None and len(part)]
-        if watch:
-            ledger.index_bits += np.unique(np.concatenate(watch)).size * _ceil_log2(n_groups)
+        ledger.index_bits += lp.watched().size * _ceil_log2(n_groups)
     return ledger

@@ -6,7 +6,9 @@ disjoint and reproducible from the seed alone.
 """
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,7 +31,10 @@ _IDX_DTYPES = {
 def parse_idx(raw: bytes) -> np.ndarray:
     """Decode one IDX-format tensor from bytes, validating as it goes."""
     if len(raw) >= 2 and raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise FormatError(f"IDX gzip stream is corrupt: {exc}") from exc
     if len(raw) < 4:
         raise FormatError("IDX header truncated", offset=len(raw))
     if raw[0] != 0 or raw[1] != 0:
@@ -44,7 +49,8 @@ def parse_idx(raw: bytes) -> np.ndarray:
         raise FormatError("IDX dimension list truncated", offset=len(raw))
     dims = struct.unpack(f">{ndim}I", raw[4:header_end])
     dtype = np.dtype(_IDX_DTYPES[dtype_code])
-    expected = int(np.prod(dims)) * dtype.itemsize
+    # math.prod: np.prod wraps around in int64 for large dims
+    expected = math.prod(dims) * dtype.itemsize
     if len(raw) - header_end != expected:
         raise FormatError(
             f"IDX payload holds {len(raw) - header_end} bytes, "
@@ -52,7 +58,13 @@ def parse_idx(raw: bytes) -> np.ndarray:
             offset=header_end,
         )
     data = np.frombuffer(raw, dtype=dtype, offset=header_end)
-    return data.reshape(dims).astype(dtype.newbyteorder("="))
+    try:
+        # numpy caps the rank and the byte size even of an empty array
+        data = data.reshape(dims)
+    except ValueError as exc:
+        raise FormatError(f"IDX dims {dims} do not fit an array: {exc}",
+                          offset=4) from exc
+    return data.astype(dtype.newbyteorder("="))
 
 
 def load_idx(path: str) -> np.ndarray:

@@ -4,7 +4,7 @@ Components:
   * SignatureTable / compute_signatures / detect: parity checksums over
     stored MSBs that flag victim weight groups after an attack.
   * group_centroids: curvature-weighted per-group centroid (closed form).
-  * global_kmeans: plain 1-D Lloyd clustering of the group centroids.
+  * global_kmeans: exact (optimal-SSE) 1-D k-means of the group centroids.
   * LockPlan / search_lock_plan: cheapest (G, K) configuration per layer
     whose recovery-footprint lock stays within the accuracy-drop budget.
   * lock / prune_baseline: overwrite flagged groups with centroid codes
@@ -26,10 +26,6 @@ from .errors import ConfigError, InputError
 
 # group sizes tried by the plan search, largest (cheapest) first
 GROUP_SIZES = (512, 256, 128, 64, 32, 16, 8, 4, 2, 1)
-
-KMEANS_RESTARTS = 10
-KMEANS_ITERS = 100
-KMEANS_TOL = 1e-8
 
 
 def _group_parity(bits_per_weight: np.ndarray, group_size: int) -> np.ndarray:
@@ -180,140 +176,81 @@ def group_centroids(weights: np.ndarray, h: np.ndarray, group_size: int,
     return out
 
 
-# Above this size Lloyd switches to a sorted prefix-sum formulation with a
-# quantile subsample and fewer restarts; below it the dense path is kept
-# unchanged so small-input results stay frozen.
-_DENSE_LIMIT = 2048
-_FIT_CAP = 8192
+def global_kmeans(points: np.ndarray, clusters: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact 1-D k-means: the partition with the least within-cluster SSE.
 
+    An optimal 1-D clustering splits the sorted points into contiguous
+    segments, so a dynamic program over segment end points finds it (Wang &
+    Song, Ckmeans.1d.dp, 2011): D[k][i] = min_j D[k-1][j] + SSE(x[j:i]),
+    with segment SSEs read off prefix sums.  The leftmost optimal split j
+    never decreases in i, so each row is filled by divide and conquer,
+    vectorized over one recursion level at a time.  Ties between splits go
+    to the leftmost one, which makes the result deterministic.
 
-def global_kmeans(points: np.ndarray, clusters: int, seed: int = 0,
-                  restarts: int = KMEANS_RESTARTS) -> Tuple[np.ndarray, np.ndarray]:
-    """1-D Lloyd clustering with multiple seeded restarts.
-
-    Returns (sorted centroids, per-point cluster ids).  Initialization is
-    distance-weighted sampling; empty clusters are reseeded to the point
-    farthest from its current centroid.
+    Returns (sorted centroids, per-point cluster ids): the centroids are the
+    segment means and each point goes to its nearest centroid, the lower
+    one on a tie.
     """
     x = np.asarray(points, dtype=np.float64).reshape(-1)
     if clusters < 1:
         raise InputError("cluster count must be >= 1")
     if clusters > x.size:
         raise InputError(f"cannot place {clusters} clusters on {x.size} points")
-    if x.size > _DENSE_LIMIT:
-        return _kmeans_large(x, clusters, seed, restarts)
+    if not np.all(np.isfinite(x)):
+        raise InputError("k-means points must be finite")
+    xs = np.sort(x)
+    n = xs.size
+    # centering on the median keeps the prefix-sum differences well conditioned
+    shifted = xs - xs[n // 2]
+    s1 = np.concatenate([[0.0], np.cumsum(shifted)])
+    s2 = np.concatenate([[0.0], np.cumsum(shifted * shifted)])
 
-    best_obj, best_c = np.inf, None
-    for rs in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(rs)
-        cents = _kmeanspp_init(x, clusters, rng)
-        for _ in range(KMEANS_ITERS):
-            d2 = (x[:, None] - cents[None, :]) ** 2
-            ids = np.argmin(d2, axis=1)
-            new = cents.copy()
-            for k in range(clusters):
-                members = x[ids == k]
-                if members.size:
-                    new[k] = members.mean()
-                else:
-                    worst = np.argmax(d2[np.arange(x.size), ids])
-                    new[k] = x[worst]
-            if np.max(np.abs(new - cents)) < KMEANS_TOL:
-                cents = new
-                break
-            cents = new
-        ids = np.argmin((x[:, None] - cents[None, :]) ** 2, axis=1)
-        obj = float(np.sum((x - cents[ids]) ** 2))
-        if obj < best_obj - 1e-15:
-            best_obj, best_c = obj, cents
+    def segment_sse(j, i):
+        d = s1[i] - s1[j]
+        return s2[i] - s2[j] - d * d / (i - j)
 
-    order = np.argsort(best_c, kind="stable")
-    cents = best_c[order]
-    ids = np.argmin((x[:, None] - cents[None, :]) ** 2, axis=1)
+    best = np.full(n + 1, np.inf)
+    best[1:] = segment_sse(0, np.arange(1, n + 1))
+    splits = []  # splits[k - 2][i]: start of the last segment, k segments on x[:i]
+    for k in range(2, clusters + 1):
+        row = np.full(n + 1, np.inf)
+        split = np.zeros(n + 1, dtype=np.int64)
+        # tasks: fill i in [ilo, ihi] knowing the split lies in [jlo, jhi];
+        # the last row is read only at i = n
+        ilo = np.array([n if k == clusters else k])
+        ihi = np.array([n - clusters + k])
+        jlo, jhi = np.array([k - 1]), np.array([n - clusters + k - 1])
+        while ilo.size:
+            mid = (ilo + ihi) // 2
+            width = np.minimum(jhi, mid - 1) - jlo + 1
+            starts = np.cumsum(width) - width
+            j = np.arange(starts[-1] + width[-1]) + np.repeat(jlo - starts, width)
+            cost = best[j] + segment_sse(j, np.repeat(mid, width))
+            low = np.minimum.reduceat(cost, starts)
+            # each task's leftmost minimizer
+            hits = np.flatnonzero(cost == np.repeat(low, width))
+            opt = j[hits[np.searchsorted(hits, starts)]]
+            row[mid], split[mid] = low, opt
+            left, right = ilo < mid, mid < ihi
+            ilo, ihi, jlo, jhi = (
+                np.concatenate([ilo[left], mid[right] + 1]),
+                np.concatenate([mid[left] - 1, ihi[right]]),
+                np.concatenate([jlo[left], opt[right]]),
+                np.concatenate([opt[left], jhi[right]]),
+            )
+        best = row
+        splits.append(split)
+
+    edges = [n]
+    for split in reversed(splits):
+        edges.append(int(split[edges[-1]]))
+    edges = np.array(edges + [0])[::-1]
+    lo, hi = edges[:-1], edges[1:]
+    # clipping to the segment's range keeps rounded means sorted and makes
+    # the mean of a run of equal points that value exactly
+    cents = np.clip(np.add.reduceat(xs, lo) / (hi - lo), xs[lo], xs[hi - 1])
+    ids = np.searchsorted((cents[1:] + cents[:-1]) / 2.0, x, side="left")
     return cents, ids.astype(np.int64)
-
-
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    cents = np.empty(k, dtype=np.float64)
-    cents[0] = x[rng.integers(x.size)]
-    for j in range(1, k):
-        d2 = np.min((x[:, None] - cents[None, :j]) ** 2, axis=1)
-        total = d2.sum()
-        if total <= 0:
-            cents[j] = x[rng.integers(x.size)]
-            continue
-        cents[j] = x[rng.choice(x.size, p=d2 / total)]
-    return cents
-
-
-def _kmeanspp_incremental(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Same sampling scheme with a running min-distance array (O(n k))."""
-    cents = np.empty(k, dtype=np.float64)
-    cents[0] = x[rng.integers(x.size)]
-    d2 = (x - cents[0]) ** 2
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            cents[j] = x[rng.integers(x.size)]
-        else:
-            cents[j] = x[rng.choice(x.size, p=d2 / total)]
-        d2 = np.minimum(d2, (x - cents[j]) ** 2)
-    return cents
-
-
-def _segment_assign(xs: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """Cut points of sorted xs at the midpoints between sorted centroids."""
-    bounds = (cents[1:] + cents[:-1]) / 2.0
-    return np.searchsorted(xs, bounds, side="left")
-
-
-def _kmeans_large(x: np.ndarray, clusters: int, seed,
-                  restarts: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Prefix-sum Lloyd on sorted points, fit on a quantile subsample."""
-    xs = np.sort(x, kind="stable")
-    if xs.size > _FIT_CAP:
-        pick = np.round(np.linspace(0, xs.size - 1, _FIT_CAP)).astype(np.int64)
-        fit = xs[pick]
-    else:
-        fit = xs
-    pre = np.concatenate([[0.0], np.cumsum(fit)])
-    pre2 = np.concatenate([[0.0], np.cumsum(fit * fit)])
-
-    best_obj, best_c = np.inf, None
-    for rs in np.random.SeedSequence(seed).spawn(min(restarts, 3)):
-        rng = np.random.default_rng(rs)
-        cents = np.sort(_kmeanspp_incremental(fit, clusters, rng))
-        for _ in range(KMEANS_ITERS):
-            cut = _segment_assign(fit, cents)
-            starts = np.concatenate([[0], cut])
-            ends = np.concatenate([cut, [fit.size]])
-            cnt = ends - starts
-            new = cents.copy()
-            nz = cnt > 0
-            new[nz] = (pre[ends] - pre[starts])[nz] / cnt[nz]
-            if not nz.all():
-                # reseed every empty cluster at the worst-fit point
-                assigned = np.repeat(cents, cnt)
-                worst = np.argmax(np.abs(fit - assigned))
-                new[~nz] = fit[worst]
-            new = np.sort(new)
-            if np.max(np.abs(new - cents)) < KMEANS_TOL:
-                cents = new
-                break
-            cents = new
-        cut = _segment_assign(fit, cents)
-        starts = np.concatenate([[0], cut])
-        ends = np.concatenate([cut, [fit.size]])
-        cnt = ends - starts
-        sums = pre[ends] - pre[starts]
-        sq = pre2[ends] - pre2[starts]
-        obj = float(np.sum(sq - 2.0 * cents * sums + cnt * cents * cents))
-        if obj < best_obj - 1e-15:
-            best_obj, best_c = obj, cents
-
-    bounds = (best_c[1:] + best_c[:-1]) / 2.0
-    ids = np.searchsorted(bounds, x, side="left")
-    return best_c, ids.astype(np.int64)
 
 
 @dataclass
@@ -458,8 +395,8 @@ def _group_flip_scores(score: np.ndarray, group_size: int) -> np.ndarray:
 
 
 def search_lock_plan(model, val_set: Batch, eta: float,
-                     curvature: List[np.ndarray], seed: int = 0,
-                     cluster_cap: int = 256, flip_budget: int = 100,
+                     curvature: List[np.ndarray], cluster_cap: int = 256,
+                     flip_budget: int = 100,
                      hit_weights: Optional[Dict[int, np.ndarray]] = None) -> LockPlan:
     """Cheapest feasible (G, K) per layer under the accuracy-drop budget.
 
@@ -528,8 +465,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
                 margin = top[~np.isin(top, core)].astype(np.int64)
                 feas = np.unique(np.concatenate([core, margin]))
                 watch_cache[G] = (core, margin, feas)
-            seq = np.random.SeedSequence([seed, pidx, G, K])
-            cents, ids = global_kmeans(cent_cache[G], K, seed=seq.entropy)
+            cents, ids = global_kmeans(cent_cache[G], K)
             codes = np.clip(np.rint(cents / scale), lo, hi).astype(np.int64)
 
             core, margin, feas = watch_cache[G]

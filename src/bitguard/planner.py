@@ -29,6 +29,7 @@ from .lockdown import (
     DetectionReport,
     LayerLockPlan,
     LockPlan,
+    compute_signatures,
     detect,
     lock,
     search_lock_plan,
@@ -47,8 +48,6 @@ def disabled_lock_plan(model) -> LockPlan:
     """Locking switched off: every layer marked unlockable, no signatures."""
     plan = LockPlan(eta=float("inf"))
     plan.layers = {pidx: LayerLockPlan(None, None) for pidx, _ in model.parametric()}
-    from .lockdown import compute_signatures
-
     plan.signatures = compute_signatures(model, plan)
     return plan
 
@@ -334,7 +333,7 @@ def build_defense(model, alpha: float, etas: List[float],
     plans = []
     for eta in etas:
         if np.isfinite(eta):
-            lockdown = search_lock_plan(protected, val_set, eta, h, seed=seed,
+            lockdown = search_lock_plan(protected, val_set, eta, h,
                                         flip_budget=emulation_budget.max_flips,
                                         hit_weights=hits)
             trim_watch_margins(protected, lockdown, val_set, cap=eta)

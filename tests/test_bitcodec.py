@@ -33,6 +33,7 @@ from bitguard.bitcodec import (
     word_to_str,
 )
 from bitguard.errors import FormatError, InputError
+from bitguard.lockdown import LayerLockPlan
 
 from conftest import chain_dense_model, dense_model
 
@@ -318,7 +319,7 @@ def lock_plan(layers):
 
 
 def layer_plan(G, K):
-    return SimpleNamespace(group_size=G, clusters=K)
+    return LayerLockPlan(G, K)
 
 
 def test_ledger_lock_matches_naive(rng):

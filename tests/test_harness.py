@@ -1,16 +1,27 @@
-"""Harness checks: config hash, package build, seed fan-out, sweeps and CLI."""
+"""Harness checks: config, package build, seed fan-out, sweeps, CLI, IDX
+parsing and report rows."""
 
+import gzip
 import json
+import math
+import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bitguard.errors import FormatError
 from bitguard.harness import load_config, run_experiment, run_noise_sweep
 from bitguard.harness.cli import main
-from bitguard.harness.reports import canonical_json
+from bitguard.harness.datasets import parse_idx
+from bitguard.harness.reports import (canonical_json, load_rows_csv,
+                                      validate_rows, write_rows_csv)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,3 +132,150 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "ConfigError"
+
+
+def nested(flat: dict) -> dict:
+    """Config-file form of dotted override keys."""
+    out: dict = {}
+    for key, value in flat.items():
+        section, _, name = key.partition(".")
+        if name:
+            out.setdefault(section, {})[name] = value
+        else:
+            out[key] = value
+    return out
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("BITGUARD_"):
+            monkeypatch.delenv(name)
+
+
+def test_cli_tiny_config_exits_0(tmp_path, capsys, clean_env, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the default out_dir would land
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(nested(TINY)))
+    assert main(["--config", str(path), "--no-write"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summary = json.loads(captured.out)
+    assert summary["seeds"] == TINY["seeds"]
+    assert summary["rows"] > 0
+    assert summary["out_dir"] is None
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_runtime_error_exits_1(tmp_path, capsys, clean_env):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(b"\x00\x00\x08\x03\x00\x00")  # dimension list cut short
+    labels.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x02\x01\x02")
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps(nested({
+        **TINY, "dataset.kind": "idx", "dataset.idx_images": str(images),
+        "dataset.idx_labels": str(labels)})))
+    assert main(["--config", str(path), "--no-write"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "FormatError"
+
+
+def test_load_config_precedence(tmp_path):
+    # file < environment < explicit overrides, field by field
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"epochs": 3},
+                                "dataset": {"val": 50},
+                                "attacker": {"max_flips": 7}}))
+    environ = {"BITGUARD_DATASET_VAL": "60", "BITGUARD_ATTACKER_MAX_FLIPS": "8"}
+    cfg = load_config(str(path), overrides={"attacker.max_flips": 9},
+                      environ=environ)
+    assert cfg.model.epochs == 3
+    assert cfg.dataset.val == 60
+    assert cfg.attacker.max_flips == 9
+    assert load_config(str(path), environ=environ).attacker.max_flips == 8
+    assert load_config(str(path), environ={}).dataset.val == 50
+
+
+def test_rows_csv_round_trip(serial_report, tmp_path):
+    path = tmp_path / "rows.csv"
+    write_rows_csv(serial_report.rows, str(path))
+    back = load_rows_csv(str(path))
+    assert canonical_json(back) == canonical_json(serial_report.rows)
+    assert back == serial_report.rows
+
+
+def test_validate_rows_rejects_bad_fields(serial_report):
+    rows = serial_report.rows
+    validate_rows(rows)
+    row = next(r for r in rows if r["stage"] == "attack")
+    missing = {k: v for k, v in row.items() if k != "flips_used"}
+    extra = {**row, "bogus": 1}
+    boolean = {**row, "flips_used": True}
+    for bad in (missing, extra, boolean):
+        with pytest.raises(FormatError):
+            validate_rows([bad])
+
+
+IDX_ITEMSIZE = {0x08: 1, 0x09: 1, 0x0B: 2, 0x0C: 4, 0x0D: 4, 0x0E: 8}
+
+
+def idx_header(code: int, dims) -> bytes:
+    return bytes([0, 0, code, len(dims)]) + struct.pack(f">{len(dims)}I", *dims)
+
+
+@st.composite
+def malformed_idx(draw):
+    """Bytes that no IDX file holds: cut short, mistyped or mis-sized."""
+    code = draw(st.sampled_from(sorted(IDX_ITEMSIZE)))
+    dims = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    kind = draw(st.sampled_from(
+        ["truncated", "dtype", "ndim", "payload", "overflow"]))
+    if kind == "truncated":
+        full = idx_header(code, dims)
+        return full[:draw(st.integers(0, len(full) - 1))]
+    if kind == "dtype":
+        bad = draw(st.integers(0, 255).filter(lambda c: c not in IDX_ITEMSIZE))
+        return idx_header(bad, dims) + draw(st.binary(max_size=16))
+    if kind == "ndim":
+        return bytes([0, 0, code, 0]) + draw(st.binary(max_size=16))
+    if kind == "payload":
+        size = math.prod(dims) * IDX_ITEMSIZE[code]
+        length = draw(st.integers(0, size + 16).filter(lambda n: n != size))
+        return idx_header(code, dims) + bytes(length)
+    huge = draw(st.lists(st.integers(2**16, 2**32 - 1), min_size=2, max_size=4))
+    return idx_header(code, huge) + draw(st.binary(max_size=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_idx())
+def test_parse_idx_raises_only_format_error(raw):
+    with pytest.raises(FormatError):
+        parse_idx(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    # int64 wrap-around: 65536**4 bytes reads as 0
+    idx_header(0x08, [65536] * 4),
+    # (2**32 - 1)**2 reads as a negative size
+    idx_header(0x08, [2**32 - 1] * 2),
+    # empty, yet larger than numpy allows
+    idx_header(0x08, [0] + [2**32 - 1] * 3),
+    # more dimensions than numpy allows
+    idx_header(0x08, [1] * 65) + b"\x00",
+    # a gzip stream cut short
+    gzip.compress(idx_header(0x08, [2]) + b"\x01\x02")[:12],
+])
+def test_parse_idx_rejects_edge_cases(raw):
+    with pytest.raises(FormatError):
+        parse_idx(raw)
+
+
+def test_parse_idx_reads_plain_and_gzip():
+    raw = idx_header(0x0B, [2, 3]) + np.arange(6, dtype=">i2").tobytes()
+    for blob in (raw, gzip.compress(raw)):
+        out = parse_idx(blob)
+        assert out.shape == (2, 3) and out.dtype == np.int16
+        np.testing.assert_array_equal(out, np.arange(6).reshape(2, 3))

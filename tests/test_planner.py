@@ -240,7 +240,7 @@ class TestContainment:
         h = [x.reshape(-1) for x in curvature_diag(model, val)]
         hits = {0: np.array([0, 5]), 1: np.array([3])}
         plan = search_lock_plan(model, val, eta=0.5, curvature=h,
-                                seed=0, flip_budget=2, hit_weights=hits)
+                                flip_budget=2, hit_weights=hits)
         return model, val, plan
 
     def test_no_flags_returns_untouched_clone(self):

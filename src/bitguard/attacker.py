@@ -258,6 +258,20 @@ def _apply(model: QuantizedModel, cand: _Candidate) -> int:
     return pre
 
 
+def apply_trace(model: QuantizedModel, trace: AttackTrace) -> QuantizedModel:
+    """A copy of the model with the trace's flips applied in order.
+
+    Replaying bfa_attack's trace on the model it attacked rebuilds its
+    attacked copy exactly: codes and TCU slot patterns alike.
+    """
+    out = model.clone()
+    for f in trace.flips:
+        a = f.address
+        slot_flip = a.weight in out.protected_in(a.layer)
+        _apply(out, _Candidate(f.est_gain, a.layer, a.weight, a.bit, f.post_code, slot_flip))
+    return out
+
+
 def _fallback_ranking(model, grads, state) -> Iterator[Tuple[int, int, float]]:
     """Untouched unprotected weights ordered for free sign-bit flips."""
     layer_ids, indices, ests, mags = [], [], [], []

@@ -21,8 +21,9 @@ import numpy as np
 from ..attacker import AttackBudget, bfa_attack
 from ..engine import NoiseSpec, evaluate, save_model
 from ..errors import ConfigError
-from ..planner import DefensePlan, build_defense, end_to_end_eval, synergy_search
-from ..unary_guard import draw_attack_batch
+from ..planner import (AttackPanel, DefensePlan, attack_panel, build_defense,
+                       end_to_end_eval, recover, synergy_search)
+from ..unary_guard import apply_protection, draw_attack_batch
 from .config import ExperimentConfig, _build, config_digest
 from .datasets import DatasetSplits, make_dataset
 from .pretrain import build_desk_model, pretrain
@@ -107,6 +108,17 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     The model is trained once.  With sweep = (stds, samples_grid) it is
     then attacked undefended under every (noise std, averaging) cell;
     otherwise the pipeline runs through `stage`.
+
+    Two results of the protect stage are shared with later stages of this
+    job, each only when its inputs are exactly those of the repeat it
+    replaces, so the rows are the same as without sharing:
+      * its unary plan, searched for (alpha_grid[0], seed), goes to the
+        plan stage, whose first build searches (largest alpha, seed + 0):
+        the same search whenever alpha_grid[0] is the largest alpha;
+      * its attack panel, drawn from seed 1000 + seed like every stage
+        panel, is the eval stage's when the chosen plan protects exactly
+        the same weights.  A panel holds traces, not attacked copies.
+    Every other stage builds its plans and panels afresh.
     """
     cfg = _build(cfg_dict)
     att, dfn = cfg.attacker, cfg.defense
@@ -180,15 +192,27 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
                              attack_pool=splits.attack,
                              assignment=dfn.assignment)[0]
 
-    def evaluate_plan(stage_name: str, method: str, plan: DefensePlan) -> None:
-        rep = end_to_end_eval(model, plan, budgets, dfn.emulations,
-                              splits.val, seed=1000 + seed, noise=noise,
-                              attack_pool=splits.attack)
+    def evaluate_plan(stage_name: str, method: str, plan: DefensePlan,
+                      panel: Optional[AttackPanel] = None) -> None:
+        if panel is None:
+            rep = end_to_end_eval(model, plan, budgets, dfn.emulations,
+                                  splits.val, seed=1000 + seed, noise=noise,
+                                  attack_pool=splits.attack)
+        else:
+            rep = recover(panel, plan)
         rows.extend(_tag(rep.rows, stage_name, seed, method, plan, rep.memory))
 
+    # shared with the plan and eval stages as the docstring says
+    protect_plan: Optional[DefensePlan] = None
+    protect_panel: Optional[AttackPanel] = None
     if rank >= _stage_rank("protect"):
         t0 = time.perf_counter()
-        evaluate_plan("protect", "tcu", build(dfn.alpha_grid[0], np.inf))
+        protect_plan = build(dfn.alpha_grid[0], np.inf)
+        protect_panel = attack_panel(apply_protection(model, protect_plan.unary),
+                                     budgets, dfn.emulations, splits.val,
+                                     seed=1000 + seed, noise=noise,
+                                     attack_pool=splits.attack)
+        evaluate_plan("protect", "tcu", protect_plan, protect_panel)
         timings["protect"] = time.perf_counter() - t0
 
     if rank >= _stage_rank("lock"):
@@ -205,7 +229,9 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
                                      emulations=dfn.emulations, seed=seed,
                                      noise=noise, attack_pool=splits.attack,
                                      target_drop=dfn.target_drop,
-                                     assignment=dfn.assignment)
+                                     assignment=dfn.assignment,
+                                     searched={(protect_plan.alpha, seed):
+                                               protect_plan.unary})
         chosen_eta = chosen.eta if np.isfinite(chosen.eta) else None
         for entry in log:
             rows.append({
@@ -218,7 +244,8 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
 
     if rank >= _stage_rank("eval"):
         t0 = time.perf_counter()
-        evaluate_plan("eval", "synergy", chosen)
+        same = chosen.unary.layers == protect_plan.unary.layers
+        evaluate_plan("eval", "synergy", chosen, protect_panel if same else None)
         timings["eval"] = time.perf_counter() - t0
 
     return rows, timings

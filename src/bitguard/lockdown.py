@@ -4,7 +4,8 @@ Components:
   * SignatureTable / compute_signatures / detect: parity checksums over
     stored MSBs that flag victim weight groups after an attack.
   * group_centroids: curvature-weighted per-group centroid (closed form).
-  * global_kmeans: exact (optimal-SSE) 1-D k-means of the group centroids.
+  * SegmentKMeans / global_kmeans: exact (optimal-SSE) 1-D k-means of the
+    group centroids; one SegmentKMeans serves a whole ascending K sweep.
   * LockPlan / search_lock_plan: cheapest (G, K) configuration per layer
     whose recovery-footprint lock stays within the accuracy-drop budget.
   * lock / prune_baseline: overwrite flagged groups with centroid codes
@@ -176,8 +177,8 @@ def group_centroids(weights: np.ndarray, h: np.ndarray, group_size: int,
     return out
 
 
-def global_kmeans(points: np.ndarray, clusters: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact 1-D k-means: the partition with the least within-cluster SSE.
+class SegmentKMeans:
+    """Exact 1-D k-means of one point set, for any number of clusters.
 
     An optimal 1-D clustering splits the sorted points into contiguous
     segments, so a dynamic program over segment end points finds it (Wang &
@@ -187,45 +188,43 @@ def global_kmeans(points: np.ndarray, clusters: int) -> Tuple[np.ndarray, np.nda
     vectorized over one recursion level at a time.  Ties between splits go
     to the leftmost one, which makes the result deterministic.
 
-    Returns (sorted centroids, per-point cluster ids): the centroids are the
-    segment means and each point goes to its nearest centroid, the lower
-    one on a tie.
+    Row k is filled over every end point i, so the rows computed for one
+    cluster count serve every smaller one: fit(K) extends the table only
+    past the largest K asked for so far and backtracks from D[K][n].
     """
-    x = np.asarray(points, dtype=np.float64).reshape(-1)
-    if clusters < 1:
-        raise InputError("cluster count must be >= 1")
-    if clusters > x.size:
-        raise InputError(f"cannot place {clusters} clusters on {x.size} points")
-    if not np.all(np.isfinite(x)):
-        raise InputError("k-means points must be finite")
-    xs = np.sort(x)
-    n = xs.size
-    # centering on the median keeps the prefix-sum differences well conditioned
-    shifted = xs - xs[n // 2]
-    s1 = np.concatenate([[0.0], np.cumsum(shifted)])
-    s2 = np.concatenate([[0.0], np.cumsum(shifted * shifted)])
 
-    def segment_sse(j, i):
-        d = s1[i] - s1[j]
-        return s2[i] - s2[j] - d * d / (i - j)
+    def __init__(self, points: np.ndarray):
+        self.x = np.asarray(points, dtype=np.float64).reshape(-1)
+        if not np.all(np.isfinite(self.x)):
+            raise InputError("k-means points must be finite")
+        self.xs = np.sort(self.x)
+        n = self.n = self.xs.size
+        # centering on the median keeps the prefix-sum differences well conditioned
+        shifted = self.xs - self.xs[n // 2] if n else self.xs
+        self.s1 = np.concatenate([[0.0], np.cumsum(shifted)])
+        self.s2 = np.concatenate([[0.0], np.cumsum(shifted * shifted)])
+        self.best = np.full(n + 1, np.inf)  # D[k][:] of the last filled row k
+        self.best[1:] = self._sse(0, np.arange(1, n + 1))
+        self.splits: List[np.ndarray] = []  # splits[k - 2][i]: start of the last segment
 
-    best = np.full(n + 1, np.inf)
-    best[1:] = segment_sse(0, np.arange(1, n + 1))
-    splits = []  # splits[k - 2][i]: start of the last segment, k segments on x[:i]
-    for k in range(2, clusters + 1):
+    def _sse(self, j, i):
+        d = self.s1[i] - self.s1[j]
+        return self.s2[i] - self.s2[j] - d * d / (i - j)
+
+    def _extend(self) -> None:
+        """Fill row k = rows so far + 1 for every end point i in [k, n]."""
+        n, k = self.n, len(self.splits) + 2
         row = np.full(n + 1, np.inf)
         split = np.zeros(n + 1, dtype=np.int64)
-        # tasks: fill i in [ilo, ihi] knowing the split lies in [jlo, jhi];
-        # the last row is read only at i = n
-        ilo = np.array([n if k == clusters else k])
-        ihi = np.array([n - clusters + k])
-        jlo, jhi = np.array([k - 1]), np.array([n - clusters + k - 1])
+        # tasks: fill i in [ilo, ihi] knowing the split lies in [jlo, jhi]
+        ilo, ihi = np.array([k]), np.array([n])
+        jlo, jhi = np.array([k - 1]), np.array([n - 1])
         while ilo.size:
             mid = (ilo + ihi) // 2
             width = np.minimum(jhi, mid - 1) - jlo + 1
             starts = np.cumsum(width) - width
             j = np.arange(starts[-1] + width[-1]) + np.repeat(jlo - starts, width)
-            cost = best[j] + segment_sse(j, np.repeat(mid, width))
+            cost = self.best[j] + self._sse(j, np.repeat(mid, width))
             low = np.minimum.reduceat(cost, starts)
             # each task's leftmost minimizer
             hits = np.flatnonzero(cost == np.repeat(low, width))
@@ -238,19 +237,42 @@ def global_kmeans(points: np.ndarray, clusters: int) -> Tuple[np.ndarray, np.nda
                 np.concatenate([jlo[left], opt[right]]),
                 np.concatenate([opt[left], jhi[right]]),
             )
-        best = row
-        splits.append(split)
+        self.best = row
+        self.splits.append(split)
 
-    edges = [n]
-    for split in reversed(splits):
-        edges.append(int(split[edges[-1]]))
-    edges = np.array(edges + [0])[::-1]
-    lo, hi = edges[:-1], edges[1:]
-    # clipping to the segment's range keeps rounded means sorted and makes
-    # the mean of a run of equal points that value exactly
-    cents = np.clip(np.add.reduceat(xs, lo) / (hi - lo), xs[lo], xs[hi - 1])
-    ids = np.searchsorted((cents[1:] + cents[:-1]) / 2.0, x, side="left")
-    return cents, ids.astype(np.int64)
+    def fit(self, clusters: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(sorted centroids, per-point cluster ids) for `clusters` clusters.
+
+        The centroids are the segment means and each point goes to its
+        nearest centroid, the lower one on a tie.
+        """
+        if clusters < 1:
+            raise InputError("cluster count must be >= 1")
+        if clusters > self.n:
+            raise InputError(f"cannot place {clusters} clusters on {self.n} points")
+        while len(self.splits) < clusters - 1:
+            self._extend()
+        edges = [self.n]
+        for split in reversed(self.splits[: clusters - 1]):
+            edges.append(int(split[edges[-1]]))
+        edges = np.array(edges + [0])[::-1]
+        lo, hi = edges[:-1], edges[1:]
+        xs = self.xs
+        # clipping to the segment's range keeps rounded means sorted and makes
+        # the mean of a run of equal points that value exactly
+        cents = np.clip(np.add.reduceat(xs, lo) / (hi - lo), xs[lo], xs[hi - 1])
+        ids = np.searchsorted((cents[1:] + cents[:-1]) / 2.0, self.x, side="left")
+        return cents, ids.astype(np.int64)
+
+
+def global_kmeans(points, clusters: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact 1-D k-means: the partition with the least within-cluster SSE.
+
+    SegmentKMeans(points).fit(clusters).  Passing a SegmentKMeans as
+    `points` fits on its table instead, extending it for later calls.
+    """
+    table = points if isinstance(points, SegmentKMeans) else SegmentKMeans(points)
+    return table.fit(clusters)
 
 
 @dataclass
@@ -343,18 +365,21 @@ def _overwrite_groups(model, pidx: int, lp: LayerLockPlan,
     """Set every unprotected weight of the given groups to its lock code."""
     layer = dict(model.parametric())[pidx]
     flat = layer.weight.codes.reshape(-1)
-    protected = set(model.protected_in(pidx))
-    for gi in np.asarray(groups, dtype=np.int64):
-        lo = int(gi) * lp.group_size
-        hi = min(lo + lp.group_size, flat.size)
-        code = (
-            int(lp.centroid_codes[lp.group_ids[gi]])
-            if codes_value is None
-            else codes_value
-        )
-        for i in range(lo, hi):
-            if i not in protected:
-                flat[i] = code
+    groups = np.asarray(groups, dtype=np.int64).reshape(-1)
+    G = lp.group_size
+    idx = (groups[:, None] * G + np.arange(G)).reshape(-1)
+    if codes_value is None:
+        codes = np.repeat(lp.centroid_codes[lp.group_ids[groups]], G)
+    else:
+        codes = np.full(idx.size, codes_value, dtype=np.int64)
+    keep = idx < flat.size  # the last group may be short
+    idx, codes = idx[keep], codes[keep]
+    protected = model.protected_in(pidx)
+    if protected:
+        plain = np.ones(flat.size, dtype=bool)
+        plain[np.fromiter(protected, dtype=np.int64, count=len(protected))] = False
+        idx, codes = idx[plain[idx]], codes[plain[idx]]
+    flat[idx] = codes
 
 
 def lock(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
@@ -397,7 +422,8 @@ def _group_flip_scores(score: np.ndarray, group_size: int) -> np.ndarray:
 def search_lock_plan(model, val_set: Batch, eta: float,
                      curvature: List[np.ndarray], cluster_cap: int = 256,
                      flip_budget: int = 100,
-                     hit_weights: Optional[Dict[int, np.ndarray]] = None) -> LockPlan:
+                     hit_weights: Optional[Dict[int, np.ndarray]] = None,
+                     shared: Optional[dict] = None) -> LockPlan:
     """Cheapest feasible (G, K) per layer under the accuracy-drop budget.
 
     Candidates are swept in ascending storage order.  Feasibility emulates
@@ -408,6 +434,11 @@ def search_lock_plan(model, val_set: Batch, eta: float,
     accuracy must drop by less than eta.  Layers with no feasible
     candidate are marked unlockable.  The chosen candidate's feasibility
     footprint is kept on the plan as watch_core / watch_margin.
+
+    Nothing but the stopping rule depends on eta, so calls whose other
+    arguments are equal may pass one `shared` dict: it keeps each
+    (layer, G)'s k-means table and footprint and each (layer, G, K)'s
+    accuracy drop for the next call.
     """
     if eta <= 0:
         raise InputError("accuracy-drop budget must be positive")
@@ -417,6 +448,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
     prefix = ActivationPrefix(model, val_set)
     acc0 = evaluate(model, val_set, prefix=prefix)
     plan = LockPlan(eta=eta)
+    memo = {} if shared is None else shared
 
     for pidx, layer in model.parametric():
         n = layer.weight.size
@@ -452,28 +484,27 @@ def search_lock_plan(model, val_set: Batch, eta: float,
                 K *= 2
         candidates.sort()
 
-        cent_cache: Dict[int, np.ndarray] = {}
-        watch_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         chosen = LayerLockPlan(None, None)
         for _, negG, K, G in candidates:
-            if G not in cent_cache:
-                cent_cache[G] = group_centroids(w, h, G, include=include)
+            if (pidx, G) not in memo:
                 order = np.argsort(-_group_flip_scores(flip_score, G),
                                    kind="stable")
                 top = order[: min(flip_budget, order.size)]
                 core = np.unique(hits // G) if hits.size else np.empty(0, dtype=np.int64)
                 margin = top[~np.isin(top, core)].astype(np.int64)
                 feas = np.unique(np.concatenate([core, margin]))
-                watch_cache[G] = (core, margin, feas)
-            cents, ids = global_kmeans(cent_cache[G], K)
+                memo[pidx, G] = (SegmentKMeans(group_centroids(w, h, G, include=include)),
+                                 core, margin, feas)
+            kmeans, core, margin, feas = memo[pidx, G]
+            cents, ids = global_kmeans(kmeans, K)
             codes = np.clip(np.rint(cents / scale), lo, hi).astype(np.int64)
-
-            core, margin, feas = watch_cache[G]
-            trial = model.clone()
             lp = LayerLockPlan(G, K, codes, ids,
                                watch_core=core, watch_margin=margin)
-            _overwrite_groups(trial, pidx, lp, feas, None)
-            if acc0 - evaluate(trial, val_set, prefix=prefix) < eta:
+            if (pidx, G, K) not in memo:
+                trial = model.clone()
+                _overwrite_groups(trial, pidx, lp, feas, None)
+                memo[pidx, G, K] = acc0 - evaluate(trial, val_set, prefix=prefix)
+            if memo[pidx, G, K] < eta:
                 chosen = lp
                 break
         plan.layers[pidx] = chosen

@@ -5,11 +5,15 @@ Components:
   * build_defense: the one per-alpha builder; one unary search, and one
     curvature snapshot and emulated attack footprint shared by every
     finite eta.
-  * end_to_end_eval: the shared evaluation protocol; every reported number
-    in the package flows through this pipeline.
+  * attack_panel / recover: the shared evaluation protocol, split where
+    the lock plan enters.  attack_panel attacks one protected model over
+    budgets x emulations; recover detects, contains and evaluates those
+    attacks under one plan.  Every reported defense number is a recover
+    of a panel; end_to_end_eval composes the two for a single plan.
   * synergy_search: greedy descent over the alpha grid crossed with the eta
-    grid, building each alpha through build_defense, stopping when total
-    memory stops improving, constrained by a resumed-accuracy target.
+    grid, building each alpha through build_defense and scoring all its
+    etas on one panel, stopping when total memory stops improving,
+    constrained by a resumed-accuracy target.
 
 Memory totals quote the reported payload mode; the exact as-built mode is
 carried alongside in every report.
@@ -20,9 +24,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attacker import AttackBudget, bfa_attack
+from .attacker import AttackBudget, AttackTrace, apply_trace, bfa_attack
 from .bitcodec import ledger_lock, ledger_tcu
-from .engine import ActivationPrefix, Batch, NoiseSpec, evaluate
+from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, evaluate
 from .engine.functional import curvature_diag
 from .errors import InputError
 from .lockdown import (
@@ -233,24 +237,51 @@ class PipelineReport:
         return {"rows": self.rows, "summary": self.summary, "memory": self.memory}
 
 
-def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
-                    emulations: int, val_set: Batch, seed: int = 0,
-                    noise: Optional[NoiseSpec] = None,
-                    attack_pool: Optional[Batch] = None) -> PipelineReport:
-    """Protect, attack, detect, lock, evaluate over budgets x emulations.
+@dataclass
+class PanelEntry:
+    """One attack of a panel: its budget and draw, its trace and accuracy."""
 
-    Detection always compares post-attack weights against the pre-attack
-    signatures; recovery applies the containment response (flagged plus
-    watched groups); locking never rewrites flip-tolerant weights.
+    budget_index: int
+    budget: AttackBudget
+    emulation: int
+    trace: AttackTrace
+    post_acc: float
+
+
+@dataclass
+class AttackPanel:
+    """Attacks on one protected model over budgets x emulations.
+
+    Nothing in it depends on a lock plan, so every plan built on the same
+    protected model is scored on one panel; recover never changes it.  A
+    panel keeps traces, not attacked copies: attacked(entry) rebuilds one
+    when it is needed, so a panel costs one model however many attacks
+    it holds.
+    """
+
+    protected: QuantizedModel
+    val_set: Batch
+    clean_acc: float
+    entries: List[PanelEntry]
+
+    def attacked(self, entry: PanelEntry) -> QuantizedModel:
+        return apply_trace(self.protected, entry.trace)
+
+
+def attack_panel(protected, budgets: List[AttackBudget], emulations: int,
+                 val_set: Batch, seed: int = 0,
+                 noise: Optional[NoiseSpec] = None,
+                 attack_pool: Optional[Batch] = None) -> AttackPanel:
+    """Attack the protected model `emulations` times per budget.
+
+    Budget b's e-th attack draws its batch and attack seed from child e of
+    child b of SeedSequence(seed), so a panel is a function of the
+    protected model, the budgets, the seed, the noise and the pool alone.
     """
     if emulations < 1:
         raise InputError("emulations must be >= 1")
     pool = val_set if attack_pool is None else attack_pool
-    clean_acc = evaluate(model, val_set)
-    protected = apply_protection(model, plan.unary)
-    table = plan.lockdown.signatures
-
-    rows: List[dict] = []
+    entries: List[PanelEntry] = []
     budget_seqs = np.random.SeedSequence(seed).spawn(len(budgets))
     for b_idx, budget in enumerate(budgets):
         budget.validate()
@@ -260,33 +291,50 @@ def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
             attack_seed = int(rng.integers(0, 2**31 - 1))
             attacked, trace = bfa_attack(protected, attack_set, budget,
                                          noise=noise, seed=attack_seed)
-            post_acc = evaluate(attacked, val_set)
+            entries.append(PanelEntry(b_idx, budget, e_idx, trace,
+                                      evaluate(attacked, val_set)))
+    return AttackPanel(protected, val_set, evaluate(protected, val_set), entries)
 
-            if table and table.layers:
-                report = detect(attacked, table)
-            else:
-                report = DetectionReport({})
-            flagged = report.flagged
-            recovered = contain(attacked, report, plan.lockdown)
-            resumed_acc = evaluate(recovered, val_set)
 
-            stats = _detection_stats(flagged, _truth_groups(trace, protected, plan.lockdown))
-            on_protected = sum(
-                1 for f in trace.flips
-                if f.address.weight in protected.protected_in(f.address.layer)
-            )
-            rows.append({
-                "budget_index": b_idx,
-                "max_flips": budget.max_flips,
-                "inference_units": budget.inference_units,
-                "emulation": e_idx,
-                "clean_acc": clean_acc,
-                "post_attack_acc": post_acc,
-                "resumed_acc": resumed_acc,
-                "fallback_flips": trace.fallback_count,
-                "flips_on_protected": on_protected,
-                **stats,
-            })
+def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
+    """Detect, contain and evaluate every attack of the panel under one plan.
+
+    The plan must protect exactly the weights the panel's model protects.
+    Detection always compares post-attack weights against the pre-attack
+    signatures; recovery applies the containment response (flagged plus
+    watched groups); locking never rewrites flip-tolerant weights.
+    """
+    protected = panel.protected
+    if ({p: sorted(w) for p, w in protected.protected.items() if w}
+            != {p: sorted(v) for p, v in plan.unary.layers.items() if len(v)}):
+        raise InputError("the plan's unary plan does not match the panel's protection")
+    table = plan.lockdown.signatures
+    clean_acc = panel.clean_acc
+    rows: List[dict] = []
+    for entry in panel.entries:
+        attacked, trace = panel.attacked(entry), entry.trace
+        if table and table.layers:
+            report = detect(attacked, table)
+        else:
+            report = DetectionReport({})
+        recovered = contain(attacked, report, plan.lockdown)
+        stats = _detection_stats(report.flagged, _truth_groups(trace, protected, plan.lockdown))
+        on_protected = sum(
+            1 for f in trace.flips
+            if f.address.weight in protected.protected_in(f.address.layer)
+        )
+        rows.append({
+            "budget_index": entry.budget_index,
+            "max_flips": entry.budget.max_flips,
+            "inference_units": entry.budget.inference_units,
+            "emulation": entry.emulation,
+            "clean_acc": clean_acc,
+            "post_attack_acc": entry.post_acc,
+            "resumed_acc": evaluate(recovered, panel.val_set),
+            "fallback_flips": trace.fallback_count,
+            "flips_on_protected": on_protected,
+            **stats,
+        })
 
     # an empty budget list means nobody attacked: resumed accuracy is clean
     resumed = np.array([r["resumed_acc"] for r in rows] or [clean_acc])
@@ -300,7 +348,17 @@ def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
         "precision_mean": float(np.mean([r["precision"] for r in rows] or [1.0])),
         "recall_mean": float(np.mean([r["recall"] for r in rows] or [1.0])),
     }
-    return PipelineReport(rows, summary, measure_memory(model, plan.unary, plan.lockdown))
+    return PipelineReport(rows, summary, measure_memory(protected, plan.unary, plan.lockdown))
+
+
+def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
+                    emulations: int, val_set: Batch, seed: int = 0,
+                    noise: Optional[NoiseSpec] = None,
+                    attack_pool: Optional[Batch] = None) -> PipelineReport:
+    """Protect, attack, detect, lock, evaluate: one plan on a fresh panel."""
+    panel = attack_panel(apply_protection(model, plan.unary), budgets, emulations,
+                         val_set, seed=seed, noise=noise, attack_pool=attack_pool)
+    return recover(panel, plan)
 
 
 def build_defense(model, alpha: float, etas: List[float],
@@ -308,15 +366,21 @@ def build_defense(model, alpha: float, etas: List[float],
                   emulations: int, seed: int,
                   noise: Optional[NoiseSpec] = None,
                   attack_pool: Optional[Batch] = None,
-                  assignment: str = "top") -> List[DefensePlan]:
+                  assignment: str = "top",
+                  unary: Optional[UnaryPlan] = None) -> List[DefensePlan]:
     """Construct one (alpha, eta) plan per eta on a clean model.
 
-    The unary search, the curvature snapshot and the emulated attack
-    footprint depend only on alpha, so they are computed once and shared by
-    every eta; an infinite eta disables locking.
+    The unary search, the curvature snapshot, the emulated attack
+    footprint and the lock search's trials depend only on alpha, so they
+    are computed once and shared by every eta; an infinite eta disables
+    locking.  A `unary` plan that an earlier search returned for exactly
+    these arguments skips the search.
     """
     emulation_budget = max(budgets, key=lambda b: (b.max_flips, b.inference_units))
-    if alpha > 0:
+    if unary is not None:
+        if unary.alpha != alpha:
+            raise InputError(f"unary plan has alpha {unary.alpha}, expected {alpha}")
+    elif alpha > 0:
         unary = search_protection(model, alpha, trials, emulations,
                                   emulation_budget, val_set, seed=seed,
                                   noise=noise, attack_pool=attack_pool,
@@ -331,11 +395,12 @@ def build_defense(model, alpha: float, etas: List[float],
                                    val_set, seed=seed, noise=noise,
                                    attack_pool=attack_pool)
     plans = []
+    lock_trials: dict = {}
     for eta in etas:
         if np.isfinite(eta):
             lockdown = search_lock_plan(protected, val_set, eta, h,
                                         flip_budget=emulation_budget.max_flips,
-                                        hit_weights=hits)
+                                        hit_weights=hits, shared=lock_trials)
             trim_watch_margins(protected, lockdown, val_set, cap=eta)
         else:
             lockdown = disabled_lock_plan(protected)
@@ -350,34 +415,44 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
                    noise: Optional[NoiseSpec] = None,
                    attack_pool: Optional[Batch] = None,
                    target_drop: float = 0.03,
-                   assignment: str = "top") -> Tuple[DefensePlan, List[dict]]:
+                   assignment: str = "top",
+                   searched: Optional[Dict[Tuple[float, int], UnaryPlan]] = None
+                   ) -> Tuple[DefensePlan, List[dict]]:
     """Greedy (alpha, eta) sweep minimizing memory under an accuracy floor.
 
     Alphas are visited in descending order, the a-th one built by
-    build_defense with seed + a; the descent stops when the best total
-    memory seen for an alpha exceeds the previous alpha's best.  Among
-    feasible plans (mean resumed accuracy >= clean - target_drop) the
-    cheapest wins; if none is feasible the most accurate plan is returned
-    flagged infeasible.  The full evaluation log is returned for reporting.
+    build_defense with seed + a; `searched` maps (alpha, search seed) to a
+    unary plan already searched on this model with the same budgets,
+    trials, emulations, noise, pool and assignment.  Every eta of an alpha
+    is scored by recover on one attack panel drawn from `seed`.  The
+    descent stops when the best total memory seen for an alpha exceeds the
+    previous alpha's best.  Among feasible plans (mean resumed accuracy >=
+    clean - target_drop) the cheapest wins; if none is feasible the most
+    accurate plan is returned flagged infeasible.  The full evaluation log
+    is returned for reporting.
     """
     if not alpha_grid or not eta_grid:
         raise InputError("alpha and eta grids must be nonempty")
     alphas = sorted(alpha_grid, reverse=True)
     clean_acc = evaluate(model, val_set)
     target = clean_acc - target_drop
+    searched = searched or {}
 
     log: List[dict] = []
     evaluated: List[DefensePlan] = []
     prev_best: Optional[float] = None
     for a_idx, alpha in enumerate(alphas):
         alpha_best = np.inf
-        for plan in build_defense(model, alpha, eta_grid, budgets, val_set,
-                                  trials, emulations, seed + a_idx,
-                                  noise=noise, attack_pool=attack_pool,
-                                  assignment=assignment):
-            report = end_to_end_eval(model, plan, budgets, emulations,
-                                     val_set, seed=seed, noise=noise,
-                                     attack_pool=attack_pool)
+        plans = build_defense(model, alpha, eta_grid, budgets, val_set,
+                              trials, emulations, seed + a_idx,
+                              noise=noise, attack_pool=attack_pool,
+                              assignment=assignment,
+                              unary=searched.get((alpha, seed + a_idx)))
+        panel = attack_panel(apply_protection(model, plans[0].unary), budgets,
+                             emulations, val_set, seed=seed, noise=noise,
+                             attack_pool=attack_pool)
+        for plan in plans:
+            report = recover(panel, plan)
             plan.memory = report.memory
             plan.accuracy = report.summary
             plan.feasible = report.summary["resumed_mean"] >= target

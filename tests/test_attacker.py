@@ -12,6 +12,7 @@ from bitguard.attacker import (
     _apply,
     _fallback_ranking,
     _FlipState,
+    apply_trace,
     bfa_attack,
 )
 from bitguard.bitcodec import flip_bit, tcu_decode, tcu_encode, to_signed, to_unsigned
@@ -313,6 +314,33 @@ class TestProtectedWeights:
         for flip in trace.flips:
             du = to_unsigned(flip.post_code, 4) - to_unsigned(flip.pre_code, 4)
             assert abs(du) == 1
+
+
+class TestApplyTrace:
+    @pytest.mark.parametrize("flips", [3, 20, 70])
+    def test_rebuilds_attacked_copy(self, flips):
+        # guided, fallback and exhaustive flips, on plain and TCU weights
+        model = chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=5)
+        for pidx, idx in ((0, [1, 4, 7]), (1, [0, 11])):
+            flat = dict(model.parametric())[pidx].weight.codes.reshape(-1)
+            model.protected[pidx] = {i: tcu_encode(int(flat[i]), 4) for i in idx}
+        batch = Batch(np.random.default_rng(0).standard_normal((4, 3)), np.arange(4) % 3)
+        attacked, trace = bfa_attack(model, batch, AttackBudget(flips, 30, 4))
+        before = model.clone()
+        rebuilt = apply_trace(model, trace)
+        for pidx, layer in attacked.parametric():
+            np.testing.assert_array_equal(dict(rebuilt.parametric())[pidx].weight.codes,
+                                          layer.weight.codes)
+            words = rebuilt.protected_in(pidx)
+            assert sorted(words) == sorted(attacked.protected_in(pidx))
+            for i, word in attacked.protected_in(pidx).items():
+                np.testing.assert_array_equal(words[i].word, word.word)
+        # the model it replays on is left as it was
+        for (_, layer), (_, kept) in zip(model.parametric(), before.parametric()):
+            np.testing.assert_array_equal(layer.weight.codes, kept.weight.codes)
+        for pidx, words in before.protected.items():
+            for i, word in words.items():
+                np.testing.assert_array_equal(model.protected[pidx][i].word, word.word)
 
 
 def sorted_fallback_reference(model, grads, state):

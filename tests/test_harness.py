@@ -99,6 +99,75 @@ def test_lock_stage_stops_after_lock(serial_report):
     assert canonical_json(report.rows) == canonical_json(full)
 
 
+def unshared_plan_and_eval_rows(config, seed):
+    """Plan and eval rows of one seed rebuilt without sharing any stage work."""
+    from bitguard.harness import experiments as ex
+    from bitguard.harness.pretrain import build_desk_model, pretrain
+    from bitguard.planner import attack_panel, recover, synergy_search
+    from bitguard.unary_guard import apply_protection
+
+    cfg, att, dfn = config, config.attacker, config.defense
+    splits = ex._splits_for(cfg)
+    model = build_desk_model(bits=cfg.model.bits, hw=cfg.model.hw,
+                             classes=cfg.model.classes, seed=seed)
+    pretrain(model, splits, epochs=cfg.model.epochs, batch_size=cfg.model.batch_size,
+             lr=cfg.model.lr, seed=seed, floor=cfg.model.floor)
+    budgets, noise = ex._primary_budgets(cfg), ex._noise(att.noise_std, att.grad_samples)
+    chosen, log = synergy_search(model, budgets, splits.val, alpha_grid=dfn.alpha_grid,
+                                 eta_grid=dfn.eta_grid, trials=dfn.trials,
+                                 emulations=dfn.emulations, seed=seed, noise=noise,
+                                 attack_pool=splits.attack, target_drop=dfn.target_drop,
+                                 assignment=dfn.assignment)
+    panel = attack_panel(apply_protection(model, chosen.unary), budgets, dfn.emulations,
+                         splits.val, seed=1000 + seed, noise=noise,
+                         attack_pool=splits.attack)
+    rep = recover(panel, chosen)
+    return log, ex._tag(rep.rows, "eval", seed, "synergy", chosen, rep.memory)
+
+
+@pytest.mark.parametrize("alpha_grid, handover", [([0.02, 0.01], True),
+                                                   ([0.01, 0.02], False)])
+def test_shared_stage_work_keeps_rows(alpha_grid, handover, monkeypatch):
+    # the protect stage's unary search reaches the plan stage only when
+    # alpha_grid[0] is the largest alpha, and neither that nor the eval
+    # stage's reuse of the protect panel may change a row
+    import bitguard.harness.experiments as experiments
+    import bitguard.planner as planner
+
+    searched, panels = [], []
+    real_search, real_panel = planner.search_protection, planner.attack_panel
+
+    def counted_search(*args, **kwargs):
+        searched.append(args[1])
+        return real_search(*args, **kwargs)
+
+    def counted_panel(*args, **kwargs):
+        panels.append(kwargs["seed"])
+        return real_panel(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "search_protection", counted_search)
+    for module in (planner, experiments):
+        monkeypatch.setattr(module, "attack_panel", counted_panel)
+    config = tiny_config(seeds=[0], **{"defense.alpha_grid": alpha_grid})
+    rows = run_experiment(config, write=False).rows
+    # protect searches alpha_grid[0]; plan searches both alphas unless handed one
+    assert searched == [alpha_grid[0]] + sorted(alpha_grid, reverse=True)[handover:]
+    # both grids choose alpha 0.02: with it first, eval reuses the protect panel
+    chosen = [r["alpha"] for r in rows if r["stage"] == "plan" and r["chosen"]]
+    assert chosen == [0.02]
+    assert panels == [1000, 1000, 0, 0] + ([] if handover else [1000])
+
+    monkeypatch.undo()
+    log, eval_rows = unshared_plan_and_eval_rows(config, 0)
+    plan_rows = [{k: v for k, v in r.items()
+                  if k not in ("config_hash", "stage", "seed", "method", "chosen")}
+                 for r in rows if r["stage"] == "plan"]
+    assert canonical_json(plan_rows) == canonical_json(log)
+    got = [{k: v for k, v in r.items() if k != "config_hash"}
+           for r in rows if r["stage"] == "eval"]
+    assert canonical_json(got) == canonical_json(eval_rows)
+
+
 def test_noise_sweep_covers_every_cell(serial_sweep):
     stds, samples, units = [0.0, 0.1], [1, 2], TINY["attacker.inference_units"]
     cells = [(r["seed"], r["noise_std"], r["grad_samples"], r["inference_units"])
@@ -265,8 +334,8 @@ def test_parse_idx_raises_only_format_error(raw):
     idx_header(0x08, [0] + [2**32 - 1] * 3),
     # more dimensions than numpy allows
     idx_header(0x08, [1] * 65) + b"\x00",
-    # a gzip stream cut short
-    gzip.compress(idx_header(0x08, [2]) + b"\x01\x02")[:12],
+    # a gzip stream cut short; a fixed mtime keeps the test id stable
+    gzip.compress(idx_header(0x08, [2]) + b"\x01\x02", mtime=0)[:12],
 ])
 def test_parse_idx_rejects_edge_cases(raw):
     with pytest.raises(FormatError):

@@ -15,8 +15,10 @@ from bitguard.errors import ConfigError, InputError
 from bitguard.lockdown import (
     LayerLockPlan,
     LockPlan,
+    SegmentKMeans,
     SignatureTable,
     _candidate_bits,
+    _overwrite_groups,
     _signature_bits,
     compute_signatures,
     detect,
@@ -233,6 +235,25 @@ class TestGlobalKmeans:
         with pytest.raises(InputError):
             global_kmeans(np.array([1.0, np.nan, 2.0]), 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=300),
+           st.integers(1, 10), st.data())
+    def test_sweep_matches_one_shot_calls(self, values, step, data):
+        # one DP table extended along an ascending K sweep gives what a
+        # fresh one-shot call gives for each K, ties included
+        x = np.array(values, dtype=np.float64) * (0.1 * step)
+        ks = data.draw(st.lists(st.integers(1, x.size), min_size=1, max_size=8,
+                                unique=True).map(sorted), label="cluster counts")
+        sweep = SegmentKMeans(x)
+        for k in ks:
+            cents, ids = sweep.fit(k)
+            ref_cents, ref_ids = global_kmeans(x, k)
+            assert cents.tobytes() == ref_cents.tobytes()
+            np.testing.assert_array_equal(ids, ref_ids)
+        # asking again for a smaller K reads the rows already filled
+        first = sweep.fit(ks[0])
+        assert first[0].tobytes() == global_kmeans(x, ks[0])[0].tobytes()
+
     def test_large_input_keeps_invariants(self):
         # a 50k-point input keeps the output contract and beats plain
         # quantile binning
@@ -308,6 +329,43 @@ class TestLockAndPrune:
         flat = out.layers[0].weight.codes.reshape(-1)
         assert int(flat[5]) == int(model.layers[0].weight.codes.reshape(-1)[5])
         assert np.all(np.delete(flat, 5) == 7)
+
+
+def overwrite_reference(model, pidx, lp, groups, codes_value):
+    """The per-weight loop that _overwrite_groups must reproduce."""
+    flat = dict(model.parametric())[pidx].weight.codes.reshape(-1)
+    protected = set(model.protected_in(pidx))
+    for gi in np.asarray(groups, dtype=np.int64):
+        lo = int(gi) * lp.group_size
+        hi = min(lo + lp.group_size, flat.size)
+        code = (int(lp.centroid_codes[lp.group_ids[gi]])
+                if codes_value is None else codes_value)
+        for i in range(lo, hi):
+            if i not in protected:
+                flat[i] = code
+
+
+class TestOverwriteGroups:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 9), st.integers(1, 4),
+           st.booleans(), st.data())
+    def test_matches_per_weight_loop(self, n, G, K, prune, data):
+        # short last groups, protected weights inside groups and repeated
+        # group indices all write what the per-weight loop writes
+        rng = np.random.default_rng(n * 131 + G * 7 + K)
+        model = dense_model(rng.integers(-8, 8, size=(1, n), dtype=np.int64), bits=4)
+        flat = model.layers[0].weight.codes.reshape(-1)
+        shielded = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="protected")
+        model.protected[0] = {i: tcu_encode(int(flat[i]), 4) for i in shielded}
+        n_groups = -(-n // G)
+        lp = LayerLockPlan(G, K, rng.integers(-8, 8, size=K, dtype=np.int64),
+                           rng.integers(0, K, size=n_groups, dtype=np.int64))
+        groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1)),
+                                    label="groups"), dtype=np.int64)
+        got, want = model.clone(), model.clone()
+        _overwrite_groups(got, 0, lp, groups, 0 if prune else None)
+        overwrite_reference(want, 0, lp, groups, 0 if prune else None)
+        assert got.layers[0].weight.codes.tobytes() == want.layers[0].weight.codes.tobytes()
 
 
 class TestSearchLockPlan:
@@ -462,6 +520,27 @@ class TestSearchLockPlan:
             bsize, bsig = back.signatures.layers[pidx]
             assert bsize == gsize
             np.testing.assert_array_equal(sig, bsig)
+
+    def test_shared_trials_keep_every_eta_plan(self, monkeypatch):
+        # calls that differ only in eta may share their trials: each plan is
+        # what a fresh search returns, and a repeated eta evaluates nothing
+        # beyond the unlocked model
+        import bitguard.lockdown as lockdown
+
+        model, val, h = self.fitted()
+        hits = {0: np.array([0, 5]), 1: np.array([3])}
+        kw = dict(curvature=h, flip_budget=3, hit_weights=hits)
+        shared = {}
+        for eta in (0.02, 0.005, 0.1):
+            fresh = search_lock_plan(model, val, eta=eta, **kw)
+            again = search_lock_plan(model, val, eta=eta, shared=shared, **kw)
+            assert json.dumps(again.to_json()) == json.dumps(fresh.to_json())
+        calls = []
+        real = lockdown.evaluate
+        monkeypatch.setattr(lockdown, "evaluate",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        search_lock_plan(model, val, eta=0.005, shared=shared, **kw)
+        assert len(calls) == 1
 
     def test_search_deterministic(self):
         model, val, h = self.fitted()

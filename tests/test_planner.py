@@ -1,4 +1,4 @@
-"""Planner tests: pipeline evaluation, ledgers, greedy (alpha, eta) search."""
+"""Planner tests: attack panels, recovery, ledgers, greedy (alpha, eta) search."""
 
 import json
 
@@ -9,8 +9,10 @@ from bitguard.attacker import AttackBudget
 from bitguard.bitcodec import flip_bit
 from bitguard.engine import Batch, evaluate
 from bitguard.errors import InputError
+import bitguard.planner as planner
 from bitguard.planner import (
     DefensePlan,
+    attack_panel,
     build_defense,
     contain,
     disabled_lock_plan,
@@ -18,6 +20,7 @@ from bitguard.planner import (
     emulate_hit_weights,
     end_to_end_eval,
     measure_memory,
+    recover,
     synergy_search,
     trim_watch_margins,
 )
@@ -165,7 +168,139 @@ class TestPipeline:
         assert report.summary["resumed_mean"] >= report.summary["post_attack_mean"] - 0.05
 
 
+def panel_for(model, plan, emulations, val, seed, pool):
+    return attack_panel(apply_protection(model, plan.unary), budgets_pair(),
+                        emulations, val, seed=seed, attack_pool=pool)
+
+
+def model_state(model):
+    """Codes and TCU slot patterns of every layer, for exact comparison."""
+    return [(layer.weight.codes.tobytes(),
+             sorted((i, w.word.tobytes()) for i, w in model.protected_in(pidx).items()))
+            for pidx, layer in model.parametric()]
+
+
+class TestAttackPanel:
+    def test_panel_covers_budget_grid(self, fitted):
+        model, train, val = fitted
+        plan = build_defense(model, alpha=0.02, etas=[0.02], budgets=budgets_pair(),
+                             val_set=val, trials=1, emulations=1, seed=0,
+                             attack_pool=train)[0]
+        panel = panel_for(model, plan, 3, val, seed=4, pool=train)
+        assert [(e.budget_index, e.emulation) for e in panel.entries] == [
+            (b, e) for b in range(2) for e in range(3)]
+        assert panel.clean_acc == evaluate(model, val)
+        for entry in panel.entries:
+            assert entry.post_acc == evaluate(panel.attacked(entry), val)
+            assert len(entry.trace.flips) == entry.budget.max_flips
+
+    def test_recover_twice_leaves_panel_unchanged(self, fitted):
+        model, train, val = fitted
+        plans = build_defense(model, alpha=0.02, etas=[0.01, 0.02, float("inf")],
+                              budgets=budgets_pair(), val_set=val, trials=1,
+                              emulations=1, seed=0, attack_pool=train)
+        panel = panel_for(model, plans[0], 2, val, seed=5, pool=train)
+        before = [model_state(panel.attacked(e)) for e in panel.entries]
+        protected = model_state(panel.protected)
+        for plan in plans:
+            first = json.dumps(recover(panel, plan).to_json(), sort_keys=True)
+            again = json.dumps(recover(panel, plan).to_json(), sort_keys=True)
+            assert first == again
+        assert [model_state(panel.attacked(e)) for e in panel.entries] == before
+        assert model_state(panel.protected) == protected
+
+    def test_recover_equals_end_to_end_eval(self, fitted):
+        model, train, val = fitted
+        plan = build_defense(model, alpha=0.01, etas=[0.02], budgets=budgets_pair(),
+                             val_set=val, trials=1, emulations=1, seed=0,
+                             attack_pool=train)[0]
+        panel = panel_for(model, plan, 2, val, seed=6, pool=train)
+        whole = end_to_end_eval(model, plan, budgets_pair(), 2, val, seed=6,
+                                attack_pool=train)
+        assert recover(panel, plan).to_json() == whole.to_json()
+
+    def test_recover_rejects_other_protection(self, fitted):
+        model, train, val = fitted
+        plans = [build_defense(model, alpha=a, etas=[float("inf")],
+                               budgets=budgets_pair(), val_set=val, trials=1,
+                               emulations=1, seed=0, attack_pool=train)[0]
+                 for a in (0.0, 0.02)]
+        panel = panel_for(model, plans[0], 1, val, seed=0, pool=train)
+        with pytest.raises(InputError):
+            recover(panel, plans[1])
+
+    def test_handed_unary_plan_must_match_alpha(self, fitted):
+        model, train, val = fitted
+        with pytest.raises(InputError):
+            build_defense(model, alpha=0.01, etas=[0.02], budgets=budgets_pair(),
+                          val_set=val, trials=1, emulations=1, seed=0,
+                          attack_pool=train, unary=UnaryPlan(alpha=0.02))
+
+
 class TestSynergySearch:
+    def test_rows_equal_fresh_panel_per_plan(self, fitted):
+        # scoring every eta of an alpha on one shared panel reports what a
+        # fresh panel per plan reports
+        model, train, val = fitted
+        etas = (0.01, 0.02, float("inf"))
+        chosen, log = synergy_search(model, budgets_pair(), val,
+                                     alpha_grid=(0.01, 0.02), eta_grid=etas,
+                                     trials=1, emulations=2, seed=2,
+                                     attack_pool=train, target_drop=0.5)
+        fresh = []
+        for a_idx, alpha in enumerate((0.02, 0.01)[: len(log) // len(etas)]):
+            for plan in build_defense(model, alpha, etas, budgets_pair(), val, 1, 2,
+                                      seed=2 + a_idx, attack_pool=train):
+                rep = recover(panel_for(model, plan, 2, val, seed=2, pool=train), plan)
+                fresh.append((rep.memory["total"], rep.summary["resumed_mean"],
+                              rep.summary["resumed_worst"]))
+                if (alpha, plan.eta) == (chosen.alpha, chosen.eta):
+                    assert rep.summary == chosen.accuracy
+                    assert rep.memory == chosen.memory
+        assert fresh == [(r["total_memory"], r["resumed_mean"], r["resumed_worst"])
+                         for r in log]
+
+    def test_one_panel_per_alpha(self, fitted, monkeypatch):
+        model, train, val = fitted
+        calls = []
+        real = planner.bfa_attack
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "bfa_attack", counted)
+        etas, emulations = (0.01, 0.015, 0.02), 2
+        _, log = synergy_search(model, budgets_pair(), val,
+                                alpha_grid=(0.02, 0.01), eta_grid=etas,
+                                trials=1, emulations=emulations, seed=0,
+                                attack_pool=train, target_drop=0.5)
+        alphas = len(log) // len(etas)
+        # per alpha: one emulated footprint and one panel, each one attack
+        # per (budget, emulation), whatever the number of etas
+        assert len(calls) == alphas * 2 * len(budgets_pair()) * emulations
+
+    def test_searched_unary_plan_is_reused(self, fitted, monkeypatch):
+        model, train, val = fitted
+        searched = build_defense(model, 0.02, [float("inf")], budgets_pair(), val,
+                                 1, 1, seed=0, attack_pool=train)[0].unary
+        kw = dict(alpha_grid=(0.02, 0.01), eta_grid=(0.02,), trials=1,
+                  emulations=1, seed=0, attack_pool=train, target_drop=0.5)
+        plain = synergy_search(model, budgets_pair(), val, **kw)
+        calls = []
+        real = planner.search_protection
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "search_protection", counted)
+        handed = synergy_search(model, budgets_pair(), val,
+                                searched={(0.02, 0): searched}, **kw)
+        assert calls == [0.01]
+        assert handed[1] == plain[1]
+        assert handed[0].to_json() == plain[0].to_json()
+
     def test_selects_cheapest_feasible(self, fitted):
         model, train, val = fitted
         plan, log = synergy_search(model, budgets_pair(), val,

@@ -10,8 +10,10 @@ gradient magnitude, so the full Hamming budget is always exhausted when the
 address space allows.
 
 Flips never reuse a bit address, so every recorded flip stays effective.
-For weights stored as TCU codewords the only reachable moves are one level
-up (flip a 0 slot) or one level down (flip a 1 slot).
+For weights flagged in their layer's tcu mask the only reachable moves are
+one level up (flip a 0 slot) or one level down (flip a 1 slot) of the word
+tcu_encode(code) the weight holds when the attack starts.  The attacked
+copy stores codes only; which slots were flipped is in the trace.
 
 A step costs one gradient pass plus O(n) array work.  Each layer keeps a
 move table: for every weight, the largest and the smallest code delta over
@@ -29,9 +31,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .bitcodec import BitAddress, to_signed
+from .bitcodec import BitAddress, tcu_encode, to_signed
 from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, loss_and_grads
 from .errors import ConfigError, InputError
+from .sensitivity import msb_flip_deltas
 
 # one emulated flip attempt costs a forward plus backward pass, priced at
 # three inference units, per averaged gradient sample
@@ -145,24 +148,26 @@ class _Moves:
 
     A plain weight's moves are its unused bits.  A TCU word's moves are one
     level up through its first free 0 slot and one level down through its
-    first free 1 slot; the words sit in a slot matrix padded with -1, and
-    slot_used marks flipped and padding slots.  hi/lo hold the largest and
-    smallest delta over a weight's moves and hi_bit/lo_bit the bit or slot
-    that makes it; blocked marks weights with no move left.
+    first free 1 slot; the words, tcu_encode of the codes the table is
+    built on, sit in a slot matrix padded with -1, and slot_used marks
+    flipped and padding slots.  hi/lo hold the largest and smallest delta
+    over a weight's moves and hi_bit/lo_bit the bit or slot that makes it;
+    blocked marks weights with no move left.
     """
 
-    def __init__(self, layer, protected):
+    def __init__(self, layer):
         self.layer = layer
         bits = layer.weight.bits
         n = layer.weight.codes.size
         self.used = np.zeros((n, bits), dtype=bool)
-        words = sorted(protected)
+        words = np.flatnonzero(layer.weight.tcu)
         self.row = np.full(n, -1, dtype=np.int64)
-        self.row[words] = np.arange(len(words))
-        width = max((word.width for word in protected.values()), default=0)
-        self.slots = np.full((len(words), width), -1, dtype=np.int8)
-        for r, i in enumerate(words):
-            self.slots[r, : protected[i].width] = protected[i].word
+        self.row[words] = np.arange(words.size)
+        encoded = [tcu_encode(int(c), bits).word for c in layer.weight.codes.flat[words]]
+        width = max((word.size for word in encoded), default=0)
+        self.slots = np.full((words.size, width), -1, dtype=np.int8)
+        for r, word in enumerate(encoded):
+            self.slots[r, : word.size] = word
         self.slot_used = self.slots < 0
         self.hi, self.lo = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         self.hi_bit, self.lo_bit = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -230,7 +235,7 @@ class _FlipState:
     """Bookkeeping of used bit addresses, touched weights and move tables."""
 
     def __init__(self, model: QuantizedModel):
-        self.moves = [_Moves(layer, model.protected_in(pidx)) for pidx, layer in model.parametric()]
+        self.moves = [_Moves(layer) for _, layer in model.parametric()]
         self.touched: Dict[int, Set[int]] = {pidx: set() for pidx, _ in model.parametric()}
 
     def mark(self, cand: _Candidate) -> None:
@@ -248,12 +253,9 @@ class _FlipState:
 
 
 def _apply(model: QuantizedModel, cand: _Candidate) -> int:
-    layer = [l for _, l in model.parametric()][cand.layer]
-    codes = layer.weight.codes.reshape(-1)
+    """Write the candidate's new code; returns the code it replaced."""
+    codes = [l for _, l in model.parametric()][cand.layer].weight.codes.reshape(-1)
     pre = int(codes[cand.weight])
-    if cand.slot_flip:
-        word = model.protected[cand.layer][cand.weight]
-        word.word[cand.bit] ^= 1
     codes[cand.weight] = cand.new_code
     return pre
 
@@ -262,27 +264,25 @@ def apply_trace(model: QuantizedModel, trace: AttackTrace) -> QuantizedModel:
     """A copy of the model with the trace's flips applied in order.
 
     Replaying bfa_attack's trace on the model it attacked rebuilds its
-    attacked copy exactly: codes and TCU slot patterns alike.
+    attacked copy exactly: codes and tcu masks alike.
     """
     out = model.clone()
+    layers = [l for _, l in out.parametric()]
     for f in trace.flips:
-        a = f.address
-        slot_flip = a.weight in out.protected_in(a.layer)
-        _apply(out, _Candidate(f.est_gain, a.layer, a.weight, a.bit, f.post_code, slot_flip))
+        layers[f.address.layer].weight.codes.flat[f.address.weight] = f.post_code
     return out
 
 
 def _fallback_ranking(model, grads, state) -> Iterator[Tuple[int, int, float]]:
     """Untouched unprotected weights ordered for free sign-bit flips."""
     layer_ids, indices, ests, mags = [], [], [], []
+    deltas = msb_flip_deltas(model)
     for pidx, layer in model.parametric():
-        codes = layer.weight.codes.reshape(-1)
-        half = 1 << (layer.weight.bits - 1)
         g = grads[pidx].reshape(-1)
-        est = g * (np.where(codes < 0, half, -half) * layer.weight.scale)
-        skip = set(model.protected_in(pidx)) | state.touched[pidx]
-        keep = np.ones(codes.size, dtype=bool)
-        keep[np.fromiter(skip, dtype=np.int64, count=len(skip))] = False
+        est = g * deltas[pidx]
+        touched = state.touched[pidx]
+        keep = ~layer.weight.tcu
+        keep[np.fromiter(touched, dtype=np.int64, count=len(touched))] = False
         idx = np.flatnonzero(keep)
         layer_ids.append(np.full(idx.size, pidx, dtype=np.int64))
         indices.append(idx)
@@ -369,6 +369,27 @@ def bfa_attack(
 
     _, trace.final_loss = prefix.follow(work, attack_set)
     return work, trace
+
+
+def draw_attack_batch(pool: Batch, size: int, rng: np.random.Generator) -> Batch:
+    """Sample an attack set of the requested size from a data pool."""
+    if len(pool) < size:
+        raise InputError(f"attack pool holds {len(pool)} samples, need {size}")
+    return pool.take(rng.choice(len(pool), size=size, replace=False))
+
+
+def draw_attack(model: QuantizedModel, pool: Batch, budget: AttackBudget,
+                seq: np.random.SeedSequence,
+                noise: Optional[NoiseSpec] = None) -> Tuple[QuantizedModel, AttackTrace]:
+    """One attack whose batch and attack seed are drawn from seq.
+
+    A generator seeded by seq draws the attack set from the pool, then the
+    attack seed; bfa_attack runs with both.
+    """
+    rng = np.random.default_rng(seq)
+    attack_set = draw_attack_batch(pool, budget.batch_size, rng)
+    return bfa_attack(model, attack_set, budget, noise=noise,
+                      seed=int(rng.integers(0, 2**31 - 1)))
 
 
 def _remaining_addresses(work: QuantizedModel, state: _FlipState):

@@ -60,7 +60,9 @@ def flip_bit(code: int, bit: int, bits: int) -> int:
     """Flip one bit of a two's-complement code and return the new code.
 
     Bit 0 is the least significant bit; bit ``bits - 1`` is the sign bit.
-    Applying the same flip twice restores the original code.
+    Applying the same flip twice restores the original code.  Test
+    reference: the package flips bits in bulk array arithmetic, and the
+    tests check it against this one-flip definition.
     """
     if not 0 <= bit < bits:
         raise InputError(f"bit index {bit} outside [0, {bits - 1}]")
@@ -89,6 +91,8 @@ def unary_encode(code: int, bits: int) -> np.ndarray:
 
     The word has 2^b - 1 slots; the unsigned reinterpretation u of the code
     selects u leading ones followed by zeros.  Index 0 is the leading slot.
+    Test reference: ledger_unary prices full unary words without building
+    them; the tests pin the code definition with this function.
     """
     u = to_unsigned(code, bits)
     word = np.zeros(unary_width(bits), dtype=np.uint8)
@@ -100,7 +104,8 @@ def unary_decode(word: np.ndarray, bits: int) -> int:
     """Decode a unary word by population count; inverse of unary_encode.
 
     Decoding ignores bit order, so a word corrupted by a single flip decodes
-    to a level exactly one step away from the original.
+    to a level exactly one step away from the original.  Test reference,
+    like unary_encode.
     """
     word = np.asarray(word)
     if word.size != unary_width(bits):
@@ -188,7 +193,12 @@ def tcu_encode(code: int, bits: int) -> TcuCodeword:
 
 
 def tcu_decode(codeword: TcuCodeword, bits: int) -> int:
-    """Decode a TCU word back to a signed code; inverse of tcu_encode."""
+    """Decode a TCU word back to a signed code; inverse of tcu_encode.
+
+    Test reference: the package stores codes only, so it never decodes a
+    word; the tests decode clean words with an attack's slot flips applied
+    and compare the result with the attacked codes.
+    """
     word = np.asarray(codeword.word)
     if word.size != codeword.width or codeword.width < 1:
         raise FormatError("TCU word length disagrees with its width field")
@@ -351,7 +361,8 @@ def lock_ratio(group_size: int, clusters: int, bits: int) -> float:
 
     Groups of size G > 1 carry a 2-bit signature each and log2 K cluster-ID
     bits; single-weight groups carry a 1-bit signature.  The ratio is taken
-    against b bits per weight.
+    against b bits per weight.  Test reference: the tests check
+    ledger_lock's ratio against this closed form.
     """
     if group_size < 1 or clusters < 1:
         raise InputError("group size and cluster count must be >= 1")

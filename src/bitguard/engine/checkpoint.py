@@ -3,6 +3,9 @@
 Integer codes serialize as JSON integers and floats round-trip through
 repr, so loading a checkpoint reproduces the model exactly.  Files written
 from the same model are byte-identical (sorted keys, fixed separators).
+TCU-stored weights are listed under "protected" with their words,
+tcu_encode of their codes; the loader sets the tcu masks from that list
+and rejects a word that does not encode its weight's code.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from ..bitcodec import TcuCodeword
+from ..bitcodec import tcu_encode
 from ..errors import FormatError
 from .layers import LAYER_KINDS, PARAMETRIC_KINDS, QuantizedModel
 from .quantized import QuantizedTensor
@@ -43,11 +46,24 @@ def model_to_json(model: QuantizedModel) -> dict:
         "input_bits": model.input_bits,
         "layers": [_layer_to_json(l) for l in model.layers],
         "protected": {
-            str(pidx): {str(i): w.to_json() for i, w in sorted(words.items())}
-            for pidx, words in sorted(model.protected.items())
-            if words
+            str(pidx): {
+                str(i): tcu_encode(int(layer.weight.codes.flat[i]), layer.weight.bits).to_json()
+                for i in np.flatnonzero(layer.weight.tcu)
+            }
+            for pidx, layer in model.parametric()
+            if layer.weight.tcu.any()
         },
     }
+
+
+def _index(key: str, size: int, what: str) -> int:
+    try:
+        i = int(key)
+    except ValueError:
+        raise FormatError(f"{what} {key!r} is not an integer") from None
+    if not 0 <= i < size:
+        raise FormatError(f"{what} {i} outside [0, {size})")
+    return i
 
 
 def model_from_json(obj: dict) -> QuantizedModel:
@@ -68,10 +84,15 @@ def model_from_json(obj: dict) -> QuantizedModel:
             args = [np.array(spec["scale"]), np.array(spec["shift"])]
         layers.append(LAYER_KINDS[kind](*args, name=spec["name"]))
     model = QuantizedModel(layers, head=obj["head"], input_bits=int(obj["input_bits"]))
+    parametric = [layer for _, layer in model.parametric()]
     for pidx_s, words in obj.get("protected", {}).items():
-        model.protected[int(pidx_s)] = {
-            int(i): TcuCodeword.from_json(w) for i, w in words.items()
-        }
+        weight = parametric[_index(pidx_s, len(parametric), "protected layer")].weight
+        for i_s, word in words.items():
+            i = _index(i_s, weight.size, "protected weight")
+            if word != tcu_encode(int(weight.codes.flat[i]), weight.bits).to_json():
+                raise FormatError(f"TCU word {word!r} does not encode the code of "
+                                  f"weight {i} of layer {pidx_s}")
+            weight.tcu[i] = True
     return model
 
 

@@ -238,8 +238,9 @@ def backward(
 def loss_with_weights(model: QuantizedModel, batch: Batch, weights: List[np.ndarray]) -> float:
     """Loss under explicit real-valued weight arrays.
 
-    Diagnostic hook for finite-difference checks and perturbation studies;
-    the arrays replace each parametric layer's dequantized weights in order.
+    The arrays replace each parametric layer's dequantized weights in order.
+    Test reference: the package never calls it; the tests take finite
+    differences of it to check the analytic gradients.
     """
     if len(batch) == 0:
         raise InputError("empty batch")

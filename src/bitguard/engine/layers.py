@@ -8,12 +8,11 @@ and never a bias; normalization is a frozen per-channel affine transform.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from ..bitcodec import TcuCodeword
 from ..errors import InputError
 from .quantized import QuantizedTensor
 
@@ -120,9 +119,8 @@ PARAMETRIC_KINDS = (Conv2d.kind, Dense.kind)
 class QuantizedModel:
     """An ordered layer stack with bit-level weight storage state.
 
-    protected maps parametric-layer index -> flat weight index -> the TCU
-    codeword storing that weight.  Codes in the layer tensors always mirror
-    the decoded codeword values, so inference never touches codewords.
+    Each parametric layer's QuantizedTensor holds its codes and, in its tcu
+    mask, which of them are stored as TCU words.  Inference reads codes only.
     """
 
     def __init__(self, layers: List, head: str = "xent", input_bits: int = 8):
@@ -131,7 +129,6 @@ class QuantizedModel:
         self.layers = list(layers)
         self.head = head
         self.input_bits = input_bits
-        self.protected: Dict[int, Dict[int, TcuCodeword]] = {}
         for i, layer in enumerate(self.layers):
             if not layer.name:
                 layer.name = f"{layer.kind}{i}"
@@ -152,14 +149,6 @@ class QuantizedModel:
     def num_weights(self) -> int:
         return int(self.layer_sizes().sum())
 
-    def protected_in(self, pidx: int) -> Dict[int, TcuCodeword]:
-        return self.protected.get(pidx, {})
-
     def clone(self) -> "QuantizedModel":
-        dup = QuantizedModel(copy.deepcopy(self.layers), head=self.head,
-                             input_bits=self.input_bits)
-        dup.protected = {
-            pidx: {i: word.copy() for i, word in words.items()}
-            for pidx, words in self.protected.items()
-        }
-        return dup
+        return QuantizedModel(copy.deepcopy(self.layers), head=self.head,
+                              input_bits=self.input_bits)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -12,14 +13,26 @@ from ..bitcodec import code_range
 
 @dataclass
 class QuantizedTensor:
-    """Integer weight codes plus the scale that maps them to real values."""
+    """Integer weight codes plus the scale that maps them to real values.
+
+    tcu flags, by flat index, the weights stored as truncated complementary
+    unary words; the others are stored in two's complement.  The codes are
+    the one stored value: a flagged weight's word is tcu_encode(code, bits),
+    and the slot flips of an attack on it live in the attack's trace.
+    """
 
     codes: np.ndarray  # signed int64 codes, natural weight shape
     scale: float  # real value of one quantization level
     bits: int  # two's-complement storage width
+    tcu: Optional[np.ndarray] = None  # flat bool mask, all False by default
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.int64)
+        if self.tcu is None:
+            self.tcu = np.zeros(self.codes.size, dtype=bool)
+        self.tcu = np.asarray(self.tcu, dtype=bool).reshape(-1)
+        if self.tcu.size != self.codes.size:
+            raise InputError(f"tcu mask has {self.tcu.size} entries for {self.codes.size} codes")
         lo, hi = code_range(self.bits)
         if self.codes.size and (self.codes.min() < lo or self.codes.max() > hi):
             raise InputError(f"codes exceed the {self.bits}-bit range [{lo}, {hi}]")
@@ -32,9 +45,6 @@ class QuantizedTensor:
 
     def dequantized(self) -> np.ndarray:
         return self.codes.astype(np.float64) * self.scale
-
-    def copy(self) -> "QuantizedTensor":
-        return QuantizedTensor(self.codes.copy(), self.scale, self.bits)
 
 
 def quantize_array(values: np.ndarray, bits: int, scale: float | None = None) -> QuantizedTensor:

@@ -134,8 +134,23 @@ def _build(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _parse_env(name: str, text: str, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{name}: {text!r} is not a valid {kind.__name__}") from None
+
+
+def _parse_env_list(name: str, raw: str, kind) -> list:
+    return [_parse_env(name, s, kind) for s in raw.split(",") if s.strip()]
+
+
 def _apply_env(cfg: ExperimentConfig, environ=None) -> ExperimentConfig:
-    """Override scalar fields via BITGUARD_<SECTION>_<FIELD> variables."""
+    """Override fields via BITGUARD_<SECTION>_<FIELD> variables.
+
+    Lists are comma separated.  A value that does not parse as its field's
+    type raises ConfigError.
+    """
     env = os.environ if environ is None else environ
     for name, raw in env.items():
         if not name.startswith(ENV_PREFIX):
@@ -145,7 +160,7 @@ def _apply_env(cfg: ExperimentConfig, environ=None) -> ExperimentConfig:
             cfg.out_dir = raw
             continue
         if path == "seeds":
-            cfg.seeds = [int(s) for s in raw.split(",") if s.strip()]
+            cfg.seeds = _parse_env_list(name, raw, int)
             continue
         section, _, fname = path.partition("_")
         target = getattr(cfg, section, None)
@@ -154,13 +169,9 @@ def _apply_env(cfg: ExperimentConfig, environ=None) -> ExperimentConfig:
         current = getattr(target, fname)
         if isinstance(current, list):
             elem = float if current and isinstance(current[0], float) else int
-            setattr(target, fname, [elem(s) for s in raw.split(",") if s.strip()])
-        elif isinstance(current, bool):
-            setattr(target, fname, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(target, fname, int(raw))
-        elif isinstance(current, float):
-            setattr(target, fname, float(raw))
+            setattr(target, fname, _parse_env_list(name, raw, elem))
+        elif isinstance(current, (int, float)):
+            setattr(target, fname, _parse_env(name, raw, type(current)))
         else:
             setattr(target, fname, raw)
     return cfg

@@ -18,12 +18,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..attacker import AttackBudget, bfa_attack
+from ..attacker import AttackBudget, draw_attack
 from ..engine import NoiseSpec, evaluate, save_model
 from ..errors import ConfigError
 from ..planner import (AttackPanel, DefensePlan, attack_panel, build_defense,
                        end_to_end_eval, recover, synergy_search)
-from ..unary_guard import apply_protection, draw_attack_batch
+from ..unary_guard import apply_protection
 from .config import ExperimentConfig, _build, config_digest
 from .datasets import DatasetSplits, make_dataset
 from .pretrain import build_desk_model, pretrain
@@ -135,11 +135,8 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     def attack_row(stage_name: str, key: List[int], budget: AttackBudget,
                    noise: Optional[NoiseSpec], **cell) -> dict:
         """One undefended attack on the trained model, drawn from `key`."""
-        rng = np.random.default_rng(np.random.SeedSequence(key))
-        attack_set = draw_attack_batch(splits.attack, budget.batch_size, rng)
-        attack_seed = int(rng.integers(0, 2**31 - 1))
-        attacked, trace = bfa_attack(model, attack_set, budget,
-                                     noise=noise, seed=attack_seed)
+        attacked, trace = draw_attack(model, splits.attack, budget,
+                                      np.random.SeedSequence(key), noise)
         return {
             "stage": stage_name, "seed": seed, "method": "undefended", **cell,
             "clean_acc": clean_acc,

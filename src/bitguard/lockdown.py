@@ -12,8 +12,8 @@ Components:
     (pruning is the centroid-zero special case).
 
 Group signatures cover only weights kept in plain two's-complement storage;
-protected weights live in flip-tolerant codewords and are skipped by both
-detection and locking.
+weights flagged in their layer's tcu mask live in flip-tolerant codewords
+and are skipped by both detection and locking.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +22,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bitcodec import code_range, _ceil_log2
-from .engine import ActivationPrefix, Batch, evaluate
+from .engine import ActivationPrefix, Batch, QuantizedTensor, evaluate
 from .errors import ConfigError, InputError
+from .sensitivity import msb_flip_deltas
 
 # group sizes tried by the plan search, largest (cheapest) first
 GROUP_SIZES = (512, 256, 128, 64, 32, 16, 8, 4, 2, 1)
@@ -38,26 +39,20 @@ def _group_parity(bits_per_weight: np.ndarray, group_size: int) -> np.ndarray:
     return np.bitwise_xor.reduce(padded.reshape(n_groups, group_size), axis=1)
 
 
-def _signature_bits(codes: np.ndarray, bits: int, group_size: int,
-                    protected: Optional[set] = None) -> np.ndarray:
+def _signature_bits(weight: QuantizedTensor, group_size: int) -> np.ndarray:
     """Per-group signature over stored MSBs.
 
     G > 1: two bits, (MSB parity << 1) | second-MSB parity.
     G = 1: one bit, the MSB itself.
-    Protected weights contribute nothing to the parities.
+    TCU-stored weights contribute nothing to the parities.
     """
-    flat = codes.reshape(-1)
-    u = np.mod(flat, 1 << bits)
-    msb = ((u >> (bits - 1)) & 1).astype(np.uint8)
-    if protected:
-        mask = np.zeros(flat.size, dtype=bool)
-        mask[list(protected)] = True
-        msb = np.where(mask, 0, msb).astype(np.uint8)
+    bits = weight.bits
+    u = np.mod(weight.codes.reshape(-1), 1 << bits)
+    plain = ~weight.tcu
+    msb = (((u >> (bits - 1)) & 1) * plain).astype(np.uint8)
     if group_size == 1:
         return msb
-    second = ((u >> (bits - 2)) & 1).astype(np.uint8)
-    if protected:
-        second = np.where(mask, 0, second).astype(np.uint8)
+    second = (((u >> (bits - 2)) & 1) * plain).astype(np.uint8)
     hi = _group_parity(msb, group_size)
     lo = _group_parity(second, group_size)
     return (hi << 1 | lo).astype(np.uint8)
@@ -107,12 +102,7 @@ def compute_signatures(model, plan: "LockPlan") -> SignatureTable:
     for pidx, lp in plan.layers.items():
         if lp.group_size is None:
             continue
-        layer = layers[pidx]
-        sig = _signature_bits(
-            layer.weight.codes, layer.weight.bits, lp.group_size,
-            protected=set(model.protected_in(pidx)),
-        )
-        table[pidx] = (lp.group_size, sig)
+        table[pidx] = (lp.group_size, _signature_bits(layers[pidx].weight, lp.group_size))
     return SignatureTable(table)
 
 
@@ -126,11 +116,7 @@ def detect(model, table: SignatureTable) -> DetectionReport:
     layers = dict(model.parametric())
     flagged: Dict[int, np.ndarray] = {}
     for pidx, (group_size, golden) in table.layers.items():
-        layer = layers[pidx]
-        now = _signature_bits(
-            layer.weight.codes, layer.weight.bits, group_size,
-            protected=set(model.protected_in(pidx)),
-        )
+        now = _signature_bits(layers[pidx].weight, group_size)
         if now.size != golden.size:
             raise ConfigError(
                 f"signature table layer {pidx} holds {golden.size} groups, "
@@ -362,9 +348,9 @@ class LockPlan:
 
 def _overwrite_groups(model, pidx: int, lp: LayerLockPlan,
                       groups: np.ndarray, codes_value) -> None:
-    """Set every unprotected weight of the given groups to its lock code."""
-    layer = dict(model.parametric())[pidx]
-    flat = layer.weight.codes.reshape(-1)
+    """Set every plain-storage weight of the given groups to its lock code."""
+    weight = dict(model.parametric())[pidx].weight
+    flat = weight.codes.reshape(-1)
     groups = np.asarray(groups, dtype=np.int64).reshape(-1)
     G = lp.group_size
     idx = (groups[:, None] * G + np.arange(G)).reshape(-1)
@@ -374,12 +360,8 @@ def _overwrite_groups(model, pidx: int, lp: LayerLockPlan,
         codes = np.full(idx.size, codes_value, dtype=np.int64)
     keep = idx < flat.size  # the last group may be short
     idx, codes = idx[keep], codes[keep]
-    protected = model.protected_in(pidx)
-    if protected:
-        plain = np.ones(flat.size, dtype=bool)
-        plain[np.fromiter(protected, dtype=np.int64, count=len(protected))] = False
-        idx, codes = idx[plain[idx]], codes[plain[idx]]
-    flat[idx] = codes
+    plain = ~weight.tcu[idx]
+    flat[idx[plain]] = codes[plain]
 
 
 def lock(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
@@ -449,6 +431,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
     acc0 = evaluate(model, val_set, prefix=prefix)
     plan = LockPlan(eta=eta)
     memo = {} if shared is None else shared
+    deltas = msb_flip_deltas(model)
 
     for pidx, layer in model.parametric():
         n = layer.weight.size
@@ -456,10 +439,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         lo, hi = code_range(bits)
         w = layer.weight.dequantized().reshape(-1)
         h = np.asarray(curvature[pidx], dtype=np.float64).reshape(-1)
-        protected = set(model.protected_in(pidx))
-        include = np.ones(n, dtype=bool)
-        if protected:
-            include[list(protected)] = False
+        include = ~layer.weight.tcu
 
         hits = np.empty(0, dtype=np.int64)
         if hit_weights and pidx in hit_weights:
@@ -469,11 +449,9 @@ def search_lock_plan(model, val_set: Batch, eta: float,
                     f"hit weight index out of range for layer {pidx}"
                 )
 
-        codes_flat = layer.weight.codes.reshape(-1)
-        half = 1 << (bits - 1)
-        dw = np.where(codes_flat < 0, half, -half) * scale
+        dw = deltas[pidx]
         flip_score = 0.5 * h * dw * dw
-        flip_score[~include] = -np.inf
+        flip_score[layer.weight.tcu] = -np.inf
 
         candidates = []
         for G in GROUP_SIZES:

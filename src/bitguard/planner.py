@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attacker import AttackBudget, AttackTrace, apply_trace, bfa_attack
+from .attacker import AttackBudget, AttackTrace, apply_trace, draw_attack
 from .bitcodec import ledger_lock, ledger_tcu
 from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, evaluate
 from .engine.functional import curvature_diag
@@ -38,7 +38,7 @@ from .lockdown import (
     lock,
     search_lock_plan,
 )
-from .unary_guard import UnaryPlan, apply_protection, draw_attack_batch, search_protection
+from .unary_guard import UnaryPlan, apply_protection, search_protection
 
 DEFAULT_ALPHA_GRID = (0.02, 0.01, 0.005, 0.0025)
 DEFAULT_ETA_GRID = (0.01, 0.015, 0.02)
@@ -99,15 +99,18 @@ def measure_memory(model, unary: UnaryPlan, lockdown: LockPlan) -> Dict[str, flo
     }
 
 
-def _truth_groups(trace, protected_model, lockdown: LockPlan) -> Dict[int, set]:
-    """Groups holding at least one flipped plain-storage weight, per layer."""
+def _truth_groups(trace, tcu: List[np.ndarray], lockdown: LockPlan) -> Dict[int, set]:
+    """Groups holding at least one flipped plain-storage weight, per layer.
+
+    tcu holds each parametric layer's tcu mask.
+    """
     truth: Dict[int, set] = {}
     for flip in trace.flips:
         pidx = flip.address.layer
         lp = lockdown.layers.get(pidx)
         if lp is None or lp.group_size is None:
             continue
-        if flip.address.weight in protected_model.protected_in(pidx):
+        if tcu[pidx][flip.address.weight]:
             continue  # flip-tolerant storage, not the checksum's job
         truth.setdefault(pidx, set()).add(flip.address.weight // lp.group_size)
     return truth
@@ -142,11 +145,7 @@ def emulate_hit_weights(protected, budgets: List[AttackBudget], emulations: int,
     for b_idx, budget in enumerate(budgets):
         seq = np.random.SeedSequence([seed, 0x57A7C, b_idx])
         for child in seq.spawn(max(1, emulations)):
-            rng = np.random.default_rng(child)
-            attack_set = draw_attack_batch(pool, budget.batch_size, rng)
-            attack_seed = int(rng.integers(0, 2**31 - 1))
-            _, trace = bfa_attack(protected, attack_set, budget,
-                                  noise=noise, seed=attack_seed)
+            _, trace = draw_attack(protected, pool, budget, child, noise)
             for flip in trace.flips:
                 hits.setdefault(flip.address.layer, set()).add(flip.address.weight)
     return {p: np.array(sorted(v), dtype=np.int64) for p, v in hits.items()}
@@ -286,11 +285,7 @@ def attack_panel(protected, budgets: List[AttackBudget], emulations: int,
     for b_idx, budget in enumerate(budgets):
         budget.validate()
         for e_idx, child in enumerate(budget_seqs[b_idx].spawn(emulations)):
-            rng = np.random.default_rng(child)
-            attack_set = draw_attack_batch(pool, budget.batch_size, rng)
-            attack_seed = int(rng.integers(0, 2**31 - 1))
-            attacked, trace = bfa_attack(protected, attack_set, budget,
-                                         noise=noise, seed=attack_seed)
+            attacked, trace = draw_attack(protected, pool, budget, child, noise)
             entries.append(PanelEntry(b_idx, budget, e_idx, trace,
                                       evaluate(attacked, val_set)))
     return AttackPanel(protected, val_set, evaluate(protected, val_set), entries)
@@ -305,7 +300,8 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
     watched groups); locking never rewrites flip-tolerant weights.
     """
     protected = panel.protected
-    if ({p: sorted(w) for p, w in protected.protected.items() if w}
+    tcu = [layer.weight.tcu for _, layer in protected.parametric()]
+    if ({p: np.flatnonzero(m).tolist() for p, m in enumerate(tcu) if m.any()}
             != {p: sorted(v) for p, v in plan.unary.layers.items() if len(v)}):
         raise InputError("the plan's unary plan does not match the panel's protection")
     table = plan.lockdown.signatures
@@ -318,11 +314,8 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
         else:
             report = DetectionReport({})
         recovered = contain(attacked, report, plan.lockdown)
-        stats = _detection_stats(report.flagged, _truth_groups(trace, protected, plan.lockdown))
-        on_protected = sum(
-            1 for f in trace.flips
-            if f.address.weight in protected.protected_in(f.address.layer)
-        )
+        stats = _detection_stats(report.flagged, _truth_groups(trace, tcu, plan.lockdown))
+        on_protected = sum(1 for f in trace.flips if tcu[f.address.layer][f.address.weight])
         rows.append({
             "budget_index": entry.budget_index,
             "max_flips": entry.budget.max_flips,

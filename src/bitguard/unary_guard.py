@@ -1,14 +1,13 @@
 """Stochastic search for which weights to move into flip-tolerant storage.
 
 Components:
-  * UnaryPlan: chosen per-layer index sets plus emulated-attack accuracy.
+  * UnaryPlan: chosen per-layer index sets plus search diagnostics.
   * apply_protection: value-preserving BCD-to-TCU re-encoding of a plan.
   * search_protection: sensitivity-weighted trial sampling, scored by the
     worst validation accuracy over repeated attack emulations.
 
-The search treats layers independently (each trial protects one layer and
-attacks the model), then re-emulates the union of the per-layer winners to
-report cross-layer numbers.
+The search treats layers independently: each trial protects one layer and
+attacks the model.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .attacker import AttackBudget, bfa_attack
-from .bitcodec import tcu_encode
+from .attacker import AttackBudget, draw_attack
 from .engine import Batch, NoiseSpec, evaluate
 from .errors import InputError, PlanError
 from .sensitivity import (
@@ -34,8 +32,6 @@ class UnaryPlan:
 
     alpha: float
     layers: Dict[int, List[int]] = field(default_factory=dict)
-    worst_acc: Optional[float] = None  # union plan, min over emulations
-    mean_acc: Optional[float] = None
     layer_worst: Dict[int, float] = field(default_factory=dict)  # winning trial per layer
     trial_log: Dict[int, List[float]] = field(default_factory=dict)  # worst acc per trial
 
@@ -50,8 +46,6 @@ class UnaryPlan:
                 {"layer": p, "indices": list(map(int, idx))}
                 for p, idx in sorted(self.layers.items())
             ],
-            "worst_acc": self.worst_acc,
-            "mean_acc": self.mean_acc,
             "layer_worst": {str(p): v for p, v in sorted(self.layer_worst.items())},
             "trial_log": {str(p): v for p, v in sorted(self.trial_log.items())},
         }
@@ -62,34 +56,31 @@ class UnaryPlan:
         plan.layers = {
             int(e["layer"]): [int(i) for i in e["indices"]] for e in data["layers"]
         }
-        plan.worst_acc = data.get("worst_acc")
-        plan.mean_acc = data.get("mean_acc")
         plan.layer_worst = {int(k): v for k, v in data.get("layer_worst", {}).items()}
         plan.trial_log = {int(k): v for k, v in data.get("trial_log", {}).items()}
         return plan
 
 
 def apply_protection(model, plan: UnaryPlan):
-    """Re-encode the planned weights as TCU words on a copy of the model.
+    """Flag the planned weights as TCU-stored on a copy of the model.
 
-    Dequantized values are untouched; only the storage format (and with it
-    the attacker's per-flip damage) changes.
+    Codes and dequantized values are untouched; only the storage format
+    (the weights' tcu mask bits, and with it the attacker's per-flip
+    damage) changes.
     """
     out = model.clone()
     layers = dict(out.parametric())
     for pidx, indices in plan.layers.items():
         if pidx not in layers:
             raise PlanError(f"plan references unknown layer {pidx}")
-        layer = layers[pidx]
-        flat = layer.weight.codes.reshape(-1)
-        seen = out.protected.setdefault(pidx, {})
+        tcu = layers[pidx].weight.tcu
         for idx in indices:
             idx = int(idx)
-            if not 0 <= idx < flat.size:
+            if not 0 <= idx < tcu.size:
                 raise PlanError(f"index {idx} out of range for layer {pidx}")
-            if idx in seen:
+            if tcu[idx]:
                 raise PlanError(f"weight {idx} of layer {pidx} protected twice")
-            seen[idx] = tcu_encode(int(flat[idx]), layer.weight.bits)
+            tcu[idx] = True
     return out
 
 
@@ -105,29 +96,6 @@ def _sample_indices(scores: np.ndarray, count: int,
     return np.sort(rng.choice(s.size, size=count, replace=False, p=p))
 
 
-def draw_attack_batch(pool: Batch, size: int, rng: np.random.Generator) -> Batch:
-    """Sample an attack set of the requested size from a data pool."""
-    if len(pool) < size:
-        raise InputError(f"attack pool holds {len(pool)} samples, need {size}")
-    return pool.take(rng.choice(len(pool), size=size, replace=False))
-
-
-def _emulate(model, plan: UnaryPlan, budget: AttackBudget, noise,
-             val_set: Batch, pool: Batch, emulations: int,
-             seq: np.random.SeedSequence) -> List[float]:
-    """Accuracy after each of `emulations` independent attacks on the plan."""
-    protected = apply_protection(model, plan)
-    accs = []
-    for child in seq.spawn(emulations):
-        rng = np.random.default_rng(child)
-        attack_set = draw_attack_batch(pool, budget.batch_size, rng)
-        attack_seed = int(rng.integers(0, 2**31 - 1))
-        attacked, _ = bfa_attack(protected, attack_set, budget,
-                                 noise=noise, seed=attack_seed)
-        accs.append(evaluate(attacked, val_set))
-    return accs
-
-
 def search_protection(model, alpha: float, trials: int, emulations: int,
                       budget: AttackBudget, val_set: Batch,
                       seed: int = 0, noise: Optional[NoiseSpec] = None,
@@ -138,8 +106,7 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
     Per budgeted layer: `trials` candidate index sets are sampled with
     probability softmax(standardized sensitivity), each scored by the worst
     validation accuracy over `emulations` independent attack emulations; the
-    best worst-case wins.  The union of per-layer winners is re-emulated for
-    the reported plan-level numbers.
+    best worst-case wins.
     """
     if not 0 < alpha <= 1:
         raise InputError("protection rate must lie in (0, 1]")
@@ -158,7 +125,7 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         budgets = even_assign_budget(alpha, sizes)
 
     root = np.random.SeedSequence(seed)
-    layer_seqs = root.spawn(len(sizes) + 1)
+    layer_seqs = root.spawn(len(sizes))
 
     plan = UnaryPlan(alpha=alpha)
     for pidx, layer in model.parametric():
@@ -173,19 +140,15 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         for t in range(trials):
             rng = np.random.default_rng(trial_seqs[t])
             indices = _sample_indices(scores, count, rng)
-            candidate = UnaryPlan(alpha=alpha, layers={pidx: indices.tolist()})
-            accs = _emulate(model, candidate, budget, noise, val_set, pool,
-                            emulations, trial_seqs[t].spawn(1)[0])
-            worst = min(accs)
+            protected = apply_protection(
+                model, UnaryPlan(alpha=alpha, layers={pidx: indices.tolist()}))
+            worst = min(
+                evaluate(draw_attack(protected, pool, budget, child, noise)[0], val_set)
+                for child in trial_seqs[t].spawn(1)[0].spawn(emulations))
             log.append(worst)
             if worst > best_worst:
                 best_worst, best_idx = worst, indices
         plan.layers[pidx] = best_idx.tolist()
         plan.layer_worst[pidx] = best_worst
         plan.trial_log[pidx] = log
-
-    union_accs = _emulate(model, plan, budget, noise, val_set, pool,
-                          emulations, layer_seqs[-1])
-    plan.worst_acc = float(min(union_accs))
-    plan.mean_acc = float(np.mean(union_accs))
     return plan

@@ -14,8 +14,9 @@ from bitguard.attacker import (
     _FlipState,
     apply_trace,
     bfa_attack,
+    draw_attack,
 )
-from bitguard.bitcodec import flip_bit, tcu_decode, tcu_encode, to_signed, to_unsigned
+from bitguard.bitcodec import TcuCodeword, flip_bit, tcu_decode, tcu_encode, to_signed, to_unsigned
 from bitguard.engine import Batch, NoiseSpec, backward, forward
 from bitguard.errors import ConfigError, InputError
 
@@ -44,36 +45,37 @@ def exhaustive_flip_losses(model, batch):
 
 
 def protect_share(model, share, seed):
-    """TCU-encode a random share of every layer's weights in place."""
+    """Flag a random share of every layer's weights as TCU-stored in place."""
     rng = np.random.default_rng(seed)
     for pidx, layer in model.parametric():
-        flat = layer.weight.codes.reshape(-1)
-        pick = rng.permutation(flat.size)[: max(1, int(flat.size * share))]
-        model.protected[pidx] = {int(i): tcu_encode(int(flat[i]), layer.weight.bits) for i in pick}
+        n = layer.weight.size
+        layer.weight.tcu[rng.permutation(n)[: max(1, int(n * share))]] = True
     return model
 
 
-def best_move_reference(model, grads, used):
+def best_move_reference(model, grads, used, clean):
     """Brute-force scan of every legal move: (est, address, new code) of the
     best one, ties to the lowest (layer, weight, bit), or None.
 
-    used holds the (layer, weight, bit) addresses already flipped.  A plain
-    weight offers each unused bit; a TCU word offers its first free 0 slot
-    (one level up) and its first free 1 slot (one level down).
+    used holds the (layer, weight, bit) addresses already flipped on model
+    since it was equal to clean.  A plain weight offers each unused bit; a
+    TCU weight's word is tcu_encode of its clean code, and it offers the
+    first free 0 slot (one level up) and the first free 1 slot (one level
+    down): a flipped slot is used, so the clean word decides the rest.
     """
     best = None
-    for pidx, layer in model.parametric():
+    for (pidx, layer), (_, orig) in zip(model.parametric(), clean.parametric()):
         bits = layer.weight.bits
         flat = layer.weight.codes.reshape(-1)
         g = grads[pidx].reshape(-1)
-        words = model.protected_in(pidx)
         for w in range(flat.size):
             code = int(flat[w])
-            if w in words:
+            if layer.weight.tcu[w]:
+                word = tcu_encode(int(orig.weight.codes.flat[w]), bits).word
                 moves = []
                 for target, du in ((0, 1), (1, -1)):
-                    free = [s for s in range(words[w].width)
-                            if words[w].word[s] == target and (pidx, w, s) not in used]
+                    free = [s for s in range(word.size)
+                            if word[s] == target and (pidx, w, s) not in used]
                     if free:
                         moves.append((free[0], to_signed(to_unsigned(code, bits) + du, bits)))
             else:
@@ -241,14 +243,12 @@ class TestGreedyConsistency:
             for flip in trace.flips:
                 if flip.fallback:
                     break
-                est, addr, new = best_move_reference(work, backward(work, batch), used)
+                est, addr, new = best_move_reference(work, backward(work, batch), used, model)
                 a = flip.address
                 assert (a.layer, a.weight, a.bit) == addr
                 assert flip.est_gain == est and est > 0
                 assert flip.post_code == new
-                if a.weight in work.protected_in(a.layer):
-                    work.protected[a.layer][a.weight].word[a.bit] ^= 1
-                    slot_flips += 1
+                slot_flips += int(dict(work.parametric())[a.layer].weight.tcu[a.weight])
                 dict(work.parametric())[a.layer].weight.codes.reshape(-1)[a.weight] = flip.post_code
                 used.add(addr)
         assert slot_flips >= 2
@@ -264,18 +264,18 @@ class TestGreedyConsistency:
         for model, steps in zip(models, (40, 200)):
             for _, layer in model.parametric():
                 layer.weight.scale = 0.25
-            state, used = _FlipState(model), set()
+            state, used, clean = _FlipState(model), set(), model.clone()
             for _ in range(steps):
                 grads = [rng.choice([-1.0, -0.5, 0.5, 1.0], size=l.weight.codes.shape)
                          for _, l in model.parametric()]
-                cand, ref = state.best(grads), best_move_reference(model, grads, used)
+                cand, ref = state.best(grads), best_move_reference(model, grads, used, clean)
                 if ref is None:
                     assert cand is None
                     break
                 est, addr, new = ref
                 assert (cand.layer, cand.weight, cand.bit) == addr
                 assert cand.est == est and cand.new_code == new
-                assert cand.slot_flip == (cand.weight in model.protected_in(cand.layer))
+                assert cand.slot_flip == dict(model.parametric())[cand.layer].weight.tcu[cand.weight]
                 _apply(model, cand)
                 state.mark(cand)
                 used.add(addr)
@@ -291,23 +291,38 @@ class TestGreedyConsistency:
                 assert flip.est_gain > 0
 
 
+def assert_codes_decode_slot_flips(clean, attacked, trace):
+    """Every TCU weight's attacked code is its clean word with the trace's
+    slot flips applied, decoded."""
+    for (pidx, orig), (_, layer) in zip(clean.parametric(), attacked.parametric()):
+        bits = orig.weight.bits
+        for i in np.flatnonzero(orig.weight.tcu):
+            word = tcu_encode(int(orig.weight.codes.flat[i]), bits)
+            slots = word.word.copy()
+            for f in trace.flips:
+                if (f.address.layer, f.address.weight) == (pidx, i):
+                    slots[f.address.bit] ^= 1
+            hit = TcuCodeword(word.ones_stored, word.width, slots)
+            assert tcu_decode(hit, bits) == int(layer.weight.codes.flat[i])
+
+
 class TestProtectedWeights:
     def test_flips_on_protected_cost_one_level(self):
         model = dense_model([[3], [-2]], scale=0.25, bits=4)
-        model.protected[0] = {0: tcu_encode(3, 4)}
+        model.layers[0].weight.tcu[0] = True
         batch = linear_batch([[1.0], [0.5], [1.5]], [0, 0, 0])
         attacked, trace = bfa_attack(model, batch, AttackBudget(3, 99, 3))
         for flip in trace.flips:
             if flip.address.weight == 0:  # the protected weight
                 du = to_unsigned(flip.post_code, 4) - to_unsigned(flip.pre_code, 4)
                 assert abs(du) == 1
-        # stored codes mirror the decoded protection words
-        word = attacked.protected[0][0]
-        assert tcu_decode(word, 4) == int(attacked.layers[0].weight.codes.reshape(-1)[0])
+        assert any(f.address.weight == 0 for f in trace.flips)
+        # stored codes mirror the protection word under the trace's slot flips
+        assert_codes_decode_slot_flips(model, attacked, trace)
 
     def test_fully_protected_model_all_flips_one_level(self):
         model = dense_model([[3, -2, 1]], scale=0.25, bits=4)
-        model.protected[0] = {i: tcu_encode(c, 4) for i, c in enumerate([3, -2, 1])}
+        model.layers[0].weight.tcu[:] = True
         batch = linear_batch([[1.0, 0.5, -0.5]], [0])
         _, trace = bfa_attack(model, batch, AttackBudget(3, 99, 1))
         assert len(trace.flips) == 3
@@ -322,25 +337,20 @@ class TestApplyTrace:
         # guided, fallback and exhaustive flips, on plain and TCU weights
         model = chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=5)
         for pidx, idx in ((0, [1, 4, 7]), (1, [0, 11])):
-            flat = dict(model.parametric())[pidx].weight.codes.reshape(-1)
-            model.protected[pidx] = {i: tcu_encode(int(flat[i]), 4) for i in idx}
+            dict(model.parametric())[pidx].weight.tcu[idx] = True
         batch = Batch(np.random.default_rng(0).standard_normal((4, 3)), np.arange(4) % 3)
         attacked, trace = bfa_attack(model, batch, AttackBudget(flips, 30, 4))
         before = model.clone()
         rebuilt = apply_trace(model, trace)
         for pidx, layer in attacked.parametric():
-            np.testing.assert_array_equal(dict(rebuilt.parametric())[pidx].weight.codes,
-                                          layer.weight.codes)
-            words = rebuilt.protected_in(pidx)
-            assert sorted(words) == sorted(attacked.protected_in(pidx))
-            for i, word in attacked.protected_in(pidx).items():
-                np.testing.assert_array_equal(words[i].word, word.word)
+            again = dict(rebuilt.parametric())[pidx].weight
+            np.testing.assert_array_equal(again.codes, layer.weight.codes)
+            np.testing.assert_array_equal(again.tcu, layer.weight.tcu)
+        assert_codes_decode_slot_flips(model, rebuilt, trace)
         # the model it replays on is left as it was
         for (_, layer), (_, kept) in zip(model.parametric(), before.parametric()):
             np.testing.assert_array_equal(layer.weight.codes, kept.weight.codes)
-        for pidx, words in before.protected.items():
-            for i, word in words.items():
-                np.testing.assert_array_equal(model.protected[pidx][i].word, word.word)
+            np.testing.assert_array_equal(layer.weight.tcu, kept.weight.tcu)
 
 
 def sorted_fallback_reference(model, grads, state):
@@ -352,7 +362,7 @@ def sorted_fallback_reference(model, grads, state):
         g = grads[pidx].reshape(-1)
         est = g * (np.where(codes < 0, half, -half) * layer.weight.scale)
         for i in range(codes.size):
-            if i in model.protected_in(pidx) or i in state.touched[pidx]:
+            if layer.weight.tcu[i] or i in state.touched[pidx]:
                 continue
             entries.append((pidx, i, float(est[i]), float(abs(g[i]))))
     entries.sort(key=lambda e: (e[2] <= 0, -e[3], e[0], e[1]))
@@ -372,10 +382,23 @@ class TestFallbackRanking:
             n = layer.weight.size
             picks = rng.permutation(n)[: n // 3]
             state.touched[pidx] = set(picks[: n // 6].tolist())
-            model.protected[pidx] = {int(i): tcu_encode(0, 4) for i in picks[n // 6 :]}
+            layer.weight.tcu[picks[n // 6 :]] = True
         got = list(_fallback_ranking(model, grads, state))
         assert got == sorted_fallback_reference(model, grads, state)
         assert all(type(p) is int and type(i) is int and type(e) is float for p, i, e in got)
+
+
+class TestDrawAttack:
+    def test_draws_batch_then_seed_from_the_sequence(self):
+        model = chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=3)
+        pool = Batch(np.random.default_rng(2).standard_normal((9, 3)), np.arange(9) % 3)
+        budget = AttackBudget(4, 12, 5)
+        attacked, trace = draw_attack(model, pool, budget, np.random.SeedSequence([7, 1]))
+        rng = np.random.default_rng(np.random.SeedSequence([7, 1]))
+        batch = pool.take(rng.choice(9, size=5, replace=False))
+        want, want_trace = bfa_attack(model, batch, budget, seed=int(rng.integers(0, 2**31 - 1)))
+        assert trace.to_json() == want_trace.to_json()
+        np.testing.assert_array_equal(attacked.layers[1].weight.codes, want.layers[1].weight.codes)
 
 
 class TestTraceSerialization:

@@ -15,6 +15,7 @@ from bitguard.engine import (
     ActivationPrefix,
     AffineNorm,
     Batch,
+    Conv2d,
     Dense,
     NoiseSpec,
     QuantizedModel,
@@ -27,12 +28,15 @@ from bitguard.engine import (
     load_model,
     loss_and_grads,
     loss_with_weights,
+    model_from_json,
+    model_to_json,
     quantize_array,
     save_model,
 )
 from bitguard.engine import functional, ops
-from bitguard.errors import InputError, NumericError
+from bitguard.errors import FormatError, InputError, NumericError
 from bitguard.harness.pretrain import build_desk_model
+from bitguard.unary_guard import UnaryPlan, apply_protection
 
 from conftest import dense_model, random_batch, toy_cnn_model
 
@@ -472,8 +476,6 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    from bitguard.errors import FormatError
-
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(FormatError):
@@ -483,11 +485,92 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_model(str(path))
 
 
+def tcu_protected_model():
+    """Conv and dense layers with a few TCU-stored weights in each."""
+    conv = Conv2d(QuantizedTensor(np.array([-8, -1, 0, 1, 3, 7, -5, 2, 6]).reshape(1, 1, 3, 3), 0.5, 4))
+    dense = Dense(QuantizedTensor(np.array([[3, -2, 0, -1], [5, -8, 7, 1]]), 0.25, 4))
+    model = QuantizedModel([conv, ReLU(), dense])
+    return apply_protection(model, UnaryPlan(alpha=0.5, layers={0: [8, 0, 3, 5], 1: [1, 6, 2]}))
+
+
+# the checkpoint format's exact bytes for tcu_protected_model(); each
+# protected weight's word is tcu_encode of its code
+PINNED_TCU_CHECKPOINT = (
+    '{"format_version":1,"head":"xent","input_bits":8,"layers":['
+    '{"bits":4,"codes":[-8,-1,0,1,3,7,-5,2,6],"kind":"conv2d","name":"conv2d0","pad":1,'
+    '"scale":0.5,"shape":[1,1,3,3],"stride":1},{"kind":"relu","name":"relu1"},'
+    '{"bits":4,"codes":[3,-2,0,-1,5,-8,7,1],"kind":"dense","name":"dense2","scale":0.25,'
+    '"shape":[2,4]}],"protected":{'
+    '"0":{"0":{"polarity":"zeros","width":8,"word":"10000000"},'
+    '"3":{"polarity":"ones","width":2,"word":"10"},'
+    '"5":{"polarity":"ones","width":8,"word":"11111110"},'
+    '"8":{"polarity":"ones","width":8,"word":"11111100"}},'
+    '"1":{"1":{"polarity":"zeros","width":2,"word":"10"},'
+    '"2":{"polarity":"ones","width":1,"word":"0"},'
+    '"6":{"polarity":"ones","width":8,"word":"11111110"}}}}'
+)
+
+
+def load_model_json(obj):
+    return model_from_json(json.loads(json.dumps(obj)))
+
+
+def test_checkpoint_of_tcu_model_is_pinned(tmp_path):
+    model = tcu_protected_model()
+    text = json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
+    assert text == PINNED_TCU_CHECKPOINT
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    assert path.read_text() == PINNED_TCU_CHECKPOINT
+
+
+def test_checkpoint_roundtrip_keeps_tcu_mask(tmp_path):
+    model = tcu_protected_model()
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    again = load_model(str(path))
+    for (_, a), (_, b) in zip(model.parametric(), again.parametric()):
+        assert np.array_equal(a.weight.codes, b.weight.codes)
+        assert b.weight.tcu.dtype == bool
+        assert np.array_equal(a.weight.tcu, b.weight.tcu)
+    assert np.flatnonzero(again.layers[0].weight.tcu).tolist() == [0, 3, 5, 8]
+    assert not load_model_json(model_to_json(toy_cnn_model(seed=2))).layers[0].weight.tcu.any()
+
+
+@pytest.mark.parametrize("edit", [
+    # a word that decodes to another code than its weight's
+    lambda p: p["0"].__setitem__("3", {"polarity": "ones", "width": 2, "word": "00"}),
+    lambda p: p["1"].__setitem__("2", {"polarity": "zeros", "width": 1, "word": "0"}),
+    # an index outside its layer, a layer outside the model, a non-integer key
+    lambda p: p["1"].__setitem__("8", p["1"].pop("6")),
+    lambda p: p["0"].__setitem__("-1", p["0"].pop("0")),
+    lambda p: p.__setitem__("2", p.pop("1")),
+    lambda p: p.__setitem__("x", p.pop("1")),
+])
+def test_checkpoint_rejects_inconsistent_tcu_words(edit):
+    obj = json.loads(PINNED_TCU_CHECKPOINT)
+    load_model_json(obj)  # the pinned checkpoint itself loads
+    edit(obj["protected"])
+    with pytest.raises(FormatError):
+        load_model_json(obj)
+
+
+def test_tcu_mask_is_flat_and_sized():
+    w = QuantizedTensor(np.zeros((2, 3), dtype=np.int64), 0.1, 4)
+    assert w.tcu.shape == (6,) and not w.tcu.any()
+    assert QuantizedTensor(w.codes, 0.1, 4, tcu=[[0, 1, 0], [0, 0, 1]]).tcu.tolist() == [
+        False, True, False, False, False, True]
+    with pytest.raises(InputError):
+        QuantizedTensor(w.codes, 0.1, 4, tcu=np.zeros(5, dtype=bool))
+
+
 def test_clone_is_deep():
     model = toy_cnn_model(seed=6)
     dup = model.clone()
     dup.layers[0].weight.codes[0, 0, 0, 0] += 1
+    dup.layers[0].weight.tcu[0] = True
     assert model.layers[0].weight.codes[0, 0, 0, 0] != dup.layers[0].weight.codes[0, 0, 0, 0]
+    assert not model.layers[0].weight.tcu.any()
 
 
 def test_affine_params_never_change_under_engine_calls():

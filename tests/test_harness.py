@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitguard.errors import FormatError
+from bitguard.errors import ConfigError, FormatError
 from bitguard.harness import load_config, run_experiment, run_noise_sweep
 from bitguard.harness.cli import main
 from bitguard.harness.datasets import parse_idx
@@ -266,6 +266,51 @@ def test_load_config_precedence(tmp_path):
     assert cfg.attacker.max_flips == 9
     assert load_config(str(path), environ=environ).attacker.max_flips == 8
     assert load_config(str(path), environ={}).dataset.val == 50
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("BITGUARD_MODEL_EPOCHS", "abc"),
+    ("BITGUARD_MODEL_LR", "fast"),
+    ("BITGUARD_DEFENSE_ALPHA_GRID", "0.1,x"),
+    ("BITGUARD_ATTACKER_INFERENCE_UNITS", "20,1.5"),
+    ("BITGUARD_SEEDS", "a"),
+    # names that match no field
+    ("BITGUARD_MODEL_DEPTH", "3"),
+    ("BITGUARD_NOSUCH_FIELD", "1"),
+])
+def test_bad_env_override_raises_config_error(name, raw):
+    with pytest.raises(ConfigError) as err:
+        load_config(environ={name: raw})
+    assert name in str(err.value)
+
+
+def test_env_override_parses_lists_and_scalars():
+    cfg = load_config(environ={"BITGUARD_DEFENSE_ALPHA_GRID": "0.1, 0.05",
+                               "BITGUARD_SEEDS": "3,4",
+                               "BITGUARD_MODEL_LR": "0.01",
+                               "BITGUARD_DATASET_KIND": "prototype"})
+    assert cfg.defense.alpha_grid == [0.1, 0.05]
+    assert cfg.seeds == [3, 4]
+    assert cfg.model.lr == 0.01
+
+
+def test_unknown_key_inside_a_section_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"epochs": 3, "depth": 4}}))
+    with pytest.raises(ConfigError, match="depth"):
+        load_config(str(path), environ={})
+    with pytest.raises(ConfigError, match="depth"):
+        load_config(overrides={"model.depth": 4}, environ={})
+
+
+def test_cli_bad_env_override_exits_2(capsys, clean_env, monkeypatch):
+    monkeypatch.setenv("BITGUARD_MODEL_EPOCHS", "abc")
+    assert main(["--no-write"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ConfigError"
 
 
 def test_rows_csv_round_trip(serial_report, tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitguard.bitcodec import code_range, flip_bit, ledger_lock, tcu_encode
-from bitguard.engine import Batch, evaluate
+from bitguard.bitcodec import code_range, flip_bit, ledger_lock
+from bitguard.engine import Batch, QuantizedTensor, evaluate
 from bitguard.engine.functional import curvature_diag
 from bitguard.errors import ConfigError, InputError
 from bitguard.lockdown import (
@@ -50,11 +50,17 @@ def single_layer_plan(model, G, K=1, codes=None, n_groups=None):
 class TestSignatures:
     def test_parity_example(self):
         # MSBs {1,0,1,1}, second MSBs {0,0,1,0} -> signature (1,1) packed as 0b11
-        codes = np.array([-8, 0, -4, -8], dtype=np.int64)
-        assert _signature_bits(codes, 4, 4).tolist() == [0b11]
+        weight = QuantizedTensor(np.array([-8, 0, -4, -8], dtype=np.int64), 0.1, 4)
+        assert _signature_bits(weight, 4).tolist() == [0b11]
+        # a TCU-stored weight drops out of both parities
+        weight.tcu[2] = True
+        assert _signature_bits(weight, 4).tolist() == [0b00]
 
     def test_one_weight_groups_store_the_msb(self):
-        assert _signature_bits(np.array([-3, 2], dtype=np.int64), 4, 1).tolist() == [1, 0]
+        weight = QuantizedTensor(np.array([-3, 2, -1], dtype=np.int64), 0.1, 4)
+        assert _signature_bits(weight, 1).tolist() == [1, 0, 1]
+        weight.tcu[2] = True
+        assert _signature_bits(weight, 1).tolist() == [1, 0, 0]
 
     def test_every_single_msb_flip_detected(self):
         # exhaustive over a 64-weight layer at G=8: flipping any MSB flags
@@ -110,11 +116,11 @@ class TestSignatures:
 
     def test_protected_weights_ignored_by_checksum(self):
         model = dense_model(np.zeros((2, 4), dtype=np.int64), scale=0.1, bits=4)
-        model.protected[0] = {2: tcu_encode(0, 4)}
+        model.layers[0].weight.tcu[2] = True
         plan = single_layer_plan(model, G=4)
         attacked = model.clone()
-        # a level change on the protected weight alters its mirrored code
-        # but must not trip the group checksum
+        # a level change on the TCU-stored weight alters its code but must
+        # not trip the group checksum
         attacked.layers[0].weight.codes.reshape(-1)[2] = -8
         assert detect(attacked, plan.signatures).total_flagged == 0
 
@@ -323,7 +329,7 @@ class TestLockAndPrune:
 
     def test_protected_weights_survive_lock(self):
         model = self.make_model()
-        model.protected[0] = {5: tcu_encode(int(model.layers[0].weight.codes.reshape(-1)[5]), 4)}
+        model.layers[0].weight.tcu[5] = True
         plan = single_layer_plan(model, G=8, codes=[7], n_groups=4)
         out = lock(model, {0: np.arange(4)}, plan)
         flat = out.layers[0].weight.codes.reshape(-1)
@@ -333,15 +339,15 @@ class TestLockAndPrune:
 
 def overwrite_reference(model, pidx, lp, groups, codes_value):
     """The per-weight loop that _overwrite_groups must reproduce."""
-    flat = dict(model.parametric())[pidx].weight.codes.reshape(-1)
-    protected = set(model.protected_in(pidx))
+    weight = dict(model.parametric())[pidx].weight
+    flat = weight.codes.reshape(-1)
     for gi in np.asarray(groups, dtype=np.int64):
         lo = int(gi) * lp.group_size
         hi = min(lo + lp.group_size, flat.size)
         code = (int(lp.centroid_codes[lp.group_ids[gi]])
                 if codes_value is None else codes_value)
         for i in range(lo, hi):
-            if i not in protected:
+            if not weight.tcu[i]:
                 flat[i] = code
 
 
@@ -354,9 +360,8 @@ class TestOverwriteGroups:
         # group indices all write what the per-weight loop writes
         rng = np.random.default_rng(n * 131 + G * 7 + K)
         model = dense_model(rng.integers(-8, 8, size=(1, n), dtype=np.int64), bits=4)
-        flat = model.layers[0].weight.codes.reshape(-1)
         shielded = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="protected")
-        model.protected[0] = {i: tcu_encode(int(flat[i]), 4) for i in shielded}
+        model.layers[0].weight.tcu[shielded] = True
         n_groups = -(-n // G)
         lp = LayerLockPlan(G, K, rng.integers(-8, 8, size=K, dtype=np.int64),
                            rng.integers(0, K, size=n_groups, dtype=np.int64))

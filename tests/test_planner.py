@@ -156,6 +156,25 @@ class TestPipeline:
         for row in report.rows:
             assert row["flips_on_protected"] == hd
 
+    def test_flips_on_tcu_weights_are_no_detection_misses(self):
+        # checksums skip TCU-stored weights, so a flip on one is neither a
+        # hit nor a missed group
+        from bitguard.lockdown import LayerLockPlan, LockPlan, compute_signatures
+
+        rng = np.random.default_rng(2)
+        model = dense_model(rng.integers(-8, 8, size=(3, 6), dtype=np.int64),
+                            scale=0.2, bits=4)
+        val = Batch(rng.standard_normal((12, 6)), rng.integers(0, 3, 12))
+        unary = UnaryPlan(alpha=1.0, layers={0: list(range(18))})
+        lockdown = LockPlan(eta=0.1, layers={0: LayerLockPlan(
+            1, 1, np.array([0]), np.zeros(18, dtype=np.int64))})
+        lockdown.signatures = compute_signatures(apply_protection(model, unary), lockdown)
+        report = end_to_end_eval(model, DefensePlan(1.0, 0.1, unary, lockdown),
+                                 [AttackBudget(6, 99, 6)], 2, val, seed=0, attack_pool=val)
+        for row in report.rows:
+            assert row["flips_on_protected"] == 6
+            assert (row["tp"], row["fp"], row["fn"]) == (0, 0, 0)
+
     def test_recovery_not_worse_than_attack(self, fitted):
         # locking flagged groups should on average not hurt relative to the
         # attacked model (loose sanity margin at toy scale)
@@ -174,10 +193,9 @@ def panel_for(model, plan, emulations, val, seed, pool):
 
 
 def model_state(model):
-    """Codes and TCU slot patterns of every layer, for exact comparison."""
-    return [(layer.weight.codes.tobytes(),
-             sorted((i, w.word.tobytes()) for i, w in model.protected_in(pidx).items()))
-            for pidx, layer in model.parametric()]
+    """Codes and tcu mask of every layer, for exact comparison."""
+    return [(layer.weight.codes.tobytes(), layer.weight.tcu.tobytes())
+            for _, layer in model.parametric()]
 
 
 class TestAttackPanel:
@@ -263,13 +281,13 @@ class TestSynergySearch:
     def test_one_panel_per_alpha(self, fitted, monkeypatch):
         model, train, val = fitted
         calls = []
-        real = planner.bfa_attack
+        real = planner.draw_attack
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(planner, "bfa_attack", counted)
+        monkeypatch.setattr(planner, "draw_attack", counted)
         etas, emulations = (0.01, 0.015, 0.02), 2
         _, log = synergy_search(model, budgets_pair(), val,
                                 alpha_grid=(0.02, 0.01), eta_grid=etas,

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from bitguard.attacker import AttackBudget, bfa_attack
-from bitguard.bitcodec import tcu_decode, to_unsigned
+from bitguard.attacker import AttackBudget, bfa_attack, draw_attack
+from bitguard.bitcodec import tcu_decode, tcu_encode, to_unsigned
 from bitguard.engine import Batch, evaluate
 from bitguard.errors import InputError, PlanError
 from bitguard.unary_guard import (
@@ -43,19 +43,21 @@ class TestApplyProtection:
 
     def test_codes_roundtrip_through_words(self, fitted):
         model, _, _ = fitted
-        plan = UnaryPlan(alpha=0.1, layers={0: list(range(10)), 1: [3, 50, 99]})
+        plan = UnaryPlan(alpha=0.1, layers={0: list(range(10)), 1: [99, 3, 50]})
         protected = apply_protection(model, plan)
-        for pidx, indices in plan.layers.items():
-            layer = dict(protected.parametric())[pidx]
+        for pidx, layer in protected.parametric():
+            assert np.flatnonzero(layer.weight.tcu).tolist() == sorted(plan.layers.get(pidx, []))
             flat = layer.weight.codes.reshape(-1)
-            for i in indices:
-                word = protected.protected[pidx][i]
+            for i in np.flatnonzero(layer.weight.tcu):
+                word = tcu_encode(int(flat[i]), layer.weight.bits)
                 assert tcu_decode(word, layer.weight.bits) == int(flat[i])
+        # the source model is left unprotected
+        assert not any(layer.weight.tcu.any() for _, layer in model.parametric())
 
     def test_empty_plan_is_identity(self, fitted):
         model, _, val = fitted
         protected = apply_protection(model, UnaryPlan(alpha=0.01))
-        assert not protected.protected
+        assert not any(layer.weight.tcu.any() for _, layer in protected.parametric())
         assert evaluate(protected, val) == evaluate(model, val)
 
     def test_double_protection_rejected(self, fitted):
@@ -114,8 +116,6 @@ class TestSearchProtection:
         for pidx, log in plan.trial_log.items():
             assert plan.layer_worst[pidx] == max(log)
             assert len(log) == 3
-        assert plan.worst_acc is not None and plan.mean_acc is not None
-        assert plan.worst_acc <= plan.mean_acc
 
     def test_deterministic_per_seed(self, fitted):
         model, train, val = fitted
@@ -124,7 +124,7 @@ class TestSearchProtection:
         p1 = search_protection(model, **kw)
         p2 = search_protection(model, **kw)
         assert p1.layers == p2.layers
-        assert p1.worst_acc == p2.worst_acc
+        assert p1.layer_worst == p2.layer_worst
         assert p1.trial_log == p2.trial_log
 
     def test_assignment_modes_differ_in_spread(self, fitted):
@@ -169,7 +169,7 @@ class TestSearchProtection:
         back = UnaryPlan.from_json(json.loads(json.dumps(plan.to_json())))
         assert back.alpha == plan.alpha
         assert back.layers == plan.layers
-        assert back.worst_acc == plan.worst_acc
+        assert back.layer_worst == plan.layer_worst
         assert back.trial_log == plan.trial_log
 
 
@@ -201,16 +201,19 @@ class TestFullProtectionBound:
     def test_protected_search_not_worse_than_unprotected(self, fitted):
         # paired emulation: the plan's worst accuracy should not fall below
         # the unprotected model's worst accuracy under the same protocol
-        from bitguard.unary_guard import _emulate
-
         model, train, val = fitted
         budget = small_budget()
         plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
                                  budget=budget, val_set=val, seed=7,
                                  attack_pool=train)
-        bare = _emulate(model, UnaryPlan(alpha=0.05), budget, None, val, train,
-                        emulations=2, seq=np.random.SeedSequence(123))
-        assert plan.worst_acc >= min(bare) - 0.05
+
+        def worst(target, seq):
+            return min(evaluate(draw_attack(target, train, budget, child)[0], val)
+                       for child in seq.spawn(2))
+
+        guarded = worst(apply_protection(model, plan), np.random.SeedSequence(123))
+        bare = worst(model, np.random.SeedSequence(123))
+        assert guarded >= bare - 0.05
 
     def test_protected_weights_skew_small_magnitude(self, fitted):
         model, train, val = fitted

@@ -122,12 +122,6 @@ def word_to_str(word: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in np.asarray(word).tolist())
 
 
-def str_to_word(text: str) -> np.ndarray:
-    if any(c not in "01" for c in text) or not text:
-        raise FormatError(f"codeword string must be nonempty binary, got {text!r}")
-    return np.array([int(c) for c in text], dtype=np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # truncated complementary unary (TCU) codes
 # ---------------------------------------------------------------------------
@@ -152,22 +146,12 @@ class TcuCodeword:
         pc = int(np.asarray(self.word).sum())
         return pc if self.ones_stored else self.width - pc
 
-    def copy(self) -> "TcuCodeword":
-        return TcuCodeword(self.ones_stored, self.width, self.word.copy())
-
     def to_json(self) -> dict:
         return {
             "polarity": "ones" if self.ones_stored else "zeros",
             "width": self.width,
             "word": word_to_str(self.word),
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TcuCodeword":
-        word = str_to_word(obj["word"])
-        if int(obj["width"]) != word.size:
-            raise FormatError("TCU width field disagrees with stored word length")
-        return TcuCodeword(obj["polarity"] == "ones", int(obj["width"]), word)
 
 
 def tcu_encode(code: int, bits: int) -> TcuCodeword:

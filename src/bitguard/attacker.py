@@ -15,13 +15,14 @@ one level up (flip a 0 slot) or one level down (flip a 1 slot) of the word
 tcu_encode(code) the weight holds when the attack starts.  The attacked
 copy stores codes only; which slots were flipped is in the trace.
 
-A step costs one gradient pass plus O(n) array work.  Each layer keeps a
-move table: for every weight, the largest and the smallest code delta over
-its remaining moves.  The estimate g * scale * delta is linear in delta, so
-a weight's best move is one of the two, and a flip recomputes only the
-flipped weight's row.  The clean losses come from an ActivationPrefix that
-follows the attacked copy, so the loss after a flip re-runs only the layers
-from the flipped one on.
+Each layer keeps a move table: for every weight, the largest and the
+smallest code delta over its remaining moves.  The estimate g * scale *
+delta is linear in delta, so a weight's best move is one of the two, and a
+flip recomputes only the flipped weight's row.  The clean losses come from
+an ActivationPrefix that follows the attacked copy, so the loss after a
+flip re-runs only the layers from the flipped one on.  Without noise the
+next gradient backpropagates through that recorded pass, so a step costs
+one suffix forward plus one backward (else grad_samples noisy passes).
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ def bfa_attack(
     work = model.clone()
     state = _FlipState(work)
     trace = AttackTrace()
-    prefix = ActivationPrefix(work, attack_set)
+    prefix = ActivationPrefix(work, attack_set, record=step_noise.std == 0)
     _, trace.initial_loss = prefix.follow(work, attack_set)
     seed_root = np.random.SeedSequence(seed)
     grads: Optional[List[np.ndarray]] = None
@@ -336,8 +337,11 @@ def bfa_attack(
     while len(trace.flips) < budget.max_flips:
         if trace.units_used + step_cost > budget.inference_units:
             break
-        step_seed = int(seed_root.spawn(1)[0].generate_state(1)[0])
-        _, grads = loss_and_grads(work, attack_set, step_noise, step_seed)
+        if prefix.record:  # noise-free: backpropagate through the last follow
+            grads = prefix.grads(budget.grad_samples)
+        else:
+            step_seed = int(seed_root.spawn(1)[0].generate_state(1)[0])
+            _, grads = loss_and_grads(work, attack_set, step_noise, step_seed)
         trace.units_used += step_cost
         best = state.best(grads)
         if best is None or best.est <= 0:

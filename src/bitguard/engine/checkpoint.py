@@ -70,19 +70,22 @@ def model_from_json(obj: dict) -> QuantizedModel:
     if obj.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint format version {obj.get('format_version')!r}")
     layers: List = []
-    for spec in obj["layers"]:
-        kind = spec["kind"]
-        if kind not in LAYER_KINDS:
-            raise FormatError(f"unknown layer kind {kind!r} in checkpoint")
-        args: List = []
-        if kind in PARAMETRIC_KINDS:
-            codes = np.array(spec["codes"], dtype=np.int64).reshape(spec["shape"])
-            args = [QuantizedTensor(codes, float(spec["scale"]), int(spec["bits"]))]
-            if kind == "conv2d":
-                args += [int(spec["stride"]), int(spec["pad"])]
-        elif kind == "affine_norm":
-            args = [np.array(spec["scale"]), np.array(spec["shift"])]
-        layers.append(LAYER_KINDS[kind](*args, name=spec["name"]))
+    for pos, spec in enumerate(obj["layers"]):
+        try:
+            kind = spec["kind"]
+            if kind not in LAYER_KINDS:
+                raise FormatError(f"unknown layer kind {kind!r}")
+            args: List = []
+            if kind in PARAMETRIC_KINDS:
+                codes = np.array(spec["codes"], dtype=np.int64).reshape(spec["shape"])
+                args = [QuantizedTensor(codes, float(spec["scale"]), int(spec["bits"]))]
+                if kind == "conv2d":
+                    args += [int(spec["stride"]), int(spec["pad"])]
+            elif kind == "affine_norm":
+                args = [np.array(spec["scale"]), np.array(spec["shift"])]
+            layers.append(LAYER_KINDS[kind](*args, name=spec["name"]))
+        except (KeyError, TypeError, ValueError) as exc:  # InputError and FormatError too
+            raise FormatError(f"checkpoint layer {pos} is malformed: {exc!r}") from exc
     model = QuantizedModel(layers, head=obj["head"], input_bits=int(obj["input_bits"]))
     parametric = [layer for _, layer in model.parametric()]
     for pidx_s, words in obj.get("protected", {}).items():

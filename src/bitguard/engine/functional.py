@@ -4,18 +4,18 @@ All entry points are pure with respect to the model: they read weight codes
 and never write them.  Randomness (weight noise) is driven entirely by the
 seed argument, so identical calls return identical results.
 
-Every forward pass goes through one layer walker, _walk, which dispatches
-on a per-kind step table.  It can start at any layer and keeps backward
-caches only when asked to record them, so inference frees temporary arrays
-as it goes.  An ActivationPrefix stores a reference model's clean inputs
-to each parametric layer on one batch; evaluate(..., prefix=) then re-runs
-only the layers from the first one that differs from the reference, and
-ActivationPrefix.follow does the same for a model edited step by step.
+Passes go through one layer walker, _walk, and _backprop, which share one
+per-kind table of forward and backward rules.  The walker can start at any
+layer and keeps backward caches only when asked, so inference frees its
+temporary arrays as it goes.  An ActivationPrefix stores a reference model's
+clean inputs to each parametric layer on one batch; evaluate(..., prefix=)
+re-runs only the layers from the first one that differs from it, follow does
+so for a model edited step by step, and grads() reuses a recorded pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Container, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,20 +47,39 @@ def _conv2d(layer, x, w):
     return out, (cols, w, x.shape, layer.stride, layer.pad)
 
 
+def _conv2d_back(dout, cache, need_dx, per_sample):
+    cols, w, x_shape, stride, pad = cache
+    if not per_sample:
+        return ops.conv2d_backward(dout, cols, w, x_shape if need_dx else None, stride, pad)
+    dx = ops.conv2d_input_grad(dout, w, x_shape, stride, pad) if need_dx else None
+    return dx, ops.conv2d_grad_per_sample(dout, cols, w.shape)
+
+
 def _dense(layer, x, w):
     out, flat = ops.dense_forward(x, w)
     return out, (flat, w, x.shape)
 
 
-# kind -> step(layer, x, weight) -> (output, backward cache); ops are looked
-# up at call time so that wrapping an op in the ops module takes effect
+def _dense_back(dout, cache, need_dx, per_sample):
+    flat, w, x_shape = cache
+    if not per_sample:
+        return ops.dense_backward(dout, flat, w, x_shape if need_dx else None)
+    dx = (dout @ w).reshape(x_shape) if need_dx else None
+    return dx, ops.dense_grad_per_sample(dout, flat)
+
+
+# kind -> (forward(layer, x, w) -> (y, cache), backward(dy, cache, need_dx, per_sample)
+# -> (dx, dw or None)); ops are looked up at call time so that wrapping one takes effect
 _STEPS = {
-    "conv2d": _conv2d,
-    "dense": _dense,
-    "relu": lambda layer, x, w: ops.relu_forward(x),
-    "maxpool2": lambda layer, x, w: ops.maxpool2_forward(x),
-    "affine_norm": lambda layer, x, w: (ops.affine_forward(x, layer.scale, layer.shift),
-                                        layer.scale),
+    "conv2d": (_conv2d, _conv2d_back),
+    "dense": (_dense, _dense_back),
+    "relu": (lambda layer, x, w: ops.relu_forward(x),
+             lambda dout, x, *_: (ops.relu_backward(dout, x), None)),
+    "maxpool2": (lambda layer, x, w: ops.maxpool2_forward(x),
+                 lambda dout, x, *_: (ops.maxpool2_backward(dout, x), None)),
+    "affine_norm": (lambda layer, x, w: (ops.affine_forward(x, layer.scale, layer.shift),
+                                         layer.scale),
+                    lambda dout, scale, *_: (ops.affine_backward(dout, scale), None)),
 }
 
 
@@ -82,21 +101,22 @@ def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
         if layer.kind in PARAMETRIC_KINDS:
             w = weights[pidx]
             pidx += 1
-        x, cache = step(layer, x, w)
+        x, cache = step[0](layer, x, w)
         if not record:
             cache = None
         yield layer, x, cache
 
 
 def _run(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
-         start: int = 0, record: bool = False):
-    """Output of model.layers[start:] on x plus the (kind, cache) list."""
-    caches = []
+         start: int = 0, record: bool = False, keep: Container[int] = ()):
+    """(output, (kind, cache) list, {i: input of layer i in keep}) of layers[start:] on x."""
+    caches, kept = [], {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer, x, cache in _walk(model, x, weights, start, record):
-            if record:
-                caches.append((layer.kind, cache))
-    return x, caches
+        for i, (layer, x, cache) in enumerate(_walk(model, x, weights, start, record), start + 1):
+            caches.append((layer.kind, cache))
+            if i in keep:
+                kept[i] = x
+    return x, caches, kept
 
 
 def _check_finite(
@@ -123,7 +143,7 @@ def _head_loss(model: QuantizedModel, logits: np.ndarray, labels: np.ndarray):
     return ops.sse_loss(logits, labels)
 
 
-def _backprop(model: QuantizedModel, caches, dlogits: np.ndarray, per_sample: bool):
+def _backprop(caches, dlogits: np.ndarray, per_sample: bool = False):
     """Weight gradients in layer order (per sample when per_sample is set).
 
     Stops at the first parametric layer: nothing needs the gradient of the
@@ -134,41 +154,26 @@ def _backprop(model: QuantizedModel, caches, dlogits: np.ndarray, per_sample: bo
     dx = dlogits
     for pos in range(len(caches) - 1, first - 1, -1):
         kind, cache = caches[pos]
-        if kind == "conv2d":
-            cols, w, x_shape, stride, pad = cache
-            x_shape = None if pos == first else x_shape
-            if per_sample:
-                grads.append(ops.conv2d_grad_per_sample(dx, cols, w.shape))
-                if x_shape is not None:
-                    dx = ops.conv2d_input_grad(dx, w, x_shape, stride, pad)
-            else:
-                dx, dw = ops.conv2d_backward(dx, cols, w, x_shape, stride, pad)
-                grads.append(dw)
-        elif kind == "dense":
-            flat, w, x_shape = cache
-            x_shape = None if pos == first else x_shape
-            if per_sample:
-                grads.append(ops.dense_grad_per_sample(dx, flat))
-                if x_shape is not None:
-                    dx = (dx @ w).reshape(x_shape)
-            else:
-                dx, dw = ops.dense_backward(dx, flat, w, x_shape)
-                grads.append(dw)
-        elif kind == "relu":
-            dx = ops.relu_backward(dx, cache)
-        elif kind == "maxpool2":
-            dx = ops.maxpool2_backward(dx, cache)
-        elif kind == "affine_norm":
-            dx = ops.affine_backward(dx, cache)
+        dx, dw = _STEPS[kind][1](dx, cache, pos > first, per_sample)
+        if dw is not None:
+            grads.append(dw)
     grads.reverse()
     return grads
+
+
+def _mean(passes: List[List[np.ndarray]]) -> List[np.ndarray]:
+    """Layer-wise mean of gradient passes: summed in pass order, then divided."""
+    total = passes[0]
+    for g in passes[1:]:
+        total = [a + b for a, b in zip(total, g)]
+    return [t / len(passes) for t in total]
 
 
 def _infer(model: QuantizedModel, batch: Batch, weights: List[np.ndarray],
            start: int = 0, x: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
     """(logits, loss) of model.layers[start:] fed x (default: batch inputs)."""
     x = batch.inputs if x is None else x
-    logits, _ = _run(model, x, weights, start)
+    logits, _, _ = _run(model, x, weights, start)
     loss, _, _ = _head_loss(model, logits, batch.labels)
     _check_finite(model, logits, loss, x, weights, start)
     return logits, loss
@@ -208,20 +213,16 @@ def loss_and_grads(
     samples = noise.samples if noise is not None else 1
     streams = np.random.SeedSequence(seed).spawn(samples)
     total_loss = 0.0
-    grads: List[np.ndarray] = []
+    passes = []
     for k in range(samples):
         rng = np.random.default_rng(streams[k])
         weights = _noisy_weights(model, noise, rng)
-        logits, caches = _run(model, batch.inputs, weights, record=True)
+        logits, caches, _ = _run(model, batch.inputs, weights, record=True)
         loss, dlogits, _ = _head_loss(model, logits, batch.labels)
         _check_finite(model, logits, loss, batch.inputs, weights)
-        gk = _backprop(model, caches, dlogits, per_sample=False)
+        passes.append(_backprop(caches, dlogits))
         total_loss += loss
-        if not grads:
-            grads = gk
-        else:
-            grads = [a + b for a, b in zip(grads, gk)]
-    return total_loss / samples, [g / samples for g in grads]
+    return total_loss / samples, _mean(passes)
 
 
 def backward(
@@ -273,10 +274,10 @@ def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List
     n = len(batch)
     for start in range(0, n, chunk):
         part = Batch(batch.inputs[start : start + chunk], batch.labels[start : start + chunk])
-        logits, caches = _run(model, part.inputs, weights, record=True)
+        logits, caches, _ = _run(model, part.inputs, weights, record=True)
         loss, _, dper = _head_loss(model, logits, part.labels)
         _check_finite(model, logits, loss, part.inputs, weights)
-        per = _backprop(model, caches, dper, per_sample=True)
+        per = _backprop(caches, dper, per_sample=True)
         for acc, g in zip(total, per):
             acc += (g * g).sum(axis=0)
     return [t / n for t in total]
@@ -309,10 +310,11 @@ class ActivationPrefix:
     nearest stored boundary before it, and an unchanged model returns the
     stored logits.  follow(model, batch) does the same and then makes model
     the reference, so a sequence of edits each re-runs only its suffix.  The
-    results equal a full noise-free forward bit for bit.
+    results equal a full noise-free forward bit for bit.  With record set
+    it also keeps each layer's backward cache and the dlogits for grads().
     """
 
-    def __init__(self, model: QuantizedModel, batch: Batch):
+    def __init__(self, model: QuantizedModel, batch: Batch, record: bool = False):
         if len(batch) == 0:
             raise InputError("empty batch")
         self.structure = _structure(model)
@@ -322,6 +324,7 @@ class ActivationPrefix:
         self.acts: Dict[int, np.ndarray] = dict.fromkeys(
             i for i in range(n_layers + 1)
             if i in (0, n_layers) or model.layers[i].kind in PARAMETRIC_KINDS)
+        self.record, self.caches = record, [None] * n_layers
         self._rerun(model, batch, 0, batch.inputs.copy())
 
     def resume(self, model: QuantizedModel, batch: Batch) -> Tuple[int, np.ndarray]:
@@ -341,24 +344,34 @@ class ActivationPrefix:
     def follow(self, model: QuantizedModel, batch: Batch) -> Tuple[np.ndarray, float]:
         """Noise-free (logits, loss) of model on batch; model becomes the reference.
 
-        Raises the NumericError forward would raise, leaving the prefix as it was.
+        Raises the NumericError forward would raise; the prefix's next call
+        then re-runs from the same layer.
         """
         return self._rerun(model, batch, *self.resume(model, batch))
 
+    def grads(self, samples: int = 1) -> List[np.ndarray]:
+        """The reference's gradients, as bytes equal to loss_and_grads(reference,
+        batch, NoiseSpec(0.0, samples))[1]; needs a prefix built with record."""
+        if not self.record:
+            raise InputError("prefix was built without record")
+        return _mean([_backprop(self.caches, self.dlogits)] * samples)
+
     def _rerun(self, model: QuantizedModel, batch: Batch, start: int, x: np.ndarray):
-        weights = _noisy_weights(model, None, None)
-        acts = {start: x}
-        logits = x
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (_, logits, _) in enumerate(_walk(model, x, weights, start), start=start + 1):
-                if i in self.acts:
-                    acts[i] = logits
-        loss, _, _ = _head_loss(model, logits, batch.labels)
+        with np.errstate(over="ignore", invalid="ignore"):  # the layers before start are unread
+            weights = [l.weight.dequantized() if i >= start else None
+                       for i, l in enumerate(model.layers) if l.kind in PARAMETRIC_KINDS]
+        # dropped first, so the old suffix is freed and a failed pass is re-run
+        self.params[start:] = [(None,)] * (len(self.params) - start)
+        self.caches[start:] = [None] * (len(self.caches) - start)
+        logits, caches, acts = _run(model, x, weights, start, self.record, self.acts)
+        loss, dlogits, _ = _head_loss(model, logits, batch.labels)
         _check_finite(model, logits, loss, x, weights, start)
+        acts[start] = x
         for a in acts.values():
             a.flags.writeable = False
         self.acts.update(acts)
         self.params[start:] = [tuple(np.copy(p) for p in _params(l)) for l in model.layers[start:]]
+        self.caches[start:], self.dlogits = caches, dlogits
         return logits, loss
 
 

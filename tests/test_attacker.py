@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bitguard import attacker
 from bitguard.attacker import (
     GRAD_STEP_UNITS,
     AttackBudget,
@@ -17,7 +18,7 @@ from bitguard.attacker import (
     draw_attack,
 )
 from bitguard.bitcodec import TcuCodeword, flip_bit, tcu_decode, tcu_encode, to_signed, to_unsigned
-from bitguard.engine import Batch, NoiseSpec, backward, forward
+from bitguard.engine import ActivationPrefix, Batch, NoiseSpec, backward, forward, loss_and_grads
 from bitguard.errors import ConfigError, InputError
 
 from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model
@@ -461,3 +462,61 @@ class TestDeterminismAndNoise:
         _, trace = bfa_attack(model, batch, budget, noise=NoiseSpec(0.01, samples=2))
         assert trace.units_used == 12
         assert trace.fallback_count == 2
+
+
+class TestRecordedGradients:
+    """Noise-free steps backpropagate through the prefix's recorded pass."""
+
+    @staticmethod
+    def case():
+        model = toy_cnn_model(seed=7)
+        return model, random_batch(8, 1, 16, 3, seed=8)
+
+    def count_loss_and_grads(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return loss_and_grads(*args, **kwargs)
+
+        monkeypatch.setattr(attacker, "loss_and_grads", counted)
+        return calls
+
+    def test_noise_free_attack_takes_no_gradient_pass(self, monkeypatch):
+        calls = self.count_loss_and_grads(monkeypatch)
+        model, batch = self.case()
+        _, trace = bfa_attack(model, batch, AttackBudget(6, 12, batch_size=16), seed=3)
+        assert trace.units_used == 12 and len(trace.flips) == 6
+        assert calls == []
+
+    def test_noisy_attack_takes_one_pass_per_step(self, monkeypatch):
+        calls = self.count_loss_and_grads(monkeypatch)
+        model, batch = self.case()
+        _, trace = bfa_attack(model, batch, AttackBudget(6, 12, batch_size=16),
+                              noise=NoiseSpec(0.02), seed=3)
+        assert len(calls) == trace.units_used // GRAD_STEP_UNITS == 4
+        assert all(noise.std == 0.02 for noise in calls)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_trace_equals_attack_on_fresh_gradient_passes(self, monkeypatch, samples):
+        model, batch = self.case()
+        budget = AttackBudget(10, 6 * GRAD_STEP_UNITS * samples, batch_size=16,
+                              grad_samples=samples)
+        attacked, trace = bfa_attack(model, batch, budget, seed=5)
+        assert 0 < trace.fallback_count < len(trace.flips)
+
+        class FreshPasses(ActivationPrefix):
+            """Takes each step's gradient from a full loss_and_grads pass."""
+
+            def follow(self, model, batch):
+                self.model, self.batch = model, batch
+                return super().follow(model, batch)
+
+            def grads(self, samples=1):
+                return loss_and_grads(self.model, self.batch, NoiseSpec(0.0, samples))[1]
+
+        monkeypatch.setattr(attacker, "ActivationPrefix", FreshPasses)
+        ref_attacked, ref = bfa_attack(model, batch, budget, seed=5)
+        assert json.dumps(trace.to_json()) == json.dumps(ref.to_json())
+        for (_, a), (_, b) in zip(attacked.parametric(), ref_attacked.parametric()):
+            assert np.array_equal(a.weight.codes, b.weight.codes)

@@ -34,11 +34,12 @@ from bitguard.engine import (
     save_model,
 )
 from bitguard.engine import functional, ops
+from bitguard.engine.layers import PARAMETRIC_KINDS
 from bitguard.errors import FormatError, InputError, NumericError
 from bitguard.harness.pretrain import build_desk_model
 from bitguard.unary_guard import UnaryPlan, apply_protection
 
-from conftest import dense_model, random_batch, toy_cnn_model
+from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model
 
 
 def batch_for(model_classes, n, feat, seed=0, labels=None):
@@ -349,7 +350,7 @@ def test_prefix_follows_a_sequence_of_edits():
         assert evaluate(model, data, prefix=prefix) == evaluate(model, data)
     with pytest.raises(InputError, match="batch"):
         prefix.follow(model, random_batch(8, 1, 20, 3, seed=7))
-    # a failing pass raises as forward does and leaves the prefix as it was
+    # a failing pass raises as forward does; the next call re-runs its layers
     model.layers[3].weight.scale = 1e308
     with pytest.raises(NumericError) as err:
         prefix.follow(model, data)
@@ -445,6 +446,75 @@ def test_maxpool_matches_argmax_reference(x):
     # a NaN never reaches the backward pass: the logits check stops it first
     if not np.isnan(x).any():
         assert np.array_equal(ops.maxpool2_backward(dout, cache), want_dx)
+
+
+def grad_bytes(grads):
+    return [g.tobytes() for g in grads]
+
+
+def chain_dense_case():
+    model = chain_dense_model([(6, 5), (5, 6), (3, 5)], seed=4)
+    rng = np.random.default_rng(5)
+    return model, Batch(np.rint(rng.standard_normal((16, 5)) * 32) / 32, rng.integers(0, 3, 16))
+
+
+@pytest.mark.parametrize("protect", [False, True], ids=["plain", "tcu"])
+@pytest.mark.parametrize("build", [
+    lambda: (toy_cnn_model(seed=5), random_batch(8, 1, 16, 3, seed=6)),
+    chain_dense_case,
+    lambda: (build_desk_model(bits=8, hw=12, classes=10, seed=2),
+             random_batch(12, 1, 16, 10, seed=4)),
+], ids=["toy_cnn", "chain_dense", "desk_cnn"])
+def test_recording_prefix_grads_equal_loss_and_grads(build, protect):
+    model, data = build()
+    if protect:  # tcu storage changes no value the engine reads
+        for _, layer in model.parametric():
+            layer.weight.tcu[::3] = True
+    prefix = ActivationPrefix(model, data, record=True)
+    rng = np.random.default_rng(0)
+
+    def check():
+        for samples in (1, 3):
+            want = loss_and_grads(model, data, NoiseSpec(0.0, samples))[1]
+            assert grad_bytes(prefix.grads(samples)) == grad_bytes(want)
+
+    check()
+    param = [i for i, layer in enumerate(model.layers) if layer.kind in PARAMETRIC_KINDS]
+    # every parametric layer from the first (conv0 or a dense layer) on, then
+    # back down, so each re-run starts at a conv, a later conv or a dense layer
+    for i in param + param[::-1] + param[1:2]:
+        flat = model.layers[i].weight.codes.reshape(-1)
+        k = int(rng.integers(flat.size))
+        flat[k] = 0 if flat[k] else 1
+        assert prefix.resume(model, data)[0] == i
+        prefix.follow(model, data)
+        check()
+    for i, layer in enumerate(model.layers):  # an affine edit resumes at a boundary
+        if layer.kind == "affine_norm":
+            layer.shift = layer.shift + 0.125
+            prefix.follow(model, data)
+            check()
+    # after a failed follow the next one re-runs from the same layer
+    scale = model.layers[param[-1]].weight.scale
+    model.layers[param[-1]].weight.scale = 1e308
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        prefix.follow(model, data)
+    model.layers[param[-1]].weight.scale = scale
+    assert prefix.resume(model, data)[0] == param[-1]
+    prefix.follow(model, data)
+    check()
+
+
+def test_prefix_without_record_keeps_no_caches():
+    model = toy_cnn_model(seed=5)
+    data = random_batch(8, 1, 16, 3, seed=6)
+    prefix = ActivationPrefix(model, data)
+    model.layers[3].weight.codes[0, 0, 0, 0] += 1
+    prefix.follow(model, data)
+    assert not prefix.record
+    assert all(cache is None for _, cache in prefix.caches)
+    with pytest.raises(InputError, match="record"):
+        prefix.grads()
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +622,28 @@ def test_checkpoint_rejects_inconsistent_tcu_words(edit):
     load_model_json(obj)  # the pinned checkpoint itself loads
     edit(obj["protected"])
     with pytest.raises(FormatError):
+        load_model_json(obj)
+
+
+@pytest.mark.parametrize("field", ["codes", "kind"])
+def test_checkpoint_layer_without_a_field_is_a_format_error(field):
+    obj = json.loads(PINNED_TCU_CHECKPOINT)
+    del obj["layers"][2][field]
+    with pytest.raises(FormatError, match="layer 2"):
+        load_model_json(obj)
+
+
+def test_checkpoint_codes_of_the_wrong_length_are_a_format_error():
+    obj = json.loads(PINNED_TCU_CHECKPOINT)
+    obj["layers"][2]["codes"] = [3, -2, 0]
+    with pytest.raises(FormatError, match="layer 2"):
+        load_model_json(obj)
+
+
+def test_checkpoint_codes_out_of_range_are_a_format_error():
+    obj = json.loads(PINNED_TCU_CHECKPOINT)
+    obj["layers"][0]["codes"][1] = 8  # the top 4-bit code is 7
+    with pytest.raises(FormatError, match="layer 0"):
         load_model_json(obj)
 
 

@@ -15,7 +15,7 @@ so for a model edited step by step, and grads() reuses a recorded pass.
 
 from __future__ import annotations
 
-from typing import Container, Dict, List, Optional, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,14 +32,20 @@ def _layer_peak(layer) -> float:
 
 
 def _noisy_weights(model: QuantizedModel, noise: Optional[NoiseSpec], rng) -> List[np.ndarray]:
-    weights = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, layer in model.parametric():
-            w = layer.weight.dequantized()
-            if noise is not None and noise.std > 0:
-                w = w + rng.normal(0.0, noise.std * _layer_peak(layer), size=w.shape)
-            weights.append(w)
+    weights = _clean_weights(model)
+    if noise is not None and noise.std > 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (_, layer) in enumerate(model.parametric()):
+                weights[k] = weights[k] + rng.normal(0.0, noise.std * _layer_peak(layer),
+                                                     size=weights[k].shape)
     return weights
+
+
+def _clean_weights(model: QuantizedModel, start: int = 0) -> List[Optional[np.ndarray]]:
+    """Dequantized weights of the parametric layers from layer `start` on, None before it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [l.weight.dequantized() if i >= start else None
+                for i, l in enumerate(model.layers) if l.kind in PARAMETRIC_KINDS]
 
 
 def _conv2d(layer, x, w):
@@ -47,12 +53,24 @@ def _conv2d(layer, x, w):
     return out, (cols, w, x.shape, layer.stride, layer.pad)
 
 
-def _conv2d_back(dout, cache, need_dx, per_sample):
+def _sum_squares(grad_of, n: int) -> np.ndarray:
+    """Sum of grad_of(i) ** 2 over samples i < n, one sample at a time, added
+    left to right as (g * g).sum(axis=0) adds the rows of their stack g."""
+    g = grad_of(0)
+    total = g * g
+    for i in range(1, n):
+        g = grad_of(i)
+        total += g * g
+    return total
+
+
+def _conv2d_back(dout, cache, need_dx, squares):
     cols, w, x_shape, stride, pad = cache
-    if not per_sample:
+    if not squares:
         return ops.conv2d_backward(dout, cols, w, x_shape if need_dx else None, stride, pad)
     dx = ops.conv2d_input_grad(dout, w, x_shape, stride, pad) if need_dx else None
-    return dx, ops.conv2d_grad_per_sample(dout, cols, w.shape)
+    per = ops.conv2d_grad_per_sample(dout, cols, w.shape)
+    return dx, _sum_squares(per.__getitem__, len(per))
 
 
 def _dense(layer, x, w):
@@ -60,16 +78,17 @@ def _dense(layer, x, w):
     return out, (flat, w, x.shape)
 
 
-def _dense_back(dout, cache, need_dx, per_sample):
+def _dense_back(dout, cache, need_dx, squares):
     flat, w, x_shape = cache
-    if not per_sample:
+    if not squares:
         return ops.dense_backward(dout, flat, w, x_shape if need_dx else None)
     dx = (dout @ w).reshape(x_shape) if need_dx else None
-    return dx, ops.dense_grad_per_sample(dout, flat)
+    return dx, _sum_squares(lambda i: np.multiply.outer(dout[i], flat[i]), len(dout))
 
 
-# kind -> (forward(layer, x, w) -> (y, cache), backward(dy, cache, need_dx, per_sample)
-# -> (dx, dw or None)); ops are looked up at call time so that wrapping one takes effect
+# kind -> (forward(layer, x, w) -> (y, cache), backward(dy, cache, need_dx, squares)
+# -> (dx, dw or None)); with squares dw is the batch sum of squared per-sample weight
+# gradients.  Ops are looked up at call time so that wrapping one takes effect
 _STEPS = {
     "conv2d": (_conv2d, _conv2d_back),
     "dense": (_dense, _dense_back),
@@ -143,8 +162,9 @@ def _head_loss(model: QuantizedModel, logits: np.ndarray, labels: np.ndarray):
     return ops.sse_loss(logits, labels)
 
 
-def _backprop(caches, dlogits: np.ndarray, per_sample: bool = False):
-    """Weight gradients in layer order (per sample when per_sample is set).
+def _backprop(caches, dlogits: np.ndarray, squares: bool = False):
+    """Weight gradients in layer order; with squares, dlogits holds per-sample
+    loss gradients and each entry sums their squared weight gradients.
 
     Stops at the first parametric layer: nothing needs the gradient of the
     model input.
@@ -154,7 +174,7 @@ def _backprop(caches, dlogits: np.ndarray, per_sample: bool = False):
     dx = dlogits
     for pos in range(len(caches) - 1, first - 1, -1):
         kind, cache = caches[pos]
-        dx, dw = _STEPS[kind][1](dx, cache, pos > first, per_sample)
+        dx, dw = _STEPS[kind][1](dx, cache, pos > first, squares)
         if dw is not None:
             grads.append(dw)
     grads.reverse()
@@ -252,24 +272,33 @@ def loss_with_weights(model: QuantizedModel, batch: Batch, weights: List[np.ndar
     return loss
 
 
-def activations(model: QuantizedModel, batch: Batch) -> List[np.ndarray]:
-    """Noise-free output of every layer in order, for calibration and debug."""
+def activations(model: QuantizedModel, batch: Batch) -> Iterator[np.ndarray]:
+    """Noise-free output of every layer, yielded in layer order, for calibration.
+
+    A generator: each output is computed when the next one is asked for, so
+    a caller that drops it first holds one layer's output at a time.
+    """
     if len(batch) == 0:
         raise InputError("empty batch")
-    weights = _noisy_weights(model, None, None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [x for _, x, _ in _walk(model, batch.inputs, weights)]
+    walk = _walk(model, batch.inputs, _clean_weights(model))
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):  # held per layer, not across yields
+            step = next(walk, None)
+        if step is None:
+            return
+        yield step[1]
 
 
 def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List[np.ndarray]:
     """Diagonal curvature estimate: mean squared per-sample loss gradient.
 
-    Computed noise-free.  Chunked so per-sample gradient tensors never hold
-    more than `chunk` samples at once.
+    Computed noise-free, `chunk` samples per pass.  Each sample's squared
+    gradient is added to its chunk's sum as soon as it is formed, so memory
+    is O(weights + one chunk's backward caches), not O(chunk x weights).
     """
     if len(batch) == 0:
         raise InputError("empty batch")
-    weights = _noisy_weights(model, None, None)
+    weights = _clean_weights(model)
     total = [np.zeros_like(w) for w in weights]
     n = len(batch)
     for start in range(0, n, chunk):
@@ -277,9 +306,8 @@ def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List
         logits, caches, _ = _run(model, part.inputs, weights, record=True)
         loss, _, dper = _head_loss(model, logits, part.labels)
         _check_finite(model, logits, loss, part.inputs, weights)
-        per = _backprop(caches, dper, per_sample=True)
-        for acc, g in zip(total, per):
-            acc += (g * g).sum(axis=0)
+        for acc, sq in zip(total, _backprop(caches, dper, squares=True)):
+            acc += sq
     return [t / n for t in total]
 
 
@@ -357,9 +385,7 @@ class ActivationPrefix:
         return _mean([_backprop(self.caches, self.dlogits)] * samples)
 
     def _rerun(self, model: QuantizedModel, batch: Batch, start: int, x: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):  # the layers before start are unread
-            weights = [l.weight.dequantized() if i >= start else None
-                       for i, l in enumerate(model.layers) if l.kind in PARAMETRIC_KINDS]
+        weights = _clean_weights(model, start)
         # dropped first, so the old suffix is freed and a failed pass is re-run
         self.params[start:] = [(None,)] * (len(self.params) - start)
         self.caches[start:] = [None] * (len(self.caches) - start)
@@ -398,6 +424,6 @@ def evaluate(
         if noise is not None and noise.std > 0:
             raise InputError("a prefix holds noise-free activations")
         start, x = prefix.resume(model, dataset)
-        logits, _ = _infer(model, dataset, _noisy_weights(model, None, None), start, x)
+        logits, _ = _infer(model, dataset, _clean_weights(model, start), start, x)
     pred = np.argmax(logits, axis=1)
     return float((pred == np.asarray(dataset.labels, dtype=np.int64)).mean())

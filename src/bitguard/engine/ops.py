@@ -2,7 +2,8 @@
 
 Everything is float64 and allocation-explicit; backward functions take the
 caches their forward produced.  Convolution uses im2col so weight gradients
-reduce to matrix products, which also gives cheap per-sample gradients.
+reduce to matrix products; conv2d_grad_per_sample keeps each sample's
+product, which the curvature pass squares sample by sample.
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ def dense_backward(dout: np.ndarray, flat: np.ndarray, w: np.ndarray, x_shape):
     if x_shape is None:
         return None, dw
     return (dout @ w).reshape(x_shape), dw
-
-
-def dense_grad_per_sample(dout: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    return np.einsum("no,nf->nof", dout, flat)
 
 
 def relu_forward(x: np.ndarray):

@@ -14,13 +14,14 @@ from ..errors import ConfigError
 ENV_PREFIX = "BITGUARD_"
 
 
-def config_digest(data: dict) -> str:
-    """Stable digest of a config's canonical JSON form, out_dir left out.
+def experiment_fields(data: dict) -> dict:
+    """A config dict without out_dir: what names the experiment, not where it is written."""
+    return {k: v for k, v in data.items() if k != "out_dir"}
 
-    The hash names the experiment, not the directory it is written to.
-    """
-    fields = {k: v for k, v in data.items() if k != "out_dir"}
-    canon = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+def config_digest(data: dict) -> str:
+    """Stable digest of a config's canonical JSON form, out_dir left out."""
+    canon = json.dumps(experiment_fields(data), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

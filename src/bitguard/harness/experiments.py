@@ -24,7 +24,7 @@ from ..errors import ConfigError
 from ..planner import (AttackPanel, DefensePlan, attack_panel, build_defense,
                        end_to_end_eval, recover, synergy_search)
 from ..unary_guard import apply_protection
-from .config import ExperimentConfig, _build, config_digest
+from .config import ExperimentConfig, _build, config_digest, experiment_fields
 from .datasets import DatasetSplits, make_dataset
 from .pretrain import build_desk_model, pretrain
 
@@ -37,7 +37,8 @@ class ExperimentReport:
 
     Every row carries the config hash and its seed, so any number is
     traceable back to the exact configuration that produced it.  Timings
-    live outside the serialized form.
+    and the output directory live outside the serialized form, so two runs
+    into different directories serialize to the same bytes.
     """
 
     config_hash: str
@@ -49,7 +50,7 @@ class ExperimentReport:
     def to_json(self) -> dict:
         return {
             "config_hash": self.config_hash,
-            "config": self.config,
+            "config": experiment_fields(self.config),
             "rows": self.rows,
             "aggregates": self.aggregates,
         }

@@ -6,6 +6,7 @@ Normalization layers are recalibrated from activation statistics at each
 epoch boundary and are frozen constants everywhere else.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -100,18 +101,24 @@ def _quantize_into(model: QuantizedModel, shadows: List[np.ndarray]) -> None:
 
 
 def _recalibrate_norms(model: QuantizedModel, sample: Batch) -> None:
-    """Point each affine layer at unit statistics of its input activations."""
-    outs = activations(model, sample)
-    for i, layer in enumerate(model.layers):
+    """Point each affine layer at unit statistics of its input activations.
+
+    One pass under the old affine parameters yields the layer inputs one at
+    a time; the new parameters are set after it, so no layer's statistics
+    see another affine layer's new parameters.
+    """
+    inputs = itertools.chain([sample.inputs], activations(model, sample))
+    updates = []
+    for layer, pre in zip(model.layers, inputs):
         if layer.kind != "affine_norm":
             continue
-        pre = sample.inputs if i == 0 else outs[i - 1]
         axes = (0, 2, 3) if pre.ndim == 4 else (0,)
         mean = pre.mean(axis=axes)
         std = pre.std(axis=axes)
         std = np.where(std < 1e-3, 1.0, std)
-        layer.scale = 1.0 / std
-        layer.shift = -mean / std
+        updates.append((layer, 1.0 / std, -mean / std))
+    for layer, scale, shift in updates:
+        layer.scale, layer.shift = scale, shift
 
 
 def pretrain(model: QuantizedModel, splits: DatasetSplits, epochs: int = 30,

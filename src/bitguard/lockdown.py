@@ -201,7 +201,8 @@ class SegmentKMeans:
         """Fill row k = rows so far + 1 for every end point i in [k, n]."""
         n, k = self.n, len(self.splits) + 2
         row = np.full(n + 1, np.inf)
-        split = np.zeros(n + 1, dtype=np.int64)
+        # int32 halves the K x (n + 1) table; split points stay below 2**31
+        split = np.zeros(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
         # tasks: fill i in [ilo, ihi] knowing the split lies in [jlo, jhi]
         ilo, ihi = np.array([k]), np.array([n])
         jlo, jhi = np.array([k - 1]), np.array([n - 1])

@@ -1,5 +1,7 @@
 """Shared fixtures and small model builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ def toy_cnn_model(bits=6, seed=0, channels=(1, 3, 4), hw=8, classes=3):
         Dense(tensor((classes, feat), 0.03)),
     ]
     return QuantizedModel(layers)
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_batch(model_hw, channels, n, classes, seed=0):

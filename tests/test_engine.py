@@ -39,7 +39,7 @@ from bitguard.errors import FormatError, InputError, NumericError
 from bitguard.harness.pretrain import build_desk_model
 from bitguard.unary_guard import UnaryPlan, apply_protection
 
-from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model
+from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model, traced_peak
 
 
 def batch_for(model_classes, n, feat, seed=0, labels=None):
@@ -224,6 +224,61 @@ def test_curvature_nonnegative_and_chunking_invariant():
     for a, b in zip(h_small, h_big):
         assert np.all(a >= 0)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+def curvature_reference(model, batch, chunk):
+    """Curvature with each chunk's per-sample gradients stacked, squared and
+    summed over the sample axis at once."""
+    weights = [layer.weight.dequantized() for _, layer in model.parametric()]
+    total = [np.zeros_like(w) for w in weights]
+    n = len(batch)
+    for start in range(0, n, chunk):
+        x, y = batch.inputs[start : start + chunk], batch.labels[start : start + chunk]
+        logits, caches, _ = functional._run(model, x, weights, record=True)
+        dout = functional._head_loss(model, logits, y)[2]
+        per = []
+        for kind, cache in reversed(caches):
+            if kind == "dense":
+                per.append(np.einsum("no,nf->nof", dout, cache[0]))
+            elif kind == "conv2d":
+                per.append(ops.conv2d_grad_per_sample(dout, cache[0], cache[1].shape))
+            dout, _ = functional._STEPS[kind][1](dout, cache, True, False)
+        for acc, g in zip(total, reversed(per)):
+            acc += (g * g).sum(axis=0)
+    return [t / n for t in total]
+
+
+def _curvature_case(name):
+    rng = np.random.default_rng(21)
+    if name == "toy":
+        return toy_cnn_model(seed=9), random_batch(8, 1, 50, 3, seed=9)
+    if name == "chain":
+        model = chain_dense_model([(9, 12), (7, 9), (5, 7)], seed=2)
+        return model, Batch(rng.standard_normal((70, 12)), rng.integers(0, 5, 70))
+    model = build_desk_model(seed=1)
+    return model, Batch(rng.standard_normal((70, 1, 12, 12)), rng.integers(0, 10, 70))
+
+
+@pytest.mark.parametrize("tcu", [False, True])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+@pytest.mark.parametrize("name", ["toy", "chain", "desk"])
+def test_curvature_equals_materialized_reference(name, chunk, tcu):
+    model, batch = _curvature_case(name)
+    if tcu:
+        flagged = {p: list(range(0, layer.weight.size, 3)) for p, layer in model.parametric()}
+        model = apply_protection(model, UnaryPlan(0.3, flagged))
+    got = curvature_diag(model, batch, chunk=chunk)
+    ref = curvature_reference(model, batch, chunk)
+    assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+
+
+def test_curvature_memory_stays_below_one_chunk_of_gradients():
+    # the desk CNN's 128 x 288 dense layer alone would take 64 x 295 kB
+    # of per-sample gradients, plus as much again for their squares
+    model, _ = _curvature_case("desk")
+    rng = np.random.default_rng(5)
+    batch = Batch(rng.standard_normal((100, 1, 12, 12)), rng.integers(0, 10, 100))
+    assert traced_peak(lambda: curvature_diag(model, batch)) <= 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitguard.engine import AffineNorm, Batch, QuantizedModel, ReLU, activations
 from bitguard.errors import ConfigError, FormatError
 from bitguard.harness import load_config, run_experiment, run_noise_sweep
 from bitguard.harness.cli import main
 from bitguard.harness.datasets import parse_idx
+from bitguard.harness.pretrain import _recalibrate_norms, build_desk_model
 from bitguard.harness.reports import (canonical_json, load_rows_csv,
                                       validate_rows, write_rows_csv)
+
+from conftest import random_batch, toy_cnn_model, traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,6 +85,64 @@ def test_build_ships_report_schema(tmp_path):
         cwd=proj, check=True, capture_output=True, timeout=120,
     )
     assert (out / "bitguard" / "schemas" / "report_schema.json").is_file()
+
+
+def test_report_bytes_do_not_depend_on_out_dir(tmp_path):
+    texts = []
+    for name in ("a", "b"):
+        config = tiny_config(seeds=[0], out_dir=str(tmp_path / name))
+        run_experiment(config, stage="attack", write=True)
+        texts.append((tmp_path / name / "report.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert b"out_dir" not in texts[0]
+
+
+def recalibrate_reference(model, sample):
+    """Norm recalibration from the list of every layer's output, taken
+    before any affine layer changes."""
+    outs = list(activations(model, sample))
+    for i, layer in enumerate(model.layers):
+        if layer.kind != "affine_norm":
+            continue
+        pre = sample.inputs if i == 0 else outs[i - 1]
+        axes = (0, 2, 3) if pre.ndim == 4 else (0,)
+        std = pre.std(axis=axes)
+        std = np.where(std < 1e-3, 1.0, std)
+        layer.scale, layer.shift = 1.0 / std, -pre.mean(axis=axes) / std
+
+
+def _norm_cases():
+    rng = np.random.default_rng(8)
+    toy = toy_cnn_model(seed=4)
+    leading = QuantizedModel([AffineNorm(np.array([1.5]), np.array([-0.25])), ReLU()]
+                             + toy_cnn_model(seed=5).layers)
+    desk = build_desk_model(seed=2)
+    return [(toy, random_batch(8, 1, 40, 3, seed=1)),
+            (leading, random_batch(8, 1, 40, 3, seed=2)),
+            (desk, Batch(rng.standard_normal((96, 1, 12, 12)), rng.integers(0, 10, 96)))]
+
+
+def _affine_bytes(model):
+    return [(l.scale.tobytes(), l.shift.tobytes()) for l in model.layers
+            if l.kind == "affine_norm"]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_recalibrate_norms_equals_list_reference(case):
+    model, sample = _norm_cases()[case]
+    ref = model.clone()
+    for _ in range(2):  # the second call starts from parameters the first one set
+        _recalibrate_norms(model, sample)
+        recalibrate_reference(ref, sample)
+        assert _affine_bytes(model) == _affine_bytes(ref)
+
+
+def test_recalibrate_norms_holds_one_layer_output_at_a_time():
+    # every layer output of the desk CNN on 256 samples takes 27 MiB
+    rng = np.random.default_rng(3)
+    model = build_desk_model(seed=0)
+    sample = Batch(rng.standard_normal((256, 1, 12, 12)), rng.integers(0, 10, 256))
+    assert traced_peak(lambda: _recalibrate_norms(model, sample)) <= 16 * 2**20
 
 
 def test_experiment_pool_matches_serial(serial_report):

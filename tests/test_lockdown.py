@@ -260,6 +260,23 @@ class TestGlobalKmeans:
         first = sweep.fit(ks[0])
         assert first[0].tobytes() == global_kmeans(x, ks[0])[0].tobytes()
 
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_int32_split_rows_fit_as_int64_rows(self, ties):
+        class WideSplits(SegmentKMeans):
+            def _extend(self):
+                super()._extend()
+                self.splits[-1] = self.splits[-1].astype(np.int64)
+
+        rng = np.random.default_rng(13)
+        x = rng.integers(0, 10, 828) * 0.5 if ties else rng.normal(0, 1, 828)
+        table, wide = SegmentKMeans(x), WideSplits(x)
+        for k in (1, 3, 10, 32, 100):
+            cents, ids = table.fit(k)
+            ref_cents, ref_ids = wide.fit(k)
+            assert cents.tobytes() == ref_cents.tobytes()
+            assert ids.tobytes() == ref_ids.tobytes()
+        assert {s.dtype for s in table.splits} == {np.dtype(np.int32)}
+
     def test_large_input_keeps_invariants(self):
         # a 50k-point input keeps the output contract and beats plain
         # quantile binning

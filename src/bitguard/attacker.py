@@ -62,14 +62,6 @@ class AttackBudget:
                 f"gradient step ({GRAD_STEP_UNITS * self.grad_samples} units)"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "max_flips": self.max_flips,
-            "inference_units": self.inference_units,
-            "batch_size": self.batch_size,
-            "grad_samples": self.grad_samples,
-        }
-
 
 @dataclass
 class FlipRecord:
@@ -79,16 +71,6 @@ class FlipRecord:
     est_gain: float  # first-order predicted loss increase
     loss_after: float  # clean loss measured right after the flip
     fallback: bool
-
-    def to_json(self) -> dict:
-        return {
-            "address": self.address.to_json(),
-            "pre_code": self.pre_code,
-            "post_code": self.post_code,
-            "est_gain": self.est_gain,
-            "loss_after": self.loss_after,
-            "fallback": self.fallback,
-        }
 
 
 @dataclass
@@ -104,34 +86,6 @@ class AttackTrace:
     @property
     def fallback_count(self) -> int:
         return sum(1 for f in self.flips if f.fallback)
-
-    def to_json(self) -> dict:
-        return {
-            "flips": [f.to_json() for f in self.flips],
-            "units_used": self.units_used,
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "AttackTrace":
-        trace = AttackTrace(
-            units_used=int(obj["units_used"]),
-            initial_loss=float(obj["initial_loss"]),
-            final_loss=float(obj["final_loss"]),
-        )
-        for f in obj["flips"]:
-            trace.flips.append(
-                FlipRecord(
-                    BitAddress.from_json(f["address"]),
-                    int(f["pre_code"]),
-                    int(f["post_code"]),
-                    float(f["est_gain"]),
-                    float(f["loss_after"]),
-                    bool(f["fallback"]),
-                )
-            )
-        return trace
 
 
 @dataclass

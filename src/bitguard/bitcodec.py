@@ -16,7 +16,7 @@ ratios are derived by dividing by the BCD baseline b * |W|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -235,13 +235,6 @@ class BitAddress:
     weight: int
     bit: int
 
-    def to_json(self) -> dict:
-        return {"layer": self.layer, "weight": self.weight, "bit": self.bit}
-
-    @staticmethod
-    def from_json(obj: dict) -> "BitAddress":
-        return BitAddress(int(obj["layer"]), int(obj["weight"]), int(obj["bit"]))
-
 
 # ---------------------------------------------------------------------------
 # memory ledgers
@@ -272,27 +265,6 @@ class MemoryLedger:
         if self.baseline_bits <= 0:
             raise InputError("ledger baseline is empty")
         return self.component_bits / self.baseline_bits
-
-    def merged(self, other: "MemoryLedger") -> "MemoryLedger":
-        if other.baseline_bits != self.baseline_bits:
-            raise InputError("cannot merge ledgers with different baselines")
-        return MemoryLedger(
-            self.payload_bits + other.payload_bits,
-            self.index_bits + other.index_bits,
-            self.signature_bits + other.signature_bits,
-            self.cluster_id_bits + other.cluster_id_bits,
-            self.baseline_bits,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "payload_bits": self.payload_bits,
-            "index_bits": self.index_bits,
-            "signature_bits": self.signature_bits,
-            "cluster_id_bits": self.cluster_id_bits,
-            "baseline_bits": self.baseline_bits,
-            "ratio": self.ratio,
-        }
 
 
 def _baseline_bits(model) -> int:

@@ -67,6 +67,8 @@ def _index(key: str, size: int, what: str) -> int:
 
 
 def model_from_json(obj: dict) -> QuantizedModel:
+    if not isinstance(obj, dict) or not isinstance(obj.get("layers"), list):
+        raise FormatError("checkpoint JSON lacks a layer list")
     if obj.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint format version {obj.get('format_version')!r}")
     layers: List = []
@@ -86,9 +88,15 @@ def model_from_json(obj: dict) -> QuantizedModel:
             layers.append(LAYER_KINDS[kind](*args, name=spec["name"]))
         except (KeyError, TypeError, ValueError) as exc:  # InputError and FormatError too
             raise FormatError(f"checkpoint layer {pos} is malformed: {exc!r}") from exc
-    model = QuantizedModel(layers, head=obj["head"], input_bits=int(obj["input_bits"]))
+    try:
+        model = QuantizedModel(layers, head=obj["head"], input_bits=int(obj["input_bits"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint header is malformed: {exc!r}") from exc
+    protected = obj.get("protected", {})
+    if not isinstance(protected, dict) or not all(isinstance(w, dict) for w in protected.values()):
+        raise FormatError("checkpoint \"protected\" must map layers to objects of words")
     parametric = [layer for _, layer in model.parametric()]
-    for pidx_s, words in obj.get("protected", {}).items():
+    for pidx_s, words in protected.items():
         weight = parametric[_index(pidx_s, len(parametric), "protected layer")].weight
         for i_s, word in words.items():
             i = _index(i_s, weight.size, "protected weight")
@@ -110,6 +118,4 @@ def load_model(path: str) -> QuantizedModel:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "layers" not in obj:
-        raise FormatError("checkpoint JSON lacks a layer list")
     return model_from_json(obj)

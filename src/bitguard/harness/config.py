@@ -10,6 +10,7 @@ from typing import List, Optional, get_args, get_origin
 import yaml
 
 from ..errors import ConfigError
+from .datasets import DATASET_KINDS
 
 ENV_PREFIX = "BITGUARD_"
 
@@ -88,14 +89,26 @@ class ExperimentConfig:
         return config_digest(self.to_dict())
 
     def validate(self) -> "ExperimentConfig":
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if not self.defense.alpha_grid or not self.defense.eta_grid:
-            raise ConfigError("defense grids must be nonempty")
-        if self.attacker.max_flips < 1:
-            raise ConfigError("max_flips must be >= 1")
-        if not self.attacker.inference_units:
-            raise ConfigError("inference_units grid must be nonempty")
+        """Raise ConfigError naming every missing or out-of-range value; return self."""
+        d, a = self.defense, self.attacker
+        least = {"model.bits": (self.model.bits, 2), "attacker.max_flips": (a.max_flips, 1),
+                 "attacker.batch_size": (a.batch_size, 1), "defense.trials": (d.trials, 1),
+                 "attacker.grad_samples": (a.grad_samples, 1), "defense.emulations": (d.emulations, 1),
+                 **{f"attacker.batch_grid[{i}]": (b, 1) for i, b in enumerate(a.batch_grid)}}
+        bad = [f"{name} must be nonempty" for name, grid in (
+            ("seeds", self.seeds), ("attacker.inference_units", a.inference_units),
+            ("defense.alpha_grid", d.alpha_grid), ("defense.eta_grid", d.eta_grid)) if not grid]
+        bad += [f"{name} must be an integer >= {low}, got {v!r}"
+                for name, (v, low) in least.items() if not isinstance(v, int) or v < low]
+        bad += [f"defense.alpha_grid entry {x!r} outside [0, 1]"
+                for x in d.alpha_grid if not 0 <= x <= 1]
+        bad += [f"defense.eta_grid entry {x!r} is not > 0" for x in d.eta_grid if not x > 0]
+        if d.assignment not in ("top", "even"):
+            bad.append(f"defense.assignment must be top or even, got {d.assignment!r}")
+        if self.dataset.kind not in DATASET_KINDS:
+            bad.append(f"unknown dataset.kind {self.dataset.kind!r}")
+        if bad:
+            raise ConfigError("; ".join(bad))
         if self.dataset.kind == "idx":
             for label, p in (("idx_images", self.dataset.idx_images),
                              ("idx_labels", self.dataset.idx_labels)):

@@ -129,6 +129,9 @@ def _two_arc_images(count: int, hw: int, noise: float,
     return _quantize_pixels(images)[:, None, :, :], labels
 
 
+DATASET_KINDS = ("prototype", "arcs", "idx")
+
+
 def make_dataset(kind: str = "prototype", classes: int = 10, hw: int = 12,
                  train: int = 2000, val: int = 500, test: int = 500,
                  attack: int = 16, noise: float = 0.25,

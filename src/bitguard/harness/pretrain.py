@@ -9,7 +9,7 @@ epoch boundary and are frozen constants everywhere else.
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class TrainHistory:
 
     epochs: List[Dict[str, float]] = field(default_factory=list)
     reached_floor: bool = False
-
-    def to_json(self) -> dict:
-        return {"epochs": self.epochs, "reached_floor": self.reached_floor}
 
 
 # The stored scale is one hardware quantum per layer, fixed across bitwidths:

@@ -8,8 +8,8 @@ Components:
     group centroids; one SegmentKMeans serves a whole ascending K sweep.
   * LockPlan / search_lock_plan: cheapest (G, K) configuration per layer
     whose recovery-footprint lock stays within the accuracy-drop budget.
-  * lock / prune_baseline: overwrite flagged groups with centroid codes
-    (pruning is the centroid-zero special case).
+  * lock: overwrite flagged groups with centroid codes (pruning, RADAR's
+    zeroing recovery, is lock under all-zero centroid codes).
 
 Group signatures cover only weights kept in plain two's-complement storage;
 weights flagged in their layer's tcu mask live in flip-tolerant codewords
@@ -64,22 +64,6 @@ class SignatureTable:
 
     layers: Dict[int, Tuple[int, np.ndarray]]  # pidx -> (group_size, signatures)
 
-    def to_json(self) -> dict:
-        return {
-            str(p): {"group_size": g, "signatures": sig.tolist()}
-            for p, (g, sig) in sorted(self.layers.items())
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SignatureTable":
-        layers = {}
-        for key, entry in data.items():
-            layers[int(key)] = (
-                int(entry["group_size"]),
-                np.asarray(entry["signatures"], dtype=np.uint8),
-            )
-        return cls(layers)
-
 
 @dataclass
 class DetectionReport:
@@ -90,9 +74,6 @@ class DetectionReport:
     @property
     def total_flagged(self) -> int:
         return int(sum(v.size for v in self.flagged.values()))
-
-    def to_json(self) -> dict:
-        return {str(p): v.tolist() for p, v in sorted(self.flagged.items())}
 
 
 def compute_signatures(model, plan: "LockPlan") -> SignatureTable:
@@ -171,8 +152,10 @@ class SegmentKMeans:
     Song, Ckmeans.1d.dp, 2011): D[k][i] = min_j D[k-1][j] + SSE(x[j:i]),
     with segment SSEs read off prefix sums.  The leftmost optimal split j
     never decreases in i, so each row is filled by divide and conquer,
-    vectorized over one recursion level at a time.  Ties between splits go
-    to the leftmost one, which makes the result deterministic.
+    vectorized over one recursion level at a time.  Each end point takes
+    the leftmost minimizer within the split range the divide and conquer
+    searches for it, so the result is deterministic for given points; with
+    many tied splits it need not be the globally leftmost optimal split.
 
     Row k is filled over every end point i, so the rows computed for one
     cluster count serve every smaller one: fit(K) extends the table only
@@ -285,37 +268,6 @@ class LayerLockPlan:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(parts))
 
-    def to_json(self) -> Optional[dict]:
-        if self.group_size is None:
-            return None
-        return {
-            "group_size": self.group_size,
-            "clusters": self.clusters,
-            "centroid_codes": self.centroid_codes.tolist(),
-            "group_ids": self.group_ids.tolist(),
-            "watch_core": None if self.watch_core is None else self.watch_core.tolist(),
-            "watch_margin": None if self.watch_margin is None else self.watch_margin.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: Optional[dict]) -> "LayerLockPlan":
-        if data is None:
-            return cls(None, None)
-
-        def arr(key):
-            if data.get(key) is None:
-                return None
-            return np.asarray(data[key], dtype=np.int64)
-
-        return cls(
-            group_size=int(data["group_size"]),
-            clusters=int(data["clusters"]),
-            centroid_codes=np.asarray(data["centroid_codes"], dtype=np.int64),
-            group_ids=np.asarray(data["group_ids"], dtype=np.int64),
-            watch_core=arr("watch_core"),
-            watch_margin=arr("watch_margin"),
-        )
-
 
 @dataclass
 class LockPlan:
@@ -328,37 +280,15 @@ class LockPlan:
     def lockable(self) -> List[int]:
         return sorted(p for p, lp in self.layers.items() if lp.group_size is not None)
 
-    def to_json(self) -> dict:
-        return {
-            # eta may be +inf (locking disabled); keep the JSON strict
-            "eta": self.eta if np.isfinite(self.eta) else None,
-            "layers": {str(p): lp.to_json() for p, lp in sorted(self.layers.items())},
-            "signatures": None if self.signatures is None else self.signatures.to_json(),
-        }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LockPlan":
-        plan = cls(eta=float("inf") if data["eta"] is None else float(data["eta"]))
-        plan.layers = {
-            int(k): LayerLockPlan.from_json(v) for k, v in data["layers"].items()
-        }
-        if data.get("signatures") is not None:
-            plan.signatures = SignatureTable.from_json(data["signatures"])
-        return plan
-
-
-def _overwrite_groups(model, pidx: int, lp: LayerLockPlan,
-                      groups: np.ndarray, codes_value) -> None:
+def _overwrite_groups(model, pidx: int, lp: LayerLockPlan, groups: np.ndarray) -> None:
     """Set every plain-storage weight of the given groups to its lock code."""
     weight = dict(model.parametric())[pidx].weight
     flat = weight.codes.reshape(-1)
     groups = np.asarray(groups, dtype=np.int64).reshape(-1)
     G = lp.group_size
     idx = (groups[:, None] * G + np.arange(G)).reshape(-1)
-    if codes_value is None:
-        codes = np.repeat(lp.centroid_codes[lp.group_ids[groups]], G)
-    else:
-        codes = np.full(idx.size, codes_value, dtype=np.int64)
+    codes = np.repeat(lp.centroid_codes[lp.group_ids[groups]], G)
     keep = idx < flat.size  # the last group may be short
     idx, codes = idx[keep], codes[keep]
     plain = ~weight.tcu[idx]
@@ -372,18 +302,7 @@ def lock(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
         lp = plan.layers.get(pidx)
         if lp is None or lp.group_size is None or len(groups) == 0:
             continue
-        _overwrite_groups(out, pidx, lp, groups, None)
-    return out
-
-
-def prune_baseline(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
-    """Recovery baseline: flagged groups are zeroed instead of locked."""
-    out = model.clone()
-    for pidx, groups in flagged.items():
-        lp = plan.layers.get(pidx)
-        if lp is None or lp.group_size is None or len(groups) == 0:
-            continue
-        _overwrite_groups(out, pidx, lp, groups, 0)
+        _overwrite_groups(out, pidx, lp, groups)
     return out
 
 
@@ -481,7 +400,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
                                watch_core=core, watch_margin=margin)
             if (pidx, G, K) not in memo:
                 trial = model.clone()
-                _overwrite_groups(trial, pidx, lp, feas, None)
+                _overwrite_groups(trial, pidx, lp, feas)
                 memo[pidx, G, K] = acc0 - evaluate(trial, val_set, prefix=prefix)
             if memo[pidx, G, K] < eta:
                 chosen = lp

@@ -1,10 +1,11 @@
 """Defense composition: protect, attack, detect, lock, evaluate, and search.
 
 Components:
-  * DefensePlan: one (alpha, eta) configuration with its plans and ledgers.
+  * DefensePlan: one (alpha, eta) configuration with its plans and ledgers,
+    reported as rows and never serialized.
   * build_defense: the one per-alpha builder; one unary search, and one
     curvature snapshot and emulated attack footprint shared by every
-    finite eta.
+    finite eta.  Alpha 0 protects nothing, an infinite eta locks nothing.
   * attack_panel / recover: the shared evaluation protocol, split where
     the lock plan enters.  attack_panel attacks one protected model over
     budgets x emulations; recover detects, contains and evaluates those
@@ -44,10 +45,6 @@ DEFAULT_ALPHA_GRID = (0.02, 0.01, 0.005, 0.0025)
 DEFAULT_ETA_GRID = (0.01, 0.015, 0.02)
 
 
-def empty_unary_plan() -> UnaryPlan:
-    return UnaryPlan(alpha=0.0)
-
-
 def disabled_lock_plan(model) -> LockPlan:
     """Locking switched off: every layer marked unlockable, no signatures."""
     plan = LockPlan(eta=float("inf"))
@@ -67,17 +64,6 @@ class DefensePlan:
     memory: Dict[str, float] = field(default_factory=dict)
     accuracy: Dict[str, float] = field(default_factory=dict)
     feasible: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "eta": self.eta if np.isfinite(self.eta) else None,
-            "unary": self.unary.to_json(),
-            "lockdown": self.lockdown.to_json(),
-            "memory": self.memory,
-            "accuracy": self.accuracy,
-            "feasible": self.feasible,
-        }
 
 
 def measure_memory(model, unary: UnaryPlan, lockdown: LockPlan) -> Dict[str, float]:
@@ -232,9 +218,6 @@ class PipelineReport:
     summary: Dict[str, float]
     memory: Dict[str, float]
 
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "summary": self.summary, "memory": self.memory}
-
 
 @dataclass
 class PanelEntry:
@@ -309,10 +292,7 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
     rows: List[dict] = []
     for entry in panel.entries:
         attacked, trace = panel.attacked(entry), entry.trace
-        if table and table.layers:
-            report = detect(attacked, table)
-        else:
-            report = DetectionReport({})
+        report = detect(attacked, table) if table else DetectionReport({})
         recovered = contain(attacked, report, plan.lockdown)
         stats = _detection_stats(report.flagged, _truth_groups(trace, tcu, plan.lockdown))
         on_protected = sum(1 for f in trace.flips if tcu[f.address.layer][f.address.weight])
@@ -379,7 +359,7 @@ def build_defense(model, alpha: float, etas: List[float],
                                   noise=noise, attack_pool=attack_pool,
                                   assignment=assignment)
     else:
-        unary = empty_unary_plan()
+        unary = UnaryPlan(alpha=0.0)
     protected = apply_protection(model, unary)
 
     if any(np.isfinite(eta) for eta in etas):

@@ -2,34 +2,20 @@
 
 A sign-bit flip moves a stored weight by 2^(b-1) quantization levels, the
 largest single-flip deviation the storage format allows.  Each weight gets a
-second-order Taylor score of the loss change under its own sign-bit flip;
-layers are ranked by a dispersion-robust blend of score quantiles, and the
+second-order Taylor score of the loss change under its own sign-bit flip
+(weight_sensitivity, one flat array per layer); layers are ranked by a
+dispersion-robust blend of score quantiles (layer_sensitivity), and the
 protection budget is assigned to the most exposed layers first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .engine import Batch, QuantizedModel, backward, curvature_diag
 from .errors import InputError
-
-
-@dataclass
-class SensitivityMap:
-    """Per-weight scores plus the pieces they were built from.
-
-    Arrays are flat, one entry per weight, in parametric layer order.
-    """
-
-    scores: List[np.ndarray]  # Taylor loss-change estimate per weight
-    grads: List[np.ndarray]  # loss gradient per weight
-    curvature: List[np.ndarray]  # diagonal curvature estimate per weight
-    msb_delta: List[np.ndarray]  # dequantized deviation of a sign-bit flip
-    layer_names: List[str]
 
 
 def msb_flip_deltas(model: QuantizedModel) -> List[np.ndarray]:
@@ -43,37 +29,30 @@ def msb_flip_deltas(model: QuantizedModel) -> List[np.ndarray]:
     return deltas
 
 
-def weight_sensitivity(model: QuantizedModel, val_set: Batch) -> SensitivityMap:
+def weight_sensitivity(model: QuantizedModel, val_set: Batch) -> List[np.ndarray]:
     """Second-order Taylor estimate of the loss change per sign-bit flip.
 
     score = g * dw + 0.5 * h * dw^2 with g the loss gradient, h the diagonal
     curvature, and dw the sign-bit deviation.  Both g and h are measured on
-    the clean model (no injected noise).
+    the clean model (no injected noise).  One flat array per parametric layer.
     """
     if len(val_set) == 0:
         raise InputError("empty validation set")
     grads = backward(model, val_set)
     curv = curvature_diag(model, val_set)
     deltas = msb_flip_deltas(model)
-    scores, flat_g, flat_h = [], [], []
-    for g, h, dw in zip(grads, curv, deltas):
-        gf = g.reshape(-1)
-        hf = h.reshape(-1)
-        scores.append(gf * dw + 0.5 * hf * dw * dw)
-        flat_g.append(gf)
-        flat_h.append(hf)
-    names = [layer.name for _, layer in model.parametric()]
-    return SensitivityMap(scores, flat_g, flat_h, deltas, names)
+    return [g.reshape(-1) * dw + 0.5 * h.reshape(-1) * dw * dw
+            for g, h, dw in zip(grads, curv, deltas)]
 
 
-def layer_sensitivity(smap: SensitivityMap) -> np.ndarray:
+def layer_sensitivity(scores: Sequence[np.ndarray]) -> np.ndarray:
     """Blend of the median and upper-quartile score per layer.
 
     The blend tracks how much of a layer's mass sits in its sensitive tail
     without letting a single outlier weight dominate the ranking.
     """
-    out = np.empty(len(smap.scores), dtype=np.float64)
-    for i, s in enumerate(smap.scores):
+    out = np.empty(len(scores), dtype=np.float64)
+    for i, s in enumerate(scores):
         q50, q75 = np.percentile(s, [50, 75])
         out[i] = (q50 + q75) / 2
     return out

@@ -39,27 +39,6 @@ class UnaryPlan:
     def total(self) -> int:
         return sum(len(v) for v in self.layers.values())
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "layers": [
-                {"layer": p, "indices": list(map(int, idx))}
-                for p, idx in sorted(self.layers.items())
-            ],
-            "layer_worst": {str(p): v for p, v in sorted(self.layer_worst.items())},
-            "trial_log": {str(p): v for p, v in sorted(self.trial_log.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "UnaryPlan":
-        plan = cls(alpha=float(data["alpha"]))
-        plan.layers = {
-            int(e["layer"]): [int(i) for i in e["indices"]] for e in data["layers"]
-        }
-        plan.layer_worst = {int(k): v for k, v in data.get("layer_worst", {}).items()}
-        plan.trial_log = {int(k): v for k, v in data.get("trial_log", {}).items()}
-        return plan
-
 
 def apply_protection(model, plan: UnaryPlan):
     """Flag the planned weights as TCU-stored on a copy of the model.
@@ -117,10 +96,10 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
     budget.validate()
     pool = val_set if attack_pool is None else attack_pool
 
-    smap = weight_sensitivity(model, val_set)
+    sens = weight_sensitivity(model, val_set)
     sizes = model.layer_sizes()
     if assignment == "top":
-        budgets = assign_budget(alpha, layer_sensitivity(smap), sizes)
+        budgets = assign_budget(alpha, layer_sensitivity(sens), sizes)
     else:
         budgets = even_assign_budget(alpha, sizes)
 
@@ -132,7 +111,7 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         count = int(budgets[pidx])
         if count == 0:
             continue
-        scores = smap.scores[pidx].reshape(-1)
+        scores = sens[pidx]
         trial_seqs = layer_seqs[pidx].spawn(trials)
         best_idx: Optional[np.ndarray] = None
         best_worst = -np.inf

@@ -1,5 +1,6 @@
 """Shared fixtures and small model builders for the test suite."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,23 @@ def toy_cnn_model(bits=6, seed=0, channels=(1, 3, 4), hw=8, classes=3):
         Dense(tensor((classes, feat), 0.03)),
     ]
     return QuantizedModel(layers)
+
+
+def plain(obj):
+    """Nested plain values of dataclasses, dicts, lists, tuples and arrays.
+
+    An array becomes (dtype, shape, contents), so two results compare equal
+    only if every array agrees in dtype and shape as well as in its values.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tolist())
+    return obj
 
 
 def traced_peak(call):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from bitguard.bitcodec import (
     BitAddress,
-    MemoryLedger,
     TcuCodeword,
     code_range,
     flip_bit,
@@ -354,18 +353,7 @@ def test_ledger_lock_ratio_matches_closed_form_when_divisible():
     assert ledger.ratio == pytest.approx(lock_ratio(16, 8, 8))
 
 
-def test_ledger_merge_requires_same_baseline():
-    model = dense_model(np.zeros((2, 5), dtype=np.int64), bits=3)
-    a = ledger_unary(unary_plan({0: [0, 1]}), model)
-    b = ledger_tcu(unary_plan({0: [2]}), model)
-    merged = a.merged(b)
-    assert merged.component_bits == a.component_bits + b.component_bits
-    with pytest.raises(InputError):
-        a.merged(MemoryLedger(baseline_bits=7))
-
-
 def test_bit_address_ordering_and_json():
     a = BitAddress(0, 5, 3)
     b = BitAddress(1, 0, 0)
     assert a < b
-    assert BitAddress.from_json(a.to_json()) == a

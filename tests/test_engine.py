@@ -702,6 +702,32 @@ def test_checkpoint_codes_out_of_range_are_a_format_error():
         load_model_json(obj)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda c: c.pop("head"),
+    lambda c: c.pop("input_bits"),
+    lambda c: c.pop("layers"),
+    lambda c: c.__setitem__("input_bits", "x"),
+    lambda c: c["protected"].__setitem__("0", [1, 2]),
+    lambda c: c.__setitem__("protected", [[1, 2]]),
+], ids=["no-head", "no-input-bits", "no-layers", "input-bits-x", "protected-entry-list",
+        "protected-list"])
+def test_checkpoint_malformed_header_or_protected_list_is_a_format_error(edit):
+    obj = json.loads(PINNED_TCU_CHECKPOINT)
+    edit(obj)
+    with pytest.raises(FormatError):
+        load_model_json(obj)
+
+
+@pytest.mark.parametrize("root", [[], "model", 3, None])
+def test_checkpoint_root_that_is_no_object_is_a_format_error(root, tmp_path):
+    with pytest.raises(FormatError):
+        model_from_json(root)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(root))
+    with pytest.raises(FormatError):
+        load_model(str(path))
+
+
 def test_tcu_mask_is_flat_and_sized():
     w = QuantizedTensor(np.zeros((2, 3), dtype=np.int64), 0.1, 4)
     assert w.tcu.shape == (6,) and w.tcu.dtype == bool and not w.tcu.any()

@@ -380,6 +380,46 @@ def test_unknown_key_inside_a_section_rejected(tmp_path):
         load_config(overrides={"model.depth": 4}, environ={})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("defense.assignment", "bogus"),
+    ("dataset.kind", "mnist"),
+    ("defense.trials", 0),
+    ("defense.emulations", 0),
+    ("attacker.batch_size", 0),
+    ("attacker.grad_samples", 0),
+    ("attacker.grad_samples", 1.5),
+    ("attacker.batch_grid", [16, 0]),
+    ("defense.alpha_grid", [0.01, 1.5]),
+    ("defense.alpha_grid", [-0.01]),
+    ("defense.eta_grid", [0.0]),
+    ("defense.eta_grid", [0.02, -0.1]),
+    ("model.bits", 1),
+])
+def test_invalid_config_value_raises_config_error(key, value):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        tiny_config(**{key: value})
+
+
+def test_config_range_edges_are_valid():
+    edges = {"defense.alpha_grid": [1, 0.0], "defense.eta_grid": [float("inf")],
+             "defense.assignment": "even", "model.bits": 2, "dataset.kind": "arcs"}
+    cfg = tiny_config(**edges)
+    assert (cfg.defense.alpha_grid, cfg.model.bits) == ([1, 0.0], 2)
+
+
+def test_cli_invalid_value_exits_2_before_any_stage(tmp_path, capsys, clean_env, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(nested({**TINY, "defense.assignment": "bogus"})))
+    assert main(["--config", str(path), "--stage", "train"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ConfigError"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_bad_env_override_exits_2(capsys, clean_env, monkeypatch):
     monkeypatch.setenv("BITGUARD_MODEL_EPOCHS", "abc")
     assert main(["--no-write"]) == 2

@@ -1,7 +1,5 @@
 """Planner tests: attack panels, recovery, ledgers, greedy (alpha, eta) search."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from bitguard.planner import (
     build_defense,
     contain,
     disabled_lock_plan,
-    empty_unary_plan,
     emulate_hit_weights,
     end_to_end_eval,
     measure_memory,
@@ -26,7 +23,7 @@ from bitguard.planner import (
 )
 from bitguard.unary_guard import UnaryPlan, apply_protection
 
-from conftest import crude_fit, dense_model, random_batch, toy_cnn_model
+from conftest import crude_fit, dense_model, plain, random_batch, toy_cnn_model
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +65,7 @@ class TestCorners:
     def test_no_attack_resumed_equals_clean(self, fitted):
         # nobody attacks: the pipeline must report clean accuracy untouched
         model, train, val = fitted
-        plan = DefensePlan(0.0, float("inf"), empty_unary_plan(),
+        plan = DefensePlan(0.0, float("inf"), UnaryPlan(alpha=0.0),
                            disabled_lock_plan(model))
         report = end_to_end_eval(model, plan, [], 1, val, seed=0, attack_pool=train)
         assert report.rows == []
@@ -121,19 +118,13 @@ class TestPipeline:
         plan = build_defense(model, alpha=0.01, etas=[0.02],
                              budgets=budgets_pair(), val_set=val,
                              trials=1, emulations=1, seed=0, attack_pool=train)[0]
-        dumps = [
-            json.dumps(
-                end_to_end_eval(model, plan, budgets_pair(), 2, val,
-                                seed=9, attack_pool=train).to_json(),
-                sort_keys=True,
-            )
-            for _ in range(2)
-        ]
-        assert dumps[0] == dumps[1]
+        reports = [end_to_end_eval(model, plan, budgets_pair(), 2, val,
+                                   seed=9, attack_pool=train) for _ in range(2)]
+        assert reports[0] == reports[1]
 
     def test_emulation_count_validated(self, fitted):
         model, train, val = fitted
-        plan = DefensePlan(0.0, float("inf"), empty_unary_plan(),
+        plan = DefensePlan(0.0, float("inf"), UnaryPlan(alpha=0.0),
                            disabled_lock_plan(model))
         with pytest.raises(InputError):
             end_to_end_eval(model, plan, budgets_pair(), 0, val, attack_pool=train)
@@ -221,9 +212,7 @@ class TestAttackPanel:
         before = [model_state(panel.attacked(e)) for e in panel.entries]
         protected = model_state(panel.protected)
         for plan in plans:
-            first = json.dumps(recover(panel, plan).to_json(), sort_keys=True)
-            again = json.dumps(recover(panel, plan).to_json(), sort_keys=True)
-            assert first == again
+            assert recover(panel, plan) == recover(panel, plan)
         assert [model_state(panel.attacked(e)) for e in panel.entries] == before
         assert model_state(panel.protected) == protected
 
@@ -235,7 +224,7 @@ class TestAttackPanel:
         panel = panel_for(model, plan, 2, val, seed=6, pool=train)
         whole = end_to_end_eval(model, plan, budgets_pair(), 2, val, seed=6,
                                 attack_pool=train)
-        assert recover(panel, plan).to_json() == whole.to_json()
+        assert recover(panel, plan) == whole
 
     def test_recover_rejects_other_protection(self, fitted):
         model, train, val = fitted
@@ -304,7 +293,7 @@ class TestSynergySearch:
                                  1, 1, seed=0, attack_pool=train)[0].unary
         kw = dict(alpha_grid=(0.02, 0.01), eta_grid=(0.02,), trials=1,
                   emulations=1, seed=0, attack_pool=train, target_drop=0.5)
-        plain = synergy_search(model, budgets_pair(), val, **kw)
+        fresh = synergy_search(model, budgets_pair(), val, **kw)
         calls = []
         real = planner.search_protection
 
@@ -316,8 +305,8 @@ class TestSynergySearch:
         handed = synergy_search(model, budgets_pair(), val,
                                 searched={(0.02, 0): searched}, **kw)
         assert calls == [0.01]
-        assert handed[1] == plain[1]
-        assert handed[0].to_json() == plain[0].to_json()
+        assert handed[1] == fresh[1]
+        assert plain(handed[0]) == plain(fresh[0])
 
     def test_selects_cheapest_feasible(self, fitted):
         model, train, val = fitted
@@ -369,16 +358,7 @@ class TestSynergySearch:
         rebuilt = build_defense(model, plan.alpha, [plan.eta], budgets_pair(),
                                 val, 1, 1, seed=3 + a_idx, attack_pool=train)[0]
         for part in ("alpha", "eta", "unary", "lockdown"):
-            assert rebuilt.to_json()[part] == plan.to_json()[part], part
-
-    def test_plan_serializes_to_strict_json(self, fitted):
-        model, train, val = fitted
-        plan, _ = synergy_search(model, budgets_pair(), val,
-                                 alpha_grid=(0.01,), eta_grid=(float("inf"),),
-                                 trials=1, emulations=1, seed=0,
-                                 attack_pool=train, target_drop=0.5)
-        blob = json.dumps(plan.to_json(), allow_nan=False, sort_keys=True)
-        assert json.loads(blob)["eta"] is None
+            assert plain(getattr(rebuilt, part)) == plain(getattr(plan, part)), part
 
 
 class TestContainment:

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from bitguard.bitcodec import flip_bit
-from bitguard.engine import Batch, forward
+from bitguard.engine import Batch, backward, curvature_diag, forward
 from bitguard.errors import InputError
 from bitguard.sensitivity import (
-    SensitivityMap,
     assign_budget,
     even_assign_budget,
     layer_sensitivity,
@@ -21,25 +20,14 @@ from bitguard.sensitivity import (
 from conftest import crude_fit, random_batch, toy_cnn_model
 
 
-def test_taylor_score_arithmetic():
-    # g=0.1, h=0.02, dw=-8  ->  0.1*(-8) + 0.5*0.02*64 = -0.16
-    smap = SensitivityMap(
-        scores=[np.array([0.1 * -8 + 0.5 * 0.02 * 64])],
-        grads=[np.array([0.1])],
-        curvature=[np.array([0.02])],
-        msb_delta=[np.array([-8.0])],
-        layer_names=["dense0"],
-    )
-    assert smap.scores[0][0] == pytest.approx(-0.16)
-
-
 def test_weight_sensitivity_composes_gradient_and_curvature():
     model = toy_cnn_model(seed=3)
     batch = random_batch(8, 1, 12, 3, seed=4)
-    smap = weight_sensitivity(model, batch)
-    for s, g, h, dw in zip(smap.scores, smap.grads, smap.curvature, smap.msb_delta):
-        assert np.allclose(s, g * dw + 0.5 * h * dw * dw)
+    scores = weight_sensitivity(model, batch)
+    parts = zip(backward(model, batch), curvature_diag(model, batch), msb_flip_deltas(model))
+    for s, (g, h, dw) in zip(scores, parts, strict=True):
         assert s.ndim == 1
+        assert np.array_equal(s, g.reshape(-1) * dw + 0.5 * h.reshape(-1) * dw * dw)
 
 
 def test_msb_delta_sign_and_magnitude():
@@ -66,10 +54,10 @@ def test_scores_rank_correlate_with_true_flip_damage():
     noisy = Batch(batch.inputs, y)
     crude_fit(model, noisy, steps=40)
 
-    smap = weight_sensitivity(model, noisy)
+    scores = weight_sensitivity(model, noisy)
     _, base_loss = forward(model, noisy)
     true_delta = []
-    est = np.concatenate(smap.scores)
+    est = np.concatenate(scores)
     for pidx, layer in model.parametric():
         bits = layer.weight.bits
         flat = layer.weight.codes.reshape(-1)
@@ -86,14 +74,7 @@ def test_scores_rank_correlate_with_true_flip_damage():
 
 
 def test_layer_sensitivity_quantile_blend():
-    smap = SensitivityMap(
-        scores=[np.array([0.0, 0.0, 0.0, 4.0]), np.array([1.0, 1.0])],
-        grads=[np.zeros(4), np.zeros(2)],
-        curvature=[np.zeros(4), np.zeros(2)],
-        msb_delta=[np.zeros(4), np.zeros(2)],
-        layer_names=["a", "b"],
-    )
-    scores = layer_sensitivity(smap)
+    scores = layer_sensitivity([np.array([0.0, 0.0, 0.0, 4.0]), np.array([1.0, 1.0])])
     assert scores[0] == pytest.approx(0.5)  # (median 0 + q75 1.0) / 2
     assert scores[1] == pytest.approx(1.0)
 
@@ -104,7 +85,7 @@ def test_permutation_invariance_of_scores():
     perm = np.random.default_rng(0).permutation(len(batch))
     a = weight_sensitivity(model, batch)
     b = weight_sensitivity(model, Batch(batch.inputs[perm], batch.labels[perm]))
-    for sa, sb in zip(a.scores, b.scores):
+    for sa, sb in zip(a, b):
         assert np.allclose(sa, sb, rtol=1e-10, atol=1e-12)
 
 

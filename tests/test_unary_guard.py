@@ -1,7 +1,5 @@
 """Protection-search tests: plan application, sampling, worst-case selection."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -158,17 +156,6 @@ class TestSearchProtection:
             search_protection(model, alpha=0.05, trials=1, emulations=1,
                               budget=small_budget(), val_set=val,
                               attack_pool=tiny)
-
-    def test_plan_json_roundtrip(self, fitted):
-        model, train, val = fitted
-        plan = search_protection(model, alpha=0.05, trials=2, emulations=1,
-                                 budget=small_budget(), val_set=val, seed=5,
-                                 attack_pool=train)
-        back = UnaryPlan.from_json(json.loads(json.dumps(plan.to_json())))
-        assert back.alpha == plan.alpha
-        assert back.layers == plan.layers
-        assert back.layer_worst == plan.layer_worst
-        assert back.trial_log == plan.trial_log
 
 
 class TestFullProtectionBound:

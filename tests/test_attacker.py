@@ -10,14 +10,19 @@ from bitguard.attacker import (
     _apply,
     _fallback_ranking,
     _FlipState,
+    _Moves,
+    _remaining_addresses,
     apply_trace,
     bfa_attack,
     draw_attack,
 )
 from bitguard.bitcodec import TcuCodeword, flip_bit, tcu_decode, tcu_encode, to_signed, to_unsigned
-from bitguard.engine import ActivationPrefix, Batch, NoiseSpec, backward, forward, loss_and_grads
+from bitguard.engine import (ActivationPrefix, Batch, NoiseSpec, QuantizedTensor, backward, forward,
+                             loss_and_grads)
+from bitguard.engine.layers import Dense, QuantizedModel
 from bitguard.errors import ConfigError, InputError
 
+import reference
 from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model
 
 
@@ -287,6 +292,92 @@ class TestGreedyConsistency:
         for flip in trace.flips:
             if not flip.fallback:
                 assert flip.est_gain > 0
+
+
+def table(moves):
+    return [moves.hi.tolist(), moves.lo.tolist(), moves.hi_bit.tolist(),
+            moves.lo_bit.tolist(), moves.blocked.tolist()]
+
+
+def random_legal_move(ref, layer, w, rng):
+    """(bit or slot, new code, slot flip) of a random unused move of weight w,
+    read off the reference table; None when w has no move left."""
+    bits = layer.weight.bits
+    half, span = 1 << (bits - 1), 1 << bits
+    code = int(layer.weight.codes.flat[w])
+    row = ref.row[w]
+    if row < 0:
+        free = np.flatnonzero(~ref.used[w])
+        if not free.size:
+            return None
+        b = int(rng.choice(free))
+        return b, flip_bit(code, b, bits), False
+    moves = []
+    for target, step in ((0, 1), (1, -1)):  # level up through a 0 slot, down through a 1 slot
+        avail = np.flatnonzero((ref.slots[row] == target) & ~ref.slot_used[row])
+        if avail.size:
+            moves.append((int(avail[0]), (code + step + half) % span - half, True))
+    return moves[int(rng.integers(len(moves)))] if moves else None
+
+
+class TestMoveTable:
+    """The closed-form table equals the (n, bits) reference table."""
+
+    @staticmethod
+    def layer(bits, seed, tcu_share):
+        rng = np.random.default_rng(seed)
+        half = 1 << (bits - 1)
+        codes = rng.integers(-half, half, size=(9, 7))
+        codes.flat[:4] = [-half, half - 1, 0, -1]  # the range ends and the wrap points
+        model = QuantizedModel([Dense(QuantizedTensor(codes, 0.1, bits))])
+        model.layers[0].weight.tcu[rng.random(codes.size) < tcu_share] = True
+        return model
+
+    @pytest.mark.parametrize("tcu_share", [0.0, 0.5, 1.0], ids=["plain", "mixed", "tcu"])
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_random_marks_keep_the_table_equal(self, bits, tcu_share):
+        rng = np.random.default_rng(bits)
+        model = self.layer(bits, bits, tcu_share)
+        layer = model.layers[0]
+        moves, ref = _Moves(layer), reference.Moves(layer)
+        assert table(moves) == table(ref)
+        n = layer.weight.size
+        for _ in range(n * (bits + 2)):
+            w = int(rng.integers(n))
+            move = random_legal_move(ref, layer, w, rng)
+            if move is None:
+                continue
+            bit, layer.weight.codes.flat[w], slot_flip = move
+            moves.mark(w, bit, slot_flip)
+            ref.mark(w, bit, slot_flip)
+            assert table(moves) == table(ref)
+        assert ref.blocked.any()
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_remaining_addresses_keep_their_order(self, bits):
+        rng = np.random.default_rng(bits + 20)
+        model = self.layer(bits, bits + 20, 0.5)
+        layer = model.layers[0]
+        state = _FlipState(model)
+        ref = reference.Moves(layer)
+        n = layer.weight.size
+        for _ in range(n * 2):
+            w = int(rng.integers(n))
+            move = random_legal_move(ref, layer, w, rng)
+            if move is not None:
+                bit, layer.weight.codes.flat[w], slot_flip = move
+                state.moves[0].mark(w, bit, slot_flip)
+                ref.mark(w, bit, slot_flip)
+        walked = 0
+        # flip each address as it is yielded, as bfa_attack does
+        for got, want in zip(_remaining_addresses(model, state),
+                             reference.remaining_addresses(model, [ref]), strict=True):
+            assert got == want
+            _apply(model, got)
+            state.mark(got)
+            ref.mark(got.weight, got.bit, got.slot_flip)
+            walked += 1
+        assert walked > 0 and ref.blocked.all()
 
 
 def assert_codes_decode_slot_flips(clean, attacked, trace):

@@ -39,6 +39,7 @@ from bitguard.errors import FormatError, InputError, NumericError
 from bitguard.harness.pretrain import build_desk_model
 from bitguard.unary_guard import UnaryPlan, apply_protection
 
+import reference
 from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model, traced_peak
 
 
@@ -464,6 +465,26 @@ def test_conv_weight_grads_match_einsum(n, stride, pad):
     assert no_dx is None and np.array_equal(dw_only, dw)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape,k", [((3, 2, 7, 9), 3), ((2, 3, 6, 6), 2), ((1, 1, 5, 8), 3)])
+def test_col2im_and_input_grad_match_loop_bytes(shape, k, stride, pad):
+    rng = np.random.default_rng(sum(shape) + 7 * k)
+    oh, ow = ops.conv_out_hw(shape[2], shape[3], k, stride, pad)
+    cols = rng.standard_normal((shape[0], shape[1] * k * k, oh * ow))
+    # a -0.0 that a +0.0 sum would flip, and infs whose sums give inf or NaN
+    cols[0, :4, 0] = [-0.0, np.inf, -np.inf, np.inf]
+    got = ops.col2im(cols, shape, k, stride, pad)
+    assert got.shape == shape and got.dtype == np.float64
+    assert got.tobytes() == reference.loop_col2im(cols, shape, k, stride, pad).tobytes()
+    assert got.tobytes() == reference.col2im(cols, shape, k, stride, pad).tobytes()
+    w = rng.standard_normal((4, shape[1], k, k))
+    dout = rng.standard_normal((shape[0], 4, oh, ow))
+    dout[0, 0, 0, :2] = [-0.0, np.inf]
+    dx = ops.conv2d_input_grad(dout, w, shape, stride, pad)
+    assert dx.tobytes() == reference.conv2d_input_grad(dout, w, shape, stride, pad).tobytes()
+
+
 def argmax_pool(x, dout):
     """Reference pool: argmax over each flattened 2x2 window (first max wins)."""
     n, c, h, w = x.shape
@@ -501,6 +522,19 @@ def test_maxpool_matches_argmax_reference(x):
     # a NaN never reaches the backward pass: the logits check stops it first
     if not np.isnan(x).any():
         assert np.array_equal(ops.maxpool2_backward(dout, cache), want_dx)
+
+
+pool_grads = st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan]) | st.floats(-4, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_inputs, st.data())
+def test_maxpool_backward_matches_reference_bytes(x, data):
+    # NaN and signed-zero windows and gradients included
+    out, cache = ops.maxpool2_forward(x)
+    dout = data.draw(arrays(np.float64, out.shape, elements=pool_grads))
+    assert ops.maxpool2_backward(dout, cache).tobytes() == \
+        reference.maxpool2_backward(dout, x).tobytes()
 
 
 def grad_bytes(grads):
@@ -558,6 +592,32 @@ def test_recording_prefix_grads_equal_loss_and_grads(build, protect):
     assert prefix.resume(model, data)[0] == param[-1]
     prefix.follow(model, data)
     check()
+
+
+def with_reference_kernels(monkeypatch):
+    monkeypatch.setattr(ops, "col2im", reference.col2im)
+    monkeypatch.setattr(ops, "maxpool2_forward", reference.maxpool2_forward)
+    monkeypatch.setattr(ops, "maxpool2_backward", reference.maxpool2_backward)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("build", [
+    lambda n: (build_desk_model(bits=8, hw=12, classes=10, seed=2),
+               random_batch(12, 1, n, 10, seed=n)),
+    lambda n: (toy_cnn_model(seed=5), random_batch(8, 1, n, 3, seed=n)),
+], ids=["desk_cnn", "toy_cnn"])
+def test_grads_equal_reference_kernel_grads(build, n, monkeypatch):
+    # the toy CNN feeds a conv's input gradient to relu and affine layers,
+    # the desk CNN to a max pool
+    model, data = build(n)
+
+    def passes():
+        prefix = ActivationPrefix(model, data, record=True)
+        return [grad_bytes(loss_and_grads(model, data)[1]), grad_bytes(prefix.grads())]
+
+    got = passes()
+    with_reference_kernels(monkeypatch)
+    assert got == passes()
 
 
 def test_prefix_without_record_keeps_no_caches():

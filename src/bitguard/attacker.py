@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .bitcodec import BitAddress, tcu_encode, to_signed
+from .bitcodec import BitAddress, to_signed
 from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, loss_and_grads
 from .errors import ConfigError, InputError
 from .sensitivity import msb_flip_deltas
@@ -98,32 +98,46 @@ class _Candidate:
     slot_flip: bool  # True when the flip lands in a TCU codeword slot
 
 
+def _top_index(x: np.ndarray) -> np.ndarray:
+    """floor(log2(x)) of each 0 < x < 2**62, read off its float64 exponent."""
+    e = (x.astype(np.float64).view(np.int64) >> 52) - 1023
+    return e - ((1 << e) > x)  # past 2**53 the conversion may round up a power
+
+
 class _Moves:
     """One layer's move table: each weight's extreme reachable code deltas.
 
-    A plain weight's moves are its unused bits.  A TCU word's moves are one
-    level up through its first free 0 slot and one level down through its
-    first free 1 slot; the words, tcu_encode of the codes the table is
-    built on, sit in a slot matrix padded with -1, and slot_used marks
-    flipped and padding slots.  hi/lo hold the largest and smallest delta
-    over a weight's moves and hi_bit/lo_bit the bit or slot that makes it;
-    blocked marks weights with no move left.
+    A plain weight's moves are its unused bits; used holds one bitmask per
+    weight.  Flipping bit b of a two's-complement code adds 2**b where code
+    ^ half (the code with its sign bit inverted) has a 0 and subtracts it
+    where it has a 1, so the largest delta is plus the highest free bit of
+    the first kind, else minus the lowest of the second, and the smallest
+    delta the mirror image.
+    A TCU word, tcu_encode of the code the table is built on, is `ones` 1
+    slots followed by 0 slots up to `width`.  Its moves are one level up
+    through its first free 0 slot and one level down through its first free
+    1 slot.  A flip always takes the first free slot of its run, so the used
+    slots of each run are a prefix and `up`/`down` hold the next free slot.
+    hi/lo hold the largest and smallest delta over a weight's moves and
+    hi_bit/lo_bit the bit or slot that makes it; blocked marks weights with
+    no move left, whose entries are those of bit or slot 0.
     """
 
     def __init__(self, layer):
         self.layer = layer
         bits = layer.weight.bits
         n = layer.weight.codes.size
-        self.used = np.zeros((n, bits), dtype=bool)
+        self.used = np.zeros(n, dtype=np.int64)
         words = np.flatnonzero(layer.weight.tcu)
         self.row = np.full(n, -1, dtype=np.int64)
         self.row[words] = np.arange(words.size)
-        encoded = [tcu_encode(int(c), bits).word for c in layer.weight.codes.flat[words]]
-        width = max((word.size for word in encoded), default=0)
-        self.slots = np.full((words.size, width), -1, dtype=np.int8)
-        for r, word in enumerate(encoded):
-            self.slots[r, : word.size] = word
-        self.slot_used = self.slots < 0
+        level = layer.weight.codes.reshape(-1)[words] & ((1 << bits) - 1)
+        zeros = (1 << bits) - 1 - level  # zeros of the full unary word
+        stored = np.minimum(level, zeros)  # the shorter run, as tcu_encode keeps it
+        self.width = 2 << _top_index(np.maximum(stored, 1))  # 2**ceil(log2(stored + 1))
+        self.width[stored == 0] = 1
+        self.ones = np.where(level <= zeros, stored, self.width - stored)
+        self.down, self.up = np.zeros_like(self.ones), self.ones.copy()
         self.hi, self.lo = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         self.hi_bit, self.lo_bit = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         self.blocked = np.zeros(n, dtype=bool)
@@ -136,31 +150,32 @@ class _Moves:
         span, half = 1 << bits, 1 << (bits - 1)
         plain, words = idx[self.row[idx] < 0], idx[self.row[idx] >= 0]
 
-        c = codes[plain]
-        patterns = (c & (span - 1))[:, None] ^ (1 << np.arange(bits))[None, :]
-        delta = np.where(patterns >= half, patterns - span, patterns) - c[:, None]
-        self._set(plain, delta, np.broadcast_to(np.arange(bits), delta.shape), ~self.used[plain])
+        free = (span - 1) & ~self.used[plain]
+        self.blocked[plain] = free == 0
+        free[free == 0] = 1  # a blocked weight's entries are bit 0's
+        falls = (codes[plain] & (span - 1)) ^ half  # set where a flip subtracts
+        rise, fall = free & ~falls, free & falls
+        rising, falling = rise != 0, fall != 0
+        hi_bit = _top_index(np.where(rising, rise, fall & -fall))
+        lo_bit = _top_index(np.where(falling, fall, rise & -rise))
+        self.hi[plain] = np.where(rising, 1, -1) << hi_bit
+        self.lo[plain] = np.where(falling, -1, 1) << lo_bit
+        self.hi_bit[plain], self.lo_bit[plain] = hi_bit, lo_bit
 
         if not words.size:
             return
         c = codes[words]
-        u = (c & (span - 1))[:, None] + np.array([1, -1])
-        delta = np.where(u >= half, u - span, u) - c[:, None]
+        u = (c & (span - 1)) + np.array([[1], [-1]])  # one level up, one down
+        d_up, d_down = np.where(u >= half, u - span, u) - c
         rows = self.row[words]
-        slot, free = [], []
-        for target in (0, 1):  # level up flips a 0 slot, level down a 1 slot
-            avail = (self.slots[rows] == target) & ~self.slot_used[rows]
-            slot.append(np.argmax(avail, axis=1))
-            free.append(avail.any(axis=1))
-        self._set(words, delta, np.stack(slot, axis=1), np.stack(free, axis=1))
-
-    def _set(self, idx, delta, bit, free) -> None:
-        k = np.arange(idx.size)
-        hi = np.argmax(np.where(free, delta, np.iinfo(np.int64).min), axis=1)
-        lo = np.argmin(np.where(free, delta, np.iinfo(np.int64).max), axis=1)
-        self.hi[idx], self.hi_bit[idx] = delta[k, hi], bit[k, hi]
-        self.lo[idx], self.lo_bit[idx] = delta[k, lo], bit[k, lo]
-        self.blocked[idx] = ~free.any(axis=1)
+        can_up, can_down = self.up[rows] < self.width[rows], self.down[rows] < self.ones[rows]
+        s_up, s_down = np.where(can_up, self.up[rows], 0), np.where(can_down, self.down[rows], 0)
+        # an argmax over (up, down) keeps up on ties and when neither is free
+        hi_down = can_down & (~can_up | (d_down > d_up))
+        lo_down = can_down & (~can_up | (d_down < d_up))
+        self.hi[words], self.hi_bit[words] = np.where(hi_down, d_down, d_up), np.where(hi_down, s_down, s_up)
+        self.lo[words], self.lo_bit[words] = np.where(lo_down, d_down, d_up), np.where(lo_down, s_down, s_up)
+        self.blocked[words] = ~(can_up | can_down)
 
     def best(self, pidx: int, g: np.ndarray) -> _Candidate:
         """The layer's move with the largest estimate under gradient g.
@@ -179,10 +194,15 @@ class _Moves:
         return _Candidate(float(est[w]), pidx, w, int(bit), code + int(delta), bool(self.row[w] >= 0))
 
     def mark(self, weight: int, bit: int, slot_flip: bool) -> None:
+        """Use the weight's bit, or its slot: the first free one of its run."""
         if slot_flip:
-            self.slot_used[self.row[weight], bit] = True
+            r = self.row[weight]
+            if bit < self.ones[r]:
+                self.down[r] = bit + 1
+            else:
+                self.up[r] = bit + 1
         else:
-            self.used[weight, bit] = True
+            self.used[weight] |= 1 << bit
         self.refresh(np.array([weight]))
 
 
@@ -284,7 +304,7 @@ def bfa_attack(
     def record(cand: _Candidate, fallback: bool) -> None:
         pre = _apply(work, cand)
         state.mark(cand)
-        _, loss_after = prefix.follow(work, attack_set)
+        _, loss_after = prefix.follow(work, attack_set, cand.layer)
         trace.flips.append(FlipRecord(BitAddress(cand.layer, cand.weight, cand.bit), pre,
                                       cand.new_code, cand.est, loss_after, fallback))
 
@@ -360,13 +380,14 @@ def _remaining_addresses(work: QuantizedModel, state: _FlipState):
         for i in range(codes.size):
             row = moves.row[i]
             if row >= 0:
-                for slot in np.flatnonzero(~moves.slot_used[row]).tolist():
-                    du = 1 if moves.slots[row, slot] == 0 else -1
+                ones = int(moves.ones[row])
+                for slot in [*range(moves.down[row], ones), *range(moves.up[row], moves.width[row])]:
+                    du = 1 if slot >= ones else -1  # a 0 slot steps up, a 1 slot down
                     new_u = (int(codes[i]) & mask) + du
                     yield _Candidate(0.0, pidx, i, slot, to_signed(new_u, bits), True)
             else:
                 for b in range(bits):
-                    if moves.used[i, b]:
+                    if int(moves.used[i]) >> b & 1:
                         continue
                     new_code = to_signed((int(codes[i]) & mask) ^ (1 << b), bits)
                     yield _Candidate(0.0, pidx, i, b, new_code, False)

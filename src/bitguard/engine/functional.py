@@ -95,7 +95,7 @@ _STEPS = {
     "relu": (lambda layer, x, w: ops.relu_forward(x),
              lambda dout, x, *_: (ops.relu_backward(dout, x), None)),
     "maxpool2": (lambda layer, x, w: ops.maxpool2_forward(x),
-                 lambda dout, x, *_: (ops.maxpool2_backward(dout, x), None)),
+                 lambda dout, cache, *_: (ops.maxpool2_backward(dout, cache), None)),
     "affine_norm": (lambda layer, x, w: (ops.affine_forward(x, layer.scale, layer.shift),
                                          layer.scale),
                     lambda dout, scale, *_: (ops.affine_backward(dout, scale), None)),
@@ -348,34 +348,44 @@ class ActivationPrefix:
         self.structure = _structure(model)
         n_layers = len(model.layers)
         self.params: List[tuple] = [()] * n_layers
+        self.parametric = [i for i, layer in enumerate(model.layers) if layer.kind in PARAMETRIC_KINDS]
         # the stored boundaries: batch inputs, parametric-layer inputs, logits
-        self.acts: Dict[int, np.ndarray] = dict.fromkeys(
-            i for i in range(n_layers + 1)
-            if i in (0, n_layers) or model.layers[i].kind in PARAMETRIC_KINDS)
+        self.acts: Dict[int, np.ndarray] = dict.fromkeys([0, *self.parametric, n_layers])
         self.record, self.caches = record, [None] * n_layers
+        self.failed: Optional[int] = None  # start of the last pass, until it succeeds
         self._rerun(model, batch, 0, batch.inputs.copy())
+
+    def _check_batch(self, batch: Batch) -> None:
+        if not np.array_equal(batch.inputs, self.acts[0]):
+            raise InputError("prefix was built on another batch")
 
     def resume(self, model: QuantizedModel, batch: Batch) -> Tuple[int, np.ndarray]:
         """(start layer, its input) for evaluating model on batch."""
         if _structure(model) != self.structure:
             raise InputError("prefix was built for another layer structure")
-        if not np.array_equal(batch.inputs, self.acts[0]):
-            raise InputError("prefix was built on another batch")
+        self._check_batch(batch)
         boundary = 0
         for i, (layer, ref) in enumerate(zip(model.layers, self.params)):
             if i in self.acts:
                 boundary = i
-            if not all(np.array_equal(a, b) for a, b in zip(_params(layer), ref)):
+            if i == self.failed or not all(np.array_equal(a, b) for a, b in zip(_params(layer), ref)):
                 return boundary, self.acts[boundary]
         return len(model.layers), self.acts[len(model.layers)]
 
-    def follow(self, model: QuantizedModel, batch: Batch) -> Tuple[np.ndarray, float]:
+    def follow(self, model: QuantizedModel, batch: Batch,
+               changed: Optional[int] = None) -> Tuple[np.ndarray, float]:
         """Noise-free (logits, loss) of model on batch; model becomes the reference.
 
+        changed, the index among parametric layers of the one layer edited
+        since the last follow, skips the search for the first changed layer.
         Raises the NumericError forward would raise; the prefix's next call
         then re-runs from the same layer.
         """
-        return self._rerun(model, batch, *self.resume(model, batch))
+        if changed is None or self.failed is not None:
+            return self._rerun(model, batch, *self.resume(model, batch))
+        self._check_batch(batch)
+        start = self.parametric[changed]
+        return self._rerun(model, batch, start, self.acts[start], edited=start)
 
     def grads(self, samples: int = 1) -> List[np.ndarray]:
         """The reference's gradients, as bytes equal to loss_and_grads(reference,
@@ -384,10 +394,13 @@ class ActivationPrefix:
             raise InputError("prefix was built without record")
         return _mean([_backprop(self.caches, self.dlogits)] * samples)
 
-    def _rerun(self, model: QuantizedModel, batch: Batch, start: int, x: np.ndarray):
+    def _rerun(self, model: QuantizedModel, batch: Batch, start: int, x: np.ndarray,
+               edited: Optional[int] = None):
+        """Run layers[start:] on x and store the pass; only layer `edited`, when
+        given, may differ from the reference, so only its parameters are copied."""
         weights = _clean_weights(model, start)
         # dropped first, so the old suffix is freed and a failed pass is re-run
-        self.params[start:] = [(None,)] * (len(self.params) - start)
+        self.failed = start
         self.caches[start:] = [None] * (len(self.caches) - start)
         logits, caches, acts = _run(model, x, weights, start, self.record, self.acts)
         loss, dlogits, _ = _head_loss(model, logits, batch.labels)
@@ -396,8 +409,10 @@ class ActivationPrefix:
         for a in acts.values():
             a.flags.writeable = False
         self.acts.update(acts)
-        self.params[start:] = [tuple(np.copy(p) for p in _params(l)) for l in model.layers[start:]]
+        for i in range(start, len(model.layers)) if edited is None else [edited]:
+            self.params[i] = tuple(np.copy(p) for p in _params(model.layers[i]))
         self.caches[start:], self.dlogits = caches, dlogits
+        self.failed = None
         return logits, loss
 
 

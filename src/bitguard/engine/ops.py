@@ -33,17 +33,22 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], k: int, stride: int, pad: int) -> np.ndarray:
-    """Fold patch columns back onto the input grid, summing overlaps."""
+    """Fold patch columns back onto the input grid, summing overlaps.
+
+    The sums run in an (H, W, N, C) buffer, so each shifted add covers whole
+    contiguous rows; every element still adds zero, then the kernel offsets
+    (0, 0) ... (k-1, k-1) in order.  Returns an (N, C, H, W) transposed view
+    of that buffer.
+    """
     n, c, h, w = x_shape
     oh, ow = conv_out_hw(h, w, k, stride, pad)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, n, c), dtype=np.float64)
+    # (k*k, oh, ow, N, C) view: patch di*k + dj, laid out like the buffer
+    patches = cols.reshape(n, c, k * k, oh, ow).transpose(2, 3, 4, 0, 1)
     for di in range(k):
         for dj in range(k):
-            patch = cols[:, di * k + dj :: k * k, :].reshape(n, c, oh, ow)
-            xp[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride] += patch
-    if pad:
-        return xp[:, :, pad : pad + h, pad : pad + w]
-    return xp
+            xp[di : di + stride * oh : stride, dj : dj + stride * ow : stride] += patches[di * k + dj]
+    return xp[pad : pad + h, pad : pad + w].transpose(2, 3, 0, 1)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
@@ -66,16 +71,20 @@ def conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape, 
     return conv2d_input_grad(dout, w, x_shape, stride, pad), dw
 
 
+def _rows(dout: np.ndarray) -> np.ndarray:
+    """dout as (N, O, P) C-ordered rows, whatever layout the layer above left it in,
+    so that the BLAS products see the same operands."""
+    return np.ascontiguousarray(dout).reshape(dout.shape[0], dout.shape[1], -1)
+
+
 def conv2d_input_grad(dout: np.ndarray, w: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
-    n, out_ch = dout.shape[:2]
-    dcols = np.matmul(w.reshape(out_ch, -1).T, dout.reshape(n, out_ch, -1))
+    out_ch = dout.shape[1]
+    dcols = np.matmul(w.reshape(out_ch, -1).T, _rows(dout))
     return col2im(dcols, x_shape, w.shape[2], stride, pad)
 
 
 def conv2d_grad_per_sample(dout: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
-    n, out_ch = dout.shape[:2]
-    d2 = dout.reshape(n, out_ch, -1)
-    return np.matmul(d2, cols.transpose(0, 2, 1)).reshape((n,) + w_shape)
+    return np.matmul(_rows(dout), cols.transpose(0, 2, 1)).reshape((dout.shape[0],) + w_shape)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray):
@@ -115,21 +124,31 @@ def _pool_max(x: np.ndarray) -> np.ndarray:
 def maxpool2_forward(x: np.ndarray):
     """2x2 stride-2 max pooling; odd trailing rows/columns are dropped.
 
-    NaN propagates.  The cache is the input itself: the backward pass
-    re-derives the first-maximum routing from it.
+    NaN propagates.  The cache is (x, out): the backward pass routes each
+    window's gradient by comparing its members with out.
     """
-    return _pool_max(x), x
-
-
-def maxpool2_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Route each window's gradient to its first maximal member."""
     out = _pool_max(x)
+    return out, (x, out)
+
+
+def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
+    """Route each window's gradient to its first maximal member.
+
+    The routed value is dout's bit pattern times a 0/1 hit, so it is dout
+    itself or +0.0; a NaN window (no member equals its max) gets nothing.
+    """
+    x, out = cache
+    pattern = np.ascontiguousarray(dout).view(np.int64)
     dx = np.zeros(x.shape, dtype=np.float64)
-    free = np.ones(out.shape, dtype=bool)
+    taken = None
     for member, grad in zip(_pool_slices(x), _pool_slices(dx)):
-        hit = free & (member == out)
-        grad[...] = np.where(hit, dout, 0.0)
-        free &= ~hit
+        hit = member == out
+        if taken is None:
+            taken = hit
+        else:
+            np.greater(hit, taken, out=hit)  # equal to the max and no earlier member was
+            taken |= hit
+        np.multiply(pattern, hit, out=grad.view(np.int64))
     return dx
 
 

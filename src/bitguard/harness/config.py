@@ -5,7 +5,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, get_args, get_origin
+from typing import List, Optional, Union, get_args, get_origin
 
 import yaml
 
@@ -127,6 +127,25 @@ _SECTIONS = {
 }
 
 
+def _fits(value, kind) -> bool:
+    """Whether a file value has a field's declared type; an int is a float, a bool no number."""
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(kind)[0]) for v in value)
+    if get_origin(kind) is Union:
+        return any(_fits(value, k) for k in get_args(kind))
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _typed(cls, name: str, value, prefix: str = ""):
+    kind = cls.__dataclass_fields__[name].type
+    if not _fits(value, kind):
+        shown = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
+        raise ConfigError(f"{prefix}{name} must be {shown}, got {value!r}")
+    return value
+
+
 def _build(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
@@ -140,9 +159,9 @@ def _build(data: dict) -> ExperimentConfig:
             bad = set(value) - known
             if bad:
                 raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
-            kwargs[key] = cls(**value)
+            kwargs[key] = cls(**{k: _typed(cls, k, v, f"{key}.") for k, v in value.items()})
         elif key in ("seeds", "out_dir"):
-            kwargs[key] = value
+            kwargs[key] = _typed(ExperimentConfig, key, value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return ExperimentConfig(**kwargs)

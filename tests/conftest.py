@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bitguard.engine import (
     AffineNorm,
@@ -16,6 +17,11 @@ from bitguard.engine import (
     QuantizedTensor,
     ReLU,
 )
+
+# CI runs `pytest --hypothesis-profile=ci`: examples are derived from each
+# test's source, not drawn at random, and a failure prints the blob that
+# `@reproduce_failure` needs to replay it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 def dense_model(codes, scale=0.1, bits=4, head="xent"):

@@ -582,9 +582,9 @@ class TestRecordedGradients:
         class FreshPasses(ActivationPrefix):
             """Takes each step's gradient from a full loss_and_grads pass."""
 
-            def follow(self, model, batch):
+            def follow(self, model, batch, changed=None):
                 self.model, self.batch = model, batch
-                return super().follow(model, batch)
+                return super().follow(model, batch, changed)
 
             def grads(self, samples=1):
                 return loss_and_grads(self.model, self.batch, NoiseSpec(0.0, samples))[1]

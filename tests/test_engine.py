@@ -620,6 +620,41 @@ def test_grads_equal_reference_kernel_grads(build, n, monkeypatch):
     assert got == passes()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: (toy_cnn_model(seed=5), random_batch(8, 1, 16, 3, seed=6)),
+    chain_dense_case,
+    lambda: (build_desk_model(bits=8, hw=12, classes=10, seed=2),
+             random_batch(12, 1, 16, 10, seed=4)),
+], ids=["toy_cnn", "chain_dense", "desk_cnn"])
+def test_follow_with_the_edited_layer_equals_follow_without(build):
+    model, data = build()
+    scanned = ActivationPrefix(model, data, record=True)
+    hinted = ActivationPrefix(model, data, record=True)
+    rng = np.random.default_rng(1)
+    layers = [layer for _, layer in model.parametric()]
+
+    def follow_both(k):
+        want, got = scanned.follow(model, data), hinted.follow(model, data, k)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert grad_bytes(hinted.grads()) == grad_bytes(scanned.grads())
+        assert hinted.resume(model, data)[0] == len(model.layers)
+
+    for k in rng.integers(len(layers), size=12).tolist():
+        flat = layers[k].weight.codes.reshape(-1)
+        flat[int(rng.integers(flat.size))] ^= 1
+        follow_both(k)
+    # a failed pass leaves its suffix stale: the next hinted follow re-runs
+    # it, here from the first layer, edited again after the failure
+    layers[0].weight.scale, scale = 1e308, layers[0].weight.scale
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        hinted.follow(model, data, 0)
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        scanned.follow(model, data)
+    layers[0].weight.scale = scale * 1.5
+    layers[-1].weight.codes.reshape(-1)[0] ^= 1
+    follow_both(len(layers) - 1)
+
+
 def test_prefix_without_record_keeps_no_caches():
     model = toy_cnn_model(seed=5)
     data = random_batch(8, 1, 16, 3, seed=6)

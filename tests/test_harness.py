@@ -407,6 +407,21 @@ def test_config_range_edges_are_valid():
     assert (cfg.defense.alpha_grid, cfg.model.bits) == ([1, 0.0], 2)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("defense.eta_grid", 0.02),
+    ("defense.alpha_grid", ["0.01"]),
+    ("model.lr", "fast"),
+])
+def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, clean_env, key, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(nested({**TINY, key: value})))
+    assert main(["--config", str(path), "--no-write"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(key)
+
+
 def test_cli_invalid_value_exits_2_before_any_stage(tmp_path, capsys, clean_env, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.json"

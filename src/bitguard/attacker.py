@@ -170,7 +170,7 @@ class _Moves:
         rows = self.row[words]
         can_up, can_down = self.up[rows] < self.width[rows], self.down[rows] < self.ones[rows]
         s_up, s_down = np.where(can_up, self.up[rows], 0), np.where(can_down, self.down[rows], 0)
-        # an argmax over (up, down) keeps up on ties and when neither is free
+        # the two deltas never tie; with neither move free the entries are up's
         hi_down = can_down & (~can_up | (d_down > d_up))
         lo_down = can_down & (~can_up | (d_down < d_up))
         self.hi[words], self.hi_bit[words] = np.where(hi_down, d_down, d_up), np.where(hi_down, s_down, s_up)

@@ -138,6 +138,7 @@ def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
     itself or +0.0; a NaN window (no member equals its max) gets nothing.
     """
     x, out = cache
+    # dout may be col2im's transposed view: one ordered copy beats four strided reads
     pattern = np.ascontiguousarray(dout).view(np.int64)
     dx = np.zeros(x.shape, dtype=np.float64)
     taken = None

@@ -128,7 +128,7 @@ _SECTIONS = {
 
 
 def _fits(value, kind) -> bool:
-    """Whether a file value has a field's declared type; an int is a float, a bool no number."""
+    """Whether value has the declared type kind; an int is a float, a bool no number."""
     if get_origin(kind) is list:
         return isinstance(value, list) and all(_fits(v, get_args(kind)[0]) for v in value)
     if get_origin(kind) is Union:
@@ -138,11 +138,12 @@ def _fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _typed(cls, name: str, value, prefix: str = ""):
-    kind = cls.__dataclass_fields__[name].type
+def _typed(cls, key: str, value):
+    """value, checked against the type of the field of cls that key ("section.name" or "name") names."""
+    kind = cls.__dataclass_fields__[key.rpartition(".")[2]].type
     if not _fits(value, kind):
         shown = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
-        raise ConfigError(f"{prefix}{name} must be {shown}, got {value!r}")
+        raise ConfigError(f"{key} must be {shown}, got {value!r}")
     return value
 
 
@@ -159,7 +160,7 @@ def _build(data: dict) -> ExperimentConfig:
             bad = set(value) - known
             if bad:
                 raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
-            kwargs[key] = cls(**{k: _typed(cls, k, v, f"{key}.") for k, v in value.items()})
+            kwargs[key] = cls(**{k: _typed(cls, f"{key}.{k}", v) for k, v in value.items()})
         elif key in ("seeds", "out_dir"):
             kwargs[key] = _typed(ExperimentConfig, key, value)
         else:
@@ -212,7 +213,11 @@ def _apply_env(cfg: ExperimentConfig, environ=None) -> ExperimentConfig:
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
                 environ=None) -> ExperimentConfig:
-    """Read a YAML or JSON config file, then apply env and explicit overrides."""
+    """Read a YAML or JSON config file, then apply env and explicit overrides.
+
+    A file or override value that does not have its field's declared type
+    raises ConfigError, as does a value out of range.
+    """
     data: dict = {}
     if path is not None:
         p = Path(path)
@@ -231,11 +236,11 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
     for key, value in (overrides or {}).items():
         section, _, fname = key.partition(".")
         if fname and section in _SECTIONS:
-            if not hasattr(getattr(cfg, section), fname):
+            if fname not in _SECTIONS[section].__dataclass_fields__:
                 raise ConfigError(f"unknown override {key!r}")
-            setattr(getattr(cfg, section), fname, value)
-        elif hasattr(cfg, key) and not fname:
-            setattr(cfg, key, value)
+            setattr(getattr(cfg, section), fname, _typed(_SECTIONS[section], key, value))
+        elif key in ("seeds", "out_dir"):
+            setattr(cfg, key, _typed(ExperimentConfig, key, value))
         else:
             raise ConfigError(f"unknown override {key!r}")
     return cfg.validate()

@@ -17,9 +17,8 @@ from bitguard.attacker import (
     draw_attack,
 )
 from bitguard.bitcodec import TcuCodeword, flip_bit, tcu_decode, tcu_encode, to_signed, to_unsigned
-from bitguard.engine import (ActivationPrefix, Batch, NoiseSpec, QuantizedTensor, backward, forward,
-                             loss_and_grads)
-from bitguard.engine.layers import Dense, QuantizedModel
+from bitguard.engine import (ActivationPrefix, Batch, Dense, NoiseSpec, QuantizedModel, QuantizedTensor,
+                             backward, forward, loss_and_grads)
 from bitguard.errors import ConfigError, InputError
 
 import reference

@@ -412,7 +412,8 @@ def test_config_range_edges_are_valid():
     ("defense.alpha_grid", ["0.01"]),
     ("model.lr", "fast"),
 ])
-def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, clean_env, key, value):
+def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, clean_env, key, value):
+    # in a config file the CLI exits 2; as an override load_config raises
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(nested({**TINY, key: value})))
     assert main(["--config", str(path), "--no-write"]) == 2
@@ -420,6 +421,8 @@ def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, clean_env
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ConfigError" and error["message"].startswith(key)
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        tiny_config(**{key: value})
 
 
 def test_cli_invalid_value_exits_2_before_any_stage(tmp_path, capsys, clean_env, monkeypatch):

@@ -1,4 +1,4 @@
-"""Bit-level weight storage codecs and exact memory accounting.
+"""Bit-level weight storage codecs and bit-count memory accounting.
 
 Weights live in one of two storage formats:
 
@@ -15,16 +15,12 @@ ratios are derived by dividing by the BCD baseline b * |W|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import FormatError, InputError
-
-# Metadata bits per TCU word in exact accounting mode: 1 polarity bit plus a
-# 3-bit width class (widths are powers of two, 2^0 .. 2^7 for b <= 8).
-TCU_META_BITS = 4
+from .errors import InputError
 
 
 def code_range(bits: int) -> Tuple[int, int]:
@@ -56,19 +52,6 @@ def to_signed(pattern: int, bits: int) -> int:
     return pattern
 
 
-def flip_bit(code: int, bit: int, bits: int) -> int:
-    """Flip one bit of a two's-complement code and return the new code.
-
-    Bit 0 is the least significant bit; bit ``bits - 1`` is the sign bit.
-    Applying the same flip twice restores the original code.  Test
-    reference: the package flips bits in bulk array arithmetic, and the
-    tests check it against this one-flip definition.
-    """
-    if not 0 <= bit < bits:
-        raise InputError(f"bit index {bit} outside [0, {bits - 1}]")
-    return to_signed(to_unsigned(code, bits) ^ (1 << bit), bits)
-
-
 def _ceil_log2(n: int) -> int:
     # smallest k with 2^k >= n, for n >= 1
     return (n - 1).bit_length()
@@ -84,37 +67,6 @@ def unary_width(bits: int) -> int:
     if bits < 2:
         raise InputError(f"bitwidth must be >= 2, got {bits}")
     return (1 << bits) - 1
-
-
-def unary_encode(code: int, bits: int) -> np.ndarray:
-    """Encode a signed code as a full unary (thermometer) word.
-
-    The word has 2^b - 1 slots; the unsigned reinterpretation u of the code
-    selects u leading ones followed by zeros.  Index 0 is the leading slot.
-    Test reference: ledger_unary prices full unary words without building
-    them; the tests pin the code definition with this function.
-    """
-    u = to_unsigned(code, bits)
-    word = np.zeros(unary_width(bits), dtype=np.uint8)
-    word[:u] = 1
-    return word
-
-
-def unary_decode(word: np.ndarray, bits: int) -> int:
-    """Decode a unary word by population count; inverse of unary_encode.
-
-    Decoding ignores bit order, so a word corrupted by a single flip decodes
-    to a level exactly one step away from the original.  Test reference,
-    like unary_encode.
-    """
-    word = np.asarray(word)
-    if word.size != unary_width(bits):
-        raise FormatError(
-            f"unary word has {word.size} slots, expected {unary_width(bits)} for {bits}-bit values"
-        )
-    if np.any((word != 0) & (word != 1)):
-        raise FormatError("unary word slots must be 0 or 1")
-    return to_signed(int(word.sum()), bits)
 
 
 def word_to_str(word: np.ndarray) -> str:
@@ -176,41 +128,13 @@ def tcu_encode(code: int, bits: int) -> TcuCodeword:
     return TcuCodeword(ones_stored, width, word)
 
 
-def tcu_decode(codeword: TcuCodeword, bits: int) -> int:
-    """Decode a TCU word back to a signed code; inverse of tcu_encode.
-
-    Test reference: the package stores codes only, so it never decodes a
-    word; the tests decode clean words with an attack's slot flips applied
-    and compare the result with the attacked codes.
-    """
-    word = np.asarray(codeword.word)
-    if word.size != codeword.width or codeword.width < 1:
-        raise FormatError("TCU word length disagrees with its width field")
-    if codeword.width & (codeword.width - 1):
-        raise FormatError(f"TCU width {codeword.width} is not a power of two")
-    if np.any((word != 0) & (word != 1)):
-        raise FormatError("TCU word slots must be 0 or 1")
-    c = codeword.count()
-    u = c if codeword.ones_stored else unary_width(bits) - c
-    if not 0 <= u <= unary_width(bits):
-        raise FormatError(
-            f"TCU count {c} decodes outside the {bits}-bit level range"
-        )
-    return to_signed(u, bits)
-
-
-def tcu_payload_bits(code: int, bits: int, mode: str = "reported") -> int:
+def tcu_payload_bits(code: int, bits: int) -> int:
     """Storage bits charged for one TCU-protected weight.
 
-    mode "reported" follows the ledger convention: 2^ceil(log2 c) slots for
-    the truncated run c = min(u, 2^b - u), with runs of 0 or 1 priced at one
-    slot and no metadata.  mode "exact" prices the as-built word: its actual
-    width plus TCU_META_BITS of polarity and width-class metadata.
+    The ledger convention: 2^ceil(log2 c) slots for the truncated run
+    c = min(u, 2^b - u), with runs of 0 or 1 priced at one slot and no
+    metadata.
     """
-    if mode == "exact":
-        return tcu_encode(code, bits).width + TCU_META_BITS
-    if mode != "reported":
-        raise InputError(f"unknown payload accounting mode {mode!r}")
     u = to_unsigned(code, bits)
     c = min((1 << bits) - u, u)
     if c <= 1:
@@ -271,26 +195,7 @@ def _baseline_bits(model) -> int:
     return sum(layer.weight.bits * layer.weight.codes.size for _, layer in model.parametric())
 
 
-def ledger_unary(plan, model) -> MemoryLedger:
-    """Price a protection plan under full unary storage.
-
-    Payload is 2^b - 1 slots per protected weight.  Index cost charges each
-    protected weight ceil(log2 n_l) bits, where n_l is the number of
-    protected weights in its layer.
-    """
-    ledger = MemoryLedger(baseline_bits=_baseline_bits(model))
-    layers = {pidx: layer for pidx, layer in model.parametric()}
-    for pidx, indices in plan.layers.items():
-        n = len(indices)
-        if n == 0:
-            continue
-        bits = layers[pidx].weight.bits
-        ledger.payload_bits += unary_width(bits) * n
-        ledger.index_bits += _ceil_log2(n) * n if n > 1 else 0
-    return ledger
-
-
-def ledger_tcu(plan, model, mode: str = "reported") -> MemoryLedger:
+def ledger_tcu(plan, model) -> MemoryLedger:
     """Price a protection plan under TCU storage.
 
     Payload follows tcu_payload_bits for each protected weight's current
@@ -307,27 +212,9 @@ def ledger_tcu(plan, model, mode: str = "reported") -> MemoryLedger:
         codes = layer.weight.codes.reshape(-1)
         addr = _ceil_log2(codes.size) if codes.size > 1 else 0
         for i in indices:
-            ledger.payload_bits += tcu_payload_bits(int(codes[i]), bits, mode)
+            ledger.payload_bits += tcu_payload_bits(int(codes[i]), bits)
             ledger.index_bits += addr
     return ledger
-
-
-def lock_ratio(group_size: int, clusters: int, bits: int) -> float:
-    """Closed-form locking overhead ratio for one layer.
-
-    Groups of size G > 1 carry a 2-bit signature each and log2 K cluster-ID
-    bits; single-weight groups carry a 1-bit signature.  The ratio is taken
-    against b bits per weight.  Test reference: the tests check
-    ledger_lock's ratio against this closed form.
-    """
-    if group_size < 1 or clusters < 1:
-        raise InputError("group size and cluster count must be >= 1")
-    if clusters & (clusters - 1):
-        raise InputError(f"cluster count {clusters} is not a power of two")
-    id_bits = _ceil_log2(clusters) if clusters > 1 else 0
-    if group_size == 1:
-        return (id_bits + 1) / bits
-    return (id_bits + 2) / (group_size * bits)
 
 
 def ledger_lock(plan, model) -> MemoryLedger:

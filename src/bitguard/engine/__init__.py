@@ -4,13 +4,11 @@ from .quantized import QuantizedTensor, quantize_array
 from .layers import AffineNorm, Batch, Conv2d, Dense, MaxPool2, NoiseSpec, QuantizedModel, ReLU
 from .functional import (
     ActivationPrefix,
-    backward,
     curvature_diag,
     evaluate,
     forward,
     loss_and_grads,
     activations,
-    loss_with_weights,
 )
 from .checkpoint import load_model, model_from_json, model_to_json, save_model
 
@@ -26,13 +24,11 @@ __all__ = [
     "QuantizedModel",
     "ReLU",
     "ActivationPrefix",
-    "backward",
     "curvature_diag",
     "evaluate",
     "forward",
     "loss_and_grads",
     "activations",
-    "loss_with_weights",
     "load_model",
     "model_from_json",
     "model_to_json",

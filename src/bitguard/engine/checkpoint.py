@@ -5,7 +5,8 @@ repr, so loading a checkpoint reproduces the model exactly.  Files written
 from the same model are byte-identical (sorted keys, fixed separators).
 TCU-stored weights are listed under "protected" with their words,
 tcu_encode of their codes; the loader sets the tcu masks from that list
-and rejects a word that does not encode its weight's code.
+and rejects a word that does not encode its weight's code.  The "head"
+field is always "xent", the one loss; the loader rejects any other.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _layer_to_json(layer) -> dict:
 def model_to_json(model: QuantizedModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "head": model.head,
+        "head": "xent",
         "input_bits": model.input_bits,
         "layers": [_layer_to_json(l) for l in model.layers],
         "protected": {
@@ -71,6 +72,8 @@ def model_from_json(obj: dict) -> QuantizedModel:
         raise FormatError("checkpoint JSON lacks a layer list")
     if obj.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint format version {obj.get('format_version')!r}")
+    if obj.get("head") != "xent":
+        raise FormatError(f"unsupported checkpoint head {obj.get('head')!r}")
     layers: List = []
     for pos, spec in enumerate(obj["layers"]):
         try:
@@ -89,7 +92,7 @@ def model_from_json(obj: dict) -> QuantizedModel:
         except (KeyError, TypeError, ValueError) as exc:  # InputError and FormatError too
             raise FormatError(f"checkpoint layer {pos} is malformed: {exc!r}") from exc
     try:
-        model = QuantizedModel(layers, head=obj["head"], input_bits=int(obj["input_bits"]))
+        model = QuantizedModel(layers, input_bits=int(obj["input_bits"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header is malformed: {exc!r}") from exc
     protected = obj.get("protected", {})

@@ -156,10 +156,8 @@ def _check_finite(
     raise NumericError("non-finite loss", layer=model.layers[-1].name)
 
 
-def _head_loss(model: QuantizedModel, logits: np.ndarray, labels: np.ndarray):
-    if model.head == "xent":
-        return ops.xent_loss(logits, np.asarray(labels, dtype=np.int64))
-    return ops.sse_loss(logits, labels)
+def _loss(logits: np.ndarray, labels: np.ndarray):
+    return ops.xent_loss(logits, np.asarray(labels, dtype=np.int64))
 
 
 def _backprop(caches, dlogits: np.ndarray, squares: bool = False):
@@ -194,7 +192,7 @@ def _infer(model: QuantizedModel, batch: Batch, weights: List[np.ndarray],
     """(logits, loss) of model.layers[start:] fed x (default: batch inputs)."""
     x = batch.inputs if x is None else x
     logits, _, _ = _run(model, x, weights, start)
-    loss, _, _ = _head_loss(model, logits, batch.labels)
+    loss, _, _ = _loss(logits, batch.labels)
     _check_finite(model, logits, loss, x, weights, start)
     return logits, loss
 
@@ -238,38 +236,11 @@ def loss_and_grads(
         rng = np.random.default_rng(streams[k])
         weights = _noisy_weights(model, noise, rng)
         logits, caches, _ = _run(model, batch.inputs, weights, record=True)
-        loss, dlogits, _ = _head_loss(model, logits, batch.labels)
+        loss, dlogits, _ = _loss(logits, batch.labels)
         _check_finite(model, logits, loss, batch.inputs, weights)
         passes.append(_backprop(caches, dlogits))
         total_loss += loss
     return total_loss / samples, _mean(passes)
-
-
-def backward(
-    model: QuantizedModel,
-    batch: Batch,
-    noise: Optional[NoiseSpec] = None,
-    seed: int = 0,
-) -> List[np.ndarray]:
-    """Gradient of the mean loss for each parametric layer, in layer order."""
-    _, grads = loss_and_grads(model, batch, noise, seed)
-    return grads
-
-
-def loss_with_weights(model: QuantizedModel, batch: Batch, weights: List[np.ndarray]) -> float:
-    """Loss under explicit real-valued weight arrays.
-
-    The arrays replace each parametric layer's dequantized weights in order.
-    Test reference: the package never calls it; the tests take finite
-    differences of it to check the analytic gradients.
-    """
-    if len(batch) == 0:
-        raise InputError("empty batch")
-    arrays = [np.asarray(w, dtype=np.float64) for w in weights]
-    if len(arrays) != len(model.parametric()):
-        raise InputError("one weight array per parametric layer is required")
-    _, loss = _infer(model, batch, arrays)
-    return loss
 
 
 def activations(model: QuantizedModel, batch: Batch) -> Iterator[np.ndarray]:
@@ -304,7 +275,7 @@ def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List
     for start in range(0, n, chunk):
         part = Batch(batch.inputs[start : start + chunk], batch.labels[start : start + chunk])
         logits, caches, _ = _run(model, part.inputs, weights, record=True)
-        loss, _, dper = _head_loss(model, logits, part.labels)
+        loss, _, dper = _loss(logits, part.labels)
         _check_finite(model, logits, loss, part.inputs, weights)
         for acc, sq in zip(total, _backprop(caches, dper, squares=True)):
             acc += sq
@@ -403,7 +374,7 @@ class ActivationPrefix:
         self.failed = start
         self.caches[start:] = [None] * (len(self.caches) - start)
         logits, caches, acts = _run(model, x, weights, start, self.record, self.acts)
-        loss, dlogits, _ = _head_loss(model, logits, batch.labels)
+        loss, dlogits, _ = _loss(logits, batch.labels)
         _check_finite(model, logits, loss, x, weights, start)
         acts[start] = x
         for a in acts.values():
@@ -431,8 +402,6 @@ def evaluate(
     same as without it.  A prefix holds noise-free activations, so it
     cannot be combined with nonzero noise.
     """
-    if model.head != "xent":
-        raise InputError("evaluate requires a classification head")
     if prefix is None:
         logits, _ = forward(model, dataset, noise, seed)
     else:

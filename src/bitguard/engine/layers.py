@@ -22,8 +22,7 @@ class Batch:
     """Input tensor plus labels.
 
     Inputs are real activations already rounded to the model's input grid.
-    Labels are integer class ids for the softmax cross-entropy head; the
-    diagnostic sse head reads them as real-valued targets instead.
+    Labels are integer class ids for the softmax cross-entropy loss.
     """
 
     inputs: np.ndarray
@@ -123,11 +122,8 @@ class QuantizedModel:
     mask, which of them are stored as TCU words.  Inference reads codes only.
     """
 
-    def __init__(self, layers: List, head: str = "xent", input_bits: int = 8):
-        if head not in ("xent", "sse"):
-            raise InputError(f"unknown head {head!r}")
+    def __init__(self, layers: List, input_bits: int = 8):
         self.layers = list(layers)
-        self.head = head
         self.input_bits = input_bits
         for i, layer in enumerate(self.layers):
             if not layer.name:
@@ -150,5 +146,4 @@ class QuantizedModel:
         return int(self.layer_sizes().sum())
 
     def clone(self) -> "QuantizedModel":
-        return QuantizedModel(copy.deepcopy(self.layers), head=self.head,
-                              input_bits=self.input_bits)
+        return QuantizedModel(copy.deepcopy(self.layers), input_bits=self.input_bits)

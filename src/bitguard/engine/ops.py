@@ -181,11 +181,3 @@ def xent_loss(logits: np.ndarray, labels: np.ndarray):
     dper[np.arange(n), labels] -= 1.0
     return loss, dper / n, dper
 
-
-def sse_loss(logits: np.ndarray, targets: np.ndarray):
-    """Mean halved squared error; same return convention as xent_loss."""
-    n = logits.shape[0]
-    t = np.asarray(targets, dtype=np.float64).reshape(logits.shape)
-    diff = logits - t
-    loss = float(0.5 * (diff * diff).sum(axis=1).mean())
-    return loss, diff / n, diff

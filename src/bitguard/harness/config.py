@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -9,6 +10,7 @@ from typing import List, Optional, Union, get_args, get_origin
 
 import yaml
 
+from ..attacker import GRAD_STEP_UNITS
 from ..errors import ConfigError
 from .datasets import DATASET_KINDS
 
@@ -90,11 +92,16 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Raise ConfigError naming every missing or out-of-range value; return self."""
-        d, a = self.defense, self.attacker
-        least = {"model.bits": (self.model.bits, 2), "attacker.max_flips": (a.max_flips, 1),
+        m, ds, d, a = self.model, self.dataset, self.defense, self.attacker
+        step = GRAD_STEP_UNITS * a.grad_samples  # units one gradient step costs
+        least = {"model.bits": (m.bits, 2), "attacker.max_flips": (a.max_flips, 1),
                  "attacker.batch_size": (a.batch_size, 1), "defense.trials": (d.trials, 1),
                  "attacker.grad_samples": (a.grad_samples, 1), "defense.emulations": (d.emulations, 1),
-                 **{f"attacker.batch_grid[{i}]": (b, 1) for i, b in enumerate(a.batch_grid)}}
+                 "model.hw": (m.hw, 4), "model.epochs": (m.epochs, 1), "model.batch_size": (m.batch_size, 1),
+                 "dataset.train": (ds.train, 1), "dataset.val": (ds.val, 1),
+                 "dataset.attack": (ds.attack, max(a.batch_grid or [a.batch_size])),
+                 **{f"attacker.batch_grid[{i}]": (b, 1) for i, b in enumerate(a.batch_grid)},
+                 **{f"attacker.inference_units[{i}]": (u, step) for i, u in enumerate(a.inference_units)}}
         bad = [f"{name} must be nonempty" for name, grid in (
             ("seeds", self.seeds), ("attacker.inference_units", a.inference_units),
             ("defense.alpha_grid", d.alpha_grid), ("defense.eta_grid", d.eta_grid)) if not grid]
@@ -103,6 +110,12 @@ class ExperimentConfig:
         bad += [f"defense.alpha_grid entry {x!r} outside [0, 1]"
                 for x in d.alpha_grid if not 0 <= x <= 1]
         bad += [f"defense.eta_grid entry {x!r} is not > 0" for x in d.eta_grid if not x > 0]
+        if m.hw % 4:
+            bad.append(f"model.hw must be a multiple of 4 (two pool stages), got {m.hw}")
+        if not (m.lr > 0 and math.isfinite(m.lr)):
+            bad.append(f"model.lr must be finite and > 0, got {m.lr!r}")
+        if not (a.noise_std >= 0 and math.isfinite(a.noise_std)):
+            bad.append(f"attacker.noise_std must be finite and >= 0, got {a.noise_std!r}")
         if d.assignment not in ("top", "even"):
             bad.append(f"defense.assignment must be top or even, got {d.assignment!r}")
         if self.dataset.kind not in DATASET_KINDS:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..attacker import AttackBudget, draw_attack
+from ..attacker import GRAD_STEP_UNITS, AttackBudget, draw_attack
 from ..engine import NoiseSpec, evaluate, save_model
 from ..errors import ConfigError
 from ..planner import (AttackPanel, DefensePlan, attack_panel, build_defense,
@@ -361,11 +361,20 @@ def run_noise_sweep(config: ExperimentConfig, stds: List[float],
                     samples_grid: List[int], jobs: int = 1) -> ExperimentReport:
     """Mean post-attack accuracy per (noise std, gradient averaging) cell.
 
-    Both grids are part of the report's config and its hash.
+    Both grids are part of the report's config and its hash.  They are
+    checked, like the config, before any model is trained.
     """
     config.validate()
     if not stds or not samples_grid:
         raise ConfigError("noise sweep grids must be nonempty")
+    bad = [f"noise std {s!r} is not finite and >= 0" for s in stds if not (s >= 0 and np.isfinite(s))]
+    bad += [f"samples_grid entry {n!r} is not an integer >= 1" for n in samples_grid
+            if not isinstance(n, (int, np.integer)) or n < 1]
+    if not bad and min(config.attacker.inference_units) < GRAD_STEP_UNITS * max(samples_grid):
+        bad.append(f"attacker.inference_units must cover one gradient step "
+                   f"({GRAD_STEP_UNITS} units a sample) at {max(samples_grid)} samples")
+    if bad:
+        raise ConfigError("; ".join(bad))
     grids = (list(stds), list(samples_grid))
     cfg_dict = {**config.to_dict(),
                 "noise_sweep": {"stds": grids[0], "samples_grid": grids[1]}}

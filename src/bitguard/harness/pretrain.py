@@ -120,7 +120,7 @@ def _recalibrate_norms(model: QuantizedModel, sample: Batch) -> None:
 
 def pretrain(model: QuantizedModel, splits: DatasetSplits, epochs: int = 30,
              batch_size: int = 64, lr: float = 3e-3, seed: int = 0,
-             floor: float = 0.90, recalibrate: bool = True) -> TrainHistory:
+             floor: float = 0.90) -> TrainHistory:
     """Quantization-aware training toward a validation accuracy floor.
 
     Mutates the model in place.  Emits a warning (and keeps the weights) if
@@ -144,8 +144,7 @@ def pretrain(model: QuantizedModel, splits: DatasetSplits, epochs: int = 30,
     step = 0
     for epoch in range(epochs):
         _quantize_into(model, shadows)
-        if recalibrate:
-            _recalibrate_norms(model, train.take(calib_idx))
+        _recalibrate_norms(model, train.take(calib_idx))
         order = rng.permutation(n)
         epoch_loss = 0.0
         for b in range(steps_per_epoch):

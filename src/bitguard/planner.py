@@ -16,8 +16,8 @@ Components:
     etas on one panel, stopping when total memory stops improving,
     constrained by a resumed-accuracy target.
 
-Memory totals quote the reported payload mode; the exact as-built mode is
-carried alongside in every report.
+Memory totals price TCU words by bitcodec.tcu_payload_bits: the truncated
+run rounded up to a power of two, with no per-word metadata.
 """
 
 from dataclasses import dataclass, field
@@ -40,9 +40,6 @@ from .lockdown import (
     search_lock_plan,
 )
 from .unary_guard import UnaryPlan, apply_protection, search_protection
-
-DEFAULT_ALPHA_GRID = (0.02, 0.01, 0.005, 0.0025)
-DEFAULT_ETA_GRID = (0.01, 0.015, 0.02)
 
 
 def disabled_lock_plan(model) -> LockPlan:
@@ -68,20 +65,16 @@ class DefensePlan:
 
 def measure_memory(model, unary: UnaryPlan, lockdown: LockPlan) -> Dict[str, float]:
     """Integer bit ledgers for both plan components plus derived ratios."""
-    tcu_rep = ledger_tcu(unary, model, mode="reported")
-    tcu_exact = ledger_tcu(unary, model, mode="exact")
+    tcu = ledger_tcu(unary, model)
     locking = ledger_lock(lockdown, model)
-    baseline = tcu_rep.baseline_bits
+    baseline = tcu.baseline_bits
     return {
-        "tcu_bits": tcu_rep.component_bits,
-        "tcu_bits_exact": tcu_exact.component_bits,
+        "tcu_bits": tcu.component_bits,
         "lock_bits": locking.component_bits,
         "baseline_bits": baseline,
-        "m_tcu": tcu_rep.component_bits / baseline,
-        "m_tcu_exact": tcu_exact.component_bits / baseline,
+        "m_tcu": tcu.component_bits / baseline,
         "m_lock": locking.component_bits / baseline,
-        "total": (tcu_rep.component_bits + locking.component_bits) / baseline,
-        "total_exact": (tcu_exact.component_bits + locking.component_bits) / baseline,
+        "total": (tcu.component_bits + locking.component_bits) / baseline,
     }
 
 
@@ -383,7 +376,7 @@ def build_defense(model, alpha: float, etas: List[float],
 
 
 def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
-                   alpha_grid=DEFAULT_ALPHA_GRID, eta_grid=DEFAULT_ETA_GRID,
+                   alpha_grid: List[float], eta_grid: List[float],
                    trials: int = 3, emulations: int = 2, seed: int = 0,
                    noise: Optional[NoiseSpec] = None,
                    attack_pool: Optional[Batch] = None,

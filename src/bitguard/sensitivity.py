@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import Batch, QuantizedModel, backward, curvature_diag
+from .engine import Batch, QuantizedModel, curvature_diag, loss_and_grads
 from .errors import InputError
 
 
@@ -38,7 +38,7 @@ def weight_sensitivity(model: QuantizedModel, val_set: Batch) -> List[np.ndarray
     """
     if len(val_set) == 0:
         raise InputError("empty validation set")
-    grads = backward(model, val_set)
+    grads = loss_and_grads(model, val_set)[1]
     curv = curvature_diag(model, val_set)
     deltas = msb_flip_deltas(model)
     return [g.reshape(-1) * dw + 0.5 * h.reshape(-1) * dw * dw

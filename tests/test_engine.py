@@ -21,13 +21,11 @@ from bitguard.engine import (
     QuantizedModel,
     QuantizedTensor,
     ReLU,
-    backward,
     curvature_diag,
     evaluate,
     forward,
     load_model,
     loss_and_grads,
-    loss_with_weights,
     model_from_json,
     model_to_json,
     quantize_array,
@@ -121,9 +119,9 @@ def fd_gradient(model, batch, eps=1e-3):
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            hi = loss_with_weights(model, batch, base)
+            hi = reference.loss_with_weights(model, batch, base)
             flat[i] = keep - eps
-            lo = loss_with_weights(model, batch, base)
+            lo = reference.loss_with_weights(model, batch, base)
             flat[i] = keep
             gf[i] = (hi - lo) / (2 * eps)
         grads.append(g)
@@ -133,19 +131,20 @@ def fd_gradient(model, batch, eps=1e-3):
 def test_gradients_match_finite_differences_all_layer_kinds():
     model = toy_cnn_model(bits=6, seed=3)
     batch = random_batch(8, 1, 4, 3, seed=5)
-    grads = backward(model, batch)
+    grads = loss_and_grads(model, batch)[1]
     fd = fd_gradient(model, batch)
     for g, f in zip(grads, fd):
         denom = np.maximum(np.abs(f), 1e-3)
         assert np.max(np.abs(g - f) / denom) < 1e-4
 
 
-def test_gradients_match_finite_differences_dense_sse():
-    model = dense_model([[3, -2], [1, 4]], scale=0.25, head="sse")
-    batch = Batch(np.array([[0.5, -1.0], [1.5, 0.25]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    grads = backward(model, batch)
+def test_gradients_match_finite_differences_dense():
+    model = dense_model([[3, -2], [1, 4]], scale=0.25)
+    batch = Batch(np.array([[0.5, -1.0], [1.5, 0.25]]), np.array([1, 0]))
+    grads = loss_and_grads(model, batch)[1]
     fd = fd_gradient(model, batch)
-    assert np.max(np.abs(grads[0] - fd[0])) < 1e-8
+    # central differences of a cross-entropy are off by O(eps^2), 1.4e-8 here
+    assert np.max(np.abs(grads[0] - fd[0])) < 1e-7
 
 
 def test_gradients_match_finite_differences_below_first_parametric_layer():
@@ -154,7 +153,7 @@ def test_gradients_match_finite_differences_below_first_parametric_layer():
     model = QuantizedModel([AffineNorm(np.array([1.5]), np.array([-0.25])), ReLU()] + inner.layers)
     batch = random_batch(8, 1, 4, 3, seed=6)
     curv = curvature_diag(model, batch)
-    for g, f, c in zip(backward(model, batch), fd_gradient(model, batch), curv):
+    for g, f, c in zip(loss_and_grads(model, batch)[1], fd_gradient(model, batch), curv):
         assert g.shape == f.shape == c.shape
         assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-3)) < 1e-4
 
@@ -171,17 +170,17 @@ def test_loss_and_grads_reports_consistent_loss():
 def test_noise_averaging_reduces_gradient_variance():
     model = toy_cnn_model(seed=7)
     batch = random_batch(8, 1, 8, 3, seed=11)
-    clean = backward(model, batch)[0]
+    clean = loss_and_grads(model, batch)[1][0]
 
     def spread(samples, seeds):
         noise = NoiseSpec(std=0.05, samples=samples)
         grads = np.stack(
-            [backward(model, batch, noise=noise, seed=s)[0] for s in seeds]
+            [loss_and_grads(model, batch, noise=noise, seed=s)[1][0] for s in seeds]
         )
         return float(np.mean(np.var(grads, axis=0)))
 
     seeds = range(100, 120)
-    assert clean.shape == backward(model, batch)[0].shape
+    assert clean.shape == loss_and_grads(model, batch)[1][0].shape
     assert spread(4, seeds) < 0.5 * spread(1, seeds)
 
 
@@ -189,9 +188,9 @@ def test_backward_deterministic_given_seed():
     model = toy_cnn_model(seed=1)
     batch = random_batch(8, 1, 6, 3, seed=1)
     noise = NoiseSpec(std=0.02, samples=2)
-    a = backward(model, batch, noise=noise, seed=42)
-    b = backward(model, batch, noise=noise, seed=42)
-    c = backward(model, batch, noise=noise, seed=43)
+    a = loss_and_grads(model, batch, noise=noise, seed=42)[1]
+    b = loss_and_grads(model, batch, noise=noise, seed=42)[1]
+    c = loss_and_grads(model, batch, noise=noise, seed=43)[1]
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
@@ -202,19 +201,22 @@ def test_backward_deterministic_given_seed():
 # ---------------------------------------------------------------------------
 
 
-def test_curvature_quadratic_is_exact():
-    # loss = 0.5 * (w - 1)^2 at w = 0: squared per-sample gradient is 1
-    model = dense_model([[0]], scale=1.0, head="sse")
-    batch = Batch(np.array([[1.0]]), np.array([[1.0]]))
+def test_curvature_closed_form_is_exact():
+    # zero weights give softmax (0.5, 0.5), so label 0 at input 1 has
+    # per-sample weight gradients (-0.5, 0.5): each squares to 0.25
+    model = dense_model(np.zeros((2, 1), dtype=np.int64), scale=1.0)
+    batch = Batch(np.array([[1.0]]), np.array([0]))
     h = curvature_diag(model, batch)
-    assert h[0][0, 0] == pytest.approx(1.0, abs=0)
+    assert h[0].tolist() == [[0.25], [0.25]]
 
 
 def test_curvature_zero_at_perfect_fit():
-    model = dense_model([[1]], scale=1.0, head="sse")
-    batch = Batch(np.array([[2.0]]), np.array([[2.0]]))
-    h = curvature_diag(model, batch)
-    assert h[0][0, 0] == 0.0
+    # the logits (1400, 0) make softmax exactly one-hot in float64, so label
+    # 0 is fit perfectly; input 0 gives zero weight gradients at any fit
+    model = dense_model(np.array([[7], [0]]), scale=1.0)
+    for x in (200.0, 0.0):
+        h = curvature_diag(model, Batch(np.array([[x]]), np.array([0])))
+        assert h[0].tolist() == [[0.0], [0.0]]
 
 
 def test_curvature_nonnegative_and_chunking_invariant():
@@ -236,7 +238,7 @@ def curvature_reference(model, batch, chunk):
     for start in range(0, n, chunk):
         x, y = batch.inputs[start : start + chunk], batch.labels[start : start + chunk]
         logits, caches, _ = functional._run(model, x, weights, record=True)
-        dout = functional._head_loss(model, logits, y)[2]
+        dout = functional._loss(logits, y)[2]
         per = []
         for kind, cache in reversed(caches):
             if kind == "dense":
@@ -295,13 +297,10 @@ def test_evaluate_perfect_and_chance():
     assert evaluate(model, Batch(x, (np.arange(4) + 1) % 4)) == 0.0
 
 
-def test_evaluate_rejects_empty_and_sse():
+def test_evaluate_rejects_empty():
     model = dense_model(np.zeros((3, 4), dtype=np.int64))
     with pytest.raises(InputError):
         evaluate(model, Batch(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)))
-    sse = dense_model(np.zeros((3, 4), dtype=np.int64), head="sse")
-    with pytest.raises(InputError):
-        evaluate(sse, batch_for(3, 4, 4))
 
 
 def test_evaluate_deterministic_under_noise():
@@ -799,12 +798,13 @@ def test_checkpoint_codes_out_of_range_are_a_format_error():
 
 @pytest.mark.parametrize("edit", [
     lambda c: c.pop("head"),
+    lambda c: c.__setitem__("head", "sse"),
     lambda c: c.pop("input_bits"),
     lambda c: c.pop("layers"),
     lambda c: c.__setitem__("input_bits", "x"),
     lambda c: c["protected"].__setitem__("0", [1, 2]),
     lambda c: c.__setitem__("protected", [[1, 2]]),
-], ids=["no-head", "no-input-bits", "no-layers", "input-bits-x", "protected-entry-list",
+], ids=["no-head", "sse-head", "no-input-bits", "no-layers", "input-bits-x", "protected-entry-list",
         "protected-list"])
 def test_checkpoint_malformed_header_or_protected_list_is_a_format_error(edit):
     obj = json.loads(PINNED_TCU_CHECKPOINT)
@@ -843,7 +843,7 @@ def test_affine_params_never_change_under_engine_calls():
     before = (affine.scale.copy(), affine.shift.copy())
     batch = random_batch(8, 1, 12, 3, seed=3)
     forward(model, batch)
-    backward(model, batch, noise=NoiseSpec(std=0.01, samples=2), seed=1)
+    loss_and_grads(model, batch, noise=NoiseSpec(std=0.01, samples=2), seed=1)
     curvature_diag(model, batch)
     evaluate(model, batch)
     assert np.array_equal(affine.scale, before[0])

@@ -254,6 +254,23 @@ def test_noise_sweep_hash_covers_grids():
     assert b.config["noise_sweep"] == {"stds": [0.2], "samples_grid": [1]}
 
 
+@pytest.mark.parametrize("stds, samples_grid, match", [
+    ([0.0, -0.1], [1], "noise std -0.1"),
+    ([float("inf")], [1], "noise std inf"),
+    ([float("nan")], [1], "noise std nan"),
+    ([0.1], [1, 0], "samples_grid entry 0"),
+    ([0.1], [1.5], "samples_grid entry 1.5"),
+    ([0.1], [1, 4], "inference_units must cover one gradient step"),  # 6 < 3 * 4
+])
+def test_noise_sweep_grids_are_checked_before_training(monkeypatch, stds, samples_grid, match):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr("bitguard.harness.experiments.pretrain", no_training)
+    with pytest.raises(ConfigError, match=match):
+        run_noise_sweep(tiny_config(), stds=stds, samples_grid=samples_grid)
+
+
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"bogus": 1}))
@@ -394,10 +411,26 @@ def test_unknown_key_inside_a_section_rejected(tmp_path):
     ("defense.eta_grid", [0.0]),
     ("defense.eta_grid", [0.02, -0.1]),
     ("model.bits", 1),
+    # each of these used to fail inside a seed job, or to run without an error
+    ("attacker.noise_std", -0.1),
+    ("model.lr", -1.0),
+    ("dataset.attack", 8),
+    ("attacker.inference_units", [2]),
+    ("model.hw", 10),
+    ("model.epochs", 0),
+    ("dataset.val", 0),
+    ("dataset.train", 0),
+    ("model.batch_size", 0),
 ])
 def test_invalid_config_value_raises_config_error(key, value):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         tiny_config(**{key: value})
+
+
+def test_attack_pool_must_hold_the_largest_batch_of_the_grid():
+    with pytest.raises(ConfigError, match=r"dataset\.attack must be an integer >= 64"):
+        tiny_config(**{"attacker.batch_grid": [16, 64], "dataset.attack": 32})
+    assert tiny_config(**{"attacker.batch_grid": [8], "dataset.attack": 8}).dataset.attack == 8
 
 
 def test_config_range_edges_are_valid():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitguard.bitcodec import code_range, flip_bit, ledger_lock
+from bitguard.bitcodec import code_range, ledger_lock
 from bitguard.engine import Batch, QuantizedTensor, evaluate
 from bitguard.engine.functional import curvature_diag
 from bitguard.errors import ConfigError, InputError
@@ -29,6 +29,7 @@ from bitguard.lockdown import (
 
 from conftest import (chain_dense_model, crude_fit, dense_model, plain, random_batch,
                       toy_cnn_model)
+from reference import flip_bit
 
 
 def single_layer_plan(model, G, K=1, codes=None, n_groups=None):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from bitguard.bitcodec import flip_bit
-from bitguard.engine import Batch, backward, curvature_diag, forward
+from bitguard.engine import Batch, curvature_diag, forward, loss_and_grads
 from bitguard.errors import InputError
 from bitguard.sensitivity import (
     assign_budget,
@@ -18,13 +17,14 @@ from bitguard.sensitivity import (
 )
 
 from conftest import crude_fit, random_batch, toy_cnn_model
+from reference import flip_bit
 
 
 def test_weight_sensitivity_composes_gradient_and_curvature():
     model = toy_cnn_model(seed=3)
     batch = random_batch(8, 1, 12, 3, seed=4)
     scores = weight_sensitivity(model, batch)
-    parts = zip(backward(model, batch), curvature_diag(model, batch), msb_flip_deltas(model))
+    parts = zip(loss_and_grads(model, batch)[1], curvature_diag(model, batch), msb_flip_deltas(model))
     for s, (g, h, dw) in zip(scores, parts, strict=True):
         assert s.ndim == 1
         assert np.array_equal(s, g.reshape(-1) * dw + 0.5 * h.reshape(-1) * dw * dw)

@@ -11,18 +11,20 @@ address space allows.
 
 Flips never reuse a bit address, so every recorded flip stays effective.
 For weights flagged in their layer's tcu mask the only reachable moves are
-one level up (flip a 0 slot) or one level down (flip a 1 slot) of the word
-tcu_encode(code) the weight holds when the attack starts.  The attacked
-copy stores codes only; which slots were flipped is in the trace.
+one level up (flip a 0 slot) or one level down (flip a 1 slot) of the TCU
+word the weight holds when the attack starts, as bitcodec.tcu_layout lays
+it out.  The attacked copy stores codes only; which slots were flipped is
+in the trace.
 
 Each layer keeps a move table: for every weight, the largest and the
 smallest code delta over its remaining moves.  The estimate g * scale *
 delta is linear in delta, so a weight's best move is one of the two, and a
 flip recomputes only the flipped weight's row.  The clean losses come from
-an ActivationPrefix that follows the attacked copy, so the loss after a
-flip re-runs only the layers from the flipped one on.  Without noise the
-next gradient backpropagates through that recorded pass, so a step costs
-one suffix forward plus one backward (else grad_samples noisy passes).
+an ActivationPrefix that follows the attacked copy and is told the layer
+of each flip, so the loss after a flip re-runs only the layers from the
+flipped one on.  Without noise the next gradient backpropagates through
+that recorded pass, so a step costs one suffix forward plus one backward
+(else grad_samples noisy passes).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .bitcodec import BitAddress, to_signed
+from .bitcodec import BitAddress, _top_index, tcu_layout, to_signed
 from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, loss_and_grads
 from .errors import ConfigError, InputError
 from .sensitivity import msb_flip_deltas
@@ -98,12 +100,6 @@ class _Candidate:
     slot_flip: bool  # True when the flip lands in a TCU codeword slot
 
 
-def _top_index(x: np.ndarray) -> np.ndarray:
-    """floor(log2(x)) of each 0 < x < 2**62, read off its float64 exponent."""
-    e = (x.astype(np.float64).view(np.int64) >> 52) - 1023
-    return e - ((1 << e) > x)  # past 2**53 the conversion may round up a power
-
-
 class _Moves:
     """One layer's move table: each weight's extreme reachable code deltas.
 
@@ -113,10 +109,10 @@ class _Moves:
     where it has a 1, so the largest delta is plus the highest free bit of
     the first kind, else minus the lowest of the second, and the smallest
     delta the mirror image.
-    A TCU word, tcu_encode of the code the table is built on, is `ones` 1
-    slots followed by 0 slots up to `width`.  Its moves are one level up
-    through its first free 0 slot and one level down through its first free
-    1 slot.  A flip always takes the first free slot of its run, so the used
+    A TCU word, laid out by bitcodec.tcu_layout from the code the table is
+    built on, is `ones` 1 slots followed by 0 slots up to `width`.  Its
+    moves are one level up through its first free 0 slot and one level down
+    through its first free 1 slot.  A flip always takes the first free slot of its run, so the used
     slots of each run are a prefix and `up`/`down` hold the next free slot.
     hi/lo hold the largest and smallest delta over a weight's moves and
     hi_bit/lo_bit the bit or slot that makes it; blocked marks weights with
@@ -125,18 +121,13 @@ class _Moves:
 
     def __init__(self, layer):
         self.layer = layer
-        bits = layer.weight.bits
         n = layer.weight.codes.size
         self.used = np.zeros(n, dtype=np.int64)
         words = np.flatnonzero(layer.weight.tcu)
         self.row = np.full(n, -1, dtype=np.int64)
         self.row[words] = np.arange(words.size)
-        level = layer.weight.codes.reshape(-1)[words] & ((1 << bits) - 1)
-        zeros = (1 << bits) - 1 - level  # zeros of the full unary word
-        stored = np.minimum(level, zeros)  # the shorter run, as tcu_encode keeps it
-        self.width = 2 << _top_index(np.maximum(stored, 1))  # 2**ceil(log2(stored + 1))
-        self.width[stored == 0] = 1
-        self.ones = np.where(level <= zeros, stored, self.width - stored)
+        _, self.width, self.ones = tcu_layout(layer.weight.codes.reshape(-1)[words],
+                                              layer.weight.bits)
         self.down, self.up = np.zeros_like(self.ones), self.ones.copy()
         self.hi, self.lo = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         self.hi_bit, self.lo_bit = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)

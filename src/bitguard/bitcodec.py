@@ -57,21 +57,10 @@ def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-# ---------------------------------------------------------------------------
-# unary / thermometer codes
-# ---------------------------------------------------------------------------
-
-
-def unary_width(bits: int) -> int:
-    """Full unary codeword width for b-bit values: 2^b - 1."""
-    if bits < 2:
-        raise InputError(f"bitwidth must be >= 2, got {bits}")
-    return (1 << bits) - 1
-
-
-def word_to_str(word: np.ndarray) -> str:
-    """Render a codeword with the leading slot first."""
-    return "".join("1" if b else "0" for b in np.asarray(word).tolist())
+def _top_index(x: np.ndarray) -> np.ndarray:
+    """floor(log2(x)) of each 0 < x < 2**62, read off its float64 exponent."""
+    e = (x.astype(np.float64).view(np.int64) >> 52) - 1023
+    return e - ((1 << e) > x)  # past 2**53 the conversion may round up a power
 
 
 # ---------------------------------------------------------------------------
@@ -79,53 +68,23 @@ def word_to_str(word: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TcuCodeword:
-    """A truncated complementary unary codeword.
+def tcu_layout(codes: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(polarity, width, leading ones) of the TCU word of each signed code.
 
-    ones_stored selects which run length the population count encodes: the
-    count of ones in the full unary word (True) or the count of its zeros
-    (False).  The stored width is the smallest power of two that fits the
-    selected count plus one sentinel slot, so a flip in any padding position
-    still moves the decoded count by exactly one.
-    """
-
-    ones_stored: bool  # polarity: True when the unary ones run is stored
-    width: int  # power-of-two number of stored slots
-    word: np.ndarray  # uint8 slots, leading slot first
-
-    def count(self) -> int:
-        pc = int(np.asarray(self.word).sum())
-        return pc if self.ones_stored else self.width - pc
-
-    def to_json(self) -> dict:
-        return {
-            "polarity": "ones" if self.ones_stored else "zeros",
-            "width": self.width,
-            "word": word_to_str(self.word),
-        }
-
-
-def tcu_encode(code: int, bits: int) -> TcuCodeword:
-    """Encode a signed code as a TCU word.
-
-    The unsigned level u of the code splits the full unary word into u ones
+    The unsigned level u of a code splits the full unary word into u ones
     and 2^b - 1 - u zeros.  The shorter run c = min(ones, zeros) is stored in
-    a 2^ceil(log2(c + 1))-slot word (one slot when c = 0): ones-stored words
-    are c ones padded with zeros, zeros-stored words are leading ones padded
-    around c trailing zeros, so popcount recovers c either way.
+    a 2^ceil(log2(c + 1))-slot word (one slot when c = 0); polarity is True
+    when the ones run is stored.  Ones-stored words are c ones padded with
+    zeros, zeros-stored words are leading ones padded around c trailing
+    zeros, so popcount recovers c either way and every word is its leading
+    ones followed by zeros up to its width.
     """
-    u = to_unsigned(code, bits)
-    zeros = unary_width(bits) - u
-    ones_stored = u <= zeros
-    c = u if ones_stored else zeros
-    width = 1 << (c.bit_length())  # 2^ceil(log2(c+1)), 1 when c = 0
-    word = np.zeros(width, dtype=np.uint8)
-    if ones_stored:
-        word[:c] = 1
-    else:
-        word[: width - c] = 1
-    return TcuCodeword(ones_stored, width, word)
+    level = np.asarray(codes, dtype=np.int64) & ((1 << bits) - 1)
+    zeros = (1 << bits) - 1 - level  # zeros of the full unary word
+    ones_stored = level <= zeros
+    stored = np.minimum(level, zeros)
+    width = np.where(stored > 0, 2 << _top_index(np.maximum(stored, 1)), 1)
+    return ones_stored, width, np.where(ones_stored, stored, width - stored)
 
 
 def tcu_payload_bits(code: int, bits: int) -> int:
@@ -183,12 +142,6 @@ class MemoryLedger:
             + self.signature_bits
             + self.cluster_id_bits
         )
-
-    @property
-    def ratio(self) -> float:
-        if self.baseline_bits <= 0:
-            raise InputError("ledger baseline is empty")
-        return self.component_bits / self.baseline_bits
 
 
 def _baseline_bits(model) -> int:

@@ -3,20 +3,21 @@
 Integer codes serialize as JSON integers and floats round-trip through
 repr, so loading a checkpoint reproduces the model exactly.  Files written
 from the same model are byte-identical (sorted keys, fixed separators).
-TCU-stored weights are listed under "protected" with their words,
-tcu_encode of their codes; the loader sets the tcu masks from that list
-and rejects a word that does not encode its weight's code.  The "head"
+TCU-stored weights are listed under "protected" with the words that
+bitcodec.tcu_layout lays out for their codes; the loader sets the tcu
+masks from that list and rejects a word that does not encode its weight's
+code.  The "head"
 field is always "xent", the one loss; the loader rejects any other.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
-from ..bitcodec import tcu_encode
+from ..bitcodec import tcu_layout
 from ..errors import FormatError
 from .layers import LAYER_KINDS, PARAMETRIC_KINDS, QuantizedModel
 from .quantized import QuantizedTensor
@@ -40,6 +41,14 @@ def _layer_to_json(layer) -> dict:
     return out
 
 
+def _tcu_words(weight: QuantizedTensor, idx: np.ndarray) -> Dict[str, dict]:
+    """The checkpoint form of the TCU words of the weights at flat indices idx."""
+    polarity, width, ones = tcu_layout(weight.codes.reshape(-1)[idx], weight.bits)
+    return {str(i): {"polarity": "ones" if p else "zeros", "width": w,
+                     "word": "1" * o + "0" * (w - o)}
+            for i, p, w, o in zip(idx.tolist(), polarity.tolist(), width.tolist(), ones.tolist())}
+
+
 def model_to_json(model: QuantizedModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -47,10 +56,7 @@ def model_to_json(model: QuantizedModel) -> dict:
         "input_bits": model.input_bits,
         "layers": [_layer_to_json(l) for l in model.layers],
         "protected": {
-            str(pidx): {
-                str(i): tcu_encode(int(layer.weight.codes.flat[i]), layer.weight.bits).to_json()
-                for i in np.flatnonzero(layer.weight.tcu)
-            }
+            str(pidx): _tcu_words(layer.weight, np.flatnonzero(layer.weight.tcu))
             for pidx, layer in model.parametric()
             if layer.weight.tcu.any()
         },
@@ -101,12 +107,14 @@ def model_from_json(obj: dict) -> QuantizedModel:
     parametric = [layer for _, layer in model.parametric()]
     for pidx_s, words in protected.items():
         weight = parametric[_index(pidx_s, len(parametric), "protected layer")].weight
-        for i_s, word in words.items():
-            i = _index(i_s, weight.size, "protected weight")
-            if word != tcu_encode(int(weight.codes.flat[i]), weight.bits).to_json():
+        idx = np.array([_index(i_s, weight.size, "protected weight") for i_s in words],
+                       dtype=np.int64)
+        want = _tcu_words(weight, idx)
+        for i, word in zip(idx.tolist(), words.values()):
+            if word != want[str(i)]:
                 raise FormatError(f"TCU word {word!r} does not encode the code of "
                                   f"weight {i} of layer {pidx_s}")
-            weight.tcu[i] = True
+        weight.tcu[idx] = True
     return model
 
 

@@ -8,9 +8,10 @@ Passes go through one layer walker, _walk, and _backprop, which share one
 per-kind table of forward and backward rules.  The walker can start at any
 layer and keeps backward caches only when asked, so inference frees its
 temporary arrays as it goes.  An ActivationPrefix stores a reference model's
-clean inputs to each parametric layer on one batch; evaluate(..., prefix=)
-re-runs only the layers from the first one that differs from it, follow does
-so for a model edited step by step, and grads() reuses a recorded pass.
+clean inputs to each parametric layer on one batch; evaluate(..., prefix=,
+changed=) re-runs only the layers from the parametric layer its caller says
+was changed, follow does so for a model edited step by step, and grads()
+reuses a recorded pass.
 """
 
 from __future__ import annotations
@@ -282,81 +283,58 @@ def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List
     return [t / n for t in total]
 
 
-def _params(layer) -> tuple:
-    if layer.kind in PARAMETRIC_KINDS:
-        return layer.weight.codes, layer.weight.scale
-    if layer.kind == "affine_norm":
-        return layer.scale, layer.shift
-    return ()
-
-
-def _structure(model: QuantizedModel) -> list:
-    return [
-        (layer.kind, getattr(layer, "stride", None), getattr(layer, "pad", None),
-         [np.shape(p) for p in _params(layer)])
-        for layer in model.layers
-    ]
-
-
 class ActivationPrefix:
     """A reference model's clean activations on one batch, for evaluate.
 
     Holds the batch inputs, the input of every parametric layer and the
-    logits, plus a copy of the reference's codes, scales and affine
-    parameters.  evaluate(model, batch, prefix=p) re-runs only the layers
-    from the first one at which model differs from the reference: a changed
-    parametric layer resumes at its own input, a changed affine layer at the
-    nearest stored boundary before it, and an unchanged model returns the
-    stored logits.  follow(model, batch) does the same and then makes model
-    the reference, so a sequence of edits each re-runs only its suffix.  The
-    results equal a full noise-free forward bit for bit.  With record set
-    it also keeps each layer's backward cache and the dlogits for grads().
+    logits.  The caller names the one parametric layer `changed` at which a
+    model differs from the reference: evaluate(model, batch, prefix=p,
+    changed=k) re-runs only the layers from parametric layer k on, and with
+    changed None (the model equals the reference) it reads the stored
+    logits.  follow(model, batch, changed) does the same and then makes
+    model the reference, so a sequence of edits each re-runs only its
+    suffix.  The prefix compares no weights: a model that differs before
+    layer `changed` gets a wrong answer.  The results equal a full
+    noise-free forward bit for bit.  With record set it also keeps each
+    layer's backward cache and the dlogits for grads().
     """
 
     def __init__(self, model: QuantizedModel, batch: Batch, record: bool = False):
         if len(batch) == 0:
             raise InputError("empty batch")
-        self.structure = _structure(model)
         n_layers = len(model.layers)
-        self.params: List[tuple] = [()] * n_layers
         self.parametric = [i for i, layer in enumerate(model.layers) if layer.kind in PARAMETRIC_KINDS]
         # the stored boundaries: batch inputs, parametric-layer inputs, logits
         self.acts: Dict[int, np.ndarray] = dict.fromkeys([0, *self.parametric, n_layers])
+        self.acts[0] = batch.inputs.copy()
         self.record, self.caches = record, [None] * n_layers
         self.failed: Optional[int] = None  # start of the last pass, until it succeeds
-        self._rerun(model, batch, 0, batch.inputs.copy())
+        self._rerun(model, batch, 0)
 
-    def _check_batch(self, batch: Batch) -> None:
+    def _start(self, batch: Batch, changed: Optional[int]) -> int:
+        """The layer at which a pass over batch resumes when parametric layer
+        `changed` (None: no layer) was edited: that one, or the first layer
+        of a failed last pass if it comes earlier."""
         if not np.array_equal(batch.inputs, self.acts[0]):
             raise InputError("prefix was built on another batch")
-
-    def resume(self, model: QuantizedModel, batch: Batch) -> Tuple[int, np.ndarray]:
-        """(start layer, its input) for evaluating model on batch."""
-        if _structure(model) != self.structure:
-            raise InputError("prefix was built for another layer structure")
-        self._check_batch(batch)
-        boundary = 0
-        for i, (layer, ref) in enumerate(zip(model.layers, self.params)):
-            if i in self.acts:
-                boundary = i
-            if i == self.failed or not all(np.array_equal(a, b) for a, b in zip(_params(layer), ref)):
-                return boundary, self.acts[boundary]
-        return len(model.layers), self.acts[len(model.layers)]
+        if changed is None:
+            start = len(self.caches)
+        elif 0 <= changed < len(self.parametric):
+            start = self.parametric[changed]
+        else:
+            raise InputError(f"no parametric layer {changed}")
+        return start if self.failed is None else min(start, self.failed)
 
     def follow(self, model: QuantizedModel, batch: Batch,
                changed: Optional[int] = None) -> Tuple[np.ndarray, float]:
         """Noise-free (logits, loss) of model on batch; model becomes the reference.
 
-        changed, the index among parametric layers of the one layer edited
-        since the last follow, skips the search for the first changed layer.
-        Raises the NumericError forward would raise; the prefix's next call
-        then re-runs from the same layer.
+        changed is the index among parametric layers of the one layer edited
+        since the last follow, None if none was.  Raises the NumericError
+        forward would raise; the prefix's next call then re-runs from the
+        same layer, or from an earlier one if it names one.
         """
-        if changed is None or self.failed is not None:
-            return self._rerun(model, batch, *self.resume(model, batch))
-        self._check_batch(batch)
-        start = self.parametric[changed]
-        return self._rerun(model, batch, start, self.acts[start], edited=start)
+        return self._rerun(model, batch, self._start(batch, changed))
 
     def grads(self, samples: int = 1) -> List[np.ndarray]:
         """The reference's gradients, as bytes equal to loss_and_grads(reference,
@@ -365,10 +343,9 @@ class ActivationPrefix:
             raise InputError("prefix was built without record")
         return _mean([_backprop(self.caches, self.dlogits)] * samples)
 
-    def _rerun(self, model: QuantizedModel, batch: Batch, start: int, x: np.ndarray,
-               edited: Optional[int] = None):
-        """Run layers[start:] on x and store the pass; only layer `edited`, when
-        given, may differ from the reference, so only its parameters are copied."""
+    def _rerun(self, model: QuantizedModel, batch: Batch, start: int):
+        """Run layers[start:] on their stored input and store the pass."""
+        x = self.acts[start]
         weights = _clean_weights(model, start)
         # dropped first, so the old suffix is freed and a failed pass is re-run
         self.failed = start
@@ -376,12 +353,9 @@ class ActivationPrefix:
         logits, caches, acts = _run(model, x, weights, start, self.record, self.acts)
         loss, dlogits, _ = _loss(logits, batch.labels)
         _check_finite(model, logits, loss, x, weights, start)
-        acts[start] = x
-        for a in acts.values():
+        for a in [x, *acts.values()]:
             a.flags.writeable = False
         self.acts.update(acts)
-        for i in range(start, len(model.layers)) if edited is None else [edited]:
-            self.params[i] = tuple(np.copy(p) for p in _params(model.layers[i]))
         self.caches[start:], self.dlogits = caches, dlogits
         self.failed = None
         return logits, loss
@@ -393,21 +367,23 @@ def evaluate(
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
     prefix: Optional[ActivationPrefix] = None,
+    changed: Optional[int] = None,
 ) -> float:
     """Fraction of argmax-correct predictions on the dataset.
 
-    With prefix (an ActivationPrefix built on this dataset for a model of
-    the same layer structure) only the layers from the first one that
-    differs from the prefix's reference model are run; the accuracy is the
-    same as without it.  A prefix holds noise-free activations, so it
-    cannot be combined with nonzero noise.
+    With prefix (an ActivationPrefix built on this dataset) model may differ
+    from the prefix's reference model in parametric layer `changed` only,
+    and only the layers from that one on are run; changed None means model
+    is the reference.  The accuracy is the same as without the prefix.  A
+    prefix holds noise-free activations, so it cannot be combined with
+    nonzero noise.
     """
     if prefix is None:
         logits, _ = forward(model, dataset, noise, seed)
     else:
         if noise is not None and noise.std > 0:
             raise InputError("a prefix holds noise-free activations")
-        start, x = prefix.resume(model, dataset)
-        logits, _ = _infer(model, dataset, _clean_weights(model, start), start, x)
+        start = prefix._start(dataset, changed)
+        logits, _ = _infer(model, dataset, _clean_weights(model, start), start, prefix.acts[start])
     pred = np.argmax(logits, axis=1)
     return float((pred == np.asarray(dataset.labels, dtype=np.int64)).mean())

@@ -16,8 +16,9 @@ class QuantizedTensor:
 
     tcu flags, by flat index, the weights stored as truncated complementary
     unary words; the others are stored in two's complement.  The codes are
-    the one stored value: a flagged weight's word is tcu_encode(code, bits),
-    and the slot flips of an attack on it live in the attack's trace.
+    the one stored value: a flagged weight's word is the one
+    bitcodec.tcu_layout lays out for its code, and the slot flips of an
+    attack on it live in the attack's trace.
     """
 
     codes: np.ndarray  # signed int64 codes, natural weight shape

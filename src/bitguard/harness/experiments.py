@@ -62,6 +62,15 @@ def _stage_rank(stage: str) -> int:
     return STAGES.index(stage)
 
 
+def _check_attack_pool(config: ExperimentConfig) -> None:
+    """Stages from protect on, and noise-sweep cells, draw attacker.batch_size
+    samples from the attack pool; config.validate checks only the attack
+    stage's batch grid, which may be smaller."""
+    pool, need = config.dataset.attack, config.attacker.batch_size
+    if pool < need:
+        raise ConfigError(f"dataset.attack must be >= attacker.batch_size = {need}, got {pool}")
+
+
 def _noise(std: float, samples: int) -> Optional[NoiseSpec]:
     return NoiseSpec(std=std, samples=samples) if std > 0 else None
 
@@ -340,7 +349,8 @@ def run_experiment(config: ExperimentConfig, stage: str = "report",
     when `write` is true (default: only for the report stage).
     """
     config.validate()
-    _stage_rank(stage)
+    if _stage_rank(stage) >= _stage_rank("protect"):
+        _check_attack_pool(config)
     if write is None:
         write = stage == "report"
     out = out_dir or config.out_dir
@@ -365,6 +375,7 @@ def run_noise_sweep(config: ExperimentConfig, stds: List[float],
     checked, like the config, before any model is trained.
     """
     config.validate()
+    _check_attack_pool(config)
     if not stds or not samples_grid:
         raise ConfigError("noise sweep grids must be nonempty")
     bad = [f"noise std {s!r} is not finite and >= 0" for s in stds if not (s >= 0 and np.isfinite(s))]

@@ -401,7 +401,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
             if (pidx, G, K) not in memo:
                 trial = model.clone()
                 _overwrite_groups(trial, pidx, lp, feas)
-                memo[pidx, G, K] = acc0 - evaluate(trial, val_set, prefix=prefix)
+                memo[pidx, G, K] = acc0 - evaluate(trial, val_set, prefix=prefix, changed=pidx)
             if memo[pidx, G, K] < eta:
                 chosen = lp
                 break

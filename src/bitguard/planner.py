@@ -163,7 +163,8 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
                 flags[pidx] = merged
         if not flags:
             return 0.0
-        return acc0 - evaluate(lock(protected, flags, lockdown), val_set, prefix=prefix)
+        return acc0 - evaluate(lock(protected, flags, lockdown), val_set, prefix=prefix,
+                               changed=min(flags))
 
     best = 0.0
     if joint_drop(1.0) < cap:

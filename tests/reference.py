@@ -3,8 +3,9 @@
 The kernels are earlier, plainer forms of routines that now live in
 `bitguard`, which must match them byte for byte: a strided col2im in
 (N, C, H, W) order, a max-pool backward that re-derives its routing from
-the input, and a move table that keeps an (n, bits) used-bit array and a
-padded slot matrix per layer.
+the input, a move table that keeps an (n, bits) used-bit array and a
+padded slot matrix per layer, a one-code-at-a-time TCU encoder, and the
+checkpoint writer built on it.
 
 The definitions after them are ones the package never calls: a one-bit
 flip, full unary words, TCU decoding, the full-unary ledger, the
@@ -12,14 +13,14 @@ closed-form lock ratio, and the loss under explicit weights that finite
 differences take.
 """
 
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from bitguard.attacker import _Candidate
-from bitguard.bitcodec import (MemoryLedger, TcuCodeword, _baseline_bits, _ceil_log2, tcu_encode,
-                               to_signed, to_unsigned, unary_width)
-from bitguard.engine import Batch, QuantizedModel, ops
+from bitguard.bitcodec import MemoryLedger, _baseline_bits, _ceil_log2, to_signed, to_unsigned
+from bitguard.engine import Batch, QuantizedModel, checkpoint, ops
 from bitguard.engine.functional import _infer
 from bitguard.errors import FormatError, InputError
 
@@ -83,6 +84,75 @@ def maxpool2_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
         grad[...] = np.where(hit, dout, 0.0)
         free &= ~hit
     return dx
+
+
+def unary_width(bits: int) -> int:
+    """Full unary codeword width for b-bit values: 2^b - 1."""
+    if bits < 2:
+        raise InputError(f"bitwidth must be >= 2, got {bits}")
+    return (1 << bits) - 1
+
+
+def word_to_str(word: np.ndarray) -> str:
+    """Render a codeword with the leading slot first."""
+    return "".join("1" if b else "0" for b in np.asarray(word).tolist())
+
+
+@dataclass
+class TcuCodeword:
+    """A truncated complementary unary codeword.
+
+    ones_stored selects which run length the population count encodes: the
+    count of ones in the full unary word (True) or the count of its zeros
+    (False).  The stored width is the smallest power of two that fits the
+    selected count plus one sentinel slot, so a flip in any padding position
+    still moves the decoded count by exactly one.
+    """
+
+    ones_stored: bool  # polarity: True when the unary ones run is stored
+    width: int  # power-of-two number of stored slots
+    word: np.ndarray  # uint8 slots, leading slot first
+
+    def to_json(self) -> dict:
+        return {
+            "polarity": "ones" if self.ones_stored else "zeros",
+            "width": self.width,
+            "word": word_to_str(self.word),
+        }
+
+
+def tcu_encode(code: int, bits: int) -> TcuCodeword:
+    """Encode a signed code as a TCU word.
+
+    The unsigned level u of the code splits the full unary word into u ones
+    and 2^b - 1 - u zeros.  The shorter run c = min(ones, zeros) is stored in
+    a 2^ceil(log2(c + 1))-slot word (one slot when c = 0): ones-stored words
+    are c ones padded with zeros, zeros-stored words are leading ones padded
+    around c trailing zeros, so popcount recovers c either way.
+    """
+    u = to_unsigned(code, bits)
+    zeros = unary_width(bits) - u
+    ones_stored = u <= zeros
+    c = u if ones_stored else zeros
+    width = 1 << (c.bit_length())  # 2^ceil(log2(c+1)), 1 when c = 0
+    word = np.zeros(width, dtype=np.uint8)
+    if ones_stored:
+        word[:c] = 1
+    else:
+        word[: width - c] = 1
+    return TcuCodeword(ones_stored, width, word)
+
+
+def model_to_json(model: QuantizedModel) -> dict:
+    """The checkpoint form of model, each protected word from tcu_encode."""
+    return {**checkpoint.model_to_json(model), "protected": {
+        str(pidx): {
+            str(i): tcu_encode(int(layer.weight.codes.flat[i]), layer.weight.bits).to_json()
+            for i in np.flatnonzero(layer.weight.tcu)
+        }
+        for pidx, layer in model.parametric()
+        if layer.weight.tcu.any()
+    }}
 
 
 class Moves:
@@ -221,7 +291,8 @@ def tcu_decode(codeword: TcuCodeword, bits: int) -> int:
         raise FormatError(f"TCU width {codeword.width} is not a power of two")
     if np.any((word != 0) & (word != 1)):
         raise FormatError("TCU word slots must be 0 or 1")
-    c = codeword.count()
+    pc = int(word.sum())
+    c = pc if codeword.ones_stored else codeword.width - pc
     u = c if codeword.ones_stored else unary_width(bits) - c
     if not 0 <= u <= unary_width(bits):
         raise FormatError(

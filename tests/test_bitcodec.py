@@ -14,22 +14,20 @@ from hypothesis import strategies as st
 
 from bitguard.bitcodec import (
     BitAddress,
-    TcuCodeword,
     code_range,
     ledger_lock,
     ledger_tcu,
-    tcu_encode,
+    tcu_layout,
     tcu_payload_bits,
     to_signed,
     to_unsigned,
-    unary_width,
-    word_to_str,
 )
 from bitguard.errors import FormatError, InputError
 from bitguard.lockdown import LayerLockPlan
 
 from conftest import chain_dense_model, dense_model
-from reference import flip_bit, ledger_unary, lock_ratio, tcu_decode, unary_decode, unary_encode
+from reference import (TcuCodeword, flip_bit, ledger_unary, lock_ratio, tcu_decode, tcu_encode,
+                       unary_decode, unary_encode, unary_width, word_to_str)
 
 
 def all_codes(bits):
@@ -171,6 +169,20 @@ def test_tcu_decode_rejects_malformed():
         tcu_decode(TcuCodeword(True, 8, np.ones(8, dtype=np.uint8)), 3)
 
 
+def test_tcu_layout_equals_reference_encoder():
+    # every code at every width, in one call per width and one call per code
+    for bits in range(2, 9):
+        codes = np.array(all_codes(bits), dtype=np.int64)
+        layout = tcu_layout(codes, bits)
+        for k, code in enumerate(codes.tolist()):
+            want = tcu_encode(code, bits)
+            one = tcu_layout(np.array([code]), bits)
+            for got in (tuple(part[k] for part in layout), tuple(part[0] for part in one)):
+                ones_stored, width, ones = (x.item() for x in got)
+                assert (ones_stored, width) == (want.ones_stored, want.width)
+                assert "1" * ones + "0" * (width - ones) == word_to_str(want.word)
+
+
 def test_tcu_json_roundtrip():
     for bits in (3, 8):
         for code in all_codes(bits):
@@ -209,7 +221,7 @@ def test_ledger_unary_example():
     ledger = ledger_unary(unary_plan({0: [1, 7]}), model)
     assert (ledger.payload_bits, ledger.index_bits) == (14, 2)
     assert ledger.baseline_bits == 30
-    assert ledger.ratio == pytest.approx(16 / 30)
+    assert ledger.component_bits / ledger.baseline_bits == pytest.approx(16 / 30)
 
 
 def test_ledger_empty_plan_is_free():
@@ -217,7 +229,7 @@ def test_ledger_empty_plan_is_free():
     for fn in (ledger_unary, ledger_tcu):
         ledger = fn(unary_plan({}), model)
         assert ledger.component_bits == 0
-        assert ledger.ratio == 0.0
+        assert ledger.component_bits / ledger.baseline_bits == 0.0
 
 
 def naive_unary_bits(plan, model):
@@ -265,8 +277,6 @@ def test_ledger_randomized_against_naive(rng):
         assert (led_u.payload_bits, led_u.index_bits) == naive_unary_bits(plan, model)
         led_t = ledger_tcu(plan, model)
         assert (led_t.payload_bits, led_t.index_bits) == naive_tcu_bits(plan, model)
-        # component sum divided by baseline is exactly the reported ratio
-        assert led_u.ratio == led_u.component_bits / led_u.baseline_bits
 
 
 def test_lock_ratio_spot_values():
@@ -323,7 +333,7 @@ def test_ledger_lock_ratio_matches_closed_form_when_divisible():
     # 32x16 dense layer at b=8: 512 weights, G=16 divides evenly
     model = chain_dense_model([(32, 16)], bits=8)
     ledger = ledger_lock(lock_plan({0: layer_plan(16, 8)}), model)
-    assert ledger.ratio == pytest.approx(lock_ratio(16, 8, 8))
+    assert ledger.component_bits / ledger.baseline_bits == pytest.approx(lock_ratio(16, 8, 8))
 
 
 def test_bit_address_ordering_and_json():

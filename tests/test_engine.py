@@ -99,7 +99,7 @@ def test_nonfinite_conv_activation_names_first_offending_layer():
         forward(model, batch)
     assert err.value.layer == "conv2d3"
     with pytest.raises(NumericError) as err:
-        evaluate(model, batch, prefix=prefix)
+        evaluate(model, batch, prefix=prefix, changed=1)
     assert err.value.layer == "conv2d3"
 
 
@@ -310,25 +310,27 @@ def test_evaluate_deterministic_under_noise():
     assert evaluate(model, data, noise, seed=5) == evaluate(model, data, noise, seed=5)
 
 
+def flag_every(model, step):
+    """Flag every step-th weight of each parametric layer as TCU-stored, in place.
+
+    TCU storage changes no value the engine reads."""
+    for _, layer in model.parametric():
+        layer.weight.tcu[::step] = True
+    return model
+
+
 def edited_clones(model, rng):
-    """(expected start layer, clone) for an unedited clone, a code edit in
-    each parametric layer, a scale edit, and an edit of each affine layer."""
-    n_layers = len(model.layers)
-    boundaries = [0] + [i for i, l in enumerate(model.layers) if l.kind in ("conv2d", "dense")]
-    cases = [(n_layers, model.clone())]
-    for i, layer in enumerate(model.layers):
+    """(parametric layer k, clone) for a code edit and a scale edit of each layer k."""
+    cases = []
+    param = [i for i, layer in enumerate(model.layers) if layer.kind in PARAMETRIC_KINDS]
+    for k, i in enumerate(param):
         dup = model.clone()
-        if layer.kind in ("conv2d", "dense"):
-            flat = dup.layers[i].weight.codes.reshape(-1)
-            pick = rng.permutation(flat.size)[: max(1, flat.size // 4)]
-            flat[pick] = np.where(flat[pick] == 0, 1, 0)
-            cases.append((i, dup))
-            scaled = model.clone()
-            scaled.layers[i].weight.scale *= 1.5
-            cases.append((i, scaled))
-        elif layer.kind == "affine_norm":
-            dup.layers[i].shift = dup.layers[i].shift + 0.25
-            cases.append((max(b for b in boundaries if b <= i), dup))
+        flat = dup.layers[i].weight.codes.reshape(-1)
+        pick = rng.permutation(flat.size)[: max(1, flat.size // 4)]
+        flat[pick] = np.where(flat[pick] == 0, 1, 0)
+        scaled = model.clone()
+        scaled.layers[i].weight.scale *= 1.5
+        cases += [(k, dup), (k, scaled)]
     return cases
 
 
@@ -338,21 +340,22 @@ def edited_clones(model, rng):
              random_batch(12, 1, 40, 10, seed=4)),
 ], ids=["toy_cnn", "desk_cnn"])
 def test_evaluate_with_prefix_equals_full_evaluate(build):
-    model, data = build()
-    prefix = ActivationPrefix(model, data)
-    cases = edited_clones(model, np.random.default_rng(0))
-    assert len(cases) > 2 * len(model.parametric())
-    for start, dup in cases:
-        got_start, x = prefix.resume(dup, data)
-        assert got_start == start
-        full, _ = forward(dup, data)
-        weights = functional._noisy_weights(dup, None, None)
-        resumed, _ = functional._infer(dup, data, weights, got_start, x)
-        assert resumed.tobytes() == full.tobytes()
-        assert evaluate(dup, data, prefix=prefix) == evaluate(dup, data)
+    for protect in (False, True):
+        model, data = build()
+        if protect:
+            flag_every(model, 7)
+        prefix = ActivationPrefix(model, data)
+        acc0 = evaluate(model, data)
+        assert evaluate(model, data, prefix=prefix) == acc0
+        moved = 0
+        for k, dup in edited_clones(model, np.random.default_rng(0)):
+            acc = evaluate(dup, data)
+            assert evaluate(dup, data, prefix=prefix, changed=k) == acc
+            moved += acc != acc0
+        assert moved >= len(model.parametric())  # so a skipped edit would show
 
 
-def test_prefix_rejects_other_batch_structure_and_noise():
+def test_prefix_rejects_other_batch_and_noise():
     model = toy_cnn_model(seed=5)
     data = random_batch(8, 1, 20, 3, seed=6)
     prefix = ActivationPrefix(model, data)
@@ -360,25 +363,20 @@ def test_prefix_rejects_other_batch_structure_and_noise():
         evaluate(model, random_batch(8, 1, 20, 3, seed=7), prefix=prefix)
     with pytest.raises(InputError, match="batch"):
         evaluate(model, data.take(np.arange(10)), prefix=prefix)
-    with pytest.raises(InputError, match="structure"):
-        evaluate(toy_cnn_model(seed=5, channels=(1, 2, 4)), data, prefix=prefix)
-    other = toy_cnn_model(seed=5)
-    other.layers[3].pad = 0
-    with pytest.raises(InputError, match="structure"):
-        evaluate(other, data, prefix=prefix)
     with pytest.raises(InputError, match="noise"):
         evaluate(model, data, NoiseSpec(std=0.05), prefix=prefix)
+    for changed in (-1, 3):  # the toy CNN has parametric layers 0, 1 and 2
+        with pytest.raises(InputError, match="parametric layer"):
+            evaluate(model, data, prefix=prefix, changed=changed)
     # the prefix is a snapshot: editing the reference afterwards is an edit
     model.layers[6].weight.codes[0, 0] += 1
-    assert prefix.resume(model, data)[0] == 6
-    assert evaluate(model, data, prefix=prefix) == evaluate(model, data)
+    assert evaluate(model, data, prefix=prefix, changed=2) == evaluate(model, data)
 
 
 def test_prefix_follows_a_sequence_of_edits():
     model = toy_cnn_model(seed=5)
     data = random_batch(8, 1, 20, 3, seed=6)
     prefix = ActivationPrefix(model, data)
-    n_layers = len(model.layers)
 
     def code_edit(i):
         flat = model.layers[i].weight.codes.reshape(-1)
@@ -387,31 +385,24 @@ def test_prefix_follows_a_sequence_of_edits():
     def scale_edit(i):
         model.layers[i].weight.scale *= 1.5
 
-    def shift_edit(i):
-        model.layers[i].shift = model.layers[i].shift + 0.25
-
-    # (edit, layer, expected resume layer): first layer, later layers, the
-    # affine layer (resumes at the boundary before it), and no edit at all
-    edits = [(code_edit, 0, 0), (code_edit, 6, 6), (shift_edit, 1, 0), (scale_edit, 3, 3),
-             (None, None, n_layers), (code_edit, 3, 3), (code_edit, 0, 0)]
-    for edit, layer, start in edits:
+    # (edit, layer, its parametric index): first layer, later layers, no edit
+    edits = [(code_edit, 0, 0), (code_edit, 6, 2), (scale_edit, 3, 1), (None, None, None),
+             (code_edit, 3, 1), (code_edit, 0, 0)]
+    for edit, layer, k in edits:
         if edit is not None:
             edit(layer)
-        assert prefix.resume(model, data)[0] == start
-        logits, loss = prefix.follow(model, data)
+        logits, loss = prefix.follow(model, data, k)
         want_logits, want_loss = forward(model, data)
         assert logits.tobytes() == want_logits.tobytes() and loss == want_loss
-        assert prefix.resume(model, data)[0] == n_layers
         assert evaluate(model, data, prefix=prefix) == evaluate(model, data)
     with pytest.raises(InputError, match="batch"):
         prefix.follow(model, random_batch(8, 1, 20, 3, seed=7))
     # a failing pass raises as forward does; the next call re-runs its layers
     model.layers[3].weight.scale = 1e308
     with pytest.raises(NumericError) as err:
-        prefix.follow(model, data)
+        prefix.follow(model, data, 1)
     assert err.value.layer == "conv2d3"
     model.layers[3].weight.scale = 0.04
-    assert prefix.resume(model, data)[0] == 3
     assert prefix.follow(model, data)[1] == forward(model, data)[1]
 
 
@@ -555,9 +546,8 @@ def chain_dense_case():
 ], ids=["toy_cnn", "chain_dense", "desk_cnn"])
 def test_recording_prefix_grads_equal_loss_and_grads(build, protect):
     model, data = build()
-    if protect:  # tcu storage changes no value the engine reads
-        for _, layer in model.parametric():
-            layer.weight.tcu[::3] = True
+    if protect:
+        flag_every(model, 3)
     prefix = ActivationPrefix(model, data, record=True)
     rng = np.random.default_rng(0)
 
@@ -568,27 +558,21 @@ def test_recording_prefix_grads_equal_loss_and_grads(build, protect):
 
     check()
     param = [i for i, layer in enumerate(model.layers) if layer.kind in PARAMETRIC_KINDS]
+    ks = list(range(len(param)))
     # every parametric layer from the first (conv0 or a dense layer) on, then
     # back down, so each re-run starts at a conv, a later conv or a dense layer
-    for i in param + param[::-1] + param[1:2]:
-        flat = model.layers[i].weight.codes.reshape(-1)
-        k = int(rng.integers(flat.size))
-        flat[k] = 0 if flat[k] else 1
-        assert prefix.resume(model, data)[0] == i
-        prefix.follow(model, data)
+    for k in ks + ks[::-1] + ks[1:2]:
+        flat = model.layers[param[k]].weight.codes.reshape(-1)
+        i = int(rng.integers(flat.size))
+        flat[i] = 0 if flat[i] else 1
+        prefix.follow(model, data, k)
         check()
-    for i, layer in enumerate(model.layers):  # an affine edit resumes at a boundary
-        if layer.kind == "affine_norm":
-            layer.shift = layer.shift + 0.125
-            prefix.follow(model, data)
-            check()
     # after a failed follow the next one re-runs from the same layer
     scale = model.layers[param[-1]].weight.scale
     model.layers[param[-1]].weight.scale = 1e308
     with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
-        prefix.follow(model, data)
+        prefix.follow(model, data, len(param) - 1)
     model.layers[param[-1]].weight.scale = scale
-    assert prefix.resume(model, data)[0] == param[-1]
     prefix.follow(model, data)
     check()
 
@@ -625,33 +609,47 @@ def test_grads_equal_reference_kernel_grads(build, n, monkeypatch):
     lambda: (build_desk_model(bits=8, hw=12, classes=10, seed=2),
              random_batch(12, 1, 16, 10, seed=4)),
 ], ids=["toy_cnn", "chain_dense", "desk_cnn"])
-def test_follow_with_the_edited_layer_equals_follow_without(build):
-    model, data = build()
-    scanned = ActivationPrefix(model, data, record=True)
-    hinted = ActivationPrefix(model, data, record=True)
-    rng = np.random.default_rng(1)
-    layers = [layer for _, layer in model.parametric()]
+def test_follow_equals_a_fresh_prefix(build):
+    for protect in (False, True):
+        model, data = build()
+        if protect:
+            flag_every(model, 7)
+        prefix = ActivationPrefix(model, data, record=True)
+        layers = [layer for _, layer in model.parametric()]
 
-    def follow_both(k):
-        want, got = scanned.follow(model, data), hinted.follow(model, data, k)
-        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
-        assert grad_bytes(hinted.grads()) == grad_bytes(scanned.grads())
-        assert hinted.resume(model, data)[0] == len(model.layers)
+        def same_as_fresh(got):
+            fresh = ActivationPrefix(model, data, record=True)
+            want = fresh.follow(model, data)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            assert grad_bytes(prefix.grads()) == grad_bytes(fresh.grads())
 
-    for k in rng.integers(len(layers), size=12).tolist():
-        flat = layers[k].weight.codes.reshape(-1)
-        flat[int(rng.integers(flat.size))] ^= 1
-        follow_both(k)
-    # a failed pass leaves its suffix stale: the next hinted follow re-runs
-    # it, here from the first layer, edited again after the failure
-    layers[0].weight.scale, scale = 1e308, layers[0].weight.scale
+        same_as_fresh(prefix.follow(model, data))  # changed None: the stored logits
+        for k, layer in enumerate(layers):
+            flat = layer.weight.codes.reshape(-1)
+            flat[k % flat.size] ^= 1
+            same_as_fresh(prefix.follow(model, data, k))
+            stored = prefix.acts[len(model.layers)]
+            assert prefix.follow(model, data)[0] is stored
+
+
+def test_failed_pass_is_rerun_from_its_first_layer():
+    # a pass that fails at layer k leaves the activations after k stale; a
+    # later call naming a layer after k must still re-run from k
+    model = toy_cnn_model(seed=5)
+    data = random_batch(8, 1, 16, 3, seed=6)
+    prefix = ActivationPrefix(model, data, record=True)
+    first, last = model.layers[0].weight, model.layers[6].weight
+    first.scale, scale = 1e308, first.scale
     with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
-        hinted.follow(model, data, 0)
-    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
-        scanned.follow(model, data)
-    layers[0].weight.scale = scale * 1.5
-    layers[-1].weight.codes.reshape(-1)[0] ^= 1
-    follow_both(len(layers) - 1)
+        prefix.follow(model, data, 0)
+    first.scale = scale * 1.5
+    last.codes.reshape(-1)[0] ^= 1
+    assert evaluate(model, data, prefix=prefix, changed=2) == evaluate(model, data)
+    assert evaluate(model, data, prefix=prefix) == evaluate(model, data)
+    logits, loss = prefix.follow(model, data, 2)
+    want_logits, want_loss = forward(model, data)
+    assert logits.tobytes() == want_logits.tobytes() and loss == want_loss
+    assert grad_bytes(prefix.grads()) == grad_bytes(loss_and_grads(model, data)[1])
 
 
 def test_prefix_without_record_keeps_no_caches():
@@ -659,7 +657,7 @@ def test_prefix_without_record_keeps_no_caches():
     data = random_batch(8, 1, 16, 3, seed=6)
     prefix = ActivationPrefix(model, data)
     model.layers[3].weight.codes[0, 0, 0, 0] += 1
-    prefix.follow(model, data)
+    prefix.follow(model, data, 1)
     assert not prefix.record
     assert all(cache is None for _, cache in prefix.caches)
     with pytest.raises(InputError, match="record"):
@@ -713,7 +711,7 @@ def tcu_protected_model():
 
 
 # the checkpoint format's exact bytes for tcu_protected_model(); each
-# protected weight's word is tcu_encode of its code
+# protected weight's word is reference.tcu_encode of its code
 PINNED_TCU_CHECKPOINT = (
     '{"format_version":1,"head":"xent","input_bits":8,"layers":['
     '{"bits":4,"codes":[-8,-1,0,1,3,7,-5,2,6],"kind":"conv2d","name":"conv2d0","pad":1,'
@@ -754,6 +752,21 @@ def test_checkpoint_roundtrip_keeps_tcu_mask(tmp_path):
         assert np.array_equal(a.weight.tcu, b.weight.tcu)
     assert np.flatnonzero(again.layers[0].weight.tcu).tolist() == [0, 3, 5, 8]
     assert not load_model_json(model_to_json(toy_cnn_model(seed=2))).layers[0].weight.tcu.any()
+
+
+def test_desk_checkpoint_equals_reference_writer(tmp_path):
+    model = flag_every(build_desk_model(bits=8, hw=12, classes=10, seed=2), 7)
+    text = json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
+    assert text == json.dumps(reference.model_to_json(model), sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    assert path.read_text() == text
+    again = load_model(str(path))
+    for (_, a), (_, b) in zip(model.parametric(), again.parametric()):
+        assert np.array_equal(a.weight.codes, b.weight.codes)
+        assert np.array_equal(a.weight.tcu, b.weight.tcu) and a.weight.tcu.any()
+    save_model(again, str(tmp_path / "again.json"))
+    assert file_hash(path) == file_hash(tmp_path / "again.json")
 
 
 @pytest.mark.parametrize("edit", [

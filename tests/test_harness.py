@@ -433,6 +433,29 @@ def test_attack_pool_must_hold_the_largest_batch_of_the_grid():
     assert tiny_config(**{"attacker.batch_grid": [8], "dataset.attack": 8}).dataset.attack == 8
 
 
+def test_attack_pool_smaller_than_batch_size_fails_before_training(tmp_path, capsys, clean_env,
+                                                                   monkeypatch):
+    # a batch grid of 8 validates an 8-sample pool, enough for the attack
+    # stage; every later stage, and a noise sweep, draws batch_size = 16
+    small = {"attacker.batch_grid": [8], "dataset.attack": 8, "seeds": [0]}
+    assert run_experiment(tiny_config(**small), stage="attack", write=False).rows
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr("bitguard.harness.experiments.pretrain", no_training)
+    match = r"dataset\.attack must be >= attacker\.batch_size = 16, got 8"
+    for stage in ("protect", "report"):
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(tiny_config(**small), stage=stage, write=False)
+    with pytest.raises(ConfigError, match=match):
+        run_noise_sweep(tiny_config(**small), stds=[0.0], samples_grid=[1])
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(nested({**TINY, **small})))
+    assert main(["--config", str(path), "--stage", "protect", "--no-write"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+
 def test_config_range_edges_are_valid():
     edges = {"defense.alpha_grid": [1, 0.0], "defense.eta_grid": [float("inf")],
              "defense.assignment": "even", "model.bits": 2, "dataset.kind": "arcs"}

@@ -19,12 +19,11 @@ in the trace.
 Each layer keeps a move table: for every weight, the largest and the
 smallest code delta over its remaining moves.  The estimate g * scale *
 delta is linear in delta, so a weight's best move is one of the two, and a
-flip recomputes only the flipped weight's row.  The clean losses come from
-an ActivationPrefix that follows the attacked copy and is told the layer
-of each flip, so the loss after a flip re-runs only the layers from the
-flipped one on.  Without noise the next gradient backpropagates through
-that recorded pass, so a step costs one suffix forward plus one backward
-(else grad_samples noisy passes).
+flip recomputes only the flipped weight's row.  Without noise each step
+first has an ActivationPrefix re-run the attacked copy from the flipped
+layer on, then backpropagates through that pass: one suffix forward plus
+one backward (else grad_samples noisy passes).  Fallback flips run no
+pass; one final pass only checks that the attacked copy stays finite.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from .bitcodec import BitAddress, _top_index, tcu_layout, to_signed
-from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, loss_and_grads
+from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, forward, loss_and_grads
 from .errors import ConfigError, InputError
 from .sensitivity import msb_flip_deltas
 
@@ -67,23 +66,21 @@ class AttackBudget:
 
 @dataclass
 class FlipRecord:
+    """One applied flip; est_gain is the first-order loss increase it was chosen by."""
+
     address: BitAddress
     pre_code: int
     post_code: int
-    est_gain: float  # first-order predicted loss increase
-    loss_after: float  # clean loss measured right after the flip
+    est_gain: float
     fallback: bool
 
 
 @dataclass
 class AttackTrace:
+    """An attack's flips in the order applied and the units its gradient steps cost."""
+
     flips: List[FlipRecord] = field(default_factory=list)
     units_used: int = 0
-    initial_loss: float = 0.0
-    final_loss: float = 0.0
-
-    def addresses(self) -> List[BitAddress]:
-        return [f.address for f in self.flips]
 
     @property
     def fallback_count(self) -> int:
@@ -271,8 +268,9 @@ def bfa_attack(
     """Run the attack on a private copy of the model; returns (copy, trace).
 
     The noise argument sets the on-chip perturbation the adversary sees; its
-    sample count is taken from the budget.  Loss values recorded in the trace
-    are measured noise-free and cost the adversary nothing.
+    sample count is taken from the budget.  Raises NumericError when the
+    attacked copy's noise-free pass over the batch is non-finite, at a
+    noise-free step or at the end.
     """
     budget.validate()
     if len(attack_set) != budget.batch_size:
@@ -287,22 +285,25 @@ def bfa_attack(
     work = model.clone()
     state = _FlipState(work)
     trace = AttackTrace()
-    prefix = ActivationPrefix(work, attack_set, record=step_noise.std == 0)
-    _, trace.initial_loss = prefix.follow(work, attack_set)
+    prefix = ActivationPrefix(work, attack_set, record=True) if step_noise.std == 0 else None
     seed_root = np.random.SeedSequence(seed)
     grads: Optional[List[np.ndarray]] = None
+    stale: Optional[int] = None  # earliest layer flipped since the prefix's last pass
 
     def record(cand: _Candidate, fallback: bool) -> None:
+        nonlocal stale
         pre = _apply(work, cand)
         state.mark(cand)
-        _, loss_after = prefix.follow(work, attack_set, cand.layer)
+        stale = cand.layer if stale is None else min(stale, cand.layer)
         trace.flips.append(FlipRecord(BitAddress(cand.layer, cand.weight, cand.bit), pre,
-                                      cand.new_code, cand.est, loss_after, fallback))
+                                      cand.new_code, cand.est, fallback))
 
     while len(trace.flips) < budget.max_flips:
         if trace.units_used + step_cost > budget.inference_units:
             break
-        if prefix.record:  # noise-free: backpropagate through the last follow
+        if prefix is not None:  # noise-free: backpropagate through the followed pass
+            prefix.follow(work, attack_set, stale)
+            stale = None
             grads = prefix.grads(budget.grad_samples)
         else:
             step_seed = int(seed_root.spawn(1)[0].generate_state(1)[0])
@@ -318,17 +319,10 @@ def bfa_attack(
         for pidx, i, est in _fallback_ranking(work, grads, state):
             if len(trace.flips) >= budget.max_flips:
                 break
-            layer = layers[pidx]
-            bits = layer.weight.bits
-            cand = _Candidate(
-                est,
-                pidx,
-                i,
-                bits - 1,
-                to_signed((int(layer.weight.codes.reshape(-1)[i]) & ((1 << bits) - 1)) ^ (1 << (bits - 1)), bits),
-                False,
-            )
-            record(cand, fallback=True)
+            bits = layers[pidx].weight.bits
+            code = int(layers[pidx].weight.codes.reshape(-1)[i]) & ((1 << bits) - 1)
+            record(_Candidate(est, pidx, i, bits - 1, to_signed(code ^ (1 << (bits - 1)), bits), False),
+                   fallback=True)
         # tiny models can exhaust untouched weights; walk remaining addresses
         if len(trace.flips) < budget.max_flips:
             for cand in _remaining_addresses(work, state):
@@ -336,15 +330,11 @@ def bfa_attack(
                     break
                 record(cand, fallback=True)
 
-    _, trace.final_loss = prefix.follow(work, attack_set)
+    if prefix is None:
+        forward(work, attack_set)
+    else:
+        prefix.follow(work, attack_set, stale)
     return work, trace
-
-
-def draw_attack_batch(pool: Batch, size: int, rng: np.random.Generator) -> Batch:
-    """Sample an attack set of the requested size from a data pool."""
-    if len(pool) < size:
-        raise InputError(f"attack pool holds {len(pool)} samples, need {size}")
-    return pool.take(rng.choice(len(pool), size=size, replace=False))
 
 
 def draw_attack(model: QuantizedModel, pool: Batch, budget: AttackBudget,
@@ -352,11 +342,13 @@ def draw_attack(model: QuantizedModel, pool: Batch, budget: AttackBudget,
                 noise: Optional[NoiseSpec] = None) -> Tuple[QuantizedModel, AttackTrace]:
     """One attack whose batch and attack seed are drawn from seq.
 
-    A generator seeded by seq draws the attack set from the pool, then the
-    attack seed; bfa_attack runs with both.
+    A generator seeded by seq draws the attack set from the pool, without
+    replacement, then the attack seed; bfa_attack runs with both.
     """
+    if len(pool) < budget.batch_size:
+        raise InputError(f"attack pool holds {len(pool)} samples, need {budget.batch_size}")
     rng = np.random.default_rng(seq)
-    attack_set = draw_attack_batch(pool, budget.batch_size, rng)
+    attack_set = pool.take(rng.choice(len(pool), size=budget.batch_size, replace=False))
     return bfa_attack(model, attack_set, budget, noise=noise,
                       seed=int(rng.integers(0, 2**31 - 1)))
 

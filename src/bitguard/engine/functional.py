@@ -49,7 +49,7 @@ def _clean_weights(model: QuantizedModel, start: int = 0) -> List[Optional[np.nd
                 for i, l in enumerate(model.layers) if l.kind in PARAMETRIC_KINDS]
 
 
-def _conv2d(layer, x, w):
+def _conv2d(layer, x, w, out):
     out, cols = ops.conv2d_forward(x, w, layer.stride, layer.pad)
     return out, (cols, w, x.shape, layer.stride, layer.pad)
 
@@ -65,7 +65,7 @@ def _sum_squares(grad_of, n: int) -> np.ndarray:
     return total
 
 
-def _conv2d_back(dout, cache, need_dx, squares):
+def _conv2d_back(dout, cache, need_dx, squares, out):
     cols, w, x_shape, stride, pad = cache
     if not squares:
         return ops.conv2d_backward(dout, cols, w, x_shape if need_dx else None, stride, pad)
@@ -74,12 +74,12 @@ def _conv2d_back(dout, cache, need_dx, squares):
     return dx, _sum_squares(per.__getitem__, len(per))
 
 
-def _dense(layer, x, w):
+def _dense(layer, x, w, out):
     out, flat = ops.dense_forward(x, w)
     return out, (flat, w, x.shape)
 
 
-def _dense_back(dout, cache, need_dx, squares):
+def _dense_back(dout, cache, need_dx, squares, out):
     flat, w, x_shape = cache
     if not squares:
         return ops.dense_backward(dout, flat, w, x_shape if need_dx else None)
@@ -87,32 +87,40 @@ def _dense_back(dout, cache, need_dx, squares):
     return dx, _sum_squares(lambda i: np.multiply.outer(dout[i], flat[i]), len(dout))
 
 
-# kind -> (forward(layer, x, w) -> (y, cache), backward(dy, cache, need_dx, squares)
-# -> (dx, dw or None)); with squares dw is the batch sum of squared per-sample weight
-# gradients.  Ops are looked up at call time so that wrapping one takes effect
+# kind -> (forward(layer, x, w, out) -> (y, cache), backward(dy, cache, need_dx, squares,
+# out) -> (dx, dw or None)); with squares dw is the batch sum of squared per-sample weight
+# gradients.  An elementwise rule writes into out, its x or dy, when out is given.  Ops
+# are looked up at call time so that wrapping one takes effect
 _STEPS = {
     "conv2d": (_conv2d, _conv2d_back),
     "dense": (_dense, _dense_back),
-    "relu": (lambda layer, x, w: ops.relu_forward(x),
-             lambda dout, x, *_: (ops.relu_backward(dout, x), None)),
-    "maxpool2": (lambda layer, x, w: ops.maxpool2_forward(x),
+    "relu": (lambda layer, x, w, out: ops.relu_forward(x, out),
+             lambda dout, y, need_dx, squares, out: (ops.relu_backward(dout, y, out), None)),
+    "maxpool2": (lambda layer, x, w, out: ops.maxpool2_forward(x),
                  lambda dout, cache, *_: (ops.maxpool2_backward(dout, cache), None)),
-    "affine_norm": (lambda layer, x, w: (ops.affine_forward(x, layer.scale, layer.shift),
-                                         layer.scale),
-                    lambda dout, scale, *_: (ops.affine_backward(dout, scale), None)),
+    "affine_norm": (lambda layer, x, w, out: (ops.affine_forward(x, layer.scale, layer.shift, out),
+                                              layer.scale),
+                    lambda dout, scale, need_dx, squares, out:
+                        (ops.affine_backward(dout, scale, out), None)),
 }
+# kinds whose backward cache holds their output, which the next step must then not overwrite
+_KEEPS_OUTPUT = ("relu", "maxpool2")
 
 
 def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
-          start: int = 0, record: bool = False):
+          start: int = 0, record: bool = False, reuse: bool = True):
     """Yield (layer, output, cache) for model.layers[start:] fed x.
 
     weights holds one array per parametric layer of the whole model.  The
     cache is what _backprop needs when record is set, else None, so an
-    inference pass frees each layer's temporary arrays as it goes.  Callers
-    hold np.errstate: non-finite values are detected after the pass.
+    inference pass frees each layer's temporary arrays as it goes.  With
+    reuse an elementwise layer overwrites an input that this walk made and
+    no cache holds (never x), so a yielded output may not outlive the next
+    step.  Callers hold np.errstate: non-finite values are detected after
+    the pass.
     """
     pidx = sum(1 for layer in model.layers[:start] if layer.kind in PARAMETRIC_KINDS)
+    owned = False  # whether x may be overwritten
     for layer in model.layers[start:]:
         step = _STEPS.get(layer.kind)
         if step is None:
@@ -121,7 +129,8 @@ def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
         if layer.kind in PARAMETRIC_KINDS:
             w = weights[pidx]
             pidx += 1
-        x, cache = step[0](layer, x, w)
+        x, cache = step[0](layer, x, w, x if owned else None)
+        owned = reuse and not (record and layer.kind in _KEEPS_OUTPUT)
         if not record:
             cache = None
         yield layer, x, cache
@@ -166,14 +175,16 @@ def _backprop(caches, dlogits: np.ndarray, squares: bool = False):
     loss gradients and each entry sums their squared weight gradients.
 
     Stops at the first parametric layer: nothing needs the gradient of the
-    model input.
+    model input.  Each step may overwrite the gradient an earlier step
+    returned, never dlogits.
     """
     first = next(i for i, (kind, _) in enumerate(caches) if kind in PARAMETRIC_KINDS)
     grads: List[np.ndarray] = []
     dx = dlogits
     for pos in range(len(caches) - 1, first - 1, -1):
         kind, cache = caches[pos]
-        dx, dw = _STEPS[kind][1](dx, cache, pos > first, squares)
+        dx, dw = _STEPS[kind][1](dx, cache, pos > first, squares,
+                                 None if dx is dlogits else dx)
         if dw is not None:
             grads.append(dw)
     grads.reverse()
@@ -252,7 +263,7 @@ def activations(model: QuantizedModel, batch: Batch) -> Iterator[np.ndarray]:
     """
     if len(batch) == 0:
         raise InputError("empty batch")
-    walk = _walk(model, batch.inputs, _clean_weights(model))
+    walk = _walk(model, batch.inputs, _clean_weights(model), reuse=False)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):  # held per layer, not across yields
             step = next(walk, None)

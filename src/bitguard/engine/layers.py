@@ -141,9 +141,5 @@ class QuantizedModel:
     def layer_sizes(self) -> np.ndarray:
         return np.array([l.weight.size for _, l in self.parametric()], dtype=np.int64)
 
-    @property
-    def num_weights(self) -> int:
-        return int(self.layer_sizes().sum())
-
     def clone(self) -> "QuantizedModel":
         return QuantizedModel(copy.deepcopy(self.layers), input_bits=self.input_bits)

@@ -1,9 +1,10 @@
 """Array primitives for the inference engine: forward and backward rules.
 
 Everything is float64 and allocation-explicit; backward functions take the
-caches their forward produced.  Convolution uses im2col so weight gradients
-reduce to matrix products; conv2d_grad_per_sample keeps each sample's
-product, which the curvature pass squares sample by sample.
+caches their forward produced, and the elementwise rules write into `out`
+when it is given, which may be their input.  Convolution uses im2col so
+weight gradients reduce to matrix products; conv2d_grad_per_sample keeps
+each sample's product, which the curvature pass squares sample by sample.
 """
 
 from __future__ import annotations
@@ -100,12 +101,14 @@ def dense_backward(dout: np.ndarray, flat: np.ndarray, w: np.ndarray, x_shape):
     return (dout @ w).reshape(x_shape), dw
 
 
-def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0.0), x
+def relu_forward(x: np.ndarray, out=None):
+    """(y, cache): the cache is y itself, since y > 0 exactly where x > 0."""
+    y = np.maximum(x, 0.0, out=out)
+    return y, y
 
 
-def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dout * (x > 0)
+def relu_backward(dout: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    return np.multiply(dout, y > 0, out=out)
 
 
 def _pool_slices(x: np.ndarray):
@@ -118,7 +121,9 @@ def _pool_max(x: np.ndarray) -> np.ndarray:
     a, b, c, d = _pool_slices(x)
     # later members go first: np.maximum keeps its second argument on a
     # +-0 tie (x86), so the earliest zero's sign survives as with argmax
-    return np.maximum(d, np.maximum(c, np.maximum(b, a)))
+    t = np.maximum(b, a)
+    np.maximum(c, t, out=t)
+    return np.maximum(d, t, out=t)
 
 
 def maxpool2_forward(x: np.ndarray):
@@ -153,16 +158,16 @@ def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
     return dx
 
 
-def affine_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
-    if x.ndim == 4:
-        return x * scale[None, :, None, None] + shift[None, :, None, None]
-    return x * scale[None, :] + shift[None, :]
+def affine_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None) -> np.ndarray:
+    """x * scale + shift per channel, rounded after the product and after the sum."""
+    per_channel = (-1,) + (1,) * (x.ndim - 2)
+    y = np.multiply(x, scale.reshape(per_channel), out=out)
+    y += shift.reshape(per_channel)
+    return y
 
 
-def affine_backward(dout: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    if dout.ndim == 4:
-        return dout * scale[None, :, None, None]
-    return dout * scale[None, :]
+def affine_backward(dout: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray:
+    return np.multiply(dout, scale.reshape((-1,) + (1,) * (dout.ndim - 2)), out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ weights flagged in their layer's tcu mask live in flip-tolerant codewords
 and are skipped by both detection and locking.
 """
 
+import copy
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -70,10 +72,6 @@ class DetectionReport:
     """Groups whose recomputed signature disagrees with the golden one."""
 
     flagged: Dict[int, np.ndarray]  # pidx -> sorted group indices
-
-    @property
-    def total_flagged(self) -> int:
-        return int(sum(v.size for v in self.flagged.values()))
 
 
 def compute_signatures(model, plan: "LockPlan") -> SignatureTable:
@@ -281,9 +279,8 @@ class LockPlan:
         return sorted(p for p, lp in self.layers.items() if lp.group_size is not None)
 
 
-def _overwrite_groups(model, pidx: int, lp: LayerLockPlan, groups: np.ndarray) -> None:
+def _overwrite_groups(weight: QuantizedTensor, lp: LayerLockPlan, groups: np.ndarray) -> None:
     """Set every plain-storage weight of the given groups to its lock code."""
-    weight = dict(model.parametric())[pidx].weight
     flat = weight.codes.reshape(-1)
     groups = np.asarray(groups, dtype=np.int64).reshape(-1)
     G = lp.group_size
@@ -302,7 +299,7 @@ def lock(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
         lp = plan.layers.get(pidx)
         if lp is None or lp.group_size is None or len(groups) == 0:
             continue
-        _overwrite_groups(out, pidx, lp, groups)
+        _overwrite_groups(dict(out.parametric())[pidx].weight, lp, groups)
     return out
 
 
@@ -325,7 +322,8 @@ def search_lock_plan(model, val_set: Batch, eta: float,
                      curvature: List[np.ndarray], cluster_cap: int = 256,
                      flip_budget: int = 100,
                      hit_weights: Optional[Dict[int, np.ndarray]] = None,
-                     shared: Optional[dict] = None) -> LockPlan:
+                     shared: Optional[dict] = None,
+                     prefix: Optional[ActivationPrefix] = None) -> LockPlan:
     """Cheapest feasible (G, K) per layer under the accuracy-drop budget.
 
     Candidates are swept in ascending storage order.  Feasibility emulates
@@ -337,17 +335,20 @@ def search_lock_plan(model, val_set: Batch, eta: float,
     candidate are marked unlockable.  The chosen candidate's feasibility
     footprint is kept on the plan as watch_core / watch_margin.
 
-    Nothing but the stopping rule depends on eta, so calls whose other
-    arguments are equal may pass one `shared` dict: it keeps each
-    (layer, G)'s k-means table and footprint and each (layer, G, K)'s
-    accuracy drop for the next call.
+    A trial's accuracy depends only on its layer's codes, so the drop is
+    kept under a digest of them: candidates that lock to the same codes
+    are evaluated once.  Nothing but the stopping rule depends on eta, so
+    calls whose other arguments are equal may pass one `shared` dict: it
+    keeps each (layer, G)'s k-means table and footprint and each trial's
+    accuracy drop for the next call.  prefix, when given, is an
+    ActivationPrefix of model on val_set.
     """
     if eta <= 0:
         raise InputError("accuracy-drop budget must be positive")
     if flip_budget < 1:
         raise InputError("flip budget must be >= 1")
     # every trial differs from model in one layer only
-    prefix = ActivationPrefix(model, val_set)
+    prefix = prefix or ActivationPrefix(model, val_set)
     acc0 = evaluate(model, val_set, prefix=prefix)
     plan = LockPlan(eta=eta)
     memo = {} if shared is None else shared
@@ -398,11 +399,14 @@ def search_lock_plan(model, val_set: Batch, eta: float,
             codes = np.clip(np.rint(cents / scale), lo, hi).astype(np.int64)
             lp = LayerLockPlan(G, K, codes, ids,
                                watch_core=core, watch_margin=margin)
-            if (pidx, G, K) not in memo:
-                trial = model.clone()
-                _overwrite_groups(trial, pidx, lp, feas)
-                memo[pidx, G, K] = acc0 - evaluate(trial, val_set, prefix=prefix, changed=pidx)
-            if memo[pidx, G, K] < eta:
+            trial = copy.deepcopy(layer.weight)
+            _overwrite_groups(trial, lp, feas)
+            key = (pidx, hashlib.sha256(trial.codes.tobytes()).digest())
+            if key not in memo:
+                edited = model.clone()
+                dict(edited.parametric())[pidx].weight = trial
+                memo[key] = acc0 - evaluate(edited, val_set, prefix=prefix, changed=pidx)
+            if memo[key] < eta:
                 chosen = lp
                 break
         plan.layers[pidx] = chosen

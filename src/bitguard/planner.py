@@ -131,14 +131,15 @@ def emulate_hit_weights(protected, budgets: List[AttackBudget], emulations: int,
 
 
 def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
-                       cap: float) -> None:
+                       cap: float, prefix: Optional[ActivationPrefix] = None) -> None:
     """Shrink watch margins until the joint containment lock costs < cap.
 
     The per-layer search bounds each layer's footprint damage alone; locking
     several layers' footprints together compounds through depth, so the
     static margins are cut back (largest shared fraction first, emulated
     cores never trimmed) until overwriting every watched group across all
-    layers drops validation accuracy by less than cap.
+    layers drops validation accuracy by less than cap.  prefix, when given,
+    is an ActivationPrefix of protected on val_set.
     """
     margins = {
         pidx: lp.watch_margin
@@ -147,7 +148,7 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
     }
     if not margins:
         return
-    prefix = ActivationPrefix(protected, val_set)
+    prefix = prefix or ActivationPrefix(protected, val_set)
     acc0 = evaluate(protected, val_set, prefix=prefix)
 
     def joint_drop(fraction: float) -> float:
@@ -209,7 +210,7 @@ class PipelineReport:
     """Per-run rows plus aggregates from the shared evaluation protocol."""
 
     rows: List[dict]
-    summary: Dict[str, float]
+    summary: Dict[str, float]  # resumed_mean and resumed_worst over the rows
     memory: Dict[str, float]
 
 
@@ -305,16 +306,7 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
 
     # an empty budget list means nobody attacked: resumed accuracy is clean
     resumed = np.array([r["resumed_acc"] for r in rows] or [clean_acc])
-    post = np.array([r["post_attack_acc"] for r in rows] or [clean_acc])
-    summary = {
-        "clean_acc": clean_acc,
-        "resumed_best": float(resumed.max()),
-        "resumed_worst": float(resumed.min()),
-        "resumed_mean": float(resumed.mean()),
-        "post_attack_mean": float(post.mean()),
-        "precision_mean": float(np.mean([r["precision"] for r in rows] or [1.0])),
-        "recall_mean": float(np.mean([r["recall"] for r in rows] or [1.0])),
-    }
+    summary = {"resumed_worst": float(resumed.min()), "resumed_mean": float(resumed.mean())}
     return PipelineReport(rows, summary, measure_memory(protected, plan.unary, plan.lockdown))
 
 
@@ -338,10 +330,10 @@ def build_defense(model, alpha: float, etas: List[float],
     """Construct one (alpha, eta) plan per eta on a clean model.
 
     The unary search, the curvature snapshot, the emulated attack
-    footprint and the lock search's trials depend only on alpha, so they
-    are computed once and shared by every eta; an infinite eta disables
-    locking.  A `unary` plan that an earlier search returned for exactly
-    these arguments skips the search.
+    footprint, the validation-set activations and the lock search's trials
+    depend only on alpha, so they are computed once and shared by every
+    eta; an infinite eta disables locking.  A `unary` plan that an earlier
+    search returned for exactly these arguments skips the search.
     """
     emulation_budget = max(budgets, key=lambda b: (b.max_flips, b.inference_units))
     if unary is not None:
@@ -361,14 +353,16 @@ def build_defense(model, alpha: float, etas: List[float],
         hits = emulate_hit_weights(protected, budgets, emulations,
                                    val_set, seed=seed, noise=noise,
                                    attack_pool=attack_pool)
+        prefix = ActivationPrefix(protected, val_set)
     plans = []
     lock_trials: dict = {}
     for eta in etas:
         if np.isfinite(eta):
             lockdown = search_lock_plan(protected, val_set, eta, h,
                                         flip_budget=emulation_budget.max_flips,
-                                        hit_weights=hits, shared=lock_trials)
-            trim_watch_margins(protected, lockdown, val_set, cap=eta)
+                                        hit_weights=hits, shared=lock_trials,
+                                        prefix=prefix)
+            trim_watch_margins(protected, lockdown, val_set, cap=eta, prefix=prefix)
         else:
             lockdown = disabled_lock_plan(protected)
         plans.append(DefensePlan(alpha=alpha, eta=eta, unary=unary,

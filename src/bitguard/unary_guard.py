@@ -1,7 +1,7 @@
 """Stochastic search for which weights to move into flip-tolerant storage.
 
 Components:
-  * UnaryPlan: chosen per-layer index sets plus search diagnostics.
+  * UnaryPlan: chosen per-layer index sets.
   * apply_protection: value-preserving BCD-to-TCU re-encoding of a plan.
   * search_protection: sensitivity-weighted trial sampling, scored by the
     worst validation accuracy over repeated attack emulations.
@@ -28,12 +28,10 @@ from .sensitivity import (
 
 @dataclass
 class UnaryPlan:
-    """Protection index sets for one model, with search diagnostics."""
+    """Protection index sets for one model."""
 
     alpha: float
     layers: Dict[int, List[int]] = field(default_factory=dict)
-    layer_worst: Dict[int, float] = field(default_factory=dict)  # winning trial per layer
-    trial_log: Dict[int, List[float]] = field(default_factory=dict)  # worst acc per trial
 
     @property
     def total(self) -> int:
@@ -115,7 +113,6 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         trial_seqs = layer_seqs[pidx].spawn(trials)
         best_idx: Optional[np.ndarray] = None
         best_worst = -np.inf
-        log: List[float] = []
         for t in range(trials):
             rng = np.random.default_rng(trial_seqs[t])
             indices = _sample_indices(scores, count, rng)
@@ -124,10 +121,7 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
             worst = min(
                 evaluate(draw_attack(protected, pool, budget, child, noise)[0], val_set)
                 for child in trial_seqs[t].spawn(1)[0].spawn(emulations))
-            log.append(worst)
             if worst > best_worst:
                 best_worst, best_idx = worst, indices
         plan.layers[pidx] = best_idx.tolist()
-        plan.layer_worst[pidx] = best_worst
-        plan.trial_log[pidx] = log
     return plan

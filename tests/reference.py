@@ -3,9 +3,9 @@
 The kernels are earlier, plainer forms of routines that now live in
 `bitguard`, which must match them byte for byte: a strided col2im in
 (N, C, H, W) order, a max-pool backward that re-derives its routing from
-the input, a move table that keeps an (n, bits) used-bit array and a
-padded slot matrix per layer, a one-code-at-a-time TCU encoder, and the
-checkpoint writer built on it.
+the input, elementwise rules that allocate every result, a move table
+that keeps an (n, bits) used-bit array and a padded slot matrix per layer,
+a one-code-at-a-time TCU encoder, and the checkpoint writer built on it.
 
 The definitions after them are ones the package never calls: a one-bit
 flip, full unary words, TCU decoding, the full-unary ledger, the
@@ -84,6 +84,29 @@ def maxpool2_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
         grad[...] = np.where(hit, dout, 0.0)
         free &= ~hit
     return dx
+
+
+# the elementwise rules as allocating expressions; out is accepted and ignored
+
+
+def relu_forward(x: np.ndarray, out=None):
+    return np.maximum(x, 0.0), x
+
+
+def relu_backward(dout: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    return dout * (x > 0)
+
+
+def affine_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, out=None):
+    if x.ndim == 4:
+        return x * scale[None, :, None, None] + shift[None, :, None, None]
+    return x * scale[None, :] + shift[None, :]
+
+
+def affine_backward(dout: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray:
+    if dout.ndim == 4:
+        return dout * scale[None, :, None, None]
+    return dout * scale[None, :]
 
 
 def unary_width(bits: int) -> int:

@@ -17,6 +17,7 @@ from bitguard.engine import (
     Batch,
     Conv2d,
     Dense,
+    MaxPool2,
     NoiseSpec,
     QuantizedModel,
     QuantizedTensor,
@@ -245,7 +246,7 @@ def curvature_reference(model, batch, chunk):
                 per.append(np.einsum("no,nf->nof", dout, cache[0]))
             elif kind == "conv2d":
                 per.append(ops.conv2d_grad_per_sample(dout, cache[0], cache[1].shape))
-            dout, _ = functional._STEPS[kind][1](dout, cache, True, False)
+            dout, _ = functional._STEPS[kind][1](dout, cache, True, False, None)
         for acc, g in zip(total, reversed(per)):
             acc += (g * g).sum(axis=0)
     return [t / n for t in total]
@@ -601,6 +602,51 @@ def test_grads_equal_reference_kernel_grads(build, n, monkeypatch):
     got = passes()
     with_reference_kernels(monkeypatch)
     assert got == passes()
+
+
+def elementwise_chain_case():
+    """Elementwise layers on the input, after a pool, after a relu and on the
+    logits: the arrays that an elementwise step must not overwrite are the
+    batch inputs, the pool's and the relu's recorded outputs, and dlogits."""
+    rng = np.random.default_rng(3)
+
+    def tensor(shape):
+        return QuantizedTensor(rng.integers(-7, 8, size=shape), 0.1, 4)
+
+    model = QuantizedModel([
+        AffineNorm(np.array([1.5]), np.array([-0.1])), ReLU(),
+        Conv2d(tensor((3, 1, 3, 3))), MaxPool2(),
+        AffineNorm(np.array([1.5, -0.5, 2.0]), np.array([0.1, -0.2, 0.0])), ReLU(),
+        Dense(tensor((4, 48))), ReLU(), AffineNorm(np.array([0.5, 1.0, -2.0, 1.5]), np.zeros(4)),
+    ])
+    return model, random_batch(8, 1, 40, 4, seed=7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (build_desk_model(bits=8, hw=12, classes=10, seed=2),
+             random_batch(12, 1, 40, 10, seed=4)),
+    lambda: (toy_cnn_model(seed=5), random_batch(8, 1, 40, 3, seed=6)),
+    elementwise_chain_case,
+], ids=["desk_cnn", "toy_cnn", "elementwise_chain"])
+def test_in_place_steps_equal_allocating_ops(build, monkeypatch):
+    # the walker writes elementwise results over arrays it made; the
+    # allocating rules of tests/reference.py must give the same bytes
+    def results():
+        model, data = build()
+        out = [forward(model, data), loss_and_grads(model, data)[1],
+               curvature_diag(model, data, chunk=16)]
+        prefix = ActivationPrefix(model, data, record=True)
+        for k, layer in enumerate(layer for _, layer in model.parametric()):
+            layer.weight.codes.reshape(-1)[k] ^= 3
+            out += [prefix.follow(model, data, k), prefix.grads(), prefix.grads(2)]
+        return [[a.tobytes() for a in x] if isinstance(x, list) else (x[0].tobytes(), x[1])
+                for x in out]
+
+    got = results()
+    for name in ("relu_forward", "relu_backward", "affine_forward", "affine_backward",
+                 "_pool_max"):
+        monkeypatch.setattr(ops, name, getattr(reference, name))
+    assert got == results()
 
 
 @pytest.mark.parametrize("build", [

@@ -11,6 +11,7 @@ from bitguard.bitcodec import code_range, ledger_lock
 from bitguard.engine import Batch, QuantizedTensor, evaluate
 from bitguard.engine.functional import curvature_diag
 from bitguard.errors import ConfigError, InputError
+from bitguard import lockdown
 from bitguard.lockdown import (
     LayerLockPlan,
     LockPlan,
@@ -30,6 +31,10 @@ from bitguard.lockdown import (
 from conftest import (chain_dense_model, crude_fit, dense_model, plain, random_batch,
                       toy_cnn_model)
 from reference import flip_bit
+
+
+def flag_count(report):
+    return sum(v.size for v in report.flagged.values())
 
 
 def single_layer_plan(model, G, K=1, codes=None, n_groups=None):
@@ -92,7 +97,7 @@ class TestSignatures:
         flat = attacked.layers[0].weight.codes.reshape(-1)
         flat[3] = flip_bit(int(flat[3]), 0, 4)
         flat[9] = flip_bit(int(flat[9]), 1, 4)
-        assert detect(attacked, plan.signatures).total_flagged == 0
+        assert flag_count(detect(attacked, plan.signatures)) == 0
 
     def test_even_collision_in_one_group_is_missed(self):
         # two MSB flips in the same group cancel in the parity: a documented
@@ -103,7 +108,7 @@ class TestSignatures:
         flat = attacked.layers[0].weight.codes.reshape(-1)
         flat[4] = flip_bit(int(flat[4]), 3, 4)
         flat[6] = flip_bit(int(flat[6]), 3, 4)
-        assert detect(attacked, plan.signatures).total_flagged == 0
+        assert flag_count(detect(attacked, plan.signatures)) == 0
 
     def test_odd_number_of_flips_detected(self):
         model = dense_model(np.zeros((4, 4), dtype=np.int64), scale=0.1, bits=4)
@@ -122,7 +127,7 @@ class TestSignatures:
         # a level change on the TCU-stored weight alters its code but must
         # not trip the group checksum
         attacked.layers[0].weight.codes.reshape(-1)[2] = -8
-        assert detect(attacked, plan.signatures).total_flagged == 0
+        assert flag_count(detect(attacked, plan.signatures)) == 0
 
     def test_group_count_mismatch_rejected(self):
         model = dense_model(np.zeros((4, 4), dtype=np.int64), scale=0.1, bits=4)
@@ -359,7 +364,7 @@ class TestOverwriteGroups:
         groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1)),
                                     label="groups"), dtype=np.int64)
         got, want = model.clone(), model.clone()
-        _overwrite_groups(got, 0, lp, groups)
+        _overwrite_groups(got.layers[0].weight, lp, groups)
         overwrite_reference(want, 0, lp, groups)
         assert got.layers[0].weight.codes.tobytes() == want.layers[0].weight.codes.tobytes()
 
@@ -372,6 +377,30 @@ class TestSearchLockPlan:
         val = random_batch(8, 1, 48, 3, seed=2)
         h = [x.reshape(-1) for x in curvature_diag(model, val)]
         return model, val, h
+
+    def test_a_duplicate_trial_is_evaluated_once(self, monkeypatch):
+        # trials that lock a layer to the same codes share one evaluation;
+        # a memo that never finds a trial evaluates each and picks the same plan
+        model, val, h = self.fitted()
+        trials = []
+
+        def counted(m, data, prefix=None, changed=None):
+            if changed is not None:
+                trials.append(b"".join(l.weight.codes.tobytes() for _, l in m.parametric()))
+            return evaluate(m, data, prefix=prefix, changed=changed)
+
+        class Forgetful(dict):
+            def __contains__(self, key):
+                return not isinstance(key[1], bytes) and super().__contains__(key)
+
+        def search(shared):
+            trials.clear()
+            return search_lock_plan(model, val, eta=0.02, curvature=h, shared=shared), list(trials)
+
+        monkeypatch.setattr(lockdown, "evaluate", counted)
+        (plan, once), (again, every) = search(None), search(Forgetful())
+        assert len(once) == len(set(once)) == len(set(every)) < len(every)
+        assert plain(plan) == plain(again)
 
     def test_full_budget_picks_cheapest_candidate(self):
         model, val, h = self.fitted()
@@ -551,7 +580,7 @@ class TestRecoveryFlow:
         # MSB-heavy traces must be noticed
         msb_flips = [f for f in trace.flips
                      if f.address.bit == 5 and f.address.layer in report.flagged]
-        assert report.total_flagged >= 1 or not msb_flips
+        assert flag_count(report) >= 1 or not msb_flips
         recovered = lock(attacked, report.flagged, plan)
         assert evaluate(recovered, val) >= evaluate(attacked, val) - 1e-12
 
@@ -561,4 +590,4 @@ class TestRecoveryFlow:
         h = [np.ones(l.weight.size) for _, l in model.parametric()]
         plan = search_lock_plan(model, val, eta=1.1, curvature=h)
         report = detect(model, plan.signatures)
-        assert report.total_flagged == 0
+        assert flag_count(report) == 0

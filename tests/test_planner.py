@@ -69,7 +69,7 @@ class TestCorners:
                            disabled_lock_plan(model))
         report = end_to_end_eval(model, plan, [], 1, val, seed=0, attack_pool=train)
         assert report.rows == []
-        assert report.summary["resumed_mean"] == report.summary["clean_acc"]
+        assert report.summary["resumed_mean"] == evaluate(model, val)
         assert report.summary["resumed_worst"] == evaluate(model, val)
 
 
@@ -109,7 +109,7 @@ class TestPipeline:
             assert 0.0 <= row["precision"] <= 1.0
             assert 0.0 <= row["recall"] <= 1.0
             assert row["tp"] + row["fn"] >= 0
-            assert row["clean_acc"] == report.summary["clean_acc"]
+            assert row["clean_acc"] == evaluate(apply_protection(model, plan.unary), val)
 
     def test_bitwise_deterministic(self, fitted):
         model, train, val = fitted
@@ -173,7 +173,8 @@ class TestPipeline:
                              trials=2, emulations=2, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 3, val,
                                  seed=2, attack_pool=train)
-        assert report.summary["resumed_mean"] >= report.summary["post_attack_mean"] - 0.05
+        post_attack_mean = np.mean([r["post_attack_acc"] for r in report.rows])
+        assert report.summary["resumed_mean"] >= post_attack_mean - 0.05
 
 
 def panel_for(model, plan, emulations, val, seed, pool):
@@ -396,7 +397,7 @@ class TestContainment:
         flat = dict(attacked.parametric())[pidx0].weight.codes.reshape(-1)
         flat[0] = flip_bit(int(flat[0]), 5, 6)
         report = detect(attacked, plan.signatures)
-        assert report.total_flagged >= 1
+        assert any(v.size for v in report.flagged.values())
 
         got = contain(attacked, report, plan)
         merged = {}

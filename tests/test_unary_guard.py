@@ -7,6 +7,7 @@ from bitguard.attacker import AttackBudget, bfa_attack, draw_attack
 from bitguard.bitcodec import to_unsigned
 from bitguard.engine import Batch, evaluate
 from bitguard.errors import InputError, PlanError
+from bitguard import unary_guard
 from bitguard.unary_guard import (
     UnaryPlan,
     _sample_indices,
@@ -100,18 +101,37 @@ class TestSearchProtection:
         plan = search_protection(model, alpha=0.05, trials=2, emulations=1,
                                  budget=small_budget(), val_set=val, seed=7,
                                  attack_pool=train)
-        assert plan.total == -(-model.num_weights * 5 // 100)
+        assert plan.total == -(-int(model.layer_sizes().sum()) * 5 // 100)
         for pidx, indices in plan.layers.items():
             assert len(set(indices)) == len(indices)
 
-    def test_worst_case_selection(self, fitted):
+    def test_worst_case_selection(self, fitted, monkeypatch):
+        # each trial protects one index set and scores it by the worst of its
+        # emulations; every layer keeps the first set with the best score
         model, train, val = fitted
+        trials = []  # (layer, indices, accuracy of each emulation)
+
+        def protect(m, plan):
+            (pidx, indices), = plan.layers.items()
+            trials.append((pidx, indices, []))
+            return apply_protection(m, plan)
+
+        def scored(m, data):
+            trials[-1][2].append(evaluate(m, data))
+            return trials[-1][2][-1]
+
+        monkeypatch.setattr(unary_guard, "apply_protection", protect)
+        monkeypatch.setattr(unary_guard, "evaluate", scored)
         plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
                                  budget=small_budget(), val_set=val, seed=7,
                                  attack_pool=train)
-        for pidx, log in plan.trial_log.items():
-            assert plan.layer_worst[pidx] == max(log)
-            assert len(log) == 3
+        assert plan.layers
+        for pidx, indices in plan.layers.items():
+            scores = [(idx, min(accs)) for p, idx, accs in trials if p == pidx]
+            assert len(scores) == 3
+            assert all(len(accs) == 2 for p, _, accs in trials if p == pidx)
+            best = max(worst for _, worst in scores)
+            assert indices == next(idx for idx, worst in scores if worst == best)
 
     def test_deterministic_per_seed(self, fitted):
         model, train, val = fitted
@@ -120,8 +140,6 @@ class TestSearchProtection:
         p1 = search_protection(model, **kw)
         p2 = search_protection(model, **kw)
         assert p1.layers == p2.layers
-        assert p1.layer_worst == p2.layer_worst
-        assert p1.trial_log == p2.trial_log
 
     def test_assignment_modes_differ_in_spread(self, fitted):
         model, train, val = fitted

@@ -170,13 +170,22 @@ def ledger_tcu(plan, model) -> MemoryLedger:
     return ledger
 
 
+def lock_layer_bits(n: int, group_size: int, clusters: int) -> Tuple[int, int]:
+    """(cluster-ID bits, signature bits) of an n-weight layer locked at (G, K).
+
+    The layer holds ceil(n / G) groups; each costs ceil(log2 K) ID bits and
+    a 2-bit (G > 1) or 1-bit (G = 1) signature.
+    """
+    n_groups = -(-n // group_size)
+    return n_groups * _ceil_log2(clusters), n_groups * (2 if group_size > 1 else 1)
+
+
 def ledger_lock(plan, model) -> MemoryLedger:
     """Price a locking plan: signatures plus cluster IDs, in whole groups.
 
-    A layer holding n weights in groups of G contributes ceil(n / G) groups;
-    each costs log2 K ID bits and a 2-bit (G > 1) or 1-bit (G = 1) signature.
-    A stored containment watch list costs one group index per entry.
-    Layers without a feasible lock contribute nothing.
+    Each lockable layer costs lock_layer_bits, and a stored containment
+    watch list one group index per entry.  Layers without a feasible lock
+    contribute nothing.
     """
     ledger = MemoryLedger(baseline_bits=_baseline_bits(model))
     layers = {pidx: layer for pidx, layer in model.parametric()}
@@ -184,8 +193,8 @@ def ledger_lock(plan, model) -> MemoryLedger:
         if lp.group_size is None:
             continue
         n = layers[pidx].weight.codes.size
-        n_groups = -(-n // lp.group_size)
-        ledger.cluster_id_bits += n_groups * _ceil_log2(lp.clusters)
-        ledger.signature_bits += n_groups * (2 if lp.group_size > 1 else 1)
-        ledger.index_bits += lp.watched().size * _ceil_log2(n_groups)
+        ids, signatures = lock_layer_bits(n, lp.group_size, lp.clusters)
+        ledger.cluster_id_bits += ids
+        ledger.signature_bits += signatures
+        ledger.index_bits += lp.watched().size * _ceil_log2(-(-n // lp.group_size))
     return ledger

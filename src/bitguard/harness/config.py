@@ -94,11 +94,14 @@ class ExperimentConfig:
         """Raise ConfigError naming every missing or out-of-range value; return self."""
         m, ds, d, a = self.model, self.dataset, self.defense, self.attacker
         step = GRAD_STEP_UNITS * a.grad_samples  # units one gradient step costs
-        least = {"model.bits": (m.bits, 2), "attacker.max_flips": (a.max_flips, 1),
+        least = {"model.bits": (m.bits, 2), "model.classes": (m.classes, 2),
+                 "attacker.max_flips": (a.max_flips, 1),
                  "attacker.batch_size": (a.batch_size, 1), "defense.trials": (d.trials, 1),
                  "attacker.grad_samples": (a.grad_samples, 1), "defense.emulations": (d.emulations, 1),
                  "model.hw": (m.hw, 4), "model.epochs": (m.epochs, 1), "model.batch_size": (m.batch_size, 1),
                  "dataset.train": (ds.train, 1), "dataset.val": (ds.val, 1),
+                 "dataset.test": (ds.test, 0), "dataset.seed": (ds.seed, 0),
+                 **{f"seeds[{i}]": (s, 0) for i, s in enumerate(self.seeds)},
                  "dataset.attack": (ds.attack, max(a.batch_grid or [a.batch_size])),
                  **{f"attacker.batch_grid[{i}]": (b, 1) for i, b in enumerate(a.batch_grid)},
                  **{f"attacker.inference_units[{i}]": (u, step) for i, u in enumerate(a.inference_units)}}
@@ -112,10 +115,14 @@ class ExperimentConfig:
         bad += [f"defense.eta_grid entry {x!r} is not > 0" for x in d.eta_grid if not x > 0]
         if m.hw % 4:
             bad.append(f"model.hw must be a multiple of 4 (two pool stages), got {m.hw}")
-        if not (m.lr > 0 and math.isfinite(m.lr)):
-            bad.append(f"model.lr must be finite and > 0, got {m.lr!r}")
-        if not (a.noise_std >= 0 and math.isfinite(a.noise_std)):
-            bad.append(f"attacker.noise_std must be finite and >= 0, got {a.noise_std!r}")
+        bad += [f"{section}.{name} must be finite, got {getattr(part, name)!r}"
+                for section, part in (("model", m), ("dataset", ds), ("attacker", a), ("defense", d))
+                for name, f in part.__dataclass_fields__.items()
+                if f.type is float and not math.isfinite(getattr(part, name))]
+        if m.lr <= 0:
+            bad.append(f"model.lr must be > 0, got {m.lr!r}")
+        if a.noise_std < 0:
+            bad.append(f"attacker.noise_std must be >= 0, got {a.noise_std!r}")
         if d.assignment not in ("top", "even"):
             bad.append(f"defense.assignment must be top or even, got {d.assignment!r}")
         if self.dataset.kind not in DATASET_KINDS:

@@ -1,13 +1,18 @@
 """Checksum-based flip detection and clustered weight locking.
 
 Components:
-  * SignatureTable / compute_signatures / detect: parity checksums over
-    stored MSBs that flag victim weight groups after an attack.
+  * _grouped: the one group layout, group g holding flat weights
+    [g G, (g + 1) G); signatures, flip-score ranking and centroids read
+    their groups through it, and _overwrite_groups maps groups back.
+  * compute_signatures / detect: parity checksums over stored MSBs that
+    flag victim weight groups after an attack, as {pidx: (G, signatures)}
+    and {pidx: flagged groups}.
   * group_centroids: curvature-weighted per-group centroid (closed form).
   * SegmentKMeans / global_kmeans: exact (optimal-SSE) 1-D k-means of the
     group centroids; one SegmentKMeans serves a whole ascending K sweep.
-  * LockPlan / search_lock_plan: cheapest (G, K) configuration per layer
-    whose recovery-footprint lock stays within the accuracy-drop budget.
+  * LockPlan / search_lock_plan: cheapest (G, K) configuration per layer,
+    priced by bitcodec.lock_layer_bits, whose recovery-footprint lock
+    stays within the accuracy-drop budget.
   * lock: overwrite flagged groups with centroid codes (pruning, RADAR's
     zeroing recovery, is lock under all-zero centroid codes).
 
@@ -23,22 +28,22 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bitcodec import code_range, _ceil_log2
+from .bitcodec import code_range, lock_layer_bits
 from .engine import ActivationPrefix, Batch, QuantizedTensor, evaluate
 from .errors import ConfigError, InputError
 from .sensitivity import msb_flip_deltas
 
 # group sizes tried by the plan search, largest (cheapest) first
 GROUP_SIZES = (512, 256, 128, 64, 32, 16, 8, 4, 2, 1)
+# most clusters the plan search tries for one layer
+CLUSTER_CAP = 256
 
 
-def _group_parity(bits_per_weight: np.ndarray, group_size: int) -> np.ndarray:
-    """XOR-reduce a flat 0/1 array in chunks of group_size (zero padded)."""
-    n = bits_per_weight.size
-    n_groups = -(-n // group_size)
-    padded = np.zeros(n_groups * group_size, dtype=np.uint8)
-    padded[:n] = bits_per_weight
-    return np.bitwise_xor.reduce(padded.reshape(n_groups, group_size), axis=1)
+def _grouped(x: np.ndarray, group_size: int, fill) -> np.ndarray:
+    """Flat x as (ceil(n / G), G) rows, one group per row, the last padded with fill."""
+    rows = np.full(-(-x.size // group_size) * group_size, fill, dtype=x.dtype)
+    rows[: x.size] = x
+    return rows.reshape(-1, group_size)
 
 
 def _signature_bits(weight: QuantizedTensor, group_size: int) -> np.ndarray:
@@ -55,46 +60,29 @@ def _signature_bits(weight: QuantizedTensor, group_size: int) -> np.ndarray:
     if group_size == 1:
         return msb
     second = (((u >> (bits - 2)) & 1) * plain).astype(np.uint8)
-    hi = _group_parity(msb, group_size)
-    lo = _group_parity(second, group_size)
+    hi = np.bitwise_xor.reduce(_grouped(msb, group_size, 0), axis=1)
+    lo = np.bitwise_xor.reduce(_grouped(second, group_size, 0), axis=1)
     return (hi << 1 | lo).astype(np.uint8)
 
 
-@dataclass
-class SignatureTable:
-    """Golden per-group signatures, one entry per lockable layer."""
-
-    layers: Dict[int, Tuple[int, np.ndarray]]  # pidx -> (group_size, signatures)
-
-
-@dataclass
-class DetectionReport:
-    """Groups whose recomputed signature disagrees with the golden one."""
-
-    flagged: Dict[int, np.ndarray]  # pidx -> sorted group indices
-
-
-def compute_signatures(model, plan: "LockPlan") -> SignatureTable:
-    """Golden signatures for every lockable layer of the plan."""
+def compute_signatures(model, plan: "LockPlan") -> Dict[int, Tuple[int, np.ndarray]]:
+    """Golden {pidx: (group size, per-group signatures)} of the plan's lockable layers."""
     layers = dict(model.parametric())
-    table: Dict[int, Tuple[int, np.ndarray]] = {}
-    for pidx, lp in plan.layers.items():
-        if lp.group_size is None:
-            continue
-        table[pidx] = (lp.group_size, _signature_bits(layers[pidx].weight, lp.group_size))
-    return SignatureTable(table)
+    return {pidx: (lp.group_size, _signature_bits(layers[pidx].weight, lp.group_size))
+            for pidx, lp in plan.layers.items() if lp.group_size is not None}
 
 
-def detect(model, table: SignatureTable) -> DetectionReport:
-    """Recompute signatures on a possibly-attacked model and flag mismatches.
+def detect(model, signatures: Dict[int, Tuple[int, np.ndarray]]) -> Dict[int, np.ndarray]:
+    """{pidx: sorted groups whose signature on model differs from the golden one}.
 
+    Every layer of `signatures` gets an entry, empty when nothing differs.
     Catches any odd number of MSB or second-MSB flips inside a group; an
     even number of flips at the same bit position within one group cancels
     and is missed, as are flips below the second MSB.
     """
     layers = dict(model.parametric())
     flagged: Dict[int, np.ndarray] = {}
-    for pidx, (group_size, golden) in table.layers.items():
+    for pidx, (group_size, golden) in signatures.items():
         now = _signature_bits(layers[pidx].weight, group_size)
         if now.size != golden.size:
             raise ConfigError(
@@ -102,7 +90,7 @@ def detect(model, table: SignatureTable) -> DetectionReport:
                 f"model has {now.size}"
             )
         flagged[pidx] = np.flatnonzero(now != golden)
-    return DetectionReport(flagged)
+    return flagged
 
 
 def group_centroids(weights: np.ndarray, h: np.ndarray, group_size: int,
@@ -122,16 +110,9 @@ def group_centroids(weights: np.ndarray, h: np.ndarray, group_size: int,
     if np.any(h < 0):
         raise InputError("curvature must be elementwise nonnegative")
     keep = np.ones(w.size, dtype=bool) if include is None else include.reshape(-1)
-
-    n_groups = -(-w.size // group_size)
-    pad = n_groups * group_size - w.size
-
-    def chunks(x, fill=0.0):
-        return np.concatenate([x, np.full(pad, fill)]).reshape(n_groups, group_size)
-
-    kw = chunks(np.where(keep, w, 0.0))
-    kh = chunks(np.where(keep, h, 0.0))
-    kn = chunks(keep.astype(np.float64))
+    kw = _grouped(np.where(keep, w, 0.0), group_size, 0.0)
+    kh = _grouped(np.where(keep, h, 0.0), group_size, 0.0)
+    kn = _grouped(keep.astype(np.float64), group_size, 0.0)
 
     h_sum = kh.sum(axis=1)
     cnt = kn.sum(axis=1)
@@ -269,11 +250,12 @@ class LayerLockPlan:
 
 @dataclass
 class LockPlan:
-    """Per-layer lock configurations plus the golden signature table."""
+    """Per-layer lock configurations plus the golden signatures."""
 
     eta: float  # accuracy-drop budget the plan was validated against
     layers: Dict[int, LayerLockPlan] = field(default_factory=dict)
-    signatures: Optional[SignatureTable] = None
+    # compute_signatures of the lockable layers: pidx -> (G, signatures)
+    signatures: Dict[int, Tuple[int, np.ndarray]] = field(default_factory=dict)
 
     def lockable(self) -> List[int]:
         return sorted(p for p, lp in self.layers.items() if lp.group_size is not None)
@@ -303,55 +285,37 @@ def lock(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
     return out
 
 
-def _candidate_bits(n: int, group_size: int, clusters: int) -> int:
-    """Storage bits for one layer locked at (G, K): IDs plus signatures."""
-    n_groups = -(-n // group_size)
-    sig = 2 if group_size > 1 else 1
-    return n_groups * (_ceil_log2(clusters) + sig)
-
-
-def _group_flip_scores(score: np.ndarray, group_size: int) -> np.ndarray:
-    """Per-group attack appeal: the worst member's sign-bit flip score."""
-    n_groups = -(-score.size // group_size)
-    padded = np.full(n_groups * group_size, -np.inf)
-    padded[: score.size] = score
-    return padded.reshape(n_groups, group_size).max(axis=1)
-
-
 def search_lock_plan(model, val_set: Batch, eta: float,
-                     curvature: List[np.ndarray], cluster_cap: int = 256,
-                     flip_budget: int = 100,
-                     hit_weights: Optional[Dict[int, np.ndarray]] = None,
-                     shared: Optional[dict] = None,
-                     prefix: Optional[ActivationPrefix] = None) -> LockPlan:
+                     curvature: List[np.ndarray], flip_budget: int,
+                     hit_weights: Dict[int, np.ndarray], shared: dict,
+                     prefix: ActivationPrefix) -> LockPlan:
     """Cheapest feasible (G, K) per layer under the accuracy-drop budget.
 
-    Candidates are swept in ascending storage order.  Feasibility emulates
-    the post-attack recovery load: the flip_budget groups holding the
-    layer's most flip-sensitive weights, plus every group containing a
-    weight from hit_weights (flat indices of flips observed in plan-time
-    attack emulations), are locked to their centroids and the validation
+    Candidates, up to CLUSTER_CAP clusters, are swept in ascending
+    lock_layer_bits order.  Feasibility emulates the post-attack recovery
+    load: the flip_budget groups whose worst member has the highest
+    sign-bit flip score, plus every group containing a weight from
+    hit_weights (flat indices of flips observed in plan-time attack
+    emulations, by layer), are locked to their centroids and the validation
     accuracy must drop by less than eta.  Layers with no feasible
     candidate are marked unlockable.  The chosen candidate's feasibility
     footprint is kept on the plan as watch_core / watch_margin.
 
     A trial's accuracy depends only on its layer's codes, so the drop is
     kept under a digest of them: candidates that lock to the same codes
-    are evaluated once.  Nothing but the stopping rule depends on eta, so
-    calls whose other arguments are equal may pass one `shared` dict: it
-    keeps each (layer, G)'s k-means table and footprint and each trial's
-    accuracy drop for the next call.  prefix, when given, is an
-    ActivationPrefix of model on val_set.
+    are evaluated once.  `shared` keeps each (layer, G)'s k-means table and
+    footprint and each trial's accuracy drop; nothing but the stopping rule
+    depends on eta, so calls whose other arguments are equal may pass one
+    dict, and a lone search passes {}.  prefix is an ActivationPrefix of
+    model on val_set.
     """
     if eta <= 0:
         raise InputError("accuracy-drop budget must be positive")
     if flip_budget < 1:
         raise InputError("flip budget must be >= 1")
     # every trial differs from model in one layer only
-    prefix = prefix or ActivationPrefix(model, val_set)
     acc0 = evaluate(model, val_set, prefix=prefix)
     plan = LockPlan(eta=eta)
-    memo = {} if shared is None else shared
     deltas = msb_flip_deltas(model)
 
     for pidx, layer in model.parametric():
@@ -363,7 +327,7 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         include = ~layer.weight.tcu
 
         hits = np.empty(0, dtype=np.int64)
-        if hit_weights and pidx in hit_weights:
+        if pidx in hit_weights:
             hits = np.unique(np.asarray(hit_weights[pidx], dtype=np.int64))
             if hits.size and (hits[0] < 0 or hits[-1] >= n):
                 raise InputError(
@@ -378,23 +342,23 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         for G in GROUP_SIZES:
             n_groups = -(-n // G)
             K = 1
-            while K <= min(n_groups, cluster_cap):
-                candidates.append((_candidate_bits(n, G, K), -G, K, G))
+            while K <= min(n_groups, CLUSTER_CAP):
+                candidates.append((sum(lock_layer_bits(n, G, K)), -G, K, G))
                 K *= 2
         candidates.sort()
 
         chosen = LayerLockPlan(None, None)
         for _, negG, K, G in candidates:
-            if (pidx, G) not in memo:
-                order = np.argsort(-_group_flip_scores(flip_score, G),
+            if (pidx, G) not in shared:
+                order = np.argsort(-_grouped(flip_score, G, -np.inf).max(axis=1),
                                    kind="stable")
                 top = order[: min(flip_budget, order.size)]
                 core = np.unique(hits // G) if hits.size else np.empty(0, dtype=np.int64)
                 margin = top[~np.isin(top, core)].astype(np.int64)
                 feas = np.unique(np.concatenate([core, margin]))
-                memo[pidx, G] = (SegmentKMeans(group_centroids(w, h, G, include=include)),
-                                 core, margin, feas)
-            kmeans, core, margin, feas = memo[pidx, G]
+                shared[pidx, G] = (SegmentKMeans(group_centroids(w, h, G, include=include)),
+                                   core, margin, feas)
+            kmeans, core, margin, feas = shared[pidx, G]
             cents, ids = global_kmeans(kmeans, K)
             codes = np.clip(np.rint(cents / scale), lo, hi).astype(np.int64)
             lp = LayerLockPlan(G, K, codes, ids,
@@ -402,11 +366,11 @@ def search_lock_plan(model, val_set: Batch, eta: float,
             trial = copy.deepcopy(layer.weight)
             _overwrite_groups(trial, lp, feas)
             key = (pidx, hashlib.sha256(trial.codes.tobytes()).digest())
-            if key not in memo:
+            if key not in shared:
                 edited = model.clone()
                 dict(edited.parametric())[pidx].weight = trial
-                memo[key] = acc0 - evaluate(edited, val_set, prefix=prefix, changed=pidx)
-            if memo[key] < eta:
+                shared[key] = acc0 - evaluate(edited, val_set, prefix=prefix, changed=pidx)
+            if shared[key] < eta:
                 chosen = lp
                 break
         plan.layers[pidx] = chosen

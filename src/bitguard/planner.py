@@ -30,24 +30,14 @@ from .bitcodec import ledger_lock, ledger_tcu
 from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, evaluate
 from .engine.functional import curvature_diag
 from .errors import InputError
-from .lockdown import (
-    DetectionReport,
-    LayerLockPlan,
-    LockPlan,
-    compute_signatures,
-    detect,
-    lock,
-    search_lock_plan,
-)
+from .lockdown import LayerLockPlan, LockPlan, detect, lock, search_lock_plan
 from .unary_guard import UnaryPlan, apply_protection, search_protection
 
 
 def disabled_lock_plan(model) -> LockPlan:
     """Locking switched off: every layer marked unlockable, no signatures."""
-    plan = LockPlan(eta=float("inf"))
-    plan.layers = {pidx: LayerLockPlan(None, None) for pidx, _ in model.parametric()}
-    plan.signatures = compute_signatures(model, plan)
-    return plan
+    return LockPlan(eta=float("inf"),
+                    layers={pidx: LayerLockPlan(None, None) for pidx, _ in model.parametric()})
 
 
 @dataclass
@@ -131,15 +121,15 @@ def emulate_hit_weights(protected, budgets: List[AttackBudget], emulations: int,
 
 
 def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
-                       cap: float, prefix: Optional[ActivationPrefix] = None) -> None:
+                       cap: float, prefix: ActivationPrefix) -> None:
     """Shrink watch margins until the joint containment lock costs < cap.
 
     The per-layer search bounds each layer's footprint damage alone; locking
     several layers' footprints together compounds through depth, so the
     static margins are cut back (largest shared fraction first, emulated
     cores never trimmed) until overwriting every watched group across all
-    layers drops validation accuracy by less than cap.  prefix, when given,
-    is an ActivationPrefix of protected on val_set.
+    layers drops validation accuracy by less than cap.  prefix is an
+    ActivationPrefix of protected on val_set.
     """
     margins = {
         pidx: lp.watch_margin
@@ -148,7 +138,6 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
     }
     if not margins:
         return
-    prefix = prefix or ActivationPrefix(protected, val_set)
     acc0 = evaluate(protected, val_set, prefix=prefix)
 
     def joint_drop(fraction: float) -> float:
@@ -183,20 +172,20 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
         lp.watch_margin = margin[: int(np.ceil(best * margin.size))]
 
 
-def contain(model, report: DetectionReport, plan: LockPlan):
+def contain(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
     """Containment response: any flag locks flagged plus watched groups.
 
-    A collided group hides from the checksums, so one confirmed flip
-    anywhere escalates to the whole pre-validated watch footprint; with no
-    flags at all the model is returned untouched (a clone, like lock).
+    flagged is what detect returns, {pidx: flagged groups}.  A collided
+    group hides from the checksums, so one confirmed flip anywhere
+    escalates to the whole pre-validated watch footprint; with no flags at
+    all the model is returned untouched (a clone, like lock).
     """
-    any_flag = any(v.size for v in report.flagged.values())
+    any_flag = any(v.size for v in flagged.values())
     flags: Dict[int, np.ndarray] = {}
     for pidx, lp in plan.layers.items():
         if lp.group_size is None:
             continue
-        parts = [np.asarray(report.flagged.get(pidx, np.empty(0, dtype=np.int64)),
-                            dtype=np.int64)]
+        parts = [np.asarray(flagged.get(pidx, np.empty(0, dtype=np.int64)), dtype=np.int64)]
         if any_flag:
             parts.append(lp.watched())
         merged = np.unique(np.concatenate(parts))
@@ -273,23 +262,23 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
     """Detect, contain and evaluate every attack of the panel under one plan.
 
     The plan must protect exactly the weights the panel's model protects.
-    Detection always compares post-attack weights against the pre-attack
-    signatures; recovery applies the containment response (flagged plus
-    watched groups); locking never rewrites flip-tolerant weights.
+    detect compares post-attack weights against the plan's pre-attack
+    signatures, of which a plan without lockable layers has none, so it
+    flags nothing; contain then locks flagged plus watched groups, and
+    never rewrites flip-tolerant weights.
     """
     protected = panel.protected
     tcu = [layer.weight.tcu for _, layer in protected.parametric()]
     if ({p: np.flatnonzero(m).tolist() for p, m in enumerate(tcu) if m.any()}
             != {p: sorted(v) for p, v in plan.unary.layers.items() if len(v)}):
         raise InputError("the plan's unary plan does not match the panel's protection")
-    table = plan.lockdown.signatures
     clean_acc = panel.clean_acc
     rows: List[dict] = []
     for entry in panel.entries:
         attacked, trace = panel.attacked(entry), entry.trace
-        report = detect(attacked, table) if table else DetectionReport({})
-        recovered = contain(attacked, report, plan.lockdown)
-        stats = _detection_stats(report.flagged, _truth_groups(trace, tcu, plan.lockdown))
+        flagged = detect(attacked, plan.lockdown.signatures)
+        recovered = contain(attacked, flagged, plan.lockdown)
+        stats = _detection_stats(flagged, _truth_groups(trace, tcu, plan.lockdown))
         on_protected = sum(1 for f in trace.flips if tcu[f.address.layer][f.address.weight])
         rows.append({
             "budget_index": entry.budget_index,
@@ -372,10 +361,9 @@ def build_defense(model, alpha: float, etas: List[float],
 
 def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
                    alpha_grid: List[float], eta_grid: List[float],
-                   trials: int = 3, emulations: int = 2, seed: int = 0,
-                   noise: Optional[NoiseSpec] = None,
+                   trials: int, emulations: int, target_drop: float,
+                   seed: int = 0, noise: Optional[NoiseSpec] = None,
                    attack_pool: Optional[Batch] = None,
-                   target_drop: float = 0.03,
                    assignment: str = "top",
                    searched: Optional[Dict[Tuple[float, int], UnaryPlan]] = None
                    ) -> Tuple[DefensePlan, List[dict]]:

@@ -80,6 +80,21 @@ def plain(obj):
     return obj
 
 
+def lock_search(model, val, eta, curvature, flip_budget=100, hit_weights=None, shared=None):
+    """search_lock_plan given the inputs build_defense makes for it.
+
+    The prefix is an ActivationPrefix of model on val; hit_weights defaults
+    to no emulated hits and shared to a fresh trial memo.
+    """
+    from bitguard.engine import ActivationPrefix
+    from bitguard.lockdown import search_lock_plan
+
+    return search_lock_plan(model, val, eta, curvature, flip_budget,
+                            {} if hit_weights is None else hit_weights,
+                            {} if shared is None else shared,
+                            ActivationPrefix(model, val))
+
+
 def traced_peak(call):
     """Peak bytes that tracemalloc sees allocated while call() runs."""
     tracemalloc.start()

@@ -5,7 +5,9 @@ The kernels are earlier, plainer forms of routines that now live in
 (N, C, H, W) order, a max-pool backward that re-derives its routing from
 the input, elementwise rules that allocate every result, a move table
 that keeps an (n, bits) used-bit array and a padded slot matrix per layer,
-a one-code-at-a-time TCU encoder, and the checkpoint writer built on it.
+a one-code-at-a-time TCU encoder, the checkpoint writer built on it, and
+the lock search's three separate group layouts (a zero-padded parity, a
+-inf-padded flip-score maximum and a concatenate-padded centroid).
 
 The definitions after them are ones the package never calls: a one-bit
 flip, full unary words, TCU decoding, the full-unary ledger, the
@@ -264,6 +266,61 @@ def remaining_addresses(work, moves_by_layer):
                         continue
                     new_code = to_signed((int(codes[i]) & mask) ^ (1 << b), bits)
                     yield _Candidate(0.0, pidx, i, b, new_code, False)
+
+
+def group_parity(bits_per_weight: np.ndarray, group_size: int) -> np.ndarray:
+    """XOR-reduce a flat 0/1 array in chunks of group_size (zero padded)."""
+    n = bits_per_weight.size
+    n_groups = -(-n // group_size)
+    padded = np.zeros(n_groups * group_size, dtype=np.uint8)
+    padded[:n] = bits_per_weight
+    return np.bitwise_xor.reduce(padded.reshape(n_groups, group_size), axis=1)
+
+
+def signature_bits(weight, group_size: int) -> np.ndarray:
+    """Per-group signature over stored MSBs, parities by group_parity."""
+    bits = weight.bits
+    u = np.mod(weight.codes.reshape(-1), 1 << bits)
+    plain = ~weight.tcu
+    msb = (((u >> (bits - 1)) & 1) * plain).astype(np.uint8)
+    if group_size == 1:
+        return msb
+    second = (((u >> (bits - 2)) & 1) * plain).astype(np.uint8)
+    hi = group_parity(msb, group_size)
+    lo = group_parity(second, group_size)
+    return (hi << 1 | lo).astype(np.uint8)
+
+
+def group_flip_scores(score: np.ndarray, group_size: int) -> np.ndarray:
+    """Per-group attack appeal: the worst member's sign-bit flip score."""
+    n_groups = -(-score.size // group_size)
+    padded = np.full(n_groups * group_size, -np.inf)
+    padded[: score.size] = score
+    return padded.reshape(n_groups, group_size).max(axis=1)
+
+
+def group_centroids(weights, h, group_size: int, include=None) -> np.ndarray:
+    """Curvature-weighted group centroids, padding each operand by concatenation."""
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    h = np.asarray(h, dtype=np.float64).reshape(-1)
+    keep = np.ones(w.size, dtype=bool) if include is None else include.reshape(-1)
+
+    n_groups = -(-w.size // group_size)
+    pad = n_groups * group_size - w.size
+
+    def chunks(x, fill=0.0):
+        return np.concatenate([x, np.full(pad, fill)]).reshape(n_groups, group_size)
+
+    kw = chunks(np.where(keep, w, 0.0))
+    kh = chunks(np.where(keep, h, 0.0))
+    kn = chunks(keep.astype(np.float64))
+
+    h_sum = kh.sum(axis=1)
+    cnt = kn.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        aware = np.sum(kh * kw, axis=1) / h_sum
+        mean = kw.sum(axis=1) / cnt
+    return np.where(h_sum > 0, aware, np.where(cnt > 0, mean, 0.0))
 
 
 def flip_bit(code: int, bit: int, bits: int) -> int:

@@ -421,6 +421,16 @@ def test_unknown_key_inside_a_section_rejected(tmp_path):
     ("dataset.val", 0),
     ("dataset.train", 0),
     ("model.batch_size", 0),
+    # each of these used to fail inside make_dataset or a seed job, to
+    # overlap two dataset splits, or to leave every plan infeasible
+    ("seeds", [0, -1]),
+    ("dataset.seed", -1),
+    ("dataset.test", -5),
+    ("model.classes", 0),
+    ("model.classes", 1),
+    ("defense.target_drop", float("nan")),
+    ("dataset.noise", float("inf")),
+    ("model.floor", float("nan")),
 ])
 def test_invalid_config_value_raises_config_error(key, value):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -492,6 +502,18 @@ def test_cli_invalid_value_exits_2_before_any_stage(tmp_path, capsys, clean_env,
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "ConfigError"
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys, clean_env):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(nested(TINY)))
+    assert main(["--config", str(path), "--seed", "-1", "--no-write"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith("seeds[0]")
 
 
 def test_cli_bad_env_override_exits_2(capsys, clean_env, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitguard.bitcodec import code_range, ledger_lock
+from bitguard.bitcodec import code_range, ledger_lock, lock_layer_bits
 from bitguard.engine import Batch, QuantizedTensor, evaluate
 from bitguard.engine.functional import curvature_diag
 from bitguard.errors import ConfigError, InputError
@@ -16,8 +16,7 @@ from bitguard.lockdown import (
     LayerLockPlan,
     LockPlan,
     SegmentKMeans,
-    SignatureTable,
-    _candidate_bits,
+    _grouped,
     _overwrite_groups,
     _signature_bits,
     compute_signatures,
@@ -25,16 +24,16 @@ from bitguard.lockdown import (
     global_kmeans,
     group_centroids,
     lock,
-    search_lock_plan,
 )
 
-from conftest import (chain_dense_model, crude_fit, dense_model, plain, random_batch,
-                      toy_cnn_model)
+from conftest import (chain_dense_model, crude_fit, dense_model, lock_search, plain,
+                      random_batch, toy_cnn_model)
+import reference
 from reference import flip_bit
 
 
-def flag_count(report):
-    return sum(v.size for v in report.flagged.values())
+def flag_count(flagged):
+    return sum(v.size for v in flagged.values())
 
 
 def single_layer_plan(model, G, K=1, codes=None, n_groups=None):
@@ -78,8 +77,7 @@ class TestSignatures:
             attacked = model.clone()
             flat = attacked.layers[0].weight.codes.reshape(-1)
             flat[w] = flip_bit(int(flat[w]), 3, 4)
-            report = detect(attacked, plan.signatures)
-            assert report.flagged[0].tolist() == [w // 8]
+            assert detect(attacked, plan.signatures)[0].tolist() == [w // 8]
 
     def test_second_msb_flip_detected(self):
         model = dense_model(np.zeros((4, 4), dtype=np.int64), scale=0.1, bits=4)
@@ -87,7 +85,7 @@ class TestSignatures:
         attacked = model.clone()
         flat = attacked.layers[0].weight.codes.reshape(-1)
         flat[5] = flip_bit(int(flat[5]), 2, 4)
-        assert detect(attacked, plan.signatures).flagged[0].tolist() == [1]
+        assert detect(attacked, plan.signatures)[0].tolist() == [1]
 
     def test_low_bit_flips_are_missed(self):
         # flips below the second MSB are invisible to the checksum
@@ -117,7 +115,7 @@ class TestSignatures:
         flat = attacked.layers[0].weight.codes.reshape(-1)
         for w in (4, 5, 6):
             flat[w] = flip_bit(int(flat[w]), 3, 4)
-        assert detect(attacked, plan.signatures).flagged[0].tolist() == [1]
+        assert detect(attacked, plan.signatures)[0].tolist() == [1]
 
     def test_protected_weights_ignored_by_checksum(self):
         model = dense_model(np.zeros((2, 4), dtype=np.int64), scale=0.1, bits=4)
@@ -131,7 +129,7 @@ class TestSignatures:
 
     def test_group_count_mismatch_rejected(self):
         model = dense_model(np.zeros((4, 4), dtype=np.int64), scale=0.1, bits=4)
-        bad = SignatureTable({0: (4, np.zeros(7, dtype=np.uint8))})
+        bad = {0: (4, np.zeros(7, dtype=np.uint8))}
         with pytest.raises(ConfigError):
             detect(model, bad)
 
@@ -369,6 +367,41 @@ class TestOverwriteGroups:
         assert got.layers[0].weight.codes.tobytes() == want.layers[0].weight.codes.tobytes()
 
 
+class TestGroupLayout:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 70), st.sampled_from((1, 2, 3, 4, 7, 8, 16, 64, 512)),
+           st.sampled_from(("none", "some", "all")), st.data())
+    def test_one_layout_matches_the_three_it_replaced(self, n, G, shield, data):
+        # signatures, the flip-score ranking and centroids read their groups
+        # through _grouped byte for byte as the separate layouts did, with
+        # short last groups, one-weight groups and all-TCU layers
+        rng = np.random.default_rng(n * 97 + G)
+        bits = data.draw(st.integers(2, 8), label="bits")
+        lo, hi = code_range(bits)
+        weight = QuantizedTensor(rng.integers(lo, hi + 1, size=n, dtype=np.int64), 0.1, bits)
+        if shield == "all":
+            weight.tcu[:] = True
+        elif shield == "some":
+            weight.tcu[:] = rng.random(n) < 0.3
+        assert (_signature_bits(weight, G).tobytes()
+                == reference.signature_bits(weight, G).tobytes())
+
+        # integer-valued scores tie often, so the stable order is pinned too
+        score = rng.integers(0, 4, size=n).astype(np.float64)
+        score[weight.tcu] = -np.inf
+        worst = _grouped(score, G, -np.inf).max(axis=1)
+        assert worst.tobytes() == reference.group_flip_scores(score, G).tobytes()
+        np.testing.assert_array_equal(
+            np.argsort(-worst, kind="stable"),
+            np.argsort(-reference.group_flip_scores(score, G), kind="stable"))
+
+        w = weight.dequantized().reshape(-1)
+        h = rng.random(n) * (rng.random(n) < 0.7)
+        for include in (None, ~weight.tcu):
+            assert (group_centroids(w, h, G, include=include).tobytes()
+                    == reference.group_centroids(w, h, G, include=include).tobytes())
+
+
 class TestSearchLockPlan:
     def fitted(self):
         model = toy_cnn_model(bits=6, seed=0)
@@ -395,16 +428,16 @@ class TestSearchLockPlan:
 
         def search(shared):
             trials.clear()
-            return search_lock_plan(model, val, eta=0.02, curvature=h, shared=shared), list(trials)
+            return lock_search(model, val, eta=0.02, curvature=h, shared=shared), list(trials)
 
         monkeypatch.setattr(lockdown, "evaluate", counted)
-        (plan, once), (again, every) = search(None), search(Forgetful())
+        (plan, once), (again, every) = search({}), search(Forgetful())
         assert len(once) == len(set(once)) == len(set(every)) < len(every)
         assert plain(plan) == plain(again)
 
     def test_full_budget_picks_cheapest_candidate(self):
         model, val, h = self.fitted()
-        plan = search_lock_plan(model, val, eta=1.1, curvature=h)
+        plan = lock_search(model, val, eta=1.1, curvature=h)
         for pidx in plan.layers:
             assert plan.layers[pidx].group_size == 512
             assert plan.layers[pidx].clusters == 1
@@ -414,20 +447,20 @@ class TestSearchLockPlan:
         # one must fail the full-layer-lock feasibility test
         model, val, h = self.fitted()
         eta = 0.02
-        plan = search_lock_plan(model, val, eta=eta, curvature=h)
+        plan = lock_search(model, val, eta=eta, curvature=h)
         acc0 = evaluate(model, val)
         for pidx, layer in model.parametric():
             chosen = plan.layers[pidx]
             assert chosen.group_size is not None
             n = layer.weight.size
             scale, bits = layer.weight.scale, layer.weight.bits
-            chosen_bits = _candidate_bits(n, chosen.group_size, chosen.clusters)
+            chosen_bits = sum(lock_layer_bits(n, chosen.group_size, chosen.clusters))
             w = layer.weight.dequantized().reshape(-1)
             for G in (512, 256, 128, 64, 32, 16, 8, 4, 2, 1):
                 n_groups = -(-n // G)
                 K = 1
                 while K <= min(n_groups, 256):
-                    cost = _candidate_bits(n, G, K)
+                    cost = sum(lock_layer_bits(n, G, K))
                     better = cost < chosen_bits or (
                         cost == chosen_bits and G > chosen.group_size
                     )
@@ -450,7 +483,7 @@ class TestSearchLockPlan:
     def test_validated_drop_holds_for_emitted_plan(self):
         model, val, h = self.fitted()
         eta = 0.02
-        plan = search_lock_plan(model, val, eta=eta, curvature=h)
+        plan = lock_search(model, val, eta=eta, curvature=h)
         acc0 = evaluate(model, val)
         for pidx, layer in model.parametric():
             lp = plan.layers[pidx]
@@ -462,7 +495,7 @@ class TestSearchLockPlan:
                 flat[lo:hi] = lp.centroid_codes[lp.group_ids[gi]]
             assert acc0 - evaluate(trial, val) < eta
 
-    def test_hopeless_layer_marked_unlockable(self):
+    def test_hopeless_layer_marked_unlockable(self, monkeypatch):
         # with one cluster allowed every candidate locks the diagonal layer
         # to a single code and collapses both logits, so no candidate
         # passes a tight budget and the layer opts out
@@ -470,8 +503,8 @@ class TestSearchLockPlan:
         val = Batch(np.eye(2), np.array([0, 1]))
         assert evaluate(model, val) == 1.0
         h = [np.ones(4)]
-        plan = search_lock_plan(model, val, eta=0.01, curvature=h,
-                                cluster_cap=1)
+        monkeypatch.setattr(lockdown, "CLUSTER_CAP", 1)
+        plan = lock_search(model, val, eta=0.01, curvature=h)
         assert plan.layers[0].group_size is None
         assert plan.layers[0].clusters is None
         assert ledger_lock(plan, model).component_bits == 0
@@ -480,14 +513,13 @@ class TestSearchLockPlan:
         model = dense_model([[1]], scale=0.1, bits=4)
         val = Batch(np.ones((1, 1)), np.array([0]))
         with pytest.raises(InputError):
-            search_lock_plan(model, val, eta=0.0, curvature=[np.zeros(1)])
+            lock_search(model, val, eta=0.0, curvature=[np.zeros(1)])
 
     def test_flip_budget_must_be_positive(self):
         model = dense_model([[1]], scale=0.1, bits=4)
         val = Batch(np.ones((1, 1)), np.array([0]))
         with pytest.raises(InputError):
-            search_lock_plan(model, val, eta=0.1, curvature=[np.zeros(1)],
-                             flip_budget=0)
+            lock_search(model, val, eta=0.1, curvature=[np.zeros(1)], flip_budget=0)
 
     def test_feasibility_scoped_to_flip_budget(self):
         # locking every group of the diagonal layer collapses both logits,
@@ -498,8 +530,7 @@ class TestSearchLockPlan:
         val = Batch(np.eye(2), np.array([0, 1]))
         h = [np.array([10.0, 1.0, 1.0, 9.0])]
         eta = 0.25
-        plan = search_lock_plan(model, val, eta=eta, curvature=h,
-                                flip_budget=1)
+        plan = lock_search(model, val, eta=eta, curvature=h, flip_budget=1)
         lp = plan.layers[0]
         assert (lp.group_size, lp.clusters) == (2, 1)
         acc0 = evaluate(model, val)
@@ -514,45 +545,41 @@ class TestSearchLockPlan:
         # on this fitted model a budget-1 overwrite is a strict subset of
         # the budget-wide one, so the tight plan must not be more expensive
         model, val, h = self.fitted()
-        wide = search_lock_plan(model, val, eta=0.02, curvature=h,
-                                flip_budget=10**9)
-        tight = search_lock_plan(model, val, eta=0.02, curvature=h,
-                                 flip_budget=1)
+        wide = lock_search(model, val, eta=0.02, curvature=h, flip_budget=10**9)
+        tight = lock_search(model, val, eta=0.02, curvature=h, flip_budget=1)
         for pidx, layer in model.parametric():
             assert wide.layers[pidx].group_size is not None
             assert tight.layers[pidx].group_size is not None
             n = layer.weight.size
-            w_cost = _candidate_bits(n, wide.layers[pidx].group_size,
-                                     wide.layers[pidx].clusters)
-            t_cost = _candidate_bits(n, tight.layers[pidx].group_size,
-                                     tight.layers[pidx].clusters)
+            w_cost = sum(lock_layer_bits(n, wide.layers[pidx].group_size,
+                                         wide.layers[pidx].clusters))
+            t_cost = sum(lock_layer_bits(n, tight.layers[pidx].group_size,
+                                         tight.layers[pidx].clusters))
             assert t_cost <= w_cost
 
     def test_shared_trials_keep_every_eta_plan(self, monkeypatch):
         # calls that differ only in eta may share their trials: each plan is
         # what a fresh search returns, and a repeated eta evaluates nothing
         # beyond the unlocked model
-        import bitguard.lockdown as lockdown
-
         model, val, h = self.fitted()
         hits = {0: np.array([0, 5]), 1: np.array([3])}
         kw = dict(curvature=h, flip_budget=3, hit_weights=hits)
         shared = {}
         for eta in (0.02, 0.005, 0.1):
-            fresh = search_lock_plan(model, val, eta=eta, **kw)
-            again = search_lock_plan(model, val, eta=eta, shared=shared, **kw)
+            fresh = lock_search(model, val, eta=eta, **kw)
+            again = lock_search(model, val, eta=eta, shared=shared, **kw)
             assert plain(again) == plain(fresh)
         calls = []
         real = lockdown.evaluate
         monkeypatch.setattr(lockdown, "evaluate",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        search_lock_plan(model, val, eta=0.005, shared=shared, **kw)
+        lock_search(model, val, eta=0.005, shared=shared, **kw)
         assert len(calls) == 1
 
     def test_search_deterministic(self):
         model, val, h = self.fitted()
-        p1 = search_lock_plan(model, val, eta=0.02, curvature=h)
-        p2 = search_lock_plan(model, val, eta=0.02, curvature=h)
+        p1 = lock_search(model, val, eta=0.02, curvature=h)
+        p2 = lock_search(model, val, eta=0.02, curvature=h)
         for pidx in p1.layers:
             a, b = p1.layers[pidx], p2.layers[pidx]
             assert (a.group_size, a.clusters) == (b.group_size, b.clusters)
@@ -572,22 +599,21 @@ class TestRecoveryFlow:
         crude_fit(model, train, steps=40)
         val = random_batch(8, 1, 48, 3, seed=2)
         h = [x.reshape(-1) for x in curvature_diag(model, val)]
-        plan = search_lock_plan(model, val, eta=0.02, curvature=h)
+        plan = lock_search(model, val, eta=0.02, curvature=h)
 
         atk = random_batch(8, 1, 16, 3, seed=3)
         attacked, trace = bfa_attack(model, atk, AttackBudget(10, 30, 16))
-        report = detect(attacked, plan.signatures)
+        flagged = detect(attacked, plan.signatures)
         # MSB-heavy traces must be noticed
         msb_flips = [f for f in trace.flips
-                     if f.address.bit == 5 and f.address.layer in report.flagged]
-        assert flag_count(report) >= 1 or not msb_flips
-        recovered = lock(attacked, report.flagged, plan)
+                     if f.address.bit == 5 and f.address.layer in flagged]
+        assert flag_count(flagged) >= 1 or not msb_flips
+        recovered = lock(attacked, flagged, plan)
         assert evaluate(recovered, val) >= evaluate(attacked, val) - 1e-12
 
     def test_flagged_groups_subset_of_all_groups(self):
         model = toy_cnn_model(bits=6, seed=0)
         val = random_batch(8, 1, 32, 3, seed=2)
         h = [np.ones(l.weight.size) for _, l in model.parametric()]
-        plan = search_lock_plan(model, val, eta=1.1, curvature=h)
-        report = detect(model, plan.signatures)
-        assert flag_count(report) == 0
+        plan = lock_search(model, val, eta=1.1, curvature=h)
+        assert flag_count(detect(model, plan.signatures)) == 0

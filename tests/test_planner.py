@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bitguard.attacker import AttackBudget
-from bitguard.engine import Batch, evaluate
+from bitguard.engine import ActivationPrefix, Batch, evaluate
 from bitguard.errors import InputError
 import bitguard.planner as planner
 from bitguard.planner import (
@@ -22,7 +22,7 @@ from bitguard.planner import (
 )
 from bitguard.unary_guard import UnaryPlan, apply_protection
 
-from conftest import crude_fit, dense_model, plain, random_batch, toy_cnn_model
+from conftest import crude_fit, dense_model, lock_search, plain, random_batch, toy_cnn_model
 from reference import flip_bit
 
 
@@ -341,10 +341,12 @@ class TestSynergySearch:
         model, train, val = fitted
         with pytest.raises(InputError):
             synergy_search(model, budgets_pair(), val, alpha_grid=(),
-                           eta_grid=(0.02,), attack_pool=train)
+                           eta_grid=(0.02,), trials=1, emulations=1,
+                           target_drop=0.03, attack_pool=train)
         with pytest.raises(InputError):
             synergy_search(model, budgets_pair(), val, alpha_grid=(0.01,),
-                           eta_grid=(), attack_pool=train)
+                           eta_grid=(), trials=1, emulations=1,
+                           target_drop=0.03, attack_pool=train)
 
     def test_chosen_plan_matches_build_defense(self, fitted):
         # the a-th alpha of the descending grid is built with seed + a
@@ -363,7 +365,6 @@ class TestSynergySearch:
 class TestContainment:
     def locked_setup(self):
         from bitguard.engine.functional import curvature_diag
-        from bitguard.lockdown import search_lock_plan
 
         model = toy_cnn_model(bits=6, seed=0)
         train = random_batch(8, 1, 64, 3, seed=1)
@@ -371,15 +372,12 @@ class TestContainment:
         val = random_batch(8, 1, 48, 3, seed=2)
         h = [x.reshape(-1) for x in curvature_diag(model, val)]
         hits = {0: np.array([0, 5]), 1: np.array([3])}
-        plan = search_lock_plan(model, val, eta=0.5, curvature=h,
-                                flip_budget=2, hit_weights=hits)
+        plan = lock_search(model, val, eta=0.5, curvature=h, flip_budget=2, hit_weights=hits)
         return model, val, plan
 
     def test_no_flags_returns_untouched_clone(self):
-        from bitguard.lockdown import DetectionReport
-
         model, val, plan = self.locked_setup()
-        out = contain(model, DetectionReport({}), plan)
+        out = contain(model, {}, plan)
         assert out is not model
         for pidx, layer in model.parametric():
             np.testing.assert_array_equal(
@@ -396,15 +394,15 @@ class TestContainment:
         pidx0 = plan.lockable()[0]
         flat = dict(attacked.parametric())[pidx0].weight.codes.reshape(-1)
         flat[0] = flip_bit(int(flat[0]), 5, 6)
-        report = detect(attacked, plan.signatures)
-        assert any(v.size for v in report.flagged.values())
+        flagged = detect(attacked, plan.signatures)
+        assert any(v.size for v in flagged.values())
 
-        got = contain(attacked, report, plan)
+        got = contain(attacked, flagged, plan)
         merged = {}
         for pidx, lp in plan.layers.items():
             if lp.group_size is None:
                 continue
-            fl = np.asarray(report.flagged.get(pidx, np.empty(0, dtype=np.int64)))
+            fl = np.asarray(flagged.get(pidx, np.empty(0, dtype=np.int64)))
             union = np.unique(np.concatenate([fl, lp.watched()]))
             if union.size:
                 merged[pidx] = union
@@ -446,7 +444,8 @@ class TestContainment:
         before_core = {p: plan.layers[p].watch_core.copy() for p in plan.lockable()}
         before_margin = {p: plan.layers[p].watch_margin.copy() for p in plan.lockable()}
 
-        trim_watch_margins(model, plan, val, cap=1.1)  # nothing to cut
+        trim_watch_margins(model, plan, val, cap=1.1,
+                           prefix=ActivationPrefix(model, val))  # nothing to cut
         for p in plan.lockable():
             np.testing.assert_array_equal(plan.layers[p].watch_margin, before_margin[p])
 
@@ -461,7 +460,7 @@ class TestContainment:
                            watch_margin=np.array([1, 2, 3]))
         plan2 = LockPlan(eta=0.25, layers={0: lp})
         plan2.signatures = compute_signatures(model2, plan2)
-        trim_watch_margins(model2, plan2, val2, cap=0.25)
+        trim_watch_margins(model2, plan2, val2, cap=0.25, prefix=ActivationPrefix(model2, val2))
         np.testing.assert_array_equal(lp.watch_core, [0])
         np.testing.assert_array_equal(lp.watch_margin, [1, 2])
 

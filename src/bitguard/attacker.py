@@ -24,17 +24,25 @@ first has an ActivationPrefix re-run the attacked copy from the flipped
 layer on, then backpropagates through that pass: one suffix forward plus
 one backward (else grad_samples noisy passes).  Fallback flips run no
 pass; one final pass only checks that the attacked copy stays finite.
+
+A budget of fewer units makes the same guided flips up to the first
+gradient step it cannot pay for, so one attack serves every unit budget
+of the same flips, batch and averaging: bfa_attack takes the lower
+budgets as cuts and, before the first step a cut cannot pay for, forks
+that cut's fallback tail and final pass on a copy of the attack so far.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import copy
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .bitcodec import BitAddress, _top_index, tcu_layout, to_signed
-from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, forward, loss_and_grads
+from .engine import (ActivationPrefix, Batch, NoiseSpec, QuantizedModel, evaluate, forward,
+                     loss_and_grads)
 from .errors import ConfigError, InputError
 from .sensitivity import msb_flip_deltas
 
@@ -77,14 +85,23 @@ class FlipRecord:
 
 @dataclass
 class AttackTrace:
-    """An attack's flips in the order applied and the units its gradient steps cost."""
+    """An attack's flips in the order applied and the units its gradient steps cost.
+
+    cuts maps each lower unit budget the attack was cut at to that
+    budget's own trace (see bfa_attack).
+    """
 
     flips: List[FlipRecord] = field(default_factory=list)
     units_used: int = 0
+    cuts: Dict[int, AttackTrace] = field(default_factory=dict)
 
     @property
     def fallback_count(self) -> int:
         return sum(1 for f in self.flips if f.fallback)
+
+    def at(self, units: int) -> AttackTrace:
+        """The trace at `units`: a cut's, or this one at the attack's own budget."""
+        return self.cuts.get(units, self)
 
 
 @dataclass
@@ -195,15 +212,50 @@ class _Moves:
 
 
 class _FlipState:
-    """Bookkeeping of used bit addresses, touched weights and move tables."""
+    """An attack in progress on model, the attacked copy, which it edits.
+
+    Holds the trace, the move tables, the touched weights and stale, the
+    earliest layer flipped since the copy's last pass.  A deep copy is an
+    independent attack: its move tables read its own model's layers.
+    """
 
     def __init__(self, model: QuantizedModel):
+        self.model = model
         self.moves = [_Moves(layer) for _, layer in model.parametric()]
         self.touched: Dict[int, Set[int]] = {pidx: set() for pidx, _ in model.parametric()}
+        self.trace = AttackTrace()
+        self.stale: Optional[int] = None
 
     def mark(self, cand: _Candidate) -> None:
         self.moves[cand.layer].mark(cand.weight, cand.bit, cand.slot_flip)
         self.touched[cand.layer].add(cand.weight)
+
+    def record(self, cand: _Candidate, fallback: bool) -> None:
+        """Apply the candidate's flip to the copy, mark it and trace it."""
+        pre = _apply(self.model, cand)
+        self.mark(cand)
+        self.stale = cand.layer if self.stale is None else min(self.stale, cand.layer)
+        self.trace.flips.append(FlipRecord(BitAddress(cand.layer, cand.weight, cand.bit), pre,
+                                           cand.new_code, cand.est, fallback))
+
+    def spend(self, grads: List[np.ndarray], max_flips: int) -> None:
+        """The fallback tail: spend the flips left on free sign-bit flips in
+        _fallback_ranking's order under grads, then, on tiny models that run
+        out of untouched weights, on the remaining addresses in order."""
+        if len(self.trace.flips) >= max_flips:
+            return
+        layers = [l for _, l in self.model.parametric()]
+        for pidx, i, est in _fallback_ranking(self.model, grads, self,
+                                              max_flips - len(self.trace.flips)):
+            bits = layers[pidx].weight.bits
+            code = int(layers[pidx].weight.codes.reshape(-1)[i]) & ((1 << bits) - 1)
+            self.record(_Candidate(est, pidx, i, bits - 1, to_signed(code ^ (1 << (bits - 1)), bits),
+                                   False), fallback=True)
+        if len(self.trace.flips) < max_flips:
+            for cand in _remaining_addresses(self.model, self):
+                if len(self.trace.flips) >= max_flips:
+                    break
+                self.record(cand, fallback=True)
 
     def best(self, grads: List[np.ndarray]) -> Optional[_Candidate]:
         """The move with the largest estimate; ties go to the lowest address."""
@@ -236,8 +288,33 @@ def apply_trace(model: QuantizedModel, trace: AttackTrace) -> QuantizedModel:
     return out
 
 
-def _fallback_ranking(model, grads, state) -> Iterator[Tuple[int, int, float]]:
-    """Untouched unprotected weights ordered for free sign-bit flips."""
+def _first_ranked(ests: np.ndarray, mags: np.ndarray, layer_ids: np.ndarray,
+                  indices: np.ndarray, count: int) -> np.ndarray:
+    """Positions of the first `count` entries in fallback order: loss-increasing
+    estimates (not ests <= 0) first, then by magnitude, largest first, then
+    by (layer, index).
+
+    Within each estimate class a partition on -mags keeps the entries that
+    can be among the first `count`, ties at the threshold included, and
+    only those are sorted.
+    """
+    keep, left = [], count
+    for cls in (np.flatnonzero(~(ests <= 0)), np.flatnonzero(ests <= 0)):
+        if left <= 0:
+            break
+        if left < cls.size:
+            neg = -mags[cls]
+            cls = cls[neg <= np.partition(neg, left - 1)[left - 1]]
+        keep.append(cls)
+        left -= cls.size
+    keep = np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
+    order = np.lexsort((indices[keep], layer_ids[keep], -mags[keep], ests[keep] <= 0))
+    return keep[order[:count]]
+
+
+def _fallback_ranking(model, grads, state, count: int) -> Iterator[Tuple[int, int, float]]:
+    """The first `count` untouched unprotected weights in the order of free
+    sign-bit flips (_first_ranked)."""
     layer_ids, indices, ests, mags = [], [], [], []
     deltas = msb_flip_deltas(model)
     for pidx, layer in model.parametric():
@@ -252,9 +329,7 @@ def _fallback_ranking(model, grads, state) -> Iterator[Tuple[int, int, float]]:
         ests.append(est[idx])
         mags.append(np.abs(g[idx]))
     layer_ids, indices, ests, mags = map(np.concatenate, (layer_ids, indices, ests, mags))
-    # loss-increasing flips first, then by gradient magnitude, then address
-    order = np.lexsort((indices, layer_ids, -mags, ests <= 0))
-    for k in order:
+    for k in _first_ranked(ests, mags, layer_ids, indices, count):
         yield int(layer_ids[k]), int(indices[k]), float(ests[k])
 
 
@@ -264,6 +339,7 @@ def bfa_attack(
     budget: AttackBudget,
     noise: Optional[NoiseSpec] = None,
     seed: int = 0,
+    cuts: Iterable[int] = (),
 ) -> Tuple[QuantizedModel, AttackTrace]:
     """Run the attack on a private copy of the model; returns (copy, trace).
 
@@ -271,6 +347,16 @@ def bfa_attack(
     sample count is taken from the budget.  Raises NumericError when the
     attacked copy's noise-free pass over the batch is non-finite, at a
     noise-free step or at the end.
+
+    cuts are lower unit budgets, in any order: for each cut c below
+    budget.inference_units, trace.cuts[c] is the trace that bfa_attack
+    returns with inference_units c on the same batch and seed, and that
+    attack's NumericError is raised here.  Before the first gradient step
+    that c cannot pay for, the cut forks: the fallback tail and the final
+    pass run on a copy of the attack so far, with the last step's
+    gradients.  A cut still open when the guided loop stops gets the
+    whole trace.  A noisy attack draws its step seeds one after another,
+    so a cut's steps see the seeds its own attack would.
     """
     budget.validate()
     if len(attack_set) != budget.batch_size:
@@ -279,31 +365,42 @@ def bfa_attack(
         )
     if noise is not None and noise.samples not in (1, budget.grad_samples):
         raise ConfigError("noise sample count disagrees with the budget's grad_samples")
+    pending = sorted(set(cuts) - {budget.inference_units})
+    for c in pending:
+        if c > budget.inference_units:
+            raise ConfigError(f"cut {c} exceeds the budget's {budget.inference_units} units")
+        replace(budget, inference_units=c).validate()
     step_noise = NoiseSpec(std=noise.std if noise else 0.0, samples=budget.grad_samples)
     step_cost = GRAD_STEP_UNITS * budget.grad_samples
 
-    work = model.clone()
-    state = _FlipState(work)
-    trace = AttackTrace()
+    state = _FlipState(model.clone())
+    work, trace = state.model, state.trace
     prefix = ActivationPrefix(work, attack_set, record=True) if step_noise.std == 0 else None
     seed_root = np.random.SeedSequence(seed)
-    grads: Optional[List[np.ndarray]] = None
-    stale: Optional[int] = None  # earliest layer flipped since the prefix's last pass
+    grads: List[np.ndarray] = []
+    forks: Dict[int, AttackTrace] = {}
 
-    def record(cand: _Candidate, fallback: bool) -> None:
-        nonlocal stale
-        pre = _apply(work, cand)
-        state.mark(cand)
-        stale = cand.layer if stale is None else min(stale, cand.layer)
-        trace.flips.append(FlipRecord(BitAddress(cand.layer, cand.weight, cand.bit), pre,
-                                      cand.new_code, cand.est, fallback))
+    def finish(s: _FlipState) -> AttackTrace:
+        """Run s's fallback tail, then its final pass; a fork's leaves the prefix as it is."""
+        s.spend(grads, budget.max_flips)
+        if prefix is None:
+            forward(s.model, attack_set)
+        elif s is state:
+            prefix.follow(work, attack_set, s.stale)
+        else:  # the pass follow would run, without making the fork the reference
+            evaluate(s.model, attack_set, prefix=prefix, changed=s.stale)
+        return s.trace
 
     while len(trace.flips) < budget.max_flips:
         if trace.units_used + step_cost > budget.inference_units:
             break
+        closing = [c for c in pending if trace.units_used + step_cost > c]
+        if closing:  # budgets that stop here share one fork
+            forks.update(dict.fromkeys(closing, finish(copy.deepcopy(state))))
+            pending = pending[len(closing):]
         if prefix is not None:  # noise-free: backpropagate through the followed pass
-            prefix.follow(work, attack_set, stale)
-            stale = None
+            prefix.follow(work, attack_set, state.stale)
+            state.stale = None
             grads = prefix.grads(budget.grad_samples)
         else:
             step_seed = int(seed_root.spawn(1)[0].generate_state(1)[0])
@@ -312,45 +409,31 @@ def bfa_attack(
         best = state.best(grads)
         if best is None or best.est <= 0:
             break
-        record(best, fallback=False)
+        state.record(best, fallback=False)
 
-    if len(trace.flips) < budget.max_flips and grads is not None:
-        layers = [l for _, l in work.parametric()]
-        for pidx, i, est in _fallback_ranking(work, grads, state):
-            if len(trace.flips) >= budget.max_flips:
-                break
-            bits = layers[pidx].weight.bits
-            code = int(layers[pidx].weight.codes.reshape(-1)[i]) & ((1 << bits) - 1)
-            record(_Candidate(est, pidx, i, bits - 1, to_signed(code ^ (1 << (bits - 1)), bits), False),
-                   fallback=True)
-        # tiny models can exhaust untouched weights; walk remaining addresses
-        if len(trace.flips) < budget.max_flips:
-            for cand in _remaining_addresses(work, state):
-                if len(trace.flips) >= budget.max_flips:
-                    break
-                record(cand, fallback=True)
-
-    if prefix is None:
-        forward(work, attack_set)
-    else:
-        prefix.follow(work, attack_set, stale)
+    finish(state)
+    for c in pending:
+        forks[c] = AttackTrace(list(trace.flips), trace.units_used)
+    trace.cuts = forks
     return work, trace
 
 
 def draw_attack(model: QuantizedModel, pool: Batch, budget: AttackBudget,
                 seq: np.random.SeedSequence,
-                noise: Optional[NoiseSpec] = None) -> Tuple[QuantizedModel, AttackTrace]:
+                noise: Optional[NoiseSpec] = None,
+                cuts: Iterable[int] = ()) -> Tuple[QuantizedModel, AttackTrace]:
     """One attack whose batch and attack seed are drawn from seq.
 
     A generator seeded by seq draws the attack set from the pool, without
-    replacement, then the attack seed; bfa_attack runs with both.
+    replacement, then the attack seed; bfa_attack runs with both, cut at
+    `cuts`, so every cut's trace is on the same draw.
     """
     if len(pool) < budget.batch_size:
         raise InputError(f"attack pool holds {len(pool)} samples, need {budget.batch_size}")
     rng = np.random.default_rng(seq)
     attack_set = pool.take(rng.choice(len(pool), size=budget.batch_size, replace=False))
     return bfa_attack(model, attack_set, budget, noise=noise,
-                      seed=int(rng.integers(0, 2**31 - 1)))
+                      seed=int(rng.integers(0, 2**31 - 1)), cuts=cuts)
 
 
 def _remaining_addresses(work: QuantizedModel, state: _FlipState):

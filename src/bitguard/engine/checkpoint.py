@@ -119,8 +119,10 @@ def model_from_json(obj: dict) -> QuantizedModel:
 
 
 def save_model(model: QuantizedModel, path: str) -> None:
+    # json.dumps, unlike json.dump, runs the C encoder; the bytes are the same
+    text = json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
 
 
 def load_model(path: str) -> QuantizedModel:

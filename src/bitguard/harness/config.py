@@ -123,6 +123,10 @@ class ExperimentConfig:
             bad.append(f"model.lr must be > 0, got {m.lr!r}")
         if a.noise_std < 0:
             bad.append(f"attacker.noise_std must be >= 0, got {a.noise_std!r}")
+        if ds.noise < 0:
+            bad.append(f"dataset.noise must be >= 0, got {ds.noise!r}")
+        if ds.kind == "arcs" and m.classes != 2:
+            bad.append(f"dataset.kind arcs has two classes, got model.classes {m.classes!r}")
         if d.assignment not in ("top", "even"):
             bad.append(f"defense.assignment must be top or even, got {d.assignment!r}")
         if self.dataset.kind not in DATASET_KINDS:

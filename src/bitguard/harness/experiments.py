@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..attacker import GRAD_STEP_UNITS, AttackBudget, draw_attack
+from ..attacker import GRAD_STEP_UNITS, AttackBudget, apply_trace, draw_attack
 from ..engine import NoiseSpec, evaluate, save_model
 from ..errors import ConfigError
 from ..planner import (AttackPanel, DefensePlan, attack_panel, build_defense,
@@ -119,6 +119,13 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     then attacked undefended under every (noise std, averaging) cell;
     otherwise the pipeline runs through `stage`.
 
+    Every undefended cell is one attack at the largest unit budget, read
+    at each budget of the grid through bfa_attack's cuts: the attack stage
+    draws once per batch size b from SeedSequence([seed, 0xA77ACC, b]), a
+    noise-sweep cell once per (std s, samples n) pair from
+    SeedSequence([seed, 0x5EED, s, n]).  Panels and emulated footprints
+    draw once per emulation of each budget group (planner._draw_traces).
+
     Two results of the protect stage are shared with later stages of this
     job, each only when its inputs are exactly those of the repeat it
     replaces, so the rows are the same as without sharing:
@@ -142,29 +149,35 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
                        seed=seed, floor=cfg.model.floor)
     clean_acc = evaluate(model, splits.val)
 
-    def attack_row(stage_name: str, key: List[int], budget: AttackBudget,
-                   noise: Optional[NoiseSpec], **cell) -> dict:
-        """One undefended attack on the trained model, drawn from `key`."""
-        attacked, trace = draw_attack(model, splits.attack, budget,
-                                      np.random.SeedSequence(key), noise)
-        return {
-            "stage": stage_name, "seed": seed, "method": "undefended", **cell,
-            "clean_acc": clean_acc,
-            "post_attack_acc": evaluate(attacked, splits.val),
-            "flips_used": len(trace.flips),
-            "fallback_flips": trace.fallback_count,
-        }
+    def attack_rows(stage_name: str, key: List[int], batch: int, samples: int,
+                    noise: Optional[NoiseSpec], **cell) -> List[dict]:
+        """Undefended rows, one per unit budget of the grid, all read off
+        one attack on the trained model drawn from `key` at the largest
+        budget and cut at the others (bfa_attack's cuts)."""
+        top = AttackBudget(att.max_flips, max(att.inference_units), batch, samples)
+        _, attack = draw_attack(model, splits.attack, top, np.random.SeedSequence(key),
+                                noise, cuts=att.inference_units)
+        rows = []
+        for units in att.inference_units:
+            trace = attack.at(units)
+            rows.append({
+                "stage": stage_name, "seed": seed, "method": "undefended", **cell,
+                "inference_units": units, "clean_acc": clean_acc,
+                "post_attack_acc": evaluate(apply_trace(model, trace), splits.val),
+                "flips_used": len(trace.flips),
+                "fallback_flips": trace.fallback_count,
+            })
+        return rows
 
     if sweep is not None:
         stds, samples_grid = sweep
         rows = [
-            attack_row("noise", [seed, 0x5EED, s_idx, n_idx, t_idx],
-                       AttackBudget(att.max_flips, units, att.batch_size, samples),
-                       _noise(std, samples), noise_std=std,
-                       grad_samples=samples, inference_units=units)
+            row
             for s_idx, std in enumerate(stds)
             for n_idx, samples in enumerate(samples_grid)
-            for t_idx, units in enumerate(att.inference_units)
+            for row in attack_rows("noise", [seed, 0x5EED, s_idx, n_idx], att.batch_size,
+                                   samples, _noise(std, samples), noise_std=std,
+                                   grad_samples=samples)
         ]
         return rows, {"sweep": time.perf_counter() - t0}
 
@@ -184,11 +197,8 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     if rank >= _stage_rank("attack"):
         t0 = time.perf_counter()
         for b_idx, bs in enumerate(att.batch_grid or [att.batch_size]):
-            for t_idx, units in enumerate(att.inference_units):
-                rows.append(attack_row(
-                    "attack", [seed, 0xA77ACC, b_idx, t_idx],
-                    AttackBudget(att.max_flips, units, bs, att.grad_samples),
-                    noise, batch_size=bs, inference_units=units))
+            rows.extend(attack_rows("attack", [seed, 0xA77ACC, b_idx], bs, att.grad_samples,
+                                    noise, batch_size=bs))
         timings["attack"] = time.perf_counter() - t0
 
     budgets = _primary_budgets(cfg)

@@ -98,6 +98,30 @@ def _detection_stats(flagged: Dict[int, np.ndarray], truth: Dict[int, set]) -> D
     return {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall}
 
 
+def _draw_traces(protected, pool: Batch, budgets: List[AttackBudget], emulations: int,
+                 group_seqs: List[np.random.SeedSequence],
+                 noise: Optional[NoiseSpec]) -> List[List[AttackTrace]]:
+    """traces[b][e]: budget b's attack in emulation e.
+
+    Budgets that differ only in inference_units form a group, numbered in
+    order of first appearance.  Group g's e-th emulation is one attack at
+    the group's largest budget, drawn from child e of group_seqs[g] and cut
+    at every member's units; each member reads it at its own.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for b_idx, b in enumerate(budgets):
+        groups.setdefault((b.max_flips, b.batch_size, b.grad_samples), []).append(b_idx)
+    traces: List[List[AttackTrace]] = [[] for _ in budgets]
+    for members, seq in zip(groups.values(), group_seqs):
+        units = [budgets[b].inference_units for b in members]
+        top = budgets[members[int(np.argmax(units))]]
+        for child in seq.spawn(emulations):
+            _, trace = draw_attack(protected, pool, top, child, noise, cuts=units)
+            for b in members:
+                traces[b].append(trace.at(budgets[b].inference_units))
+    return traces
+
+
 def emulate_hit_weights(protected, budgets: List[AttackBudget], emulations: int,
                         val_set: Batch, seed: int = 0,
                         noise: Optional[NoiseSpec] = None,
@@ -106,15 +130,15 @@ def emulate_hit_weights(protected, budgets: List[AttackBudget], emulations: int,
 
     Every budget in the declared threat grid is emulated: inference-starved
     budgets fall back to plain sign-bit sweeps and hit a different weight
-    population than fully guided ones.  Drawn on its own seed stream so
+    population than fully guided ones.  Budget group g (see _draw_traces)
+    draws from SeedSequence([seed, 0x57A7C, g]), its own stream, so
     evaluation attacks stay independent.
     """
     pool = val_set if attack_pool is None else attack_pool
+    seqs = [np.random.SeedSequence([seed, 0x57A7C, g]) for g in range(len(budgets))]
     hits: Dict[int, set] = {}
-    for b_idx, budget in enumerate(budgets):
-        seq = np.random.SeedSequence([seed, 0x57A7C, b_idx])
-        for child in seq.spawn(max(1, emulations)):
-            _, trace = draw_attack(protected, pool, budget, child, noise)
+    for traces in _draw_traces(protected, pool, budgets, max(1, emulations), seqs, noise):
+        for trace in traces:
             for flip in trace.flips:
                 hits.setdefault(flip.address.layer, set()).add(flip.address.weight)
     return {p: np.array(sorted(v), dtype=np.int64) for p, v in hits.items()}
@@ -240,21 +264,22 @@ def attack_panel(protected, budgets: List[AttackBudget], emulations: int,
                  attack_pool: Optional[Batch] = None) -> AttackPanel:
     """Attack the protected model `emulations` times per budget.
 
-    Budget b's e-th attack draws its batch and attack seed from child e of
-    child b of SeedSequence(seed), so a panel is a function of the
-    protected model, the budgets, the seed, the noise and the pool alone.
+    Budgets that differ only in inference_units share their attacks
+    (_draw_traces): emulation e of budget group g is one attack whose batch
+    and attack seed come from child e of child g of SeedSequence(seed),
+    read at each budget's units.  So a panel is a function of the protected
+    model, the budgets, the seed, the noise and the pool alone, and its
+    budgets are compared on paired draws.  Entries are budget-major.
     """
     if emulations < 1:
         raise InputError("emulations must be >= 1")
     pool = val_set if attack_pool is None else attack_pool
-    entries: List[PanelEntry] = []
-    budget_seqs = np.random.SeedSequence(seed).spawn(len(budgets))
-    for b_idx, budget in enumerate(budgets):
-        budget.validate()
-        for e_idx, child in enumerate(budget_seqs[b_idx].spawn(emulations)):
-            attacked, trace = draw_attack(protected, pool, budget, child, noise)
-            entries.append(PanelEntry(b_idx, budget, e_idx, trace,
-                                      evaluate(attacked, val_set)))
+    traces = _draw_traces(protected, pool, budgets, emulations,
+                          np.random.SeedSequence(seed).spawn(len(budgets)), noise)
+    entries = [PanelEntry(b_idx, budget, e_idx, trace,
+                          evaluate(apply_trace(protected, trace), val_set))
+               for b_idx, budget in enumerate(budgets)
+               for e_idx, trace in enumerate(traces[b_idx])]
     return AttackPanel(protected, val_set, evaluate(protected, val_set), entries)
 
 

@@ -1,14 +1,20 @@
 """Attacker tests: budget semantics, exhaustive flip oracles, greedy consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitguard import attacker
 from bitguard.attacker import (
     GRAD_STEP_UNITS,
     AttackBudget,
+    AttackTrace,
     _apply,
     _fallback_ranking,
+    _first_ranked,
     _FlipState,
     _Moves,
     _remaining_addresses,
@@ -468,9 +474,94 @@ class TestFallbackRanking:
             picks = rng.permutation(n)[: n // 3]
             state.touched[pidx] = set(picks[: n // 6].tolist())
             layer.weight.tcu[picks[n // 6 :]] = True
-        got = list(_fallback_ranking(model, grads, state))
-        assert got == sorted_fallback_reference(model, grads, state)
+        want = sorted_fallback_reference(model, grads, state)
+        # the whole order, and the first `count` entries of it
+        for count in (len(want) + 3, int(rng.integers(1, len(want)))):
+            got = list(_fallback_ranking(model, grads, state, count))
+            assert got == want[:count]
         assert all(type(p) is int and type(i) is int and type(e) is float for p, i, e in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 60), st.data())
+    def test_first_ranked_is_the_lexsort_prefix(self, n, data):
+        # few distinct values force ties at every threshold; the estimates
+        # may all be <= 0, and count may exceed the entries
+        few = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        ests = np.array(data.draw(st.lists(few, min_size=n, max_size=n)), dtype=float)
+        mags = np.abs(np.array(data.draw(st.lists(few, min_size=n, max_size=n)), dtype=float))
+        layer_ids = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                             dtype=np.int64)
+        indices = np.arange(n, dtype=np.int64)[::-1]
+        count = data.draw(st.integers(0, n + 3))
+        full = np.lexsort((indices, layer_ids, -mags, ests <= 0))
+        got = _first_ranked(ests, mags, layer_ids, indices, count)
+        assert got.tolist() == full[:count].tolist()
+
+
+class TestCuts:
+    """An attack cut at lower unit budgets gives each the trace of its own attack."""
+
+    @staticmethod
+    def assert_cuts_match(model, batch, budget, cuts, noise=None):
+        attacked, trace = bfa_attack(model, batch, budget, noise, seed=3, cuts=cuts)
+        uncut_attacked, uncut = bfa_attack(model, batch, budget, noise, seed=3)
+        # the attack at the budget's own units is the uncut one
+        assert (trace.flips, trace.units_used) == (uncut.flips, uncut.units_used)
+        for (_, a), (_, b) in zip(attacked.parametric(), uncut_attacked.parametric()):
+            np.testing.assert_array_equal(a.weight.codes, b.weight.codes)
+        assert set(trace.cuts) == set(cuts) - {budget.inference_units}
+        for c in cuts:
+            _, want = bfa_attack(model, batch, replace(budget, inference_units=c), noise, seed=3)
+            assert (trace.at(c).flips, trace.at(c).units_used) == (want.flips, want.units_used)
+        return trace
+
+    @pytest.mark.parametrize("share", [0.0, 0.1], ids=["plain", "tcu"])
+    @pytest.mark.parametrize("samples, noise", [(1, None), (2, NoiseSpec(0.05, samples=2))],
+                             ids=["clean", "noisy"])
+    def test_each_cut_is_its_own_attack(self, share, samples, noise):
+        model = protect_share(toy_cnn_model(seed=7), share, seed=4) if share else toy_cnn_model(seed=7)
+        batch = random_batch(8, 1, 16, 3, seed=8)
+        step = GRAD_STEP_UNITS * samples
+        # unsorted with a duplicate, a cut between two steps, the budget's
+        # own units, and 35 steps, more than the 30 flips let the loop take
+        cuts = [17 * step, step, 5 * step + 1, 2 * step, step, 35 * step, 40 * step]
+        trace = self.assert_cuts_match(model, batch, AttackBudget(30, 40 * step, 16, samples),
+                                       cuts, noise)
+        assert trace.units_used < 35 * step
+        assert trace.cuts[step].fallback_count > 0
+
+    def test_cuts_after_no_positive_estimate_get_the_whole_trace(self):
+        # constant loss: the first step finds no move that helps
+        model = dense_model([[3], [-2]], scale=0.25, bits=4)
+        zero = linear_batch([[0.0], [0.0], [0.0]], [0, 0, 0])
+        trace = self.assert_cuts_match(model, zero, AttackBudget(2, 9, 3), [6, 3])
+        assert trace.cuts[3] == trace.cuts[6] == AttackTrace(trace.flips, GRAD_STEP_UNITS)
+
+    def test_forked_tail_walks_the_remaining_addresses(self):
+        # 70 of 96 addresses: every fork runs out of untouched weights
+        model = chain_dense_model([(4, 3), (3, 4)], bits=4, scale=0.1, seed=5)
+        dict(model.parametric())[1].weight.tcu[[0, 11]] = True
+        batch = Batch(np.random.default_rng(0).standard_normal((4, 3)), np.arange(4) % 3)
+        self.assert_cuts_match(model, batch, AttackBudget(70, 30, 4), [3, 6, 12, 27])
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(1e-9)], ids=["clean", "noisy"])
+    def test_non_finite_cut_raises(self, noise):
+        # the 3-unit attack's fallback tail overflows a logit; the 6-unit
+        # attack's second guided step and its tail keep it finite
+        model = dense_model([[-3], [0]], scale=1.0, bits=4)
+        batch = linear_batch([[2e307], [-1e307]], [1, 1])
+        budget = AttackBudget(5, 6, batch_size=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bfa_attack(model, batch, budget, noise=noise)
+            with pytest.raises(NumericError):
+                bfa_attack(model, batch, budget, noise=noise, cuts=[3])
+
+    @pytest.mark.parametrize("cut", [2, 13])
+    def test_rejects_cut_outside_the_budget(self, cut):
+        model = dense_model([[3], [-2]], scale=0.25, bits=4)
+        batch = linear_batch([[1.0], [0.5], [1.5]], [0, 0, 0])
+        with pytest.raises(ConfigError):
+            bfa_attack(model, batch, AttackBudget(2, 12, 3), cuts=[6, cut])
 
 
 class TestDrawAttack:

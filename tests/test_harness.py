@@ -241,6 +241,29 @@ def test_noise_sweep_covers_every_cell(serial_sweep):
                for r in serial_sweep.rows)
 
 
+def test_attack_cells_draw_once_for_every_unit_budget(monkeypatch):
+    # the attack stage draws once per batch size and a noise-sweep cell
+    # once per (std, samples) pair; each draw serves every unit budget
+    import bitguard.harness.experiments as experiments
+
+    draws = []
+    real = experiments.draw_attack
+
+    def counted(model, pool, budget, seq, noise=None, cuts=()):
+        draws.append((budget.batch_size, budget.inference_units, sorted(cuts)))
+        return real(model, pool, budget, seq, noise, cuts)
+
+    monkeypatch.setattr(experiments, "draw_attack", counted)
+    config = tiny_config(seeds=[0], **{"attacker.batch_grid": [8, 16]})
+    rows = run_experiment(config, stage="attack", write=False).rows
+    assert draws == [(8, 12, [6, 12]), (16, 12, [6, 12])]
+    assert [(r["batch_size"], r["inference_units"]) for r in rows if r["stage"] == "attack"] == [
+        (8, 6), (8, 12), (16, 6), (16, 12)]
+    draws.clear()
+    run_noise_sweep(tiny_config(seeds=[0]), stds=[0.0, 0.1], samples_grid=[1])
+    assert draws == [(16, 12, [6, 12])] * 2
+
+
 def test_noise_sweep_pool_matches_serial(serial_sweep):
     pooled = run_noise_sweep(tiny_config(), stds=[0.0, 0.1],
                              samples_grid=[1, 2], jobs=2)
@@ -431,6 +454,10 @@ def test_unknown_key_inside_a_section_rejected(tmp_path):
     ("defense.target_drop", float("nan")),
     ("dataset.noise", float("inf")),
     ("model.floor", float("nan")),
+    # a negative noise would give the data of its absolute value; arcs draws two
+    # labels whatever the head's class count (TINY keeps the default 10)
+    ("dataset.noise", -0.25),
+    ("dataset.kind", "arcs"),
 ])
 def test_invalid_config_value_raises_config_error(key, value):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -468,7 +495,8 @@ def test_attack_pool_smaller_than_batch_size_fails_before_training(tmp_path, cap
 
 def test_config_range_edges_are_valid():
     edges = {"defense.alpha_grid": [1, 0.0], "defense.eta_grid": [float("inf")],
-             "defense.assignment": "even", "model.bits": 2, "dataset.kind": "arcs"}
+             "defense.assignment": "even", "model.bits": 2, "dataset.kind": "arcs",
+             "model.classes": 2}
     cfg = tiny_config(**edges)
     assert (cfg.defense.alpha_grid, cfg.model.bits) == ([1, 0.0], 2)
 

@@ -182,6 +182,19 @@ def panel_for(model, plan, emulations, val, seed, pool):
                         emulations, val, seed=seed, attack_pool=pool)
 
 
+def count_draws(monkeypatch):
+    """The calls planner makes to draw_attack, one list entry each."""
+    calls = []
+    real = planner.draw_attack
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "draw_attack", counted)
+    return calls
+
+
 def model_state(model):
     """Codes and tcu mask of every layer, for exact comparison."""
     return [(layer.weight.codes.tobytes(), layer.weight.tcu.tobytes())
@@ -189,18 +202,39 @@ def model_state(model):
 
 
 class TestAttackPanel:
-    def test_panel_covers_budget_grid(self, fitted):
+    def test_panel_covers_budget_grid(self, fitted, monkeypatch):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.02, etas=[0.02], budgets=budgets_pair(),
                              val_set=val, trials=1, emulations=1, seed=0,
                              attack_pool=train)[0]
-        panel = panel_for(model, plan, 3, val, seed=4, pool=train)
+        draws = count_draws(monkeypatch)
+        # a lower unit budget of the 10-flip group shares its draws
+        budgets = [*budgets_pair(), AttackBudget(10, 12, 16)]
+        panel = attack_panel(apply_protection(model, plan.unary), budgets, 3, val,
+                             seed=4, attack_pool=train)
+        assert len(draws) == 2 * 3  # one per (budget group, emulation)
         assert [(e.budget_index, e.emulation) for e in panel.entries] == [
-            (b, e) for b in range(2) for e in range(3)]
+            (b, e) for b in range(3) for e in range(3)]
         assert panel.clean_acc == evaluate(model, val)
         for entry in panel.entries:
             assert entry.post_acc == evaluate(panel.attacked(entry), val)
             assert len(entry.trace.flips) == entry.budget.max_flips
+
+    def test_budget_groups_draw_separately(self, fitted):
+        # budgets 0 and 2 differ only in units and form group 0; budget 1
+        # has other flips and is group 1.  Each entry is its own budget's
+        # attack on its group's draw.
+        model, train, val = fitted
+        budgets = [AttackBudget(10, 12, 16), AttackBudget(6, 18, 16), AttackBudget(10, 30, 16)]
+        panel = attack_panel(model, budgets, 2, val, seed=4, attack_pool=train)
+        draws = [g.spawn(2) for g in np.random.SeedSequence(4).spawn(2)]
+        for entry in panel.entries:
+            group = 1 if entry.budget_index == 1 else 0
+            _, want = planner.draw_attack(model, train, entry.budget, draws[group][entry.emulation])
+            assert (entry.trace.flips, entry.trace.units_used) == (want.flips, want.units_used)
+        first = [e.trace.flips[:2] for e in panel.entries if e.budget_index == 0]
+        last = [e.trace.flips[:2] for e in panel.entries if e.budget_index == 2]
+        assert first == last  # the same draws: the same first guided flips
 
     def test_recover_twice_leaves_panel_unchanged(self, fitted):
         model, train, val = fitted
@@ -268,23 +302,18 @@ class TestSynergySearch:
 
     def test_one_panel_per_alpha(self, fitted, monkeypatch):
         model, train, val = fitted
-        calls = []
-        real = planner.draw_attack
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(planner, "draw_attack", counted)
+        calls = count_draws(monkeypatch)
         etas, emulations = (0.01, 0.015, 0.02), 2
-        _, log = synergy_search(model, budgets_pair(), val,
+        # three budgets in two groups: the 10-flip ones differ only in units
+        budgets = [*budgets_pair(), AttackBudget(10, 12, 16)]
+        _, log = synergy_search(model, budgets, val,
                                 alpha_grid=(0.02, 0.01), eta_grid=etas,
                                 trials=1, emulations=emulations, seed=0,
                                 attack_pool=train, target_drop=0.5)
         alphas = len(log) // len(etas)
         # per alpha: one emulated footprint and one panel, each one attack
-        # per (budget, emulation), whatever the number of etas
-        assert len(calls) == alphas * 2 * len(budgets_pair()) * emulations
+        # per (budget group, emulation), whatever the number of etas
+        assert len(calls) == alphas * 2 * 2 * emulations
 
     def test_searched_unary_plan_is_reused(self, fitted, monkeypatch):
         model, train, val = fitted

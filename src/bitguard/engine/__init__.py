@@ -1,4 +1,7 @@
-"""Fixed-point inference engine: models, gradients, curvature, checkpoints."""
+"""Fixed-point inference engine: models, gradients, curvature, checkpoints.
+
+Convolutions run ops.CHUNK samples at a time; dense layers see the whole batch.
+"""
 
 from .quantized import QuantizedTensor, quantize_array
 from .layers import AffineNorm, Batch, Conv2d, Dense, MaxPool2, NoiseSpec, QuantizedModel, ReLU

@@ -5,13 +5,17 @@ and never write them.  Randomness (weight noise) is driven entirely by the
 seed argument, so identical calls return identical results.
 
 Passes go through one layer walker, _walk, and _backprop, which share one
-per-kind table of forward and backward rules.  The walker can start at any
-layer and keeps backward caches only when asked, so inference frees its
-temporary arrays as it goes.  An ActivationPrefix stores a reference model's
-clean inputs to each parametric layer on one batch; evaluate(..., prefix=,
-changed=) re-runs only the layers from the parametric layer its caller says
-was changed, follow does so for a model edited step by step, and grads()
-reuses a recorded pass.
+per-kind table of forward and backward rules.  The walker can start and
+stop at any layer and keeps backward caches only when asked, so inference
+frees its temporary arrays as it goes and holds one ops.CHUNK of samples'
+convolution columns at a time.  curvature_diag streams the layers before
+the first dense layer the same way (see ops on why dense layers are not).
+
+An ActivationPrefix stores a reference model's clean inputs to each
+parametric layer on one batch; evaluate(..., prefix=, changed=) re-runs
+only the layers from the parametric layer its caller says was changed,
+follow does so for a model edited step by step, and grads() reuses a
+recorded pass.
 """
 
 from __future__ import annotations
@@ -49,9 +53,13 @@ def _clean_weights(model: QuantizedModel, start: int = 0) -> List[Optional[np.nd
                 for i, l in enumerate(model.layers) if l.kind in PARAMETRIC_KINDS]
 
 
-def _conv2d(layer, x, w, out):
-    out, cols = ops.conv2d_forward(x, w, layer.stride, layer.pad)
+def _conv2d(layer, x, w, out, record):
+    out, cols = ops.conv2d_forward(x, w, layer.stride, layer.pad, record)
     return out, (cols, w, x.shape, layer.stride, layer.pad)
+
+
+def _per_sample(grad_of, n: int) -> List[np.ndarray]:
+    return [grad_of(i) for i in range(n)]
 
 
 def _sum_squares(grad_of, n: int) -> np.ndarray:
@@ -65,42 +73,43 @@ def _sum_squares(grad_of, n: int) -> np.ndarray:
     return total
 
 
-def _conv2d_back(dout, cache, need_dx, squares, out):
+def _conv2d_back(dout, cache, need_dx, reduce, out):
     cols, w, x_shape, stride, pad = cache
-    if not squares:
+    if reduce is None:
         return ops.conv2d_backward(dout, cols, w, x_shape if need_dx else None, stride, pad)
     dx = ops.conv2d_input_grad(dout, w, x_shape, stride, pad) if need_dx else None
     per = ops.conv2d_grad_per_sample(dout, cols, w.shape)
-    return dx, _sum_squares(per.__getitem__, len(per))
+    return dx, reduce(per.__getitem__, len(per))
 
 
-def _dense(layer, x, w, out):
+def _dense(layer, x, w, out, record):
     out, flat = ops.dense_forward(x, w)
     return out, (flat, w, x.shape)
 
 
-def _dense_back(dout, cache, need_dx, squares, out):
+def _dense_back(dout, cache, need_dx, reduce, out):
     flat, w, x_shape = cache
-    if not squares:
+    if reduce is None:
         return ops.dense_backward(dout, flat, w, x_shape if need_dx else None)
     dx = (dout @ w).reshape(x_shape) if need_dx else None
-    return dx, _sum_squares(lambda i: np.multiply.outer(dout[i], flat[i]), len(dout))
+    return dx, reduce(lambda i: np.multiply.outer(dout[i], flat[i]), len(dout))
 
 
-# kind -> (forward(layer, x, w, out) -> (y, cache), backward(dy, cache, need_dx, squares,
-# out) -> (dx, dw or None)); with squares dw is the batch sum of squared per-sample weight
-# gradients.  An elementwise rule writes into out, its x or dy, when out is given.  Ops
-# are looked up at call time so that wrapping one takes effect
+# kind -> (forward(layer, x, w, out, record) -> (y, cache), backward(dy, cache, need_dx,
+# reduce, out) -> (dx, dw or None)); dw is the batch sum of the per-sample weight
+# gradients, or with reduce (_sum_squares, _per_sample) reduce(grad of sample i, n).  An
+# elementwise rule writes into out, its x or dy, when out is given.  Ops are looked up
+# at call time so that wrapping one takes effect
 _STEPS = {
     "conv2d": (_conv2d, _conv2d_back),
     "dense": (_dense, _dense_back),
-    "relu": (lambda layer, x, w, out: ops.relu_forward(x, out),
-             lambda dout, y, need_dx, squares, out: (ops.relu_backward(dout, y, out), None)),
-    "maxpool2": (lambda layer, x, w, out: ops.maxpool2_forward(x),
+    "relu": (lambda layer, x, w, out, record: ops.relu_forward(x, out),
+             lambda dout, y, need_dx, reduce, out: (ops.relu_backward(dout, y, out), None)),
+    "maxpool2": (lambda layer, x, w, out, record: ops.maxpool2_forward(x),
                  lambda dout, cache, *_: (ops.maxpool2_backward(dout, cache), None)),
-    "affine_norm": (lambda layer, x, w, out: (ops.affine_forward(x, layer.scale, layer.shift, out),
-                                              layer.scale),
-                    lambda dout, scale, need_dx, squares, out:
+    "affine_norm": (lambda layer, x, w, out, record:
+                        (ops.affine_forward(x, layer.scale, layer.shift, out), layer.scale),
+                    lambda dout, scale, need_dx, reduce, out:
                         (ops.affine_backward(dout, scale, out), None)),
 }
 # kinds whose backward cache holds their output, which the next step must then not overwrite
@@ -108,12 +117,14 @@ _KEEPS_OUTPUT = ("relu", "maxpool2")
 
 
 def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
-          start: int = 0, record: bool = False, reuse: bool = True):
-    """Yield (layer, output, cache) for model.layers[start:] fed x.
+          start: int = 0, record: bool = False, reuse: bool = True,
+          stop: Optional[int] = None):
+    """Yield (layer, output, cache) for model.layers[start:stop] fed x.
 
     weights holds one array per parametric layer of the whole model.  The
     cache is what _backprop needs when record is set, else None, so an
-    inference pass frees each layer's temporary arrays as it goes.  With
+    inference pass frees each layer's temporary arrays as it goes (and
+    builds convolution columns one ops.CHUNK of samples at a time).  With
     reuse an elementwise layer overwrites an input that this walk made and
     no cache holds (never x), so a yielded output may not outlive the next
     step.  Callers hold np.errstate: non-finite values are detected after
@@ -121,7 +132,7 @@ def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
     """
     pidx = sum(1 for layer in model.layers[:start] if layer.kind in PARAMETRIC_KINDS)
     owned = False  # whether x may be overwritten
-    for layer in model.layers[start:]:
+    for layer in model.layers[start:stop]:
         step = _STEPS.get(layer.kind)
         if step is None:
             raise InputError(f"unknown layer kind {layer.kind!r}")
@@ -129,7 +140,7 @@ def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
         if layer.kind in PARAMETRIC_KINDS:
             w = weights[pidx]
             pidx += 1
-        x, cache = step[0](layer, x, w, x if owned else None)
+        x, cache = step[0](layer, x, w, x if owned else None, record)
         owned = reuse and not (record and layer.kind in _KEEPS_OUTPUT)
         if not record:
             cache = None
@@ -137,11 +148,13 @@ def _walk(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
 
 
 def _run(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
-         start: int = 0, record: bool = False, keep: Container[int] = ()):
-    """(output, (kind, cache) list, {i: input of layer i in keep}) of layers[start:] on x."""
+         start: int = 0, record: bool = False, keep: Container[int] = (),
+         stop: Optional[int] = None):
+    """(output, (kind, cache) list, {i: input of layer i in keep}) of layers[start:stop] on x."""
     caches, kept = [], {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (layer, x, cache) in enumerate(_walk(model, x, weights, start, record), start + 1):
+        for i, (layer, x, cache) in enumerate(_walk(model, x, weights, start, record, stop=stop),
+                                              start + 1):
             caches.append((layer.kind, cache))
             if i in keep:
                 kept[i] = x
@@ -170,25 +183,27 @@ def _loss(logits: np.ndarray, labels: np.ndarray):
     return ops.xent_loss(logits, np.asarray(labels, dtype=np.int64))
 
 
-def _backprop(caches, dlogits: np.ndarray, squares: bool = False):
-    """Weight gradients in layer order; with squares, dlogits holds per-sample
-    loss gradients and each entry sums their squared weight gradients.
+def _backprop(caches, dlogits: np.ndarray, reduce=None, to_input: bool = False):
+    """Weight gradients in layer order; with reduce, dlogits holds per-sample
+    loss gradients and each entry is reduce(grad of sample i, n) (see _STEPS).
 
-    Stops at the first parametric layer: nothing needs the gradient of the
-    model input.  Each step may overwrite the gradient an earlier step
-    returned, never dlogits.
+    Stops at the first parametric layer, since nothing needs the gradient of
+    the model input; with to_input it goes on through every cache and returns
+    (grads, gradient of the first layer's input).  Each step may overwrite
+    the gradient an earlier step returned, never dlogits.
     """
-    first = next(i for i, (kind, _) in enumerate(caches) if kind in PARAMETRIC_KINDS)
+    first = 0 if to_input else next(i for i, (kind, _) in enumerate(caches)
+                                    if kind in PARAMETRIC_KINDS)
     grads: List[np.ndarray] = []
     dx = dlogits
     for pos in range(len(caches) - 1, first - 1, -1):
         kind, cache = caches[pos]
-        dx, dw = _STEPS[kind][1](dx, cache, pos > first, squares,
+        dx, dw = _STEPS[kind][1](dx, cache, to_input or pos > first, reduce,
                                  None if dx is dlogits else dx)
         if dw is not None:
             grads.append(dw)
     grads.reverse()
-    return grads
+    return (grads, dx) if to_input else grads
 
 
 def _mean(passes: List[List[np.ndarray]]) -> List[np.ndarray]:
@@ -272,26 +287,55 @@ def activations(model: QuantizedModel, batch: Batch) -> Iterator[np.ndarray]:
         yield step[1]
 
 
-def curvature_diag(model: QuantizedModel, batch: Batch, chunk: int = 64) -> List[np.ndarray]:
-    """Diagonal curvature estimate: mean squared per-sample loss gradient.
+def curvature_diag(model: QuantizedModel, batch: Batch,
+                   chunk: int = ops.CHUNK) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """(gradient, curvature) of the noise-free loss on batch, in one streamed pass.
 
-    Computed noise-free, `chunk` samples per pass.  Each sample's squared
-    gradient is added to its chunk's sum as soon as it is formed, so memory
-    is O(weights + one chunk's backward caches), not O(chunk x weights).
+    The gradient has the bytes of loss_and_grads(model, batch)[1], and the
+    NumericError it raises.  The curvature is the mean squared per-sample
+    gradient, each sample's square added to its `chunk` samples' sum.
+
+    The layers before the first dense layer act on each sample alone, so
+    they run `chunk` samples at a time: once to feed the dense layers, and
+    once more, recording, to take both boundary gradients back.  The dense
+    layers run on the whole batch for the gradient and on each chunk for the
+    squares, as a GEMM's bytes depend on its rows.  Per-sample gradients of
+    the earlier layers are added left to right, as numpy's axis-0 sum adds
+    those of a layer with more than one weight.  Memory is O(weights +
+    batch x first dense input + one chunk's caches).
     """
     if len(batch) == 0:
         raise InputError("empty batch")
-    weights = _clean_weights(model)
-    total = [np.zeros_like(w) for w in weights]
     n = len(batch)
-    for start in range(0, n, chunk):
-        part = Batch(batch.inputs[start : start + chunk], batch.labels[start : start + chunk])
-        logits, caches, _ = _run(model, part.inputs, weights, record=True)
-        loss, _, dper = _loss(logits, part.labels)
-        _check_finite(model, logits, loss, part.inputs, weights)
-        for acc, sq in zip(total, _backprop(caches, dper, squares=True)):
+    weights = _clean_weights(model)
+    cut = next((i for i, layer in enumerate(model.layers) if layer.kind == "dense"),
+               len(model.layers))
+    inner = sum(1 for layer in model.layers[:cut] if layer.kind in PARAMETRIC_KINDS)
+    chunks = [slice(s, s + chunk) for s in range(0, n, chunk)]
+
+    feats = np.concatenate([_run(model, batch.inputs[part], weights, stop=cut)[0]
+                            for part in chunks])
+    logits, caches, _ = _run(model, feats, weights, cut, record=True)
+    loss, dlogits, _ = _loss(logits, batch.labels)
+    _check_finite(model, logits, loss, batch.inputs, weights)
+    grads, boundary = _backprop(caches, dlogits, to_input=True)
+    grads = [np.zeros_like(w) for w in weights[:inner]] + grads
+
+    total = [np.zeros_like(w) for w in weights]
+    for part in chunks:
+        logits, caches, _ = _run(model, feats[part], weights, cut, record=True)
+        loss, _, dper = _loss(logits, batch.labels[part])
+        _check_finite(model, logits, loss, batch.inputs[part], weights)
+        squares, dbound = _backprop(caches, dper, _sum_squares, to_input=True)
+        if inner:
+            _, caches, _ = _run(model, batch.inputs[part], weights, record=True, stop=cut)
+            squares = _backprop(caches, dbound, _sum_squares) + squares
+            for acc, rows in zip(grads, _backprop(caches, boundary[part], _per_sample)):
+                for g in rows:
+                    acc += g
+        for acc, sq in zip(total, squares):
             acc += sq
-    return [t / n for t in total]
+    return grads, [t / n for t in total]
 
 
 class ActivationPrefix:

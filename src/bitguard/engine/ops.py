@@ -5,6 +5,13 @@ caches their forward produced, and the elementwise rules write into `out`
 when it is given, which may be their input.  Convolution uses im2col so
 weight gradients reduce to matrix products; conv2d_grad_per_sample keeps
 each sample's product, which the curvature pass squares sample by sample.
+
+A convolution multiplies one GEMM per sample (numpy's stacked matmul), so
+its bytes do not depend on how many samples share a call.  When a pass
+records no backward cache, conv2d_forward therefore builds its patch
+columns CHUNK samples at a time and holds one chunk's columns only.  A
+dense layer is one GEMM over the whole batch, whose rows' bytes do depend
+on the batch, so dense layers are never chunked.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 def conv_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> Tuple[int, int]:
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+
+
+# samples per block of convolution columns, and of the curvature pass
+CHUNK = 64
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -52,13 +63,24 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], k: int, stride: int, pad:
     return xp[pad : pad + h, pad : pad + w].transpose(2, 3, 0, 1)
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
+def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int, record: bool = True):
+    """(output, columns) of a convolution.
+
+    With record the columns of the whole batch are built and returned for
+    the backward pass; without, they are built CHUNK samples at a time and
+    None is returned.
+    """
     n = x.shape[0]
     out_ch, _, k, _ = w.shape
     oh, ow = conv_out_hw(x.shape[2], x.shape[3], k, stride, pad)
-    cols = im2col(x, k, stride, pad)
-    out = np.matmul(w.reshape(out_ch, -1), cols)
-    return out.reshape(n, out_ch, oh, ow), cols
+    flat_w = w.reshape(out_ch, -1)
+    if record:
+        cols = im2col(x, k, stride, pad)
+        return np.matmul(flat_w, cols).reshape(n, out_ch, oh, ow), cols
+    out = np.empty((n, out_ch, oh * ow), dtype=np.float64)
+    for s in range(0, n, CHUNK):
+        np.matmul(flat_w, im2col(x[s : s + CHUNK], k, stride, pad), out=out[s : s + CHUNK])
+    return out.reshape(n, out_ch, oh, ow), None
 
 
 def conv2d_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape, stride: int, pad: int):

@@ -8,8 +8,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union, get_args, get_origin
 
-import yaml
-
 from ..attacker import GRAD_STEP_UNITS
 from ..errors import ConfigError
 from .datasets import DATASET_KINDS
@@ -248,12 +246,14 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         text = p.read_text()
+        if p.suffix == ".json":
+            parse, errors = json.loads, json.JSONDecodeError
+        else:
+            import yaml  # slow to import, and only a YAML file needs it
+            parse, errors = (lambda t: yaml.safe_load(t) or {}), yaml.YAMLError
         try:
-            if p.suffix == ".json":
-                data = json.loads(text)
-            else:
-                data = yaml.safe_load(text) or {}
-        except (json.JSONDecodeError, yaml.YAMLError) as exc:
+            data = parse(text)
+        except errors as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     cfg = _build(data)
     cfg = _apply_env(cfg, environ)

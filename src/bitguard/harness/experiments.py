@@ -11,7 +11,6 @@ separately from report rows: reports must be byte-identical across reruns.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -23,6 +22,7 @@ from ..engine import NoiseSpec, evaluate, save_model
 from ..errors import ConfigError
 from ..planner import (AttackPanel, DefensePlan, attack_panel, build_defense,
                        end_to_end_eval, recover, synergy_search)
+from ..sensitivity import weight_sensitivity
 from ..unary_guard import apply_protection
 from .config import ExperimentConfig, _build, config_digest, experiment_fields
 from .datasets import DatasetSplits, make_dataset
@@ -115,7 +115,8 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
               ) -> Tuple[List[dict], Dict[str, float]]:
     """Rows and timings of one seed; top level so a process pool can run it.
 
-    The model is trained once.  With sweep = (stds, samples_grid) it is
+    The model is trained once, and its clean accuracy is the one pretraining
+    measured after its last epoch.  With sweep = (stds, samples_grid) it is
     then attacked undefended under every (noise std, averaging) cell;
     otherwise the pipeline runs through `stage`.
 
@@ -126,9 +127,12 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     SeedSequence([seed, 0x5EED, s, n]).  Panels and emulated footprints
     draw once per emulation of each budget group (planner._draw_traces).
 
-    Two results of the protect stage are shared with later stages of this
-    job, each only when its inputs are exactly those of the repeat it
-    replaces, so the rows are the same as without sharing:
+    From the protect stage on, one weight_sensitivity pass on the
+    validation set serves every unary search and lock search of the job:
+    protection changes no dequantized weight, so each of them would compute
+    the same bytes.  Two results of the protect stage are shared with later
+    stages of this job, each only when its inputs are exactly those of the
+    repeat it replaces, so the rows are the same as without sharing:
       * its unary plan, searched for (alpha_grid[0], seed), goes to the
         plan stage, whose first build searches (largest alpha, seed + 0):
         the same search whenever alpha_grid[0] is the largest alpha;
@@ -147,7 +151,7 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     history = pretrain(model, splits, epochs=cfg.model.epochs,
                        batch_size=cfg.model.batch_size, lr=cfg.model.lr,
                        seed=seed, floor=cfg.model.floor)
-    clean_acc = evaluate(model, splits.val)
+    clean_acc = history.epochs[-1]["val_acc"]  # pretraining's last evaluate(model, splits.val)
 
     def attack_rows(stage_name: str, key: List[int], batch: int, samples: int,
                     noise: Optional[NoiseSpec], **cell) -> List[dict]:
@@ -202,9 +206,10 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
         timings["attack"] = time.perf_counter() - t0
 
     budgets = _primary_budgets(cfg)
+    sens = None  # the trained model's weight_sensitivity, from the protect stage on
 
     def build(alpha: float, eta: float) -> DefensePlan:
-        return build_defense(model, alpha, [eta], budgets, splits.val,
+        return build_defense(model, alpha, [eta], budgets, splits.val, sens,
                              dfn.trials, dfn.emulations, seed, noise=noise,
                              attack_pool=splits.attack,
                              assignment=dfn.assignment)[0]
@@ -224,6 +229,7 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     protect_panel: Optional[AttackPanel] = None
     if rank >= _stage_rank("protect"):
         t0 = time.perf_counter()
+        sens = weight_sensitivity(model, splits.val)
         protect_plan = build(dfn.alpha_grid[0], np.inf)
         protect_panel = attack_panel(apply_protection(model, protect_plan.unary),
                                      budgets, dfn.emulations, splits.val,
@@ -239,7 +245,7 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
 
     if rank >= _stage_rank("plan"):
         t0 = time.perf_counter()
-        chosen, log = synergy_search(model, budgets, splits.val,
+        chosen, log = synergy_search(model, budgets, splits.val, sens,
                                      alpha_grid=dfn.alpha_grid,
                                      eta_grid=dfn.eta_grid,
                                      trials=dfn.trials,
@@ -279,6 +285,7 @@ def _fan_out(config: ExperimentConfig, config_hash: str, jobs: int,
         raise ConfigError("jobs must be >= 1")
     cfg_dict = config.to_dict()
     if jobs > 1 and len(config.seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(config.seeds))) as pool:
             futures = [pool.submit(_seed_job, cfg_dict, seed, *job_args)
                        for seed in config.seeds]

@@ -4,8 +4,9 @@ Components:
   * DefensePlan: one (alpha, eta) configuration with its plans and ledgers,
     reported as rows and never serialized.
   * build_defense: the one per-alpha builder; one unary search, and one
-    curvature snapshot and emulated attack footprint shared by every
-    finite eta.  Alpha 0 protects nothing, an infinite eta locks nothing.
+    emulated attack footprint shared by every finite eta, all steered by
+    the model's one Sensitivity (scores and curvature).  Alpha 0 protects
+    nothing, an infinite eta locks nothing.
   * attack_panel / recover: the shared evaluation protocol, split where
     the lock plan enters.  attack_panel attacks one protected model over
     budgets x emulations; recover detects, contains and evaluates those
@@ -28,9 +29,9 @@ import numpy as np
 from .attacker import AttackBudget, AttackTrace, apply_trace, draw_attack
 from .bitcodec import ledger_lock, ledger_tcu
 from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, evaluate
-from .engine.functional import curvature_diag
 from .errors import InputError
 from .lockdown import LayerLockPlan, LockPlan, detect, lock, search_lock_plan
+from .sensitivity import Sensitivity
 from .unary_guard import UnaryPlan, apply_protection, search_protection
 
 
@@ -335,7 +336,8 @@ def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
 
 
 def build_defense(model, alpha: float, etas: List[float],
-                  budgets: List[AttackBudget], val_set: Batch, trials: int,
+                  budgets: List[AttackBudget], val_set: Batch,
+                  sensitivity: Sensitivity, trials: int,
                   emulations: int, seed: int,
                   noise: Optional[NoiseSpec] = None,
                   attack_pool: Optional[Batch] = None,
@@ -343,11 +345,14 @@ def build_defense(model, alpha: float, etas: List[float],
                   unary: Optional[UnaryPlan] = None) -> List[DefensePlan]:
     """Construct one (alpha, eta) plan per eta on a clean model.
 
-    The unary search, the curvature snapshot, the emulated attack
-    footprint, the validation-set activations and the lock search's trials
-    depend only on alpha, so they are computed once and shared by every
-    eta; an infinite eta disables locking.  A `unary` plan that an earlier
-    search returned for exactly these arguments skips the search.
+    `sensitivity` is weight_sensitivity(model, val_set): its scores steer
+    the unary search and its curvature weights the lock search.  TCU
+    protection changes no dequantized weight, so the clean model's
+    curvature is the protected copy's too.  The unary search, the emulated
+    attack footprint, the validation-set activations and the lock search's
+    trials depend only on alpha, so they are computed once and shared by
+    every eta; an infinite eta disables locking.  A `unary` plan that an
+    earlier search returned for exactly these arguments skips the search.
     """
     emulation_budget = max(budgets, key=lambda b: (b.max_flips, b.inference_units))
     if unary is not None:
@@ -355,7 +360,7 @@ def build_defense(model, alpha: float, etas: List[float],
             raise InputError(f"unary plan has alpha {unary.alpha}, expected {alpha}")
     elif alpha > 0:
         unary = search_protection(model, alpha, trials, emulations,
-                                  emulation_budget, val_set, seed=seed,
+                                  emulation_budget, val_set, sensitivity, seed=seed,
                                   noise=noise, attack_pool=attack_pool,
                                   assignment=assignment)
     else:
@@ -363,7 +368,6 @@ def build_defense(model, alpha: float, etas: List[float],
     protected = apply_protection(model, unary)
 
     if any(np.isfinite(eta) for eta in etas):
-        h = [x.reshape(-1) for x in curvature_diag(protected, val_set)]
         hits = emulate_hit_weights(protected, budgets, emulations,
                                    val_set, seed=seed, noise=noise,
                                    attack_pool=attack_pool)
@@ -372,7 +376,7 @@ def build_defense(model, alpha: float, etas: List[float],
     lock_trials: dict = {}
     for eta in etas:
         if np.isfinite(eta):
-            lockdown = search_lock_plan(protected, val_set, eta, h,
+            lockdown = search_lock_plan(protected, val_set, eta, sensitivity.curvature,
                                         flip_budget=emulation_budget.max_flips,
                                         hit_weights=hits, shared=lock_trials,
                                         prefix=prefix)
@@ -385,6 +389,7 @@ def build_defense(model, alpha: float, etas: List[float],
 
 
 def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
+                   sensitivity: Sensitivity,
                    alpha_grid: List[float], eta_grid: List[float],
                    trials: int, emulations: int, target_drop: float,
                    seed: int = 0, noise: Optional[NoiseSpec] = None,
@@ -395,7 +400,8 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
     """Greedy (alpha, eta) sweep minimizing memory under an accuracy floor.
 
     Alphas are visited in descending order, the a-th one built by
-    build_defense with seed + a; `searched` maps (alpha, search seed) to a
+    build_defense with seed + a and the model's `sensitivity`
+    (weight_sensitivity(model, val_set)); `searched` maps (alpha, search seed) to a
     unary plan already searched on this model with the same budgets,
     trials, emulations, noise, pool and assignment.  Every eta of an alpha
     is scored by recover on one attack panel drawn from `seed`.  The
@@ -417,7 +423,7 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
     prev_best: Optional[float] = None
     for a_idx, alpha in enumerate(alphas):
         alpha_best = np.inf
-        plans = build_defense(model, alpha, eta_grid, budgets, val_set,
+        plans = build_defense(model, alpha, eta_grid, budgets, val_set, sensitivity,
                               trials, emulations, seed + a_idx,
                               noise=noise, attack_pool=attack_pool,
                               assignment=assignment,

@@ -10,12 +10,26 @@ protection budget is assigned to the most exposed layers first.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from .engine import Batch, QuantizedModel, curvature_diag, loss_and_grads
+from .engine import Batch, QuantizedModel, curvature_diag
 from .errors import InputError
+
+
+@dataclass(frozen=True)
+class Sensitivity:
+    """A trained model's sign-flip scores and diagonal curvature on a
+    validation set, one flat array per parametric layer.
+
+    Both depend only on the dequantized weights, so TCU protection (which
+    sets storage flags only) leaves them valid for every protected copy.
+    """
+
+    scores: List[np.ndarray]
+    curvature: List[np.ndarray]
 
 
 def msb_flip_deltas(model: QuantizedModel) -> List[np.ndarray]:
@@ -29,20 +43,22 @@ def msb_flip_deltas(model: QuantizedModel) -> List[np.ndarray]:
     return deltas
 
 
-def weight_sensitivity(model: QuantizedModel, val_set: Batch) -> List[np.ndarray]:
+def weight_sensitivity(model: QuantizedModel, val_set: Batch) -> Sensitivity:
     """Second-order Taylor estimate of the loss change per sign-bit flip.
 
     score = g * dw + 0.5 * h * dw^2 with g the loss gradient, h the diagonal
-    curvature, and dw the sign-bit deviation.  Both g and h are measured on
-    the clean model (no injected noise).  One flat array per parametric layer.
+    curvature, and dw the sign-bit deviation.  g and h come from one streamed,
+    noise-free curvature_diag pass over val_set, and h is returned with the
+    scores: a trained model needs this pass once, whatever it is protected
+    or locked with afterwards.
     """
     if len(val_set) == 0:
         raise InputError("empty validation set")
-    grads = loss_and_grads(model, val_set)[1]
-    curv = curvature_diag(model, val_set)
+    grads, curv = curvature_diag(model, val_set)
+    curv = [h.reshape(-1) for h in curv]
     deltas = msb_flip_deltas(model)
-    return [g.reshape(-1) * dw + 0.5 * h.reshape(-1) * dw * dw
-            for g, h, dw in zip(grads, curv, deltas)]
+    return Sensitivity([g.reshape(-1) * dw + 0.5 * h * dw * dw
+                        for g, h, dw in zip(grads, curv, deltas)], curv)
 
 
 def layer_sensitivity(scores: Sequence[np.ndarray]) -> np.ndarray:

@@ -18,12 +18,7 @@ import numpy as np
 from .attacker import AttackBudget, draw_attack
 from .engine import Batch, NoiseSpec, evaluate
 from .errors import InputError, PlanError
-from .sensitivity import (
-    assign_budget,
-    even_assign_budget,
-    layer_sensitivity,
-    weight_sensitivity,
-)
+from .sensitivity import Sensitivity, assign_budget, even_assign_budget, layer_sensitivity
 
 
 @dataclass
@@ -74,16 +69,17 @@ def _sample_indices(scores: np.ndarray, count: int,
 
 
 def search_protection(model, alpha: float, trials: int, emulations: int,
-                      budget: AttackBudget, val_set: Batch,
+                      budget: AttackBudget, val_set: Batch, sensitivity: Sensitivity,
                       seed: int = 0, noise: Optional[NoiseSpec] = None,
                       attack_pool: Optional[Batch] = None,
                       assignment: str = "top") -> UnaryPlan:
     """Pick protection indices that maximize worst-case post-attack accuracy.
 
-    Per budgeted layer: `trials` candidate index sets are sampled with
-    probability softmax(standardized sensitivity), each scored by the worst
-    validation accuracy over `emulations` independent attack emulations; the
-    best worst-case wins.
+    `sensitivity` is weight_sensitivity(model, val_set), computed once per
+    trained model by the caller.  Per budgeted layer: `trials` candidate
+    index sets are sampled with probability softmax(standardized
+    sensitivity score), each scored by the worst validation accuracy over
+    `emulations` independent attack emulations; the best worst-case wins.
     """
     if not 0 < alpha <= 1:
         raise InputError("protection rate must lie in (0, 1]")
@@ -94,7 +90,7 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
     budget.validate()
     pool = val_set if attack_pool is None else attack_pool
 
-    sens = weight_sensitivity(model, val_set)
+    sens = sensitivity.scores
     sizes = model.layer_sizes()
     if assignment == "top":
         budgets = assign_budget(alpha, layer_sensitivity(sens), sizes)

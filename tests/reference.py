@@ -1,7 +1,9 @@
 """Reference implementations the package's code is checked against.
 
 The kernels are earlier, plainer forms of routines that now live in
-`bitguard`, which must match them byte for byte: a strided col2im in
+`bitguard`, which must match them byte for byte: a convolution forward
+that unfolds and multiplies the whole batch at once, the curvature pass
+that runs the whole model on each chunk of samples, a strided col2im in
 (N, C, H, W) order, a max-pool backward that re-derives its routing from
 the input, elementwise rules that allocate every result, a move table
 that keeps an (n, bits) used-bit array and a padded slot matrix per layer,
@@ -22,9 +24,36 @@ import numpy as np
 
 from bitguard.attacker import _Candidate
 from bitguard.bitcodec import MemoryLedger, _baseline_bits, _ceil_log2, to_signed, to_unsigned
-from bitguard.engine import Batch, QuantizedModel, checkpoint, ops
+from bitguard.engine import Batch, QuantizedModel, checkpoint, functional, ops
 from bitguard.engine.functional import _infer
 from bitguard.errors import FormatError, InputError
+
+
+def conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int, record: bool = True):
+    """(output, columns) of a convolution: one im2col and one stacked matmul
+    over the whole batch, whether or not the pass records."""
+    n = x.shape[0]
+    out_ch, _, k, _ = w.shape
+    oh, ow = ops.conv_out_hw(x.shape[2], x.shape[3], k, stride, pad)
+    cols = ops.im2col(x, k, stride, pad)
+    return np.matmul(w.reshape(out_ch, -1), cols).reshape(n, out_ch, oh, ow), cols
+
+
+def curvature_diag(model: QuantizedModel, batch: Batch,
+                   chunk: int = ops.CHUNK) -> List[np.ndarray]:
+    """Mean squared per-sample loss gradient: one recorded whole-model pass
+    per `chunk` samples, each chunk's sum of squares added to the total."""
+    weights = functional._clean_weights(model)
+    total = [np.zeros_like(w) for w in weights]
+    n = len(batch)
+    for start in range(0, n, chunk):
+        x, y = batch.inputs[start : start + chunk], batch.labels[start : start + chunk]
+        logits, caches, _ = functional._run(model, x, weights, record=True)
+        loss, _, dper = functional._loss(logits, y)
+        functional._check_finite(model, logits, loss, x, weights)
+        for acc, sq in zip(total, functional._backprop(caches, dper, functional._sum_squares)):
+            acc += sq
+    return [t / n for t in total]
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, ...], k: int, stride: int, pad: int) -> np.ndarray:

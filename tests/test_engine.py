@@ -153,7 +153,7 @@ def test_gradients_match_finite_differences_below_first_parametric_layer():
     inner = toy_cnn_model(bits=6, seed=4)
     model = QuantizedModel([AffineNorm(np.array([1.5]), np.array([-0.25])), ReLU()] + inner.layers)
     batch = random_batch(8, 1, 4, 3, seed=6)
-    curv = curvature_diag(model, batch)
+    curv = curvature_diag(model, batch)[1]
     for g, f, c in zip(loss_and_grads(model, batch)[1], fd_gradient(model, batch), curv):
         assert g.shape == f.shape == c.shape
         assert np.max(np.abs(g - f) / np.maximum(np.abs(f), 1e-3)) < 1e-4
@@ -207,7 +207,7 @@ def test_curvature_closed_form_is_exact():
     # per-sample weight gradients (-0.5, 0.5): each squares to 0.25
     model = dense_model(np.zeros((2, 1), dtype=np.int64), scale=1.0)
     batch = Batch(np.array([[1.0]]), np.array([0]))
-    h = curvature_diag(model, batch)
+    h = curvature_diag(model, batch)[1]
     assert h[0].tolist() == [[0.25], [0.25]]
 
 
@@ -216,15 +216,15 @@ def test_curvature_zero_at_perfect_fit():
     # 0 is fit perfectly; input 0 gives zero weight gradients at any fit
     model = dense_model(np.array([[7], [0]]), scale=1.0)
     for x in (200.0, 0.0):
-        h = curvature_diag(model, Batch(np.array([[x]]), np.array([0])))
+        h = curvature_diag(model, Batch(np.array([[x]]), np.array([0])))[1]
         assert h[0].tolist() == [[0.0], [0.0]]
 
 
 def test_curvature_nonnegative_and_chunking_invariant():
     model = toy_cnn_model(seed=9)
     batch = random_batch(8, 1, 50, 3, seed=9)
-    h_small = curvature_diag(model, batch, chunk=7)
-    h_big = curvature_diag(model, batch, chunk=64)
+    h_small = curvature_diag(model, batch, chunk=7)[1]
+    h_big = curvature_diag(model, batch, chunk=64)[1]
     for a, b in zip(h_small, h_big):
         assert np.all(a >= 0)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
@@ -246,7 +246,7 @@ def curvature_reference(model, batch, chunk):
                 per.append(np.einsum("no,nf->nof", dout, cache[0]))
             elif kind == "conv2d":
                 per.append(ops.conv2d_grad_per_sample(dout, cache[0], cache[1].shape))
-            dout, _ = functional._STEPS[kind][1](dout, cache, True, False, None)
+            dout, _ = functional._STEPS[kind][1](dout, cache, True, None, None)
         for acc, g in zip(total, reversed(per)):
             acc += (g * g).sum(axis=0)
     return [t / n for t in total]
@@ -271,9 +271,11 @@ def test_curvature_equals_materialized_reference(name, chunk, tcu):
     if tcu:
         flagged = {p: list(range(0, layer.weight.size, 3)) for p, layer in model.parametric()}
         model = apply_protection(model, UnaryPlan(0.3, flagged))
-    got = curvature_diag(model, batch, chunk=chunk)
+    grads, got = curvature_diag(model, batch, chunk=chunk)
     ref = curvature_reference(model, batch, chunk)
     assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+    # the gradient's bytes do not depend on the chunk
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in loss_and_grads(model, batch)[1]]
 
 
 def test_curvature_memory_stays_below_one_chunk_of_gradients():
@@ -283,6 +285,105 @@ def test_curvature_memory_stays_below_one_chunk_of_gradients():
     rng = np.random.default_rng(5)
     batch = Batch(rng.standard_normal((100, 1, 12, 12)), rng.integers(0, 10, 100))
     assert traced_peak(lambda: curvature_diag(model, batch)) <= 16 * 2**20
+
+
+def _streamed_case(name, n):
+    rng = np.random.default_rng(n)
+    if name == "desk":
+        model = build_desk_model(seed=1)
+        return model, Batch(rng.standard_normal((n, 1, 12, 12)), rng.integers(0, 10, n))
+    if name == "toy":
+        return toy_cnn_model(seed=9), random_batch(8, 1, n, 3, seed=n)
+    if name == "elementwise":
+        model, _ = elementwise_chain_case()
+        return model, random_batch(8, 1, n, 4, seed=n)
+    x, y = rng.standard_normal((n, 12)), rng.integers(0, 5, n)
+    model = chain_dense_model([(9, 12), (7, 9), (5, 7)], seed=2)
+    if name == "affine_dense":  # a prefix without parametric layers
+        model = QuantizedModel([AffineNorm(rng.uniform(0.5, 2.0, 12), rng.standard_normal(12)),
+                                ReLU(), *model.layers])
+    return model, Batch(x, y)
+
+
+@pytest.mark.parametrize("tcu", [False, True])
+@pytest.mark.parametrize("n", [10, 64, 150])
+@pytest.mark.parametrize("name", ["desk", "toy", "elementwise", "dense", "affine_dense"])
+def test_streamed_pass_equals_whole_batch_gradient_and_chunked_curvature(name, n, tcu):
+    model, batch = _streamed_case(name, n)
+    if tcu:
+        flagged = {p: list(range(0, layer.weight.size, 3)) for p, layer in model.parametric()}
+        model = apply_protection(model, UnaryPlan(0.3, flagged))
+    grads, curv = curvature_diag(model, batch)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in loss_and_grads(model, batch)[1]]
+    assert [h.tobytes() for h in curv] == [h.tobytes()
+                                            for h in reference.curvature_diag(model, batch)]
+
+
+@pytest.mark.parametrize("layer", [0, 4, 8])
+def test_streamed_pass_raises_what_loss_and_grads_raises(layer):
+    model, batch = _streamed_case("desk", 150)
+    model.layers[layer].weight.scale = 1e308
+    with pytest.raises(NumericError) as whole:
+        loss_and_grads(model, batch)
+    with pytest.raises(NumericError) as streamed:
+        curvature_diag(model, batch)
+    assert (str(streamed.value), streamed.value.layer) == (str(whole.value), whole.value.layer)
+
+
+def test_streamed_pass_memory_at_500_samples():
+    # measured 15.6 MiB; the bound leaves 4.4 MiB (28%) of margin.  The
+    # whole-batch recorded pass it replaces takes 70.5 MiB here
+    model, batch = _streamed_case("desk", 500)
+    assert traced_peak(lambda: curvature_diag(model, batch)) <= 20 * 2**20
+    grads = curvature_diag(model, batch)[0]
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in loss_and_grads(model, batch)[1]]
+
+
+def _inference_results(model, batch):
+    """Bytes of every inference entry point on batch, prefix resumes included."""
+    out = [forward(model, batch)[0].tobytes(), evaluate(model, batch),
+           [a.tobytes() for a in functional.activations(model, batch)]]
+    prefix = ActivationPrefix(model, batch)
+    for k, (_, layer) in enumerate(model.parametric()):
+        layer.weight.codes.reshape(-1)[k] ^= 5
+        out += [evaluate(model, batch, prefix=prefix, changed=k),
+                prefix.follow(model, batch, k)[0].tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 500])
+def test_inference_builds_one_chunk_of_columns_with_whole_batch_bytes(n, monkeypatch):
+    sizes = []
+    real = ops.im2col
+
+    def counted(x, *args, **kwargs):
+        sizes.append(len(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "im2col", counted)
+    got = _inference_results(*_streamed_case("desk", n))
+    assert sizes and max(sizes) == min(n, ops.CHUNK)
+    monkeypatch.setattr(ops, "conv2d_forward", reference.conv2d_forward)
+    assert got == _inference_results(*_streamed_case("desk", n))
+
+
+def test_recording_pass_keeps_every_sample_columns(monkeypatch):
+    model, batch = _streamed_case("desk", 130)
+    weights = functional._clean_weights(model)
+    _, caches, _ = functional._run(model, batch.inputs, weights, record=True)
+    cols = [cache[0] for kind, cache in caches if kind == "conv2d"]
+    assert [c.shape for c in cols] == [(130, 9, 144), (130, 144, 36)]
+    got = [g.tobytes() for g in loss_and_grads(model, batch)[1]]
+    monkeypatch.setattr(ops, "conv2d_forward", reference.conv2d_forward)
+    assert got == [g.tobytes() for g in loss_and_grads(model, batch)[1]]
+
+
+def test_evaluate_memory_at_500_samples():
+    # measured 11.4 MiB, mostly the first convolution's 500-sample output;
+    # the bound leaves 2.6 MiB (23%) of margin.  With whole-batch columns
+    # it took 26.7 MiB
+    model, batch = _streamed_case("desk", 500)
+    assert traced_peak(lambda: evaluate(model, batch)) <= 14 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +735,7 @@ def test_in_place_steps_equal_allocating_ops(build, monkeypatch):
     def results():
         model, data = build()
         out = [forward(model, data), loss_and_grads(model, data)[1],
-               curvature_diag(model, data, chunk=16)]
+               *curvature_diag(model, data, chunk=16)]
         prefix = ActivationPrefix(model, data, record=True)
         for k, layer in enumerate(layer for _, layer in model.parametric()):
             layer.weight.codes.reshape(-1)[k] ^= 3

@@ -166,6 +166,7 @@ def unshared_plan_and_eval_rows(config, seed):
     from bitguard.harness import experiments as ex
     from bitguard.harness.pretrain import build_desk_model, pretrain
     from bitguard.planner import attack_panel, recover, synergy_search
+    from bitguard.sensitivity import weight_sensitivity
     from bitguard.unary_guard import apply_protection
 
     cfg, att, dfn = config, config.attacker, config.defense
@@ -175,7 +176,8 @@ def unshared_plan_and_eval_rows(config, seed):
     pretrain(model, splits, epochs=cfg.model.epochs, batch_size=cfg.model.batch_size,
              lr=cfg.model.lr, seed=seed, floor=cfg.model.floor)
     budgets, noise = ex._primary_budgets(cfg), ex._noise(att.noise_std, att.grad_samples)
-    chosen, log = synergy_search(model, budgets, splits.val, alpha_grid=dfn.alpha_grid,
+    sens = weight_sensitivity(model, splits.val)
+    chosen, log = synergy_search(model, budgets, splits.val, sens, alpha_grid=dfn.alpha_grid,
                                  eta_grid=dfn.eta_grid, trials=dfn.trials,
                                  emulations=dfn.emulations, seed=seed, noise=noise,
                                  attack_pool=splits.attack, target_drop=dfn.target_drop,
@@ -228,6 +230,63 @@ def test_shared_stage_work_keeps_rows(alpha_grid, handover, monkeypatch):
     got = [{k: v for k, v in r.items() if k != "config_hash"}
            for r in rows if r["stage"] == "eval"]
     assert canonical_json(got) == canonical_json(eval_rows)
+
+
+def test_one_sensitivity_pass_serves_every_stage(monkeypatch):
+    # protect, lock and plan all read the trained model's one streamed pass
+    import bitguard.engine.functional as functional
+    import bitguard.sensitivity as sensitivity
+
+    passes = []
+    real = functional.curvature_diag
+
+    def counted(*args, **kwargs):
+        passes.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "curvature_diag", counted)
+    config = tiny_config(seeds=[0], **{"defense.alpha_grid": [0.02, 0.01]})
+    run_experiment(config, write=False)
+    assert passes == [TINY["dataset.val"]]
+
+
+def test_clean_accuracy_is_pretrainings_last_evaluate(tmp_path, monkeypatch):
+    # the train row reads pretraining's last validation accuracy instead of
+    # evaluating the trained model again
+    import importlib
+
+    from bitguard.engine import evaluate, load_model
+    import bitguard.harness.experiments as experiments
+
+    # bitguard.harness exports a function of the module's name
+    pretrain = importlib.import_module("bitguard.harness.pretrain")
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return evaluate(*args, **kwargs)
+
+    for module in (experiments, pretrain):
+        monkeypatch.setattr(module, "evaluate", counted)
+    config = tiny_config(seeds=[0], **{"model.epochs": 2, "model.floor": 1.1})
+    with pytest.warns(UserWarning, match="below the 1.10 floor"):
+        rows = run_experiment(config, stage="train", write=True, out_dir=str(tmp_path)).rows
+    assert rows[0]["epochs_ran"] == 2
+    assert calls == [TINY["dataset.val"]] * 2
+    model = load_model(str(tmp_path / "checkpoints" / "seed0.json"))
+    val = experiments._splits_for(config).val
+    assert rows[0]["clean_acc"] == evaluate(model, val)
+
+
+def test_importing_the_harness_loads_no_yaml_or_process_pool():
+    # a JSON config needs no YAML parser, and a serial run no process pool
+    code = ("import sys, bitguard.harness; "
+            "print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_noise_sweep_covers_every_cell(serial_sweep):

@@ -408,7 +408,7 @@ class TestSearchLockPlan:
         train = random_batch(8, 1, 64, 3, seed=1)
         crude_fit(model, train, steps=40)
         val = random_batch(8, 1, 48, 3, seed=2)
-        h = [x.reshape(-1) for x in curvature_diag(model, val)]
+        h = [x.reshape(-1) for x in curvature_diag(model, val)[1]]
         return model, val, h
 
     def test_a_duplicate_trial_is_evaluated_once(self, monkeypatch):
@@ -598,7 +598,7 @@ class TestRecoveryFlow:
         train = random_batch(8, 1, 64, 3, seed=1)
         crude_fit(model, train, steps=40)
         val = random_batch(8, 1, 48, 3, seed=2)
-        h = [x.reshape(-1) for x in curvature_diag(model, val)]
+        h = [x.reshape(-1) for x in curvature_diag(model, val)[1]]
         plan = lock_search(model, val, eta=0.02, curvature=h)
 
         atk = random_batch(8, 1, 16, 3, seed=3)

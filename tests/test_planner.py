@@ -20,6 +20,7 @@ from bitguard.planner import (
     synergy_search,
     trim_watch_margins,
 )
+from bitguard.sensitivity import weight_sensitivity
 from bitguard.unary_guard import UnaryPlan, apply_protection
 
 from conftest import crude_fit, dense_model, lock_search, plain, random_batch, toy_cnn_model
@@ -35,15 +36,21 @@ def fitted():
     return model, train, val
 
 
+@pytest.fixture(scope="module")
+def sens(fitted):
+    model, _, val = fitted
+    return weight_sensitivity(model, val)
+
+
 def budgets_pair():
     return [AttackBudget(6, 18, 16), AttackBudget(10, 30, 16)]
 
 
 class TestCorners:
-    def test_pure_unary_plan(self, fitted):
+    def test_pure_unary_plan(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.02, etas=[float("inf")],
-                             budgets=budgets_pair(), val_set=val,
+                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=2, emulations=1, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 2, val,
                                  seed=0, attack_pool=train)
@@ -51,10 +58,10 @@ class TestCorners:
         assert report.memory["total"] == report.memory["m_tcu"]
         assert plan.lockdown.lockable() == []
 
-    def test_pure_lock_plan(self, fitted):
+    def test_pure_lock_plan(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.0, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val,
+                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=2, emulations=1, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 2, val,
                                  seed=0, attack_pool=train)
@@ -74,10 +81,10 @@ class TestCorners:
 
 
 class TestLedgers:
-    def test_total_is_component_sum(self, fitted):
+    def test_total_is_component_sum(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.02, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val,
+                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=1, emulations=1, seed=0, attack_pool=train)[0]
         mem = measure_memory(model, plan.unary, plan.lockdown)
         baseline = mem["baseline_bits"]
@@ -85,10 +92,10 @@ class TestLedgers:
         assert mem["m_tcu"] == mem["tcu_bits"] / baseline
         assert mem["m_lock"] == mem["lock_bits"] / baseline
 
-    def test_bit_counts_are_integers(self, fitted):
+    def test_bit_counts_are_integers(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.01, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val,
+                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=1, emulations=1, seed=0, attack_pool=train)[0]
         mem = measure_memory(model, plan.unary, plan.lockdown)
         for key in ("tcu_bits", "lock_bits", "baseline_bits"):
@@ -96,10 +103,10 @@ class TestLedgers:
 
 
 class TestPipeline:
-    def test_rows_cover_budget_grid(self, fitted):
+    def test_rows_cover_budget_grid(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.02, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val,
+                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=1, emulations=1, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 3, val,
                                  seed=1, attack_pool=train)
@@ -111,10 +118,10 @@ class TestPipeline:
             assert row["tp"] + row["fn"] >= 0
             assert row["clean_acc"] == evaluate(apply_protection(model, plan.unary), val)
 
-    def test_bitwise_deterministic(self, fitted):
+    def test_bitwise_deterministic(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.01, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val,
+                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=1, emulations=1, seed=0, attack_pool=train)[0]
         reports = [end_to_end_eval(model, plan, budgets_pair(), 2, val,
                                    seed=9, attack_pool=train) for _ in range(2)]
@@ -164,12 +171,12 @@ class TestPipeline:
             assert row["flips_on_protected"] == 6
             assert (row["tp"], row["fp"], row["fn"]) == (0, 0, 0)
 
-    def test_recovery_not_worse_than_attack(self, fitted):
+    def test_recovery_not_worse_than_attack(self, fitted, sens):
         # locking flagged groups should on average not hurt relative to the
         # attacked model (loose sanity margin at toy scale)
         model, train, val = fitted
         plan = build_defense(model, alpha=0.02, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val,
+                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=2, emulations=2, seed=0, attack_pool=train)[0]
         report = end_to_end_eval(model, plan, budgets_pair(), 3, val,
                                  seed=2, attack_pool=train)
@@ -202,10 +209,10 @@ def model_state(model):
 
 
 class TestAttackPanel:
-    def test_panel_covers_budget_grid(self, fitted, monkeypatch):
+    def test_panel_covers_budget_grid(self, fitted, sens, monkeypatch):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.02, etas=[0.02], budgets=budgets_pair(),
-                             val_set=val, trials=1, emulations=1, seed=0,
+                             val_set=val, sensitivity=sens, trials=1, emulations=1, seed=0,
                              attack_pool=train)[0]
         draws = count_draws(monkeypatch)
         # a lower unit budget of the 10-flip group shares its draws
@@ -236,10 +243,10 @@ class TestAttackPanel:
         last = [e.trace.flips[:2] for e in panel.entries if e.budget_index == 2]
         assert first == last  # the same draws: the same first guided flips
 
-    def test_recover_twice_leaves_panel_unchanged(self, fitted):
+    def test_recover_twice_leaves_panel_unchanged(self, fitted, sens):
         model, train, val = fitted
         plans = build_defense(model, alpha=0.02, etas=[0.01, 0.02, float("inf")],
-                              budgets=budgets_pair(), val_set=val, trials=1,
+                              budgets=budgets_pair(), val_set=val, sensitivity=sens, trials=1,
                               emulations=1, seed=0, attack_pool=train)
         panel = panel_for(model, plans[0], 2, val, seed=5, pool=train)
         before = [model_state(panel.attacked(e)) for e in panel.entries]
@@ -249,47 +256,47 @@ class TestAttackPanel:
         assert [model_state(panel.attacked(e)) for e in panel.entries] == before
         assert model_state(panel.protected) == protected
 
-    def test_recover_equals_end_to_end_eval(self, fitted):
+    def test_recover_equals_end_to_end_eval(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.01, etas=[0.02], budgets=budgets_pair(),
-                             val_set=val, trials=1, emulations=1, seed=0,
+                             val_set=val, sensitivity=sens, trials=1, emulations=1, seed=0,
                              attack_pool=train)[0]
         panel = panel_for(model, plan, 2, val, seed=6, pool=train)
         whole = end_to_end_eval(model, plan, budgets_pair(), 2, val, seed=6,
                                 attack_pool=train)
         assert recover(panel, plan) == whole
 
-    def test_recover_rejects_other_protection(self, fitted):
+    def test_recover_rejects_other_protection(self, fitted, sens):
         model, train, val = fitted
         plans = [build_defense(model, alpha=a, etas=[float("inf")],
-                               budgets=budgets_pair(), val_set=val, trials=1,
+                               budgets=budgets_pair(), val_set=val, sensitivity=sens, trials=1,
                                emulations=1, seed=0, attack_pool=train)[0]
                  for a in (0.0, 0.02)]
         panel = panel_for(model, plans[0], 1, val, seed=0, pool=train)
         with pytest.raises(InputError):
             recover(panel, plans[1])
 
-    def test_handed_unary_plan_must_match_alpha(self, fitted):
+    def test_handed_unary_plan_must_match_alpha(self, fitted, sens):
         model, train, val = fitted
         with pytest.raises(InputError):
             build_defense(model, alpha=0.01, etas=[0.02], budgets=budgets_pair(),
-                          val_set=val, trials=1, emulations=1, seed=0,
+                          val_set=val, sensitivity=sens, trials=1, emulations=1, seed=0,
                           attack_pool=train, unary=UnaryPlan(alpha=0.02))
 
 
 class TestSynergySearch:
-    def test_rows_equal_fresh_panel_per_plan(self, fitted):
+    def test_rows_equal_fresh_panel_per_plan(self, fitted, sens):
         # scoring every eta of an alpha on one shared panel reports what a
         # fresh panel per plan reports
         model, train, val = fitted
         etas = (0.01, 0.02, float("inf"))
-        chosen, log = synergy_search(model, budgets_pair(), val,
+        chosen, log = synergy_search(model, budgets_pair(), val, sens,
                                      alpha_grid=(0.01, 0.02), eta_grid=etas,
                                      trials=1, emulations=2, seed=2,
                                      attack_pool=train, target_drop=0.5)
         fresh = []
         for a_idx, alpha in enumerate((0.02, 0.01)[: len(log) // len(etas)]):
-            for plan in build_defense(model, alpha, etas, budgets_pair(), val, 1, 2,
+            for plan in build_defense(model, alpha, etas, budgets_pair(), val, sens, 1, 2,
                                       seed=2 + a_idx, attack_pool=train):
                 rep = recover(panel_for(model, plan, 2, val, seed=2, pool=train), plan)
                 fresh.append((rep.memory["total"], rep.summary["resumed_mean"],
@@ -300,13 +307,13 @@ class TestSynergySearch:
         assert fresh == [(r["total_memory"], r["resumed_mean"], r["resumed_worst"])
                          for r in log]
 
-    def test_one_panel_per_alpha(self, fitted, monkeypatch):
+    def test_one_panel_per_alpha(self, fitted, sens, monkeypatch):
         model, train, val = fitted
         calls = count_draws(monkeypatch)
         etas, emulations = (0.01, 0.015, 0.02), 2
         # three budgets in two groups: the 10-flip ones differ only in units
         budgets = [*budgets_pair(), AttackBudget(10, 12, 16)]
-        _, log = synergy_search(model, budgets, val,
+        _, log = synergy_search(model, budgets, val, sens,
                                 alpha_grid=(0.02, 0.01), eta_grid=etas,
                                 trials=1, emulations=emulations, seed=0,
                                 attack_pool=train, target_drop=0.5)
@@ -315,13 +322,13 @@ class TestSynergySearch:
         # per (budget group, emulation), whatever the number of etas
         assert len(calls) == alphas * 2 * 2 * emulations
 
-    def test_searched_unary_plan_is_reused(self, fitted, monkeypatch):
+    def test_searched_unary_plan_is_reused(self, fitted, sens, monkeypatch):
         model, train, val = fitted
         searched = build_defense(model, 0.02, [float("inf")], budgets_pair(), val,
-                                 1, 1, seed=0, attack_pool=train)[0].unary
+                                 sens, 1, 1, seed=0, attack_pool=train)[0].unary
         kw = dict(alpha_grid=(0.02, 0.01), eta_grid=(0.02,), trials=1,
                   emulations=1, seed=0, attack_pool=train, target_drop=0.5)
-        fresh = synergy_search(model, budgets_pair(), val, **kw)
+        fresh = synergy_search(model, budgets_pair(), val, sens, **kw)
         calls = []
         real = planner.search_protection
 
@@ -330,15 +337,15 @@ class TestSynergySearch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(planner, "search_protection", counted)
-        handed = synergy_search(model, budgets_pair(), val,
+        handed = synergy_search(model, budgets_pair(), val, sens,
                                 searched={(0.02, 0): searched}, **kw)
         assert calls == [0.01]
         assert handed[1] == fresh[1]
         assert plain(handed[0]) == plain(fresh[0])
 
-    def test_selects_cheapest_feasible(self, fitted):
+    def test_selects_cheapest_feasible(self, fitted, sens):
         model, train, val = fitted
-        plan, log = synergy_search(model, budgets_pair(), val,
+        plan, log = synergy_search(model, budgets_pair(), val, sens,
                                    alpha_grid=(0.02, 0.01), eta_grid=(0.02,),
                                    trials=2, emulations=2, seed=0,
                                    attack_pool=train, target_drop=0.05)
@@ -346,18 +353,18 @@ class TestSynergySearch:
         feasible_rows = [r for r in log if r["feasible"]]
         assert plan.memory["total"] == min(r["total_memory"] for r in feasible_rows)
 
-    def test_alpha_descent_order(self, fitted):
+    def test_alpha_descent_order(self, fitted, sens):
         model, train, val = fitted
-        _, log = synergy_search(model, budgets_pair(), val,
+        _, log = synergy_search(model, budgets_pair(), val, sens,
                                 alpha_grid=(0.005, 0.02, 0.01), eta_grid=(0.02,),
                                 trials=1, emulations=1, seed=0,
                                 attack_pool=train, target_drop=0.5)
         seen = [r["alpha"] for r in log]
         assert seen == sorted(seen, reverse=True)
 
-    def test_infeasible_target_flagged(self, fitted):
+    def test_infeasible_target_flagged(self, fitted, sens):
         model, train, val = fitted
-        plan, log = synergy_search(model, budgets_pair(), val,
+        plan, log = synergy_search(model, budgets_pair(), val, sens,
                                    alpha_grid=(0.01,), eta_grid=(0.02,),
                                    trials=1, emulations=1, seed=0,
                                    attack_pool=train, target_drop=-0.5)
@@ -366,27 +373,27 @@ class TestSynergySearch:
         # best-effort plan is the most accurate one evaluated
         assert plan.accuracy["resumed_mean"] == max(r["resumed_mean"] for r in log)
 
-    def test_empty_grids_rejected(self, fitted):
+    def test_empty_grids_rejected(self, fitted, sens):
         model, train, val = fitted
         with pytest.raises(InputError):
-            synergy_search(model, budgets_pair(), val, alpha_grid=(),
+            synergy_search(model, budgets_pair(), val, sens, alpha_grid=(),
                            eta_grid=(0.02,), trials=1, emulations=1,
                            target_drop=0.03, attack_pool=train)
         with pytest.raises(InputError):
-            synergy_search(model, budgets_pair(), val, alpha_grid=(0.01,),
+            synergy_search(model, budgets_pair(), val, sens, alpha_grid=(0.01,),
                            eta_grid=(), trials=1, emulations=1,
                            target_drop=0.03, attack_pool=train)
 
-    def test_chosen_plan_matches_build_defense(self, fitted):
+    def test_chosen_plan_matches_build_defense(self, fitted, sens):
         # the a-th alpha of the descending grid is built with seed + a
         model, train, val = fitted
-        plan, _ = synergy_search(model, budgets_pair(), val,
+        plan, _ = synergy_search(model, budgets_pair(), val, sens,
                                  alpha_grid=(0.01, 0.02), eta_grid=(0.02,),
                                  trials=1, emulations=1, seed=3,
                                  attack_pool=train, target_drop=0.5)
         a_idx = [0.02, 0.01].index(plan.alpha)
         rebuilt = build_defense(model, plan.alpha, [plan.eta], budgets_pair(),
-                                val, 1, 1, seed=3 + a_idx, attack_pool=train)[0]
+                                val, sens, 1, 1, seed=3 + a_idx, attack_pool=train)[0]
         for part in ("alpha", "eta", "unary", "lockdown"):
             assert plain(getattr(rebuilt, part)) == plain(getattr(plan, part)), part
 
@@ -399,7 +406,7 @@ class TestContainment:
         train = random_batch(8, 1, 64, 3, seed=1)
         crude_fit(model, train, steps=40)
         val = random_batch(8, 1, 48, 3, seed=2)
-        h = [x.reshape(-1) for x in curvature_diag(model, val)]
+        h = [x.reshape(-1) for x in curvature_diag(model, val)[1]]
         hits = {0: np.array([0, 5]), 1: np.array([3])}
         plan = lock_search(model, val, eta=0.5, curvature=h, flip_budget=2, hit_weights=hits)
         return model, val, plan

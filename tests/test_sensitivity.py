@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from bitguard.engine import Batch, curvature_diag, forward, loss_and_grads
+from bitguard.engine import Batch, forward, loss_and_grads
 from bitguard.errors import InputError
 from bitguard.sensitivity import (
     assign_budget,
@@ -17,17 +17,20 @@ from bitguard.sensitivity import (
 )
 
 from conftest import crude_fit, random_batch, toy_cnn_model
+import reference
 from reference import flip_bit
 
 
 def test_weight_sensitivity_composes_gradient_and_curvature():
     model = toy_cnn_model(seed=3)
     batch = random_batch(8, 1, 12, 3, seed=4)
-    scores = weight_sensitivity(model, batch)
-    parts = zip(loss_and_grads(model, batch)[1], curvature_diag(model, batch), msb_flip_deltas(model))
-    for s, (g, h, dw) in zip(scores, parts, strict=True):
-        assert s.ndim == 1
-        assert np.array_equal(s, g.reshape(-1) * dw + 0.5 * h.reshape(-1) * dw * dw)
+    sens = weight_sensitivity(model, batch)
+    parts = zip(loss_and_grads(model, batch)[1], reference.curvature_diag(model, batch),
+                msb_flip_deltas(model))
+    for s, c, (g, h, dw) in zip(sens.scores, sens.curvature, parts, strict=True):
+        assert s.ndim == c.ndim == 1
+        assert c.tobytes() == h.tobytes()
+        assert s.tobytes() == (g.reshape(-1) * dw + 0.5 * h.reshape(-1) * dw * dw).tobytes()
 
 
 def test_msb_delta_sign_and_magnitude():
@@ -54,7 +57,7 @@ def test_scores_rank_correlate_with_true_flip_damage():
     noisy = Batch(batch.inputs, y)
     crude_fit(model, noisy, steps=40)
 
-    scores = weight_sensitivity(model, noisy)
+    scores = weight_sensitivity(model, noisy).scores
     _, base_loss = forward(model, noisy)
     true_delta = []
     est = np.concatenate(scores)
@@ -83,8 +86,8 @@ def test_permutation_invariance_of_scores():
     model = toy_cnn_model(seed=6)
     batch = random_batch(8, 1, 16, 3, seed=7)
     perm = np.random.default_rng(0).permutation(len(batch))
-    a = weight_sensitivity(model, batch)
-    b = weight_sensitivity(model, Batch(batch.inputs[perm], batch.labels[perm]))
+    a = weight_sensitivity(model, batch).scores
+    b = weight_sensitivity(model, Batch(batch.inputs[perm], batch.labels[perm])).scores
     for sa, sb in zip(a, b):
         assert np.allclose(sa, sb, rtol=1e-10, atol=1e-12)
 

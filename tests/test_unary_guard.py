@@ -8,6 +8,7 @@ from bitguard.bitcodec import to_unsigned
 from bitguard.engine import Batch, evaluate
 from bitguard.errors import InputError, PlanError
 from bitguard import unary_guard
+from bitguard.sensitivity import weight_sensitivity
 from bitguard.unary_guard import (
     UnaryPlan,
     _sample_indices,
@@ -25,6 +26,12 @@ def fitted():
     crude_fit(model, train, steps=40)
     val = random_batch(8, 1, 48, 3, seed=2)
     return model, train, val
+
+
+@pytest.fixture(scope="module")
+def sens(fitted):
+    model, _, val = fitted
+    return weight_sensitivity(model, val)
 
 
 def small_budget():
@@ -96,16 +103,16 @@ class TestSampling:
 
 
 class TestSearchProtection:
-    def test_budget_exactness(self, fitted):
+    def test_budget_exactness(self, fitted, sens):
         model, train, val = fitted
         plan = search_protection(model, alpha=0.05, trials=2, emulations=1,
-                                 budget=small_budget(), val_set=val, seed=7,
+                                 budget=small_budget(), val_set=val, sensitivity=sens, seed=7,
                                  attack_pool=train)
         assert plan.total == -(-int(model.layer_sizes().sum()) * 5 // 100)
         for pidx, indices in plan.layers.items():
             assert len(set(indices)) == len(indices)
 
-    def test_worst_case_selection(self, fitted, monkeypatch):
+    def test_worst_case_selection(self, fitted, sens, monkeypatch):
         # each trial protects one index set and scores it by the worst of its
         # emulations; every layer keeps the first set with the best score
         model, train, val = fitted
@@ -123,7 +130,7 @@ class TestSearchProtection:
         monkeypatch.setattr(unary_guard, "apply_protection", protect)
         monkeypatch.setattr(unary_guard, "evaluate", scored)
         plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
-                                 budget=small_budget(), val_set=val, seed=7,
+                                 budget=small_budget(), val_set=val, sensitivity=sens, seed=7,
                                  attack_pool=train)
         assert plan.layers
         for pidx, indices in plan.layers.items():
@@ -133,18 +140,18 @@ class TestSearchProtection:
             best = max(worst for _, worst in scores)
             assert indices == next(idx for idx, worst in scores if worst == best)
 
-    def test_deterministic_per_seed(self, fitted):
+    def test_deterministic_per_seed(self, fitted, sens):
         model, train, val = fitted
         kw = dict(alpha=0.05, trials=2, emulations=1, budget=small_budget(),
-                  val_set=val, seed=11, attack_pool=train)
+                  val_set=val, sensitivity=sens, seed=11, attack_pool=train)
         p1 = search_protection(model, **kw)
         p2 = search_protection(model, **kw)
         assert p1.layers == p2.layers
 
-    def test_assignment_modes_differ_in_spread(self, fitted):
+    def test_assignment_modes_differ_in_spread(self, fitted, sens):
         model, train, val = fitted
         kw = dict(alpha=0.05, trials=1, emulations=1, budget=small_budget(),
-                  val_set=val, seed=3, attack_pool=train)
+                  val_set=val, sensitivity=sens, seed=3, attack_pool=train)
         top = search_protection(model, assignment="top", **kw)
         even = search_protection(model, assignment="even", **kw)
         assert top.total == even.total
@@ -152,9 +159,9 @@ class TestSearchProtection:
         assert len(even.layers) == len(model.parametric())
         assert len(top.layers) <= len(even.layers)
 
-    def test_input_validation(self, fitted):
+    def test_input_validation(self, fitted, sens):
         model, train, val = fitted
-        kw = dict(budget=small_budget(), val_set=val, attack_pool=train)
+        kw = dict(budget=small_budget(), val_set=val, sensitivity=sens, attack_pool=train)
         with pytest.raises(InputError):
             search_protection(model, alpha=0.0, trials=1, emulations=1, **kw)
         with pytest.raises(InputError):
@@ -167,12 +174,12 @@ class TestSearchProtection:
             search_protection(model, alpha=0.1, trials=1, emulations=1,
                               assignment="magic", **kw)
 
-    def test_pool_smaller_than_batch_rejected(self, fitted):
+    def test_pool_smaller_than_batch_rejected(self, fitted, sens):
         model, _, val = fitted
         tiny = val.take(np.arange(4))
         with pytest.raises(InputError):
             search_protection(model, alpha=0.05, trials=1, emulations=1,
-                              budget=small_budget(), val_set=val,
+                              budget=small_budget(), val_set=val, sensitivity=sens,
                               attack_pool=tiny)
 
 
@@ -201,13 +208,13 @@ class TestFullProtectionBound:
         ).sum()
         assert levels_moved <= hd
 
-    def test_protected_search_not_worse_than_unprotected(self, fitted):
+    def test_protected_search_not_worse_than_unprotected(self, fitted, sens):
         # paired emulation: the plan's worst accuracy should not fall below
         # the unprotected model's worst accuracy under the same protocol
         model, train, val = fitted
         budget = small_budget()
         plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
-                                 budget=budget, val_set=val, seed=7,
+                                 budget=budget, val_set=val, sensitivity=sens, seed=7,
                                  attack_pool=train)
 
         def worst(target, seq):
@@ -218,10 +225,10 @@ class TestFullProtectionBound:
         bare = worst(model, np.random.SeedSequence(123))
         assert guarded >= bare - 0.05
 
-    def test_protected_weights_skew_small_magnitude(self, fitted):
+    def test_protected_weights_skew_small_magnitude(self, fitted, sens):
         model, train, val = fitted
         plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
-                                 budget=small_budget(), val_set=val, seed=7,
+                                 budget=small_budget(), val_set=val, sensitivity=sens, seed=7,
                                  attack_pool=train)
         prot, everything = [], []
         for pidx, layer in model.parametric():

@@ -1,6 +1,7 @@
 """Fixed-point inference engine: models, gradients, curvature, checkpoints.
 
-Convolutions run ops.CHUNK samples at a time; dense layers see the whole batch.
+Inference runs the layers before the first dense layer ops.CHUNK samples at
+a time; dense layers see a matrix of the whole batch's shape.
 """
 
 from .quantized import QuantizedTensor, quantize_array

@@ -7,9 +7,12 @@ seed argument, so identical calls return identical results.
 Passes go through one layer walker, _walk, and _backprop, which share one
 per-kind table of forward and backward rules.  The walker can start and
 stop at any layer and keeps backward caches only when asked, so inference
-frees its temporary arrays as it goes and holds one ops.CHUNK of samples'
-convolution columns at a time.  curvature_diag streams the layers before
-the first dense layer the same way (see ops on why dense layers are not).
+frees its temporary arrays as it goes.  Inference and curvature_diag run
+the layers before the first dense layer in stages of ops.CHUNK samples
+(_stages) and the dense layers on the whole batch (see ops on why), so
+they hold one chunk's activations and convolution columns.  A verdict
+evaluate (evaluate's reject) runs smaller stages in the order that
+settles its predicate soonest and stops once it is settled.
 
 An ActivationPrefix stores a reference model's clean inputs to each
 parametric layer on one batch; evaluate(..., prefix=, changed=) re-runs
@@ -20,13 +23,17 @@ recorded pass.
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Container, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import InputError, NumericError
 from . import ops
 from .layers import PARAMETRIC_KINDS, Batch, NoiseSpec, QuantizedModel
+
+
+# samples per stage of a verdict evaluate (see evaluate)
+VERDICT_STAGE = 16
 
 
 def _layer_peak(layer) -> float:
@@ -214,11 +221,59 @@ def _mean(passes: List[List[np.ndarray]]) -> List[np.ndarray]:
     return [t / len(passes) for t in total]
 
 
+def _dense_cut(model: QuantizedModel, start: int = 0) -> int:
+    """Index of the first dense layer from layer `start` on, len(model.layers) if none."""
+    return next((i for i in range(start, len(model.layers)) if model.layers[i].kind == "dense"),
+                len(model.layers))
+
+
+def _parts(order, size: int) -> list:
+    """order's samples in consecutive parts of `size`; an int order n is 0 .. n - 1, as slices."""
+    if isinstance(order, int):
+        return [slice(s, s + size) for s in range(0, order, size)]
+    return [order[s : s + size] for s in range(0, len(order), size)]
+
+
+def _stages(model: QuantizedModel, x: np.ndarray, weights: List[np.ndarray],
+            start: int, cut: int, parts: list) -> Iterator[Tuple[object, np.ndarray]]:
+    """Run layers[start:cut] one part of x's samples at a time.
+
+    After each part yields (rows, features): features is one array with a
+    row per sample of x, holding the output of every part so far in its
+    samples' rows and zeros in the rows not yet run.  These layers act on
+    each sample alone, so a row's bytes do not depend on the parts.  With
+    cut == start it yields x once.
+    """
+    if cut == start:
+        yield slice(None), x
+        return
+    feats = None
+    for rows in parts:
+        out = _run(model, x[rows], weights, start, stop=cut)[0]
+        if feats is None:
+            feats = np.zeros((len(x),) + out.shape[1:])
+        feats[rows] = out
+        yield rows, feats
+
+
 def _infer(model: QuantizedModel, batch: Batch, weights: List[np.ndarray],
            start: int = 0, x: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
-    """(logits, loss) of model.layers[start:] fed x (default: batch inputs)."""
+    """(logits, loss) of model.layers[start:] fed x (default: batch inputs).
+
+    The layers before the first dense layer run ops.CHUNK samples at a
+    time, the dense layers on the whole batch (see ops on why)."""
     x = batch.inputs if x is None else x
-    logits, _, _ = _run(model, x, weights, start)
+    cut = _dense_cut(model, start)
+    for _, feats in _stages(model, x, weights, start, cut, _parts(len(x), ops.CHUNK)):
+        pass
+    return _head(model, batch, feats, weights, cut, x, start)
+
+
+def _head(model: QuantizedModel, batch: Batch, feats: np.ndarray, weights: List[np.ndarray],
+          cut: int, x: np.ndarray, start: int) -> Tuple[np.ndarray, float]:
+    """(logits, loss) of model.layers[cut:] fed feats, the layers[start:cut]
+    output of x; a non-finite result raises as _check_finite names it."""
+    logits, _, _ = _run(model, feats, weights, cut)
     loss, _, _ = _loss(logits, batch.labels)
     _check_finite(model, logits, loss, x, weights, start)
     return logits, loss
@@ -308,13 +363,12 @@ def curvature_diag(model: QuantizedModel, batch: Batch,
         raise InputError("empty batch")
     n = len(batch)
     weights = _clean_weights(model)
-    cut = next((i for i, layer in enumerate(model.layers) if layer.kind == "dense"),
-               len(model.layers))
+    cut = _dense_cut(model)
     inner = sum(1 for layer in model.layers[:cut] if layer.kind in PARAMETRIC_KINDS)
-    chunks = [slice(s, s + chunk) for s in range(0, n, chunk)]
+    chunks = _parts(n, chunk)
 
-    feats = np.concatenate([_run(model, batch.inputs[part], weights, stop=cut)[0]
-                            for part in chunks])
+    for _, feats in _stages(model, batch.inputs, weights, 0, cut, chunks):
+        pass
     logits, caches, _ = _run(model, feats, weights, cut, record=True)
     loss, dlogits, _ = _loss(logits, batch.labels)
     _check_finite(model, logits, loss, batch.inputs, weights)
@@ -398,6 +452,13 @@ class ActivationPrefix:
             raise InputError("prefix was built without record")
         return _mean([_backprop(self.caches, self.dlogits)] * samples)
 
+    def _verdict_order(self, labels: np.ndarray) -> np.ndarray:
+        """Sample indices, those the reference misclassifies first, then by
+        ascending top-1 minus top-2 margin of its logits, ties in sample order."""
+        logits = self.acts[len(self.caches)]
+        top = np.partition(logits, -2, axis=1)
+        return np.lexsort((top[:, -1] - top[:, -2], np.argmax(logits, axis=1) == labels))
+
     def _rerun(self, model: QuantizedModel, batch: Batch, start: int):
         """Run layers[start:] on their stored input and store the pass."""
         x = self.acts[start]
@@ -416,6 +477,29 @@ class ActivationPrefix:
         return logits, loss
 
 
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float((np.argmax(logits, axis=1) == labels).mean())
+
+
+def _verdict(model: QuantizedModel, batch: Batch, weights: List[np.ndarray], start: int,
+             x: np.ndarray, order: np.ndarray, reject: Callable[[float], bool]) -> float:
+    """evaluate with reject: the accuracy, or an upper bound of it that reject holds for."""
+    n, labels = len(batch), np.asarray(batch.labels, dtype=np.int64)
+    cut = _dense_cut(model, start)
+    parts = _parts(order, VERDICT_STAGE)
+    errors = 0
+    for rows, feats in _stages(model, x, weights, start, cut, parts):
+        if rows is parts[-1] or cut == start:
+            break
+        seen, _, _ = _run(model, feats, weights, cut)
+        seen = seen[rows]
+        _check_finite(model, seen, 0.0, x, weights, start)  # no loss is read
+        errors += int(np.count_nonzero(np.argmax(seen, axis=1) != labels[rows]))
+        if reject((n - errors) / n):
+            return (n - errors) / n
+    return _accuracy(_head(model, batch, feats, weights, cut, x, start)[0], labels)
+
+
 def evaluate(
     model: QuantizedModel,
     dataset: Batch,
@@ -423,6 +507,7 @@ def evaluate(
     seed: int = 0,
     prefix: Optional[ActivationPrefix] = None,
     changed: Optional[int] = None,
+    reject: Optional[Callable[[float], bool]] = None,
 ) -> float:
     """Fraction of argmax-correct predictions on the dataset.
 
@@ -432,13 +517,31 @@ def evaluate(
     is the reference.  The accuracy is the same as without the prefix.  A
     prefix holds noise-free activations, so it cannot be combined with
     nonzero noise.
+
+    reject, valid only with a prefix, is a monotone predicate on the
+    accuracy (if it holds for a, it holds for every lower accuracy), such
+    as `lambda acc: acc0 - acc >= eta`.  Then the layers before the first
+    dense layer run VERDICT_STAGE samples per stage: those the reference
+    misclassifies first, then by ascending top-1 minus top-2 margin of its
+    stored logits.  After each stage the dense layers run on a feature
+    matrix of the whole batch's shape whose unseen rows are zero; a GEMM
+    row's bytes depend only on its values, the shape and its position, so
+    each seen sample gets its whole-batch logits.  Once the seen errors
+    alone make reject hold for the best accuracy still possible, that
+    bound is returned; otherwise the exact accuracy is.  Either way
+    reject(result) is reject(accuracy).  Non-finite seen logits raise the
+    NumericError the full pass raises; samples never seen are not checked.
     """
     if prefix is None:
+        if reject is not None:
+            raise InputError("a verdict needs a prefix")
         logits, _ = forward(model, dataset, noise, seed)
-    else:
-        if noise is not None and noise.std > 0:
-            raise InputError("a prefix holds noise-free activations")
-        start = prefix._start(dataset, changed)
-        logits, _ = _infer(model, dataset, _clean_weights(model, start), start, prefix.acts[start])
-    pred = np.argmax(logits, axis=1)
-    return float((pred == np.asarray(dataset.labels, dtype=np.int64)).mean())
+        return _accuracy(logits, np.asarray(dataset.labels, dtype=np.int64))
+    if noise is not None and noise.std > 0:
+        raise InputError("a prefix holds noise-free activations")
+    start = prefix._start(dataset, changed)
+    weights, x = _clean_weights(model, start), prefix.acts[start]
+    labels = np.asarray(dataset.labels, dtype=np.int64)
+    if reject is None:
+        return _accuracy(_infer(model, dataset, weights, start, x)[0], labels)
+    return _verdict(model, dataset, weights, start, x, prefix._verdict_order(labels), reject)

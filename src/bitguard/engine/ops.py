@@ -10,8 +10,10 @@ A convolution multiplies one GEMM per sample (numpy's stacked matmul), so
 its bytes do not depend on how many samples share a call.  When a pass
 records no backward cache, conv2d_forward therefore builds its patch
 columns CHUNK samples at a time and holds one chunk's columns only.  A
-dense layer is one GEMM over the whole batch, whose rows' bytes do depend
-on the batch, so dense layers are never chunked.
+dense layer is one GEMM over the whole batch.  A row's bytes depend on the
+GEMM's shape and the row's position in it, not on the other rows' values,
+so dense layers always run on a matrix of the whole batch's shape (rows
+not yet computed may be zero).
 """
 
 from __future__ import annotations

@@ -116,7 +116,8 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     """Rows and timings of one seed; top level so a process pool can run it.
 
     The model is trained once, and its clean accuracy is the one pretraining
-    measured after its last epoch.  With sweep = (stds, samples_grid) it is
+    measured after its last epoch; every panel and the plan search reuse
+    it, since protection changes no dequantized weight.  With sweep = (stds, samples_grid) it is
     then attacked undefended under every (noise std, averaging) cell;
     otherwise the pipeline runs through `stage`.
 
@@ -218,7 +219,7 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
                       panel: Optional[AttackPanel] = None) -> None:
         if panel is None:
             rep = end_to_end_eval(model, plan, budgets, dfn.emulations,
-                                  splits.val, seed=1000 + seed, noise=noise,
+                                  splits.val, clean_acc, seed=1000 + seed, noise=noise,
                                   attack_pool=splits.attack)
         else:
             rep = recover(panel, plan)
@@ -232,7 +233,7 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
         sens = weight_sensitivity(model, splits.val)
         protect_plan = build(dfn.alpha_grid[0], np.inf)
         protect_panel = attack_panel(apply_protection(model, protect_plan.unary),
-                                     budgets, dfn.emulations, splits.val,
+                                     budgets, dfn.emulations, splits.val, clean_acc,
                                      seed=1000 + seed, noise=noise,
                                      attack_pool=splits.attack)
         evaluate_plan("protect", "tcu", protect_plan, protect_panel)
@@ -245,7 +246,7 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
 
     if rank >= _stage_rank("plan"):
         t0 = time.perf_counter()
-        chosen, log = synergy_search(model, budgets, splits.val, sens,
+        chosen, log = synergy_search(model, budgets, splits.val, sens, clean_acc,
                                      alpha_grid=dfn.alpha_grid,
                                      eta_grid=dfn.eta_grid,
                                      trials=dfn.trials,

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bitcodec import code_range, lock_layer_bits
-from .engine import ActivationPrefix, Batch, QuantizedTensor, evaluate
+from .engine import ActivationPrefix, Batch, QuantizedModel, QuantizedTensor, evaluate
 from .errors import ConfigError, InputError
 from .sensitivity import msb_flip_deltas
 
@@ -285,6 +285,16 @@ def lock(model, flagged: Dict[int, np.ndarray], plan: LockPlan):
     return out
 
 
+def _with_weight(model, pidx: int, weight: QuantizedTensor) -> QuantizedModel:
+    """A model sharing model's layer objects, but for a copy of parametric
+    layer pidx that holds `weight`."""
+    target = dict(model.parametric())[pidx]
+    edited = copy.copy(target)
+    edited.weight = weight
+    return QuantizedModel([edited if layer is target else layer for layer in model.layers],
+                          input_bits=model.input_bits)
+
+
 def search_lock_plan(model, val_set: Batch, eta: float,
                      curvature: List[np.ndarray], flip_budget: int,
                      hit_weights: Dict[int, np.ndarray], shared: dict,
@@ -301,13 +311,17 @@ def search_lock_plan(model, val_set: Batch, eta: float,
     candidate are marked unlockable.  The chosen candidate's feasibility
     footprint is kept on the plan as watch_core / watch_margin.
 
-    A trial's accuracy depends only on its layer's codes, so the drop is
-    kept under a digest of them: candidates that lock to the same codes
-    are evaluated once.  `shared` keeps each (layer, G)'s k-means table and
-    footprint and each trial's accuracy drop; nothing but the stopping rule
-    depends on eta, so calls whose other arguments are equal may pass one
-    dict, and a lone search passes {}.  prefix is an ActivationPrefix of
-    model on val_set.
+    A trial reads only whether its drop reaches eta, so it is a verdict
+    evaluate (evaluate's reject) that stops once the answer is certain.
+    Its accuracy depends only on its layer's codes, so `shared` keeps, under
+    a digest of them, (accuracy, rejected): rejected marks the accuracy as
+    an upper bound, which rejects every eta it rejects again, and a trial
+    is re-run only when its bound passes the eta now asked.  Candidates that
+    lock to the same codes are thus evaluated once per verdict.  `shared`
+    also keeps each (layer, G)'s k-means table and footprint; nothing but
+    the stopping rule depends on eta, so calls whose other arguments are
+    equal may pass one dict, and a lone search passes {}.  prefix is an
+    ActivationPrefix of model on val_set.
     """
     if eta <= 0:
         raise InputError("accuracy-drop budget must be positive")
@@ -315,6 +329,10 @@ def search_lock_plan(model, val_set: Batch, eta: float,
         raise InputError("flip budget must be >= 1")
     # every trial differs from model in one layer only
     acc0 = evaluate(model, val_set, prefix=prefix)
+
+    def reject(acc: float) -> bool:
+        return acc0 - acc >= eta
+
     plan = LockPlan(eta=eta)
     deltas = msb_flip_deltas(model)
 
@@ -366,11 +384,12 @@ def search_lock_plan(model, val_set: Batch, eta: float,
             trial = copy.deepcopy(layer.weight)
             _overwrite_groups(trial, lp, feas)
             key = (pidx, hashlib.sha256(trial.codes.tobytes()).digest())
-            if key not in shared:
-                edited = model.clone()
-                dict(edited.parametric())[pidx].weight = trial
-                shared[key] = acc0 - evaluate(edited, val_set, prefix=prefix, changed=pidx)
-            if shared[key] < eta:
+            acc, rejected = shared.get(key, (None, True))
+            if acc is None or (rejected and not reject(acc)):
+                acc = evaluate(_with_weight(model, pidx, trial), val_set, prefix=prefix,
+                               changed=pidx, reject=reject)
+                shared[key] = acc, reject(acc)
+            if not reject(acc):
                 chosen = lp
                 break
         plan.layers[pidx] = chosen

@@ -153,8 +153,10 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
     several layers' footprints together compounds through depth, so the
     static margins are cut back (largest shared fraction first, emulated
     cores never trimmed) until overwriting every watched group across all
-    layers drops validation accuracy by less than cap.  prefix is an
-    ActivationPrefix of protected on val_set.
+    layers drops validation accuracy by less than cap.  Each step reads
+    only whether the drop reaches cap, so it is a verdict evaluate
+    (evaluate's reject).  prefix is an ActivationPrefix of protected on
+    val_set.
     """
     margins = {
         pidx: lp.watch_margin
@@ -165,7 +167,10 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
         return
     acc0 = evaluate(protected, val_set, prefix=prefix)
 
-    def joint_drop(fraction: float) -> float:
+    def reject(acc: float) -> bool:
+        return acc0 - acc >= cap
+
+    def fits(fraction: float) -> bool:
         flags = {}
         for pidx, lp in lockdown.layers.items():
             if lp.group_size is None:
@@ -176,19 +181,19 @@ def trim_watch_margins(protected, lockdown: LockPlan, val_set: Batch,
             merged = np.unique(np.concatenate([core, keep])).astype(np.int64)
             if merged.size:
                 flags[pidx] = merged
-        if not flags:
-            return 0.0
-        return acc0 - evaluate(lock(protected, flags, lockdown), val_set, prefix=prefix,
-                               changed=min(flags))
+        if not flags:  # nothing locked, nothing lost
+            return not reject(acc0)
+        return not reject(evaluate(lock(protected, flags, lockdown), val_set, prefix=prefix,
+                                   changed=min(flags), reject=reject))
 
     best = 0.0
-    if joint_drop(1.0) < cap:
+    if fits(1.0):
         best = 1.0
     else:
         lo, hi = 0.0, 1.0
         for _ in range(6):
             mid = (lo + hi) / 2.0
-            if joint_drop(mid) < cap:
+            if fits(mid):
                 best, lo = mid, mid
             else:
                 hi = mid
@@ -260,7 +265,7 @@ class AttackPanel:
 
 
 def attack_panel(protected, budgets: List[AttackBudget], emulations: int,
-                 val_set: Batch, seed: int = 0,
+                 val_set: Batch, clean_acc: float, seed: int = 0,
                  noise: Optional[NoiseSpec] = None,
                  attack_pool: Optional[Batch] = None) -> AttackPanel:
     """Attack the protected model `emulations` times per budget.
@@ -271,6 +276,8 @@ def attack_panel(protected, budgets: List[AttackBudget], emulations: int,
     read at each budget's units.  So a panel is a function of the protected
     model, the budgets, the seed, the noise and the pool alone, and its
     budgets are compared on paired draws.  Entries are budget-major.
+    clean_acc is evaluate(protected, val_set), which the caller holds:
+    protection changes no dequantized weight, so it is the trained model's.
     """
     if emulations < 1:
         raise InputError("emulations must be >= 1")
@@ -281,7 +288,7 @@ def attack_panel(protected, budgets: List[AttackBudget], emulations: int,
                           evaluate(apply_trace(protected, trace), val_set))
                for b_idx, budget in enumerate(budgets)
                for e_idx, trace in enumerate(traces[b_idx])]
-    return AttackPanel(protected, val_set, evaluate(protected, val_set), entries)
+    return AttackPanel(protected, val_set, clean_acc, entries)
 
 
 def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
@@ -291,7 +298,8 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
     detect compares post-attack weights against the plan's pre-attack
     signatures, of which a plan without lockable layers has none, so it
     flags nothing; contain then locks flagged plus watched groups, and
-    never rewrites flip-tolerant weights.
+    never rewrites flip-tolerant weights.  When nothing is flagged contain
+    changes no code, so the resumed accuracy is the entry's post_acc.
     """
     protected = panel.protected
     tcu = [layer.weight.tcu for _, layer in protected.parametric()]
@@ -303,7 +311,9 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
     for entry in panel.entries:
         attacked, trace = panel.attacked(entry), entry.trace
         flagged = detect(attacked, plan.lockdown.signatures)
-        recovered = contain(attacked, flagged, plan.lockdown)
+        resumed = entry.post_acc
+        if any(v.size for v in flagged.values()):
+            resumed = evaluate(contain(attacked, flagged, plan.lockdown), panel.val_set)
         stats = _detection_stats(flagged, _truth_groups(trace, tcu, plan.lockdown))
         on_protected = sum(1 for f in trace.flips if tcu[f.address.layer][f.address.weight])
         rows.append({
@@ -313,7 +323,7 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
             "emulation": entry.emulation,
             "clean_acc": clean_acc,
             "post_attack_acc": entry.post_acc,
-            "resumed_acc": evaluate(recovered, panel.val_set),
+            "resumed_acc": resumed,
             "fallback_flips": trace.fallback_count,
             "flips_on_protected": on_protected,
             **stats,
@@ -326,12 +336,14 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
 
 
 def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
-                    emulations: int, val_set: Batch, seed: int = 0,
+                    emulations: int, val_set: Batch, clean_acc: float, seed: int = 0,
                     noise: Optional[NoiseSpec] = None,
                     attack_pool: Optional[Batch] = None) -> PipelineReport:
-    """Protect, attack, detect, lock, evaluate: one plan on a fresh panel."""
+    """Protect, attack, detect, lock, evaluate: one plan on a fresh panel.
+
+    clean_acc is evaluate(model, val_set), which the caller holds."""
     panel = attack_panel(apply_protection(model, plan.unary), budgets, emulations,
-                         val_set, seed=seed, noise=noise, attack_pool=attack_pool)
+                         val_set, clean_acc, seed=seed, noise=noise, attack_pool=attack_pool)
     return recover(panel, plan)
 
 
@@ -389,7 +401,7 @@ def build_defense(model, alpha: float, etas: List[float],
 
 
 def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
-                   sensitivity: Sensitivity,
+                   sensitivity: Sensitivity, clean_acc: float,
                    alpha_grid: List[float], eta_grid: List[float],
                    trials: int, emulations: int, target_drop: float,
                    seed: int = 0, noise: Optional[NoiseSpec] = None,
@@ -401,7 +413,8 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
 
     Alphas are visited in descending order, the a-th one built by
     build_defense with seed + a and the model's `sensitivity`
-    (weight_sensitivity(model, val_set)); `searched` maps (alpha, search seed) to a
+    (weight_sensitivity(model, val_set)); clean_acc is evaluate(model,
+    val_set), which the caller holds; `searched` maps (alpha, search seed) to a
     unary plan already searched on this model with the same budgets,
     trials, emulations, noise, pool and assignment.  Every eta of an alpha
     is scored by recover on one attack panel drawn from `seed`.  The
@@ -414,7 +427,6 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
     if not alpha_grid or not eta_grid:
         raise InputError("alpha and eta grids must be nonempty")
     alphas = sorted(alpha_grid, reverse=True)
-    clean_acc = evaluate(model, val_set)
     target = clean_acc - target_drop
     searched = searched or {}
 
@@ -429,7 +441,7 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
                               assignment=assignment,
                               unary=searched.get((alpha, seed + a_idx)))
         panel = attack_panel(apply_protection(model, plans[0].unary), budgets,
-                             emulations, val_set, seed=seed, noise=noise,
+                             emulations, val_set, clean_acc, seed=seed, noise=noise,
                              attack_pool=attack_pool)
         for plan in plans:
             report = recover(panel, plan)

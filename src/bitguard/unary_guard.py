@@ -4,7 +4,8 @@ Components:
   * UnaryPlan: chosen per-layer index sets.
   * apply_protection: value-preserving BCD-to-TCU re-encoding of a plan.
   * search_protection: sensitivity-weighted trial sampling, scored by the
-    worst validation accuracy over repeated attack emulations.
+    worst validation accuracy over repeated attack emulations, each trial
+    stopped once it cannot win.
 
 The search treats layers independently: each trial protects one layer and
 attacks the model.
@@ -79,7 +80,11 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
     trained model by the caller.  Per budgeted layer: `trials` candidate
     index sets are sampled with probability softmax(standardized
     sensitivity score), each scored by the worst validation accuracy over
-    `emulations` independent attack emulations; the best worst-case wins.
+    `emulations` independent attack emulations; the first set with the best
+    worst case wins.  A trial reads only whether it beats the best worst
+    case so far, so it stops at its first emulation that cannot, and a lone
+    trial, which wins whatever its attacks read, runs none.  The attack
+    pool must still hold a batch.
     """
     if not 0 < alpha <= 1:
         raise InputError("protection rate must lie in (0, 1]")
@@ -89,6 +94,8 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         raise InputError(f"unknown assignment mode {assignment!r}")
     budget.validate()
     pool = val_set if attack_pool is None else attack_pool
+    if len(pool) < budget.batch_size:
+        raise InputError(f"attack pool holds {len(pool)} samples, need {budget.batch_size}")
 
     sens = sensitivity.scores
     sizes = model.layer_sizes()
@@ -112,11 +119,17 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
         for t in range(trials):
             rng = np.random.default_rng(trial_seqs[t])
             indices = _sample_indices(scores, count, rng)
+            if trials == 1:
+                best_idx = indices
+                break
             protected = apply_protection(
                 model, UnaryPlan(alpha=alpha, layers={pidx: indices.tolist()}))
-            worst = min(
-                evaluate(draw_attack(protected, pool, budget, child, noise)[0], val_set)
-                for child in trial_seqs[t].spawn(1)[0].spawn(emulations))
+            worst = np.inf
+            for child in trial_seqs[t].spawn(1)[0].spawn(emulations):
+                worst = min(worst, evaluate(draw_attack(protected, pool, budget, child, noise)[0],
+                                            val_set))
+                if worst <= best_worst:
+                    break
             if worst > best_worst:
                 best_worst, best_idx = worst, indices
         plan.layers[pidx] = best_idx.tolist()

@@ -7,9 +7,10 @@ that runs the whole model on each chunk of samples, a strided col2im in
 (N, C, H, W) order, a max-pool backward that re-derives its routing from
 the input, elementwise rules that allocate every result, a move table
 that keeps an (n, bits) used-bit array and a padded slot matrix per layer,
-a one-code-at-a-time TCU encoder, the checkpoint writer built on it, and
-the lock search's three separate group layouts (a zero-padded parity, a
--inf-padded flip-score maximum and a concatenate-padded centroid).
+a one-code-at-a-time TCU encoder, the checkpoint writer built on it, the
+lock search's three separate group layouts (a zero-padded parity, a
+-inf-padded flip-score maximum and a concatenate-padded centroid), and a
+protection search that runs every emulation of every trial.
 
 The definitions after them are ones the package never calls: a one-bit
 flip, full unary words, TCU decoding, the full-unary ledger, the
@@ -22,9 +23,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from bitguard.attacker import _Candidate
+from bitguard import unary_guard
+from bitguard.attacker import _Candidate, draw_attack
 from bitguard.bitcodec import MemoryLedger, _baseline_bits, _ceil_log2, to_signed, to_unsigned
-from bitguard.engine import Batch, QuantizedModel, checkpoint, functional, ops
+from bitguard.engine import Batch, QuantizedModel, checkpoint, evaluate, functional, ops
 from bitguard.engine.functional import _infer
 from bitguard.errors import FormatError, InputError
 
@@ -350,6 +352,37 @@ def group_centroids(weights, h, group_size: int, include=None) -> np.ndarray:
         aware = np.sum(kh * kw, axis=1) / h_sum
         mean = kw.sum(axis=1) / cnt
     return np.where(h_sum > 0, aware, np.where(cnt > 0, mean, 0.0))
+
+
+def search_protection(model, alpha, trials, emulations, budget, val_set, sensitivity,
+                      seed=0, noise=None, attack_pool=None, assignment="top"):
+    """unary_guard.search_protection scoring each trial by the minimum over
+    all of its emulations, the lone trial included."""
+    pool = val_set if attack_pool is None else attack_pool
+    sens, sizes = sensitivity.scores, model.layer_sizes()
+    if assignment == "top":
+        budgets = unary_guard.assign_budget(alpha, unary_guard.layer_sensitivity(sens), sizes)
+    else:
+        budgets = unary_guard.even_assign_budget(alpha, sizes)
+    layer_seqs = np.random.SeedSequence(seed).spawn(len(sizes))
+    plan = unary_guard.UnaryPlan(alpha=alpha)
+    for pidx, _ in model.parametric():
+        count = int(budgets[pidx])
+        if count == 0:
+            continue
+        trial_seqs = layer_seqs[pidx].spawn(trials)
+        best_idx, best_worst = None, -np.inf
+        for t in range(trials):
+            indices = unary_guard._sample_indices(sens[pidx], count,
+                                                  np.random.default_rng(trial_seqs[t]))
+            protected = unary_guard.apply_protection(
+                model, unary_guard.UnaryPlan(alpha=alpha, layers={pidx: indices.tolist()}))
+            worst = min(evaluate(draw_attack(protected, pool, budget, child, noise)[0], val_set)
+                        for child in trial_seqs[t].spawn(1)[0].spawn(emulations))
+            if worst > best_worst:
+                best_worst, best_idx = worst, indices
+        plan.layers[pidx] = best_idx.tolist()
+    return plan
 
 
 def flip_bit(code: int, bit: int, bits: int) -> int:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bitguard.bitcodec import code_range
 from bitguard.engine import (
     ActivationPrefix,
     AffineNorm,
@@ -384,6 +385,126 @@ def test_evaluate_memory_at_500_samples():
     # it took 26.7 MiB
     model, batch = _streamed_case("desk", 500)
     assert traced_peak(lambda: evaluate(model, batch)) <= 14 * 2**20
+
+
+def test_evaluate_holds_one_chunk_of_pre_dense_activations():
+    # the layers before the first dense layer run ops.CHUNK samples at a
+    # time, so the 8.8 MiB first convolution output of 500 samples is never
+    # whole: measured 5.4 MiB, of which the (500, 288) features are 1.1 MiB
+    model, batch = _streamed_case("desk", 500)
+    assert traced_peak(lambda: evaluate(model, batch)) <= 6 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# verdict evaluates
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [17, 40, 100, 150, 200, 500])
+def test_dense_rows_keep_their_bytes_beside_zero_rows(n):
+    # the dense layers of the desk CNN, run on a whole-batch-shaped feature
+    # matrix whose other rows are zero, give each row its whole-batch bytes
+    model = build_desk_model(seed=3)
+    weights = functional._clean_weights(model)
+    cut = functional._dense_cut(model)
+    rng = np.random.default_rng(n)
+    feats = np.maximum(rng.standard_normal((n, 32, 3, 3)), 0.0)
+    whole = functional._run(model, feats, weights, cut)[0]
+    for size in (1, 16, n // 2):
+        rows = np.sort(rng.choice(n, size=size, replace=False))
+        part = np.zeros_like(feats)
+        part[rows] = feats[rows]
+        got = functional._run(model, part, weights, cut)[0]
+        assert got[rows].tobytes() == whole[rows].tobytes()
+
+
+@pytest.fixture(scope="module")
+def verdict_cases():
+    """(model, batch, prefix) cases on which verdicts are checked."""
+    return [(model, batch, ActivationPrefix(model, batch))
+            for model, batch in (_streamed_case("desk", 70), _streamed_case("toy", 45))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, 1), layer=st.integers(0, 1), edit=st.integers(0, 2**32 - 1),
+       flips=st.integers(1, 40), k=st.integers(0, 70), strict=st.booleans())
+def test_verdict_settles_every_predicate_as_the_full_evaluate(verdict_cases, case, layer, edit,
+                                                               flips, k, strict):
+    # for a monotone predicate the verdict is the full evaluate's; a
+    # rejection returns an upper bound, anything else the exact accuracy
+    model, batch, prefix = verdict_cases[case]
+    edited = model.clone()
+    weight = dict(edited.parametric())[layer].weight
+    rng = np.random.default_rng(edit)
+    flat = weight.codes.reshape(-1)
+    pick = rng.choice(flat.size, size=min(flips, flat.size), replace=False)
+    lo, hi = code_range(weight.bits)
+    flat[pick] = rng.integers(lo, hi + 1, size=pick.size)
+    t = min(k, len(batch)) / len(batch)
+    reject = (lambda acc: acc < t) if strict else (lambda acc: acc <= t)
+    full = evaluate(edited, batch)
+    got = evaluate(edited, batch, prefix=prefix, changed=layer, reject=reject)
+    assert reject(got) == reject(full)
+    assert got == full if not reject(got) else got >= full
+
+
+def test_a_certain_verdict_stops_after_one_stage(verdict_cases, monkeypatch):
+    # a predicate that holds for every accuracy is settled by the first
+    # stage: the conv layers from the changed one on see VERDICT_STAGE samples
+    model, batch, prefix = verdict_cases[0]
+    sizes = []
+    real = ops.im2col
+
+    def counted(x, *args, **kwargs):
+        sizes.append(len(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "im2col", counted)
+    got = evaluate(model, batch, prefix=prefix, changed=1, reject=lambda acc: True)
+    assert sizes == [functional.VERDICT_STAGE]
+    errors = np.argmax(prefix.acts[len(model.layers)], axis=1) != batch.labels
+    seen = prefix._verdict_order(batch.labels)[: functional.VERDICT_STAGE]
+    assert got == (len(batch) - errors[seen].sum()) / len(batch)
+    want = evaluate(model, batch)
+    sizes.clear()
+    assert evaluate(model, batch, prefix=prefix, changed=0, reject=lambda acc: False) == want
+    assert sum(sizes) == 2 * len(batch)  # both conv layers on every sample
+
+
+def test_verdict_order_puts_errors_first_then_ascending_margin(verdict_cases):
+    model, batch, prefix = verdict_cases[0]
+    order = prefix._verdict_order(batch.labels)
+    logits = prefix.acts[len(model.layers)]
+    top = np.sort(logits, axis=1)
+    margin = (top[:, -1] - top[:, -2])[order]
+    wrong = (np.argmax(logits, axis=1) != batch.labels)[order]
+    assert sorted(order) == list(range(len(batch)))
+    assert not np.any(wrong[1:] > wrong[:-1])  # errors first
+    for group in (wrong, ~wrong):
+        assert np.all(np.diff(margin[group]) >= 0)
+
+
+@pytest.mark.parametrize("reject", [lambda acc: True, lambda acc: False],
+                         ids=["rejects_all", "rejects_none"])
+@pytest.mark.parametrize("layer", [0, 1])
+def test_verdict_raises_on_non_finite_seen_logits(verdict_cases, layer, reject):
+    # an overflowing layer makes the first stage's logits non-finite: the
+    # verdict raises the full pass's NumericError before reading a verdict
+    model, batch, _ = verdict_cases[0]
+    model = model.clone()
+    prefix = ActivationPrefix(model, batch)
+    dict(model.parametric())[layer].weight.scale = 1e308
+    with pytest.raises(NumericError) as want:
+        evaluate(model, batch)
+    with pytest.raises(NumericError) as got:
+        evaluate(model, batch, prefix=prefix, changed=layer, reject=reject)
+    assert got.value.layer == want.value.layer
+
+
+def test_verdict_needs_a_prefix(verdict_cases):
+    model, batch, _ = verdict_cases[1]
+    with pytest.raises(InputError, match="prefix"):
+        evaluate(model, batch, reject=lambda acc: True)
 
 
 # ---------------------------------------------------------------------------

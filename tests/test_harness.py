@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitguard.engine import AffineNorm, Batch, QuantizedModel, ReLU, activations
+from bitguard.engine import AffineNorm, Batch, QuantizedModel, ReLU, activations, evaluate
 from bitguard.errors import ConfigError, FormatError
 from bitguard.harness import load_config, run_experiment, run_noise_sweep
 from bitguard.harness.cli import main
@@ -177,13 +177,15 @@ def unshared_plan_and_eval_rows(config, seed):
              lr=cfg.model.lr, seed=seed, floor=cfg.model.floor)
     budgets, noise = ex._primary_budgets(cfg), ex._noise(att.noise_std, att.grad_samples)
     sens = weight_sensitivity(model, splits.val)
-    chosen, log = synergy_search(model, budgets, splits.val, sens, alpha_grid=dfn.alpha_grid,
+    clean_acc = evaluate(model, splits.val)
+    chosen, log = synergy_search(model, budgets, splits.val, sens, clean_acc,
+                                 alpha_grid=dfn.alpha_grid,
                                  eta_grid=dfn.eta_grid, trials=dfn.trials,
                                  emulations=dfn.emulations, seed=seed, noise=noise,
                                  attack_pool=splits.attack, target_drop=dfn.target_drop,
                                  assignment=dfn.assignment)
     panel = attack_panel(apply_protection(model, chosen.unary), budgets, dfn.emulations,
-                         splits.val, seed=1000 + seed, noise=noise,
+                         splits.val, clean_acc, seed=1000 + seed, noise=noise,
                          attack_pool=splits.attack)
     rep = recover(panel, chosen)
     return log, ex._tag(rep.rows, "eval", seed, "synergy", chosen, rep.memory)

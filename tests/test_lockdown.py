@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitguard.bitcodec import code_range, ledger_lock, lock_layer_bits
-from bitguard.engine import Batch, QuantizedTensor, evaluate
+from bitguard.engine import Batch, QuantizedModel, QuantizedTensor, evaluate
 from bitguard.engine.functional import curvature_diag
 from bitguard.errors import ConfigError, InputError
 from bitguard import lockdown
@@ -412,19 +412,21 @@ class TestSearchLockPlan:
         return model, val, h
 
     def test_a_duplicate_trial_is_evaluated_once(self, monkeypatch):
-        # trials that lock a layer to the same codes share one evaluation;
-        # a memo that never finds a trial evaluates each and picks the same plan
+        # trials that lock a layer to the same codes share one verdict
+        # evaluate; a memo that never finds a trial evaluates each and picks
+        # the same plan
         model, val, h = self.fitted()
         trials = []
 
-        def counted(m, data, prefix=None, changed=None):
+        def counted(m, data, prefix=None, changed=None, reject=None):
             if changed is not None:
+                assert reject is not None  # every trial is a verdict
                 trials.append(b"".join(l.weight.codes.tobytes() for _, l in m.parametric()))
-            return evaluate(m, data, prefix=prefix, changed=changed)
+            return evaluate(m, data, prefix=prefix, changed=changed, reject=reject)
 
         class Forgetful(dict):
-            def __contains__(self, key):
-                return not isinstance(key[1], bytes) and super().__contains__(key)
+            def get(self, key, default=None):
+                return default if isinstance(key[1], bytes) else super().get(key, default)
 
         def search(shared):
             trials.clear()
@@ -434,6 +436,63 @@ class TestSearchLockPlan:
         (plan, once), (again, every) = search({}), search(Forgetful())
         assert len(once) == len(set(once)) == len(set(every)) < len(every)
         assert plain(plan) == plain(again)
+
+    def fitted_closely(self):
+        """A toy CNN that classifies its 64 validation samples without error,
+        so that most lock trials lose far more than eta."""
+        model = toy_cnn_model(bits=6, seed=0)
+        val = random_batch(8, 1, 64, 3, seed=1)
+        crude_fit(model, val, steps=150)
+        return model, val, [x.reshape(-1) for x in curvature_diag(model, val)[1]]
+
+    @pytest.mark.parametrize("etas", [(0.01, 0.02, 0.05, 0.1), (0.1, 0.05, 0.02, 0.01),
+                                      (0.05, 0.01, 0.1, 0.02)],
+                             ids=["ascending", "descending", "mixed"])
+    def test_one_memo_over_an_eta_grid_equals_full_evaluates(self, etas, monkeypatch):
+        # verdicts and their bounds, shared across etas, choose what full
+        # evaluates choose; a bound that passes a later eta is evaluated again
+        model, val, h = self.fitted_closely()
+        calls = []
+
+        def verdict(m, data, prefix=None, changed=None, reject=None):
+            acc = evaluate(m, data, prefix=prefix, changed=changed, reject=reject)
+            if changed is not None:
+                codes = b"".join(l.weight.codes.tobytes() for _, l in m.parametric())
+                calls.append((codes, acc != evaluate(m, data)))
+            return acc
+
+        def full(m, data, prefix=None, changed=None, reject=None):
+            return evaluate(m, data, prefix=prefix, changed=changed)
+
+        monkeypatch.setattr(lockdown, "evaluate", verdict)
+        shared = {}
+        got = [plain(lock_search(model, val, eta, h, flip_budget=20, shared=shared))
+               for eta in etas]
+        monkeypatch.setattr(lockdown, "evaluate", full)
+        want = [plain(lock_search(model, val, eta, h, flip_budget=20)) for eta in etas]
+        assert got == want
+        assert len({str(plan["layers"]) for plan in want}) > 1
+        assert any(bound for _, bound in calls)  # some trials stopped early
+        # only a rejection under a smaller eta than a later one is re-run
+        reruns = len(calls) - len({codes for codes, _ in calls})
+        assert (reruns > 0) == (list(etas) != sorted(etas, reverse=True))
+
+    def test_a_trial_copies_only_its_layer(self, monkeypatch):
+        model, val, h = self.fitted()
+        clones = []
+        real = QuantizedModel.clone
+        monkeypatch.setattr(QuantizedModel, "clone",
+                            lambda m: clones.append(1) or real(m))
+        seen = []
+
+        def shared_layers(m, data, prefix=None, changed=None, reject=None):
+            if changed is not None:
+                seen.append(sum(a is not b for a, b in zip(m.layers, model.layers)))
+            return evaluate(m, data, prefix=prefix, changed=changed, reject=reject)
+
+        monkeypatch.setattr(lockdown, "evaluate", shared_layers)
+        lock_search(model, val, eta=0.02, curvature=h)
+        assert clones == [] and seen and set(seen) == {1}
 
     def test_full_budget_picks_cheapest_candidate(self):
         model, val, h = self.fitted()

@@ -52,7 +52,7 @@ class TestCorners:
         plan = build_defense(model, alpha=0.02, etas=[float("inf")],
                              budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=2, emulations=1, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 2, val,
+        report = end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val),
                                  seed=0, attack_pool=train)
         assert report.memory["m_lock"] == 0.0
         assert report.memory["total"] == report.memory["m_tcu"]
@@ -63,7 +63,7 @@ class TestCorners:
         plan = build_defense(model, alpha=0.0, etas=[0.02],
                              budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=2, emulations=1, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 2, val,
+        report = end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val),
                                  seed=0, attack_pool=train)
         assert report.memory["m_tcu"] == 0.0
         assert plan.unary.total == 0
@@ -74,7 +74,8 @@ class TestCorners:
         model, train, val = fitted
         plan = DefensePlan(0.0, float("inf"), UnaryPlan(alpha=0.0),
                            disabled_lock_plan(model))
-        report = end_to_end_eval(model, plan, [], 1, val, seed=0, attack_pool=train)
+        report = end_to_end_eval(model, plan, [], 1, val, evaluate(model, val), seed=0,
+                                 attack_pool=train)
         assert report.rows == []
         assert report.summary["resumed_mean"] == evaluate(model, val)
         assert report.summary["resumed_worst"] == evaluate(model, val)
@@ -108,7 +109,7 @@ class TestPipeline:
         plan = build_defense(model, alpha=0.02, etas=[0.02],
                              budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=1, emulations=1, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 3, val,
+        report = end_to_end_eval(model, plan, budgets_pair(), 3, val, evaluate(model, val),
                                  seed=1, attack_pool=train)
         assert len(report.rows) == 2 * 3
         for row in report.rows:
@@ -123,7 +124,7 @@ class TestPipeline:
         plan = build_defense(model, alpha=0.01, etas=[0.02],
                              budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=1, emulations=1, seed=0, attack_pool=train)[0]
-        reports = [end_to_end_eval(model, plan, budgets_pair(), 2, val,
+        reports = [end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val),
                                    seed=9, attack_pool=train) for _ in range(2)]
         assert reports[0] == reports[1]
 
@@ -132,7 +133,8 @@ class TestPipeline:
         plan = DefensePlan(0.0, float("inf"), UnaryPlan(alpha=0.0),
                            disabled_lock_plan(model))
         with pytest.raises(InputError):
-            end_to_end_eval(model, plan, budgets_pair(), 0, val, attack_pool=train)
+            end_to_end_eval(model, plan, budgets_pair(), 0, val, evaluate(model, val),
+                            attack_pool=train)
 
     def test_fully_protected_flips_land_on_tcu(self):
         # alpha = 1: every attack flip hits flip-tolerant storage and the
@@ -148,7 +150,7 @@ class TestPipeline:
         )
         hd = 12
         report = end_to_end_eval(model, plan, [AttackBudget(hd, 99, 6)], 2,
-                                 val, seed=0, attack_pool=val)
+                                 val, evaluate(model, val), seed=0, attack_pool=val)
         for row in report.rows:
             assert row["flips_on_protected"] == hd
 
@@ -166,7 +168,8 @@ class TestPipeline:
             1, 1, np.array([0]), np.zeros(18, dtype=np.int64))})
         lockdown.signatures = compute_signatures(apply_protection(model, unary), lockdown)
         report = end_to_end_eval(model, DefensePlan(1.0, 0.1, unary, lockdown),
-                                 [AttackBudget(6, 99, 6)], 2, val, seed=0, attack_pool=val)
+                                 [AttackBudget(6, 99, 6)], 2, val, evaluate(model, val),
+                                 seed=0, attack_pool=val)
         for row in report.rows:
             assert row["flips_on_protected"] == 6
             assert (row["tp"], row["fp"], row["fn"]) == (0, 0, 0)
@@ -178,7 +181,7 @@ class TestPipeline:
         plan = build_defense(model, alpha=0.02, etas=[0.02],
                              budgets=budgets_pair(), val_set=val, sensitivity=sens,
                              trials=2, emulations=2, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 3, val,
+        report = end_to_end_eval(model, plan, budgets_pair(), 3, val, evaluate(model, val),
                                  seed=2, attack_pool=train)
         post_attack_mean = np.mean([r["post_attack_acc"] for r in report.rows])
         assert report.summary["resumed_mean"] >= post_attack_mean - 0.05
@@ -186,7 +189,7 @@ class TestPipeline:
 
 def panel_for(model, plan, emulations, val, seed, pool):
     return attack_panel(apply_protection(model, plan.unary), budgets_pair(),
-                        emulations, val, seed=seed, attack_pool=pool)
+                        emulations, val, evaluate(model, val), seed=seed, attack_pool=pool)
 
 
 def count_draws(monkeypatch):
@@ -218,7 +221,7 @@ class TestAttackPanel:
         # a lower unit budget of the 10-flip group shares its draws
         budgets = [*budgets_pair(), AttackBudget(10, 12, 16)]
         panel = attack_panel(apply_protection(model, plan.unary), budgets, 3, val,
-                             seed=4, attack_pool=train)
+                             evaluate(model, val), seed=4, attack_pool=train)
         assert len(draws) == 2 * 3  # one per (budget group, emulation)
         assert [(e.budget_index, e.emulation) for e in panel.entries] == [
             (b, e) for b in range(3) for e in range(3)]
@@ -233,7 +236,8 @@ class TestAttackPanel:
         # attack on its group's draw.
         model, train, val = fitted
         budgets = [AttackBudget(10, 12, 16), AttackBudget(6, 18, 16), AttackBudget(10, 30, 16)]
-        panel = attack_panel(model, budgets, 2, val, seed=4, attack_pool=train)
+        panel = attack_panel(model, budgets, 2, val, evaluate(model, val), seed=4,
+                             attack_pool=train)
         draws = [g.spawn(2) for g in np.random.SeedSequence(4).spawn(2)]
         for entry in panel.entries:
             group = 1 if entry.budget_index == 1 else 0
@@ -262,9 +266,36 @@ class TestAttackPanel:
                              val_set=val, sensitivity=sens, trials=1, emulations=1, seed=0,
                              attack_pool=train)[0]
         panel = panel_for(model, plan, 2, val, seed=6, pool=train)
-        whole = end_to_end_eval(model, plan, budgets_pair(), 2, val, seed=6,
+        whole = end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val), seed=6,
                                 attack_pool=train)
         assert recover(panel, plan) == whole
+
+    def test_panels_and_recovery_evaluate_only_changed_models(self, fitted, sens,
+                                                              monkeypatch):
+        # the clean accuracy is the caller's, and an attack nothing flags
+        # resumes at its post-attack accuracy: contain would change no code
+        model, train, val = fitted
+        plans = build_defense(model, alpha=0.02, etas=[0.02, float("inf")],
+                              budgets=budgets_pair(), val_set=val, sensitivity=sens, trials=1,
+                              emulations=1, seed=0, attack_pool=train)
+        clean = model_state(apply_protection(model, plans[0].unary))
+        evaluated = []
+        real = planner.evaluate
+
+        def counted(m, *args, **kwargs):
+            evaluated.append(model_state(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "evaluate", counted)
+        panel = panel_for(model, plans[0], 2, val, seed=5, pool=train)
+        assert panel.clean_acc == evaluate(model, val)
+        assert len(evaluated) == len(panel.entries) and clean not in evaluated
+        evaluated.clear()
+        rows = recover(panel, plans[1]).rows  # locking disabled: nothing is flagged
+        assert evaluated == []
+        assert [r["resumed_acc"] for r in rows] == [e.post_acc for e in panel.entries]
+        flagged = sum(r["tp"] + r["fp"] > 0 for r in recover(panel, plans[0]).rows)
+        assert 0 < len(evaluated) == flagged and clean not in evaluated
 
     def test_recover_rejects_other_protection(self, fitted, sens):
         model, train, val = fitted
@@ -290,7 +321,7 @@ class TestSynergySearch:
         # fresh panel per plan reports
         model, train, val = fitted
         etas = (0.01, 0.02, float("inf"))
-        chosen, log = synergy_search(model, budgets_pair(), val, sens,
+        chosen, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
                                      alpha_grid=(0.01, 0.02), eta_grid=etas,
                                      trials=1, emulations=2, seed=2,
                                      attack_pool=train, target_drop=0.5)
@@ -313,7 +344,7 @@ class TestSynergySearch:
         etas, emulations = (0.01, 0.015, 0.02), 2
         # three budgets in two groups: the 10-flip ones differ only in units
         budgets = [*budgets_pair(), AttackBudget(10, 12, 16)]
-        _, log = synergy_search(model, budgets, val, sens,
+        _, log = synergy_search(model, budgets, val, sens, evaluate(model, val),
                                 alpha_grid=(0.02, 0.01), eta_grid=etas,
                                 trials=1, emulations=emulations, seed=0,
                                 attack_pool=train, target_drop=0.5)
@@ -328,7 +359,7 @@ class TestSynergySearch:
                                  sens, 1, 1, seed=0, attack_pool=train)[0].unary
         kw = dict(alpha_grid=(0.02, 0.01), eta_grid=(0.02,), trials=1,
                   emulations=1, seed=0, attack_pool=train, target_drop=0.5)
-        fresh = synergy_search(model, budgets_pair(), val, sens, **kw)
+        fresh = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val), **kw)
         calls = []
         real = planner.search_protection
 
@@ -337,7 +368,7 @@ class TestSynergySearch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(planner, "search_protection", counted)
-        handed = synergy_search(model, budgets_pair(), val, sens,
+        handed = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
                                 searched={(0.02, 0): searched}, **kw)
         assert calls == [0.01]
         assert handed[1] == fresh[1]
@@ -345,7 +376,7 @@ class TestSynergySearch:
 
     def test_selects_cheapest_feasible(self, fitted, sens):
         model, train, val = fitted
-        plan, log = synergy_search(model, budgets_pair(), val, sens,
+        plan, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
                                    alpha_grid=(0.02, 0.01), eta_grid=(0.02,),
                                    trials=2, emulations=2, seed=0,
                                    attack_pool=train, target_drop=0.05)
@@ -355,7 +386,7 @@ class TestSynergySearch:
 
     def test_alpha_descent_order(self, fitted, sens):
         model, train, val = fitted
-        _, log = synergy_search(model, budgets_pair(), val, sens,
+        _, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
                                 alpha_grid=(0.005, 0.02, 0.01), eta_grid=(0.02,),
                                 trials=1, emulations=1, seed=0,
                                 attack_pool=train, target_drop=0.5)
@@ -364,7 +395,7 @@ class TestSynergySearch:
 
     def test_infeasible_target_flagged(self, fitted, sens):
         model, train, val = fitted
-        plan, log = synergy_search(model, budgets_pair(), val, sens,
+        plan, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
                                    alpha_grid=(0.01,), eta_grid=(0.02,),
                                    trials=1, emulations=1, seed=0,
                                    attack_pool=train, target_drop=-0.5)
@@ -373,21 +404,43 @@ class TestSynergySearch:
         # best-effort plan is the most accurate one evaluated
         assert plan.accuracy["resumed_mean"] == max(r["resumed_mean"] for r in log)
 
+    def test_clean_accuracy_is_the_callers(self, fitted, sens, monkeypatch):
+        # the search scores feasibility against the clean accuracy it is
+        # handed and runs no pass of its own over the unattacked model
+        model, train, val = fitted
+        clean = [layer.weight.codes.tobytes() for _, layer in model.parametric()]
+        passes = []
+        real = planner.evaluate
+
+        def counted(m, *args, **kwargs):
+            if kwargs.get("prefix") is None:
+                passes.append([layer.weight.codes.tobytes() for _, layer in m.parametric()])
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "evaluate", counted)
+        kw = dict(alpha_grid=(0.01,), eta_grid=(0.02, float("inf")), trials=1, emulations=1,
+                  seed=0, target_drop=0.03, attack_pool=train)
+        for held, feasible in ((2.0, False), (-1.0, True)):
+            _, log = synergy_search(model, budgets_pair(), val, sens, held, **kw)
+            assert [entry["feasible"] for entry in log] == [feasible] * 2
+        assert passes and clean not in passes
+
     def test_empty_grids_rejected(self, fitted, sens):
         model, train, val = fitted
         with pytest.raises(InputError):
-            synergy_search(model, budgets_pair(), val, sens, alpha_grid=(),
+            synergy_search(model, budgets_pair(), val, sens, evaluate(model, val), alpha_grid=(),
                            eta_grid=(0.02,), trials=1, emulations=1,
                            target_drop=0.03, attack_pool=train)
         with pytest.raises(InputError):
-            synergy_search(model, budgets_pair(), val, sens, alpha_grid=(0.01,),
+            synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
+                           alpha_grid=(0.01,),
                            eta_grid=(), trials=1, emulations=1,
                            target_drop=0.03, attack_pool=train)
 
     def test_chosen_plan_matches_build_defense(self, fitted, sens):
         # the a-th alpha of the descending grid is built with seed + a
         model, train, val = fitted
-        plan, _ = synergy_search(model, budgets_pair(), val, sens,
+        plan, _ = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
                                  alpha_grid=(0.01, 0.02), eta_grid=(0.02,),
                                  trials=1, emulations=1, seed=3,
                                  attack_pool=train, target_drop=0.5)

@@ -16,6 +16,7 @@ from bitguard.unary_guard import (
     search_protection,
 )
 
+import reference
 from conftest import crude_fit, dense_model, random_batch, toy_cnn_model
 
 
@@ -113,32 +114,51 @@ class TestSearchProtection:
             assert len(set(indices)) == len(indices)
 
     def test_worst_case_selection(self, fitted, sens, monkeypatch):
-        # each trial protects one index set and scores it by the worst of its
-        # emulations; every layer keeps the first set with the best score
+        # every layer keeps the set a search scoring each trial by the worst
+        # of all its emulations keeps, and a trial stops at its first
+        # emulation that leaves it no better than the best worst case so far
         model, train, val = fitted
-        trials = []  # (layer, indices, accuracy of each emulation)
+        kw = dict(alpha=0.05, trials=4, emulations=3, budget=small_budget(), val_set=val,
+                  sensitivity=sens, seed=7, attack_pool=train)
+        want = reference.search_protection(model, **kw)
+        trials = []  # (layer, accuracy of each emulation run)
 
         def protect(m, plan):
-            (pidx, indices), = plan.layers.items()
-            trials.append((pidx, indices, []))
+            (pidx, _), = plan.layers.items()
+            trials.append((pidx, []))
             return apply_protection(m, plan)
 
         def scored(m, data):
-            trials[-1][2].append(evaluate(m, data))
-            return trials[-1][2][-1]
+            trials[-1][1].append(evaluate(m, data))
+            return trials[-1][1][-1]
 
         monkeypatch.setattr(unary_guard, "apply_protection", protect)
         monkeypatch.setattr(unary_guard, "evaluate", scored)
-        plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
-                                 budget=small_budget(), val_set=val, sensitivity=sens, seed=7,
-                                 attack_pool=train)
-        assert plan.layers
-        for pidx, indices in plan.layers.items():
-            scores = [(idx, min(accs)) for p, idx, accs in trials if p == pidx]
-            assert len(scores) == 3
-            assert all(len(accs) == 2 for p, _, accs in trials if p == pidx)
-            best = max(worst for _, worst in scores)
-            assert indices == next(idx for idx, worst in scores if worst == best)
+        plan = search_protection(model, **kw)
+        assert plan.layers and plan.layers == want.layers
+        stopped = 0
+        for pidx in plan.layers:
+            runs = [accs for p, accs in trials if p == pidx]
+            assert len(runs) == 4
+            best = -np.inf
+            for accs in runs:
+                worst = np.minimum.accumulate(accs)
+                assert all(w > best for w in worst[:-1])
+                assert len(accs) == 3 or worst[-1] <= best
+                stopped += len(accs) < 3
+                best = max(best, worst[-1])
+        assert stopped  # so a search that ran every emulation would show
+
+    def test_lone_trial_runs_no_attack(self, fitted, sens, monkeypatch):
+        model, train, val = fitted
+        kw = dict(alpha=0.05, trials=1, emulations=2, budget=small_budget(), val_set=val,
+                  sensitivity=sens, seed=7, attack_pool=train)
+        want = reference.search_protection(model, **kw)
+        attacks = []
+        monkeypatch.setattr(unary_guard, "draw_attack",
+                            lambda *a, **k: attacks.append(1) or draw_attack(*a, **k))
+        assert search_protection(model, **kw).layers == want.layers
+        assert attacks == []
 
     def test_deterministic_per_seed(self, fitted, sens):
         model, train, val = fitted

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,6 +70,36 @@ class AttackBudget:
                 f"inference budget {self.inference_units} cannot pay for one "
                 f"gradient step ({GRAD_STEP_UNITS * self.grad_samples} units)"
             )
+
+
+@dataclass(frozen=True)
+class Threat:
+    """The threat a defense is planned against: every budget of the grid,
+    attacked `emulations` times, on batches drawn from `pool`, under `noise`.
+
+    Building one validates every budget (ConfigError), and requires
+    emulations >= 1 and a pool that holds the largest batch (InputError).
+    """
+
+    budgets: Sequence[AttackBudget]
+    emulations: int
+    pool: Batch
+    noise: Optional[NoiseSpec] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "budgets", tuple(self.budgets))
+        for budget in self.budgets:
+            budget.validate()
+        if self.emulations < 1:
+            raise InputError(f"emulations must be >= 1, got {self.emulations}")
+        need = max((b.batch_size for b in self.budgets), default=0)
+        if len(self.pool) < need:
+            raise InputError(f"attack pool holds {len(self.pool)} samples, need {need}")
+
+    @property
+    def top(self) -> AttackBudget:
+        """The budget plan-time emulations attack at: most flips, then most units."""
+        return max(self.budgets, key=lambda b: (b.max_flips, b.inference_units))
 
 
 @dataclass

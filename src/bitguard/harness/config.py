@@ -1,4 +1,11 @@
-"""Experiment configuration: file loading, environment overrides, hashing."""
+"""Experiment configuration: file loading, environment overrides, hashing.
+
+A config is read from three sources, each applied over the one before:
+the config file, then BITGUARD_<SECTION>_<FIELD> variables, then explicit
+overrides.  All three name a field the same way, "section.name", "seeds"
+or "out_dir", and set it through one resolver (_set), which rejects an
+unknown name or a value that does not have the field's declared type.
+"""
 
 import hashlib
 import json
@@ -111,6 +118,11 @@ class ExperimentConfig:
         bad += [f"defense.alpha_grid entry {x!r} outside [0, 1]"
                 for x in d.alpha_grid if not 0 <= x <= 1]
         bad += [f"defense.eta_grid entry {x!r} is not > 0" for x in d.eta_grid if not x > 0]
+        # the plan stage tells plans apart by their (alpha, eta) value
+        bad += [f"{name} repeats {x!r}"
+                for name, grid in (("defense.alpha_grid", d.alpha_grid),
+                                   ("defense.eta_grid", d.eta_grid))
+                for i, x in enumerate(grid) if x in grid[:i]]
         if m.hw % 4:
             bad.append(f"model.hw must be a multiple of 4 (two pool stages), got {m.hw}")
         bad += [f"{section}.{name} must be finite, got {getattr(part, name)!r}"
@@ -136,7 +148,7 @@ class ExperimentConfig:
                              ("idx_labels", self.dataset.idx_labels)):
                 if p is None:
                     raise ConfigError(f"idx datasets require {label}")
-                if not Path(p).exists():
+                if not Path(p).is_file():
                     raise ConfigError(f"{label} file not found: {p}")
         return self
 
@@ -147,6 +159,7 @@ _SECTIONS = {
     "attacker": AttackerConfig,
     "defense": DefenseConfig,
 }
+_TOP = ("seeds", "out_dir")  # the fields outside any section
 
 
 def _fits(value, kind) -> bool:
@@ -160,85 +173,63 @@ def _fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def _typed(cls, key: str, value):
-    """value, checked against the type of the field of cls that key ("section.name" or "name") names."""
-    kind = cls.__dataclass_fields__[key.rpartition(".")[2]].type
+def _field(cfg: ExperimentConfig, key: str):
+    """The object holding the field key names ("section.name", "seeds" or
+    "out_dir") and the field's declared type; ConfigError for any other key."""
+    section, _, name = key.rpartition(".")
+    owner = getattr(cfg, section) if section in _SECTIONS else cfg if key in _TOP else None
+    if owner is None or name not in owner.__dataclass_fields__:
+        raise ConfigError(f"unknown config key {key!r}")
+    return owner, owner.__dataclass_fields__[name].type
+
+
+def _set(cfg: ExperimentConfig, key: str, value) -> None:
+    """Set the field key names (see _field) to value, which must have its declared type."""
+    owner, kind = _field(cfg, key)
     if not _fits(value, kind):
         shown = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
         raise ConfigError(f"{key} must be {shown}, got {value!r}")
-    return value
+    setattr(owner, key.rpartition(".")[2], value)
 
 
 def _build(data: dict) -> ExperimentConfig:
+    """The config a file's parsed contents describe, defaults elsewhere."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    kwargs = {}
+    cfg = ExperimentConfig()
     for key, value in data.items():
-        if key in _SECTIONS:
-            cls = _SECTIONS[key]
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {key!r} must be a mapping")
-            known = set(cls.__dataclass_fields__)
-            bad = set(value) - known
-            if bad:
-                raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
-            kwargs[key] = cls(**{k: _typed(cls, f"{key}.{k}", v) for k, v in value.items()})
-        elif key in ("seeds", "out_dir"):
-            kwargs[key] = _typed(ExperimentConfig, key, value)
+        if key not in _SECTIONS:
+            _set(cfg, key, value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"section {key!r} must be a mapping")
         else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return ExperimentConfig(**kwargs)
+            for name, v in value.items():
+                _set(cfg, f"{key}.{name}", v)
+    return cfg
 
 
-def _parse_env(name: str, text: str, kind):
+def _parse(text: str, kind):
+    """An environment string as a value of the declared type kind; lists are
+    comma separated, and a type that is no number or list takes the text."""
+    if get_origin(kind) is list:
+        return [_parse(s, get_args(kind)[0]) for s in text.split(",") if s.strip()]
+    if kind not in (int, float):
+        return text
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{name}: {text!r} is not a valid {kind.__name__}") from None
-
-
-def _parse_env_list(name: str, raw: str, kind) -> list:
-    return [_parse_env(name, s, kind) for s in raw.split(",") if s.strip()]
-
-
-def _apply_env(cfg: ExperimentConfig, environ=None) -> ExperimentConfig:
-    """Override fields via BITGUARD_<SECTION>_<FIELD> variables.
-
-    Lists are comma separated.  Values are parsed as the type the field is
-    declared with, whatever the config file put there; a value that does not
-    parse raises ConfigError.
-    """
-    env = os.environ if environ is None else environ
-    for name, raw in env.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        path = name[len(ENV_PREFIX):].lower()
-        if path == "out_dir":
-            cfg.out_dir = raw
-            continue
-        if path == "seeds":
-            cfg.seeds = _parse_env_list(name, raw, int)
-            continue
-        section, _, fname = path.partition("_")
-        if section not in _SECTIONS or fname not in _SECTIONS[section].__dataclass_fields__:
-            raise ConfigError(f"unrecognized override {name}")
-        kind = _SECTIONS[section].__dataclass_fields__[fname].type
-        target = getattr(cfg, section)
-        if get_origin(kind) is list:
-            setattr(target, fname, _parse_env_list(name, raw, get_args(kind)[0]))
-        elif kind in (int, float):
-            setattr(target, fname, _parse_env(name, raw, kind))
-        else:
-            setattr(target, fname, raw)
-    return cfg
+        raise ConfigError(f"{text!r} is not a valid {kind.__name__}") from None
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
                 environ=None) -> ExperimentConfig:
     """Read a YAML or JSON config file, then apply env and explicit overrides.
 
-    A file or override value that does not have its field's declared type
-    raises ConfigError, as does a value out of range.
+    environ (default os.environ) is read for BITGUARD_<SECTION>_<FIELD>
+    variables, each parsed as its field's declared type whatever the file
+    put there.  An unknown name, a file or override value that does not
+    have its field's declared type, an unparsable variable and a value out
+    of range raise ConfigError.
     """
     data: dict = {}
     if path is not None:
@@ -256,15 +247,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
         except errors as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     cfg = _build(data)
-    cfg = _apply_env(cfg, environ)
+    env = os.environ if environ is None else environ
+    for name, text in env.items():
+        if name.startswith(ENV_PREFIX):
+            key = name[len(ENV_PREFIX):].lower()
+            key = key if key in _TOP else key.replace("_", ".", 1)
+            try:
+                _set(cfg, key, _parse(text, _field(cfg, key)[1]))
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
     for key, value in (overrides or {}).items():
-        section, _, fname = key.partition(".")
-        if fname and section in _SECTIONS:
-            if fname not in _SECTIONS[section].__dataclass_fields__:
-                raise ConfigError(f"unknown override {key!r}")
-            setattr(getattr(cfg, section), fname, _typed(_SECTIONS[section], key, value))
-        elif key in ("seeds", "out_dir"):
-            setattr(cfg, key, _typed(ExperimentConfig, key, value))
-        else:
-            raise ConfigError(f"unknown override {key!r}")
+        _set(cfg, key, value)
     return cfg.validate()

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..attacker import GRAD_STEP_UNITS, AttackBudget, apply_trace, draw_attack
+from ..attacker import GRAD_STEP_UNITS, AttackBudget, Threat, apply_trace, draw_attack
 from ..engine import NoiseSpec, evaluate, save_model
 from ..errors import ConfigError
 from ..planner import (AttackPanel, DefensePlan, attack_panel, build_defense,
@@ -83,12 +83,6 @@ def _splits_for(cfg: ExperimentConfig) -> DatasetSplits:
                         idx_images=ds.idx_images, idx_labels=ds.idx_labels)
 
 
-def _primary_budgets(cfg: ExperimentConfig) -> List[AttackBudget]:
-    att = cfg.attacker
-    return [AttackBudget(att.max_flips, t, att.batch_size, att.grad_samples)
-            for t in att.inference_units]
-
-
 def _tag(rows: List[dict], stage: str, seed: int, method: str,
          plan: DefensePlan, memory: Dict[str, float]) -> List[dict]:
     """Stamp shared identity and ledger fields onto evaluation rows."""
@@ -128,7 +122,12 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     SeedSequence([seed, 0x5EED, s, n]).  Panels and emulated footprints
     draw once per emulation of each budget group (planner._draw_traces).
 
-    From the protect stage on, one weight_sensitivity pass on the
+    From the protect stage on, every plan and panel is built against one
+    Threat: the attacker.inference_units grid at attacker.max_flips,
+    batch_size and grad_samples, defense.emulations of each, the attack
+    split as the pool, and the attacker's noise.  It is built only there,
+    since the attack stage alone may run on a pool smaller than
+    attacker.batch_size.  One weight_sensitivity pass on the
     validation set serves every unary search and lock search of the job:
     protection changes no dequantized weight, so each of them would compute
     the same bytes.  Two results of the protect stage are shared with later
@@ -206,21 +205,17 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
                                     noise, batch_size=bs))
         timings["attack"] = time.perf_counter() - t0
 
-    budgets = _primary_budgets(cfg)
-    sens = None  # the trained model's weight_sensitivity, from the protect stage on
+    # the trained model's weight_sensitivity and the threat, from the protect stage on
+    sens = threat = None
 
     def build(alpha: float, eta: float) -> DefensePlan:
-        return build_defense(model, alpha, [eta], budgets, splits.val, sens,
-                             dfn.trials, dfn.emulations, seed, noise=noise,
-                             attack_pool=splits.attack,
+        return build_defense(model, alpha, [eta], threat, splits.val, sens, dfn.trials, seed,
                              assignment=dfn.assignment)[0]
 
     def evaluate_plan(stage_name: str, method: str, plan: DefensePlan,
                       panel: Optional[AttackPanel] = None) -> None:
         if panel is None:
-            rep = end_to_end_eval(model, plan, budgets, dfn.emulations,
-                                  splits.val, clean_acc, seed=1000 + seed, noise=noise,
-                                  attack_pool=splits.attack)
+            rep = end_to_end_eval(model, plan, threat, splits.val, clean_acc, seed=1000 + seed)
         else:
             rep = recover(panel, plan)
         rows.extend(_tag(rep.rows, stage_name, seed, method, plan, rep.memory))
@@ -230,12 +225,12 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     protect_panel: Optional[AttackPanel] = None
     if rank >= _stage_rank("protect"):
         t0 = time.perf_counter()
+        threat = Threat([AttackBudget(att.max_flips, units, att.batch_size, att.grad_samples)
+                         for units in att.inference_units], dfn.emulations, splits.attack, noise)
         sens = weight_sensitivity(model, splits.val)
         protect_plan = build(dfn.alpha_grid[0], np.inf)
-        protect_panel = attack_panel(apply_protection(model, protect_plan.unary),
-                                     budgets, dfn.emulations, splits.val, clean_acc,
-                                     seed=1000 + seed, noise=noise,
-                                     attack_pool=splits.attack)
+        protect_panel = attack_panel(apply_protection(model, protect_plan.unary), threat,
+                                     splits.val, clean_acc, seed=1000 + seed)
         evaluate_plan("protect", "tcu", protect_plan, protect_panel)
         timings["protect"] = time.perf_counter() - t0
 
@@ -246,12 +241,10 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
 
     if rank >= _stage_rank("plan"):
         t0 = time.perf_counter()
-        chosen, log = synergy_search(model, budgets, splits.val, sens, clean_acc,
+        chosen, log = synergy_search(model, threat, splits.val, sens, clean_acc,
                                      alpha_grid=dfn.alpha_grid,
                                      eta_grid=dfn.eta_grid,
-                                     trials=dfn.trials,
-                                     emulations=dfn.emulations, seed=seed,
-                                     noise=noise, attack_pool=splits.attack,
+                                     trials=dfn.trials, seed=seed,
                                      target_drop=dfn.target_drop,
                                      assignment=dfn.assignment,
                                      searched={(protect_plan.alpha, seed):
@@ -359,20 +352,19 @@ def _aggregate(rows: List[dict]) -> Dict[str, object]:
 
 
 def run_experiment(config: ExperimentConfig, stage: str = "report",
-                   jobs: int = 1, write: Optional[bool] = None,
-                   out_dir: Optional[str] = None) -> ExperimentReport:
+                   jobs: int = 1, write: Optional[bool] = None) -> ExperimentReport:
     """Execute the pipeline through `stage` for every configured seed.
 
     jobs > 1 fans seeds out over a process pool.  Files are written only
-    when `write` is true (default: only for the report stage).
+    when `write` is true (default: only for the report stage), into
+    config.out_dir.
     """
     config.validate()
     if _stage_rank(stage) >= _stage_rank("protect"):
         _check_attack_pool(config)
     if write is None:
         write = stage == "report"
-    out = out_dir or config.out_dir
-    checkpoint_dir = str(Path(out) / "checkpoints") if write else None
+    checkpoint_dir = str(Path(config.out_dir) / "checkpoints") if write else None
     run_stage = "eval" if stage == "report" else stage
 
     config_hash = config.config_hash()
@@ -381,7 +373,7 @@ def run_experiment(config: ExperimentConfig, stage: str = "report",
                               _aggregate(rows), timings)
     if write:
         from .reports import write_report
-        write_report(report, out)
+        write_report(report, config.out_dir)
     return report
 
 

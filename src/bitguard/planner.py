@@ -1,5 +1,9 @@
 """Defense composition: protect, attack, detect, lock, evaluate, and search.
 
+Every plan and panel is built against one attacker.Threat: the budget
+grid, the emulations per budget, the attack pool and the on-chip noise,
+checked once when the Threat is built.  Seeds are separate arguments.
+
 Components:
   * DefensePlan: one (alpha, eta) configuration with its plans and ledgers,
     reported as rows and never serialized.
@@ -26,9 +30,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .attacker import AttackBudget, AttackTrace, apply_trace, draw_attack
+from .attacker import AttackBudget, AttackTrace, Threat, apply_trace, draw_attack
 from .bitcodec import ledger_lock, ledger_tcu
-from .engine import ActivationPrefix, Batch, NoiseSpec, QuantizedModel, evaluate
+from .engine import ActivationPrefix, Batch, QuantizedModel, evaluate
 from .errors import InputError
 from .lockdown import LayerLockPlan, LockPlan, detect, lock, search_lock_plan
 from .sensitivity import Sensitivity
@@ -99,16 +103,16 @@ def _detection_stats(flagged: Dict[int, np.ndarray], truth: Dict[int, set]) -> D
     return {"tp": tp, "fp": fp, "fn": fn, "precision": precision, "recall": recall}
 
 
-def _draw_traces(protected, pool: Batch, budgets: List[AttackBudget], emulations: int,
-                 group_seqs: List[np.random.SeedSequence],
-                 noise: Optional[NoiseSpec]) -> List[List[AttackTrace]]:
-    """traces[b][e]: budget b's attack in emulation e.
+def _draw_traces(protected, threat: Threat,
+                 group_seqs: List[np.random.SeedSequence]) -> List[List[AttackTrace]]:
+    """traces[b][e]: the threat's budget b's attack in emulation e.
 
     Budgets that differ only in inference_units form a group, numbered in
     order of first appearance.  Group g's e-th emulation is one attack at
     the group's largest budget, drawn from child e of group_seqs[g] and cut
     at every member's units; each member reads it at its own.
     """
+    budgets = threat.budgets
     groups: Dict[tuple, List[int]] = {}
     for b_idx, b in enumerate(budgets):
         groups.setdefault((b.max_flips, b.batch_size, b.grad_samples), []).append(b_idx)
@@ -116,17 +120,14 @@ def _draw_traces(protected, pool: Batch, budgets: List[AttackBudget], emulations
     for members, seq in zip(groups.values(), group_seqs):
         units = [budgets[b].inference_units for b in members]
         top = budgets[members[int(np.argmax(units))]]
-        for child in seq.spawn(emulations):
-            _, trace = draw_attack(protected, pool, top, child, noise, cuts=units)
+        for child in seq.spawn(threat.emulations):
+            _, trace = draw_attack(protected, threat.pool, top, child, threat.noise, cuts=units)
             for b in members:
                 traces[b].append(trace.at(budgets[b].inference_units))
     return traces
 
 
-def emulate_hit_weights(protected, budgets: List[AttackBudget], emulations: int,
-                        val_set: Batch, seed: int = 0,
-                        noise: Optional[NoiseSpec] = None,
-                        attack_pool: Optional[Batch] = None) -> Dict[int, np.ndarray]:
+def emulate_hit_weights(protected, threat: Threat, seed: int = 0) -> Dict[int, np.ndarray]:
     """Flat indices of weights flipped in plan-time attack emulations.
 
     Every budget in the declared threat grid is emulated: inference-starved
@@ -135,10 +136,9 @@ def emulate_hit_weights(protected, budgets: List[AttackBudget], emulations: int,
     draws from SeedSequence([seed, 0x57A7C, g]), its own stream, so
     evaluation attacks stay independent.
     """
-    pool = val_set if attack_pool is None else attack_pool
-    seqs = [np.random.SeedSequence([seed, 0x57A7C, g]) for g in range(len(budgets))]
+    seqs = [np.random.SeedSequence([seed, 0x57A7C, g]) for g in range(len(threat.budgets))]
     hits: Dict[int, set] = {}
-    for traces in _draw_traces(protected, pool, budgets, max(1, emulations), seqs, noise):
+    for traces in _draw_traces(protected, threat, seqs):
         for trace in traces:
             for flip in trace.flips:
                 hits.setdefault(flip.address.layer, set()).add(flip.address.weight)
@@ -264,29 +264,24 @@ class AttackPanel:
         return apply_trace(self.protected, entry.trace)
 
 
-def attack_panel(protected, budgets: List[AttackBudget], emulations: int,
-                 val_set: Batch, clean_acc: float, seed: int = 0,
-                 noise: Optional[NoiseSpec] = None,
-                 attack_pool: Optional[Batch] = None) -> AttackPanel:
-    """Attack the protected model `emulations` times per budget.
+def attack_panel(protected, threat: Threat, val_set: Batch, clean_acc: float,
+                 seed: int = 0) -> AttackPanel:
+    """Attack the protected model threat.emulations times per budget.
 
     Budgets that differ only in inference_units share their attacks
     (_draw_traces): emulation e of budget group g is one attack whose batch
     and attack seed come from child e of child g of SeedSequence(seed),
     read at each budget's units.  So a panel is a function of the protected
-    model, the budgets, the seed, the noise and the pool alone, and its
-    budgets are compared on paired draws.  Entries are budget-major.
+    model, the threat and the seed alone, and its budgets are compared on
+    paired draws.  Entries are budget-major.
     clean_acc is evaluate(protected, val_set), which the caller holds:
     protection changes no dequantized weight, so it is the trained model's.
     """
-    if emulations < 1:
-        raise InputError("emulations must be >= 1")
-    pool = val_set if attack_pool is None else attack_pool
-    traces = _draw_traces(protected, pool, budgets, emulations,
-                          np.random.SeedSequence(seed).spawn(len(budgets)), noise)
+    traces = _draw_traces(protected, threat,
+                          np.random.SeedSequence(seed).spawn(len(threat.budgets)))
     entries = [PanelEntry(b_idx, budget, e_idx, trace,
                           evaluate(apply_trace(protected, trace), val_set))
-               for b_idx, budget in enumerate(budgets)
+               for b_idx, budget in enumerate(threat.budgets)
                for e_idx, trace in enumerate(traces[b_idx])]
     return AttackPanel(protected, val_set, clean_acc, entries)
 
@@ -335,24 +330,18 @@ def recover(panel: AttackPanel, plan: DefensePlan) -> PipelineReport:
     return PipelineReport(rows, summary, measure_memory(protected, plan.unary, plan.lockdown))
 
 
-def end_to_end_eval(model, plan: DefensePlan, budgets: List[AttackBudget],
-                    emulations: int, val_set: Batch, clean_acc: float, seed: int = 0,
-                    noise: Optional[NoiseSpec] = None,
-                    attack_pool: Optional[Batch] = None) -> PipelineReport:
+def end_to_end_eval(model, plan: DefensePlan, threat: Threat, val_set: Batch,
+                    clean_acc: float, seed: int = 0) -> PipelineReport:
     """Protect, attack, detect, lock, evaluate: one plan on a fresh panel.
 
     clean_acc is evaluate(model, val_set), which the caller holds."""
-    panel = attack_panel(apply_protection(model, plan.unary), budgets, emulations,
-                         val_set, clean_acc, seed=seed, noise=noise, attack_pool=attack_pool)
+    panel = attack_panel(apply_protection(model, plan.unary), threat, val_set, clean_acc,
+                         seed=seed)
     return recover(panel, plan)
 
 
-def build_defense(model, alpha: float, etas: List[float],
-                  budgets: List[AttackBudget], val_set: Batch,
-                  sensitivity: Sensitivity, trials: int,
-                  emulations: int, seed: int,
-                  noise: Optional[NoiseSpec] = None,
-                  attack_pool: Optional[Batch] = None,
+def build_defense(model, alpha: float, etas: List[float], threat: Threat,
+                  val_set: Batch, sensitivity: Sensitivity, trials: int, seed: int,
                   assignment: str = "top",
                   unary: Optional[UnaryPlan] = None) -> List[DefensePlan]:
     """Construct one (alpha, eta) plan per eta on a clean model.
@@ -363,33 +352,30 @@ def build_defense(model, alpha: float, etas: List[float],
     curvature is the protected copy's too.  The unary search, the emulated
     attack footprint, the validation-set activations and the lock search's
     trials depend only on alpha, so they are computed once and shared by
-    every eta; an infinite eta disables locking.  A `unary` plan that an
-    earlier search returned for exactly these arguments skips the search.
+    every eta; an infinite eta disables locking.  The unary search attacks
+    at threat.top, whose flip count is also the lock search's flip budget.
+    A `unary` plan that an earlier search returned for exactly these
+    arguments skips the search.
     """
-    emulation_budget = max(budgets, key=lambda b: (b.max_flips, b.inference_units))
     if unary is not None:
         if unary.alpha != alpha:
             raise InputError(f"unary plan has alpha {unary.alpha}, expected {alpha}")
     elif alpha > 0:
-        unary = search_protection(model, alpha, trials, emulations,
-                                  emulation_budget, val_set, sensitivity, seed=seed,
-                                  noise=noise, attack_pool=attack_pool,
-                                  assignment=assignment)
+        unary = search_protection(model, alpha, trials, threat, val_set, sensitivity,
+                                  seed=seed, assignment=assignment)
     else:
         unary = UnaryPlan(alpha=0.0)
     protected = apply_protection(model, unary)
 
     if any(np.isfinite(eta) for eta in etas):
-        hits = emulate_hit_weights(protected, budgets, emulations,
-                                   val_set, seed=seed, noise=noise,
-                                   attack_pool=attack_pool)
+        hits = emulate_hit_weights(protected, threat, seed=seed)
         prefix = ActivationPrefix(protected, val_set)
     plans = []
     lock_trials: dict = {}
     for eta in etas:
         if np.isfinite(eta):
             lockdown = search_lock_plan(protected, val_set, eta, sensitivity.curvature,
-                                        flip_budget=emulation_budget.max_flips,
+                                        flip_budget=threat.top.max_flips,
                                         hit_weights=hits, shared=lock_trials,
                                         prefix=prefix)
             trim_watch_margins(protected, lockdown, val_set, cap=eta, prefix=prefix)
@@ -400,12 +386,10 @@ def build_defense(model, alpha: float, etas: List[float],
     return plans
 
 
-def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
+def synergy_search(model, threat: Threat, val_set: Batch,
                    sensitivity: Sensitivity, clean_acc: float,
                    alpha_grid: List[float], eta_grid: List[float],
-                   trials: int, emulations: int, target_drop: float,
-                   seed: int = 0, noise: Optional[NoiseSpec] = None,
-                   attack_pool: Optional[Batch] = None,
+                   trials: int, target_drop: float, seed: int = 0,
                    assignment: str = "top",
                    searched: Optional[Dict[Tuple[float, int], UnaryPlan]] = None
                    ) -> Tuple[DefensePlan, List[dict]]:
@@ -415,14 +399,13 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
     build_defense with seed + a and the model's `sensitivity`
     (weight_sensitivity(model, val_set)); clean_acc is evaluate(model,
     val_set), which the caller holds; `searched` maps (alpha, search seed) to a
-    unary plan already searched on this model with the same budgets,
-    trials, emulations, noise, pool and assignment.  Every eta of an alpha
-    is scored by recover on one attack panel drawn from `seed`.  The
-    descent stops when the best total memory seen for an alpha exceeds the
-    previous alpha's best.  Among feasible plans (mean resumed accuracy >=
-    clean - target_drop) the cheapest wins; if none is feasible the most
-    accurate plan is returned flagged infeasible.  The full evaluation log
-    is returned for reporting.
+    unary plan already searched on this model with the same threat, trials
+    and assignment.  Every eta of an alpha is scored by recover on one
+    attack panel drawn from `seed`.  The descent stops when the best total
+    memory seen for an alpha exceeds the previous alpha's best.  Among
+    feasible plans (mean resumed accuracy >= clean - target_drop) the
+    cheapest wins; if none is feasible the most accurate plan is returned
+    flagged infeasible.  The full evaluation log is returned for reporting.
     """
     if not alpha_grid or not eta_grid:
         raise InputError("alpha and eta grids must be nonempty")
@@ -435,14 +418,11 @@ def synergy_search(model, budgets: List[AttackBudget], val_set: Batch,
     prev_best: Optional[float] = None
     for a_idx, alpha in enumerate(alphas):
         alpha_best = np.inf
-        plans = build_defense(model, alpha, eta_grid, budgets, val_set, sensitivity,
-                              trials, emulations, seed + a_idx,
-                              noise=noise, attack_pool=attack_pool,
-                              assignment=assignment,
+        plans = build_defense(model, alpha, eta_grid, threat, val_set, sensitivity,
+                              trials, seed + a_idx, assignment=assignment,
                               unary=searched.get((alpha, seed + a_idx)))
-        panel = attack_panel(apply_protection(model, plans[0].unary), budgets,
-                             emulations, val_set, clean_acc, seed=seed, noise=noise,
-                             attack_pool=attack_pool)
+        panel = attack_panel(apply_protection(model, plans[0].unary), threat, val_set,
+                             clean_acc, seed=seed)
         for plan in plans:
             report = recover(panel, plan)
             plan.memory = report.memory

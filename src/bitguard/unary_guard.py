@@ -4,8 +4,8 @@ Components:
   * UnaryPlan: chosen per-layer index sets.
   * apply_protection: value-preserving BCD-to-TCU re-encoding of a plan.
   * search_protection: sensitivity-weighted trial sampling, scored by the
-    worst validation accuracy over repeated attack emulations, each trial
-    stopped once it cannot win.
+    worst validation accuracy over a Threat's emulations at its top budget,
+    each trial stopped once it cannot win.
 
 The search treats layers independently: each trial protects one layer and
 attacks the model.
@@ -16,8 +16,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .attacker import AttackBudget, draw_attack
-from .engine import Batch, NoiseSpec, evaluate
+from .attacker import Threat, draw_attack
+from .engine import Batch, evaluate
 from .errors import InputError, PlanError
 from .sensitivity import Sensitivity, assign_budget, even_assign_budget, layer_sensitivity
 
@@ -69,10 +69,8 @@ def _sample_indices(scores: np.ndarray, count: int,
     return np.sort(rng.choice(s.size, size=count, replace=False, p=p))
 
 
-def search_protection(model, alpha: float, trials: int, emulations: int,
-                      budget: AttackBudget, val_set: Batch, sensitivity: Sensitivity,
-                      seed: int = 0, noise: Optional[NoiseSpec] = None,
-                      attack_pool: Optional[Batch] = None,
+def search_protection(model, alpha: float, trials: int, threat: Threat, val_set: Batch,
+                      sensitivity: Sensitivity, seed: int = 0,
                       assignment: str = "top") -> UnaryPlan:
     """Pick protection indices that maximize worst-case post-attack accuracy.
 
@@ -80,22 +78,17 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
     trained model by the caller.  Per budgeted layer: `trials` candidate
     index sets are sampled with probability softmax(standardized
     sensitivity score), each scored by the worst validation accuracy over
-    `emulations` independent attack emulations; the first set with the best
-    worst case wins.  A trial reads only whether it beats the best worst
-    case so far, so it stops at its first emulation that cannot, and a lone
-    trial, which wins whatever its attacks read, runs none.  The attack
-    pool must still hold a batch.
+    threat.emulations independent attacks at threat.top; the first set
+    with the best worst case wins.  A trial reads only whether it beats the
+    best worst case so far, so it stops at its first emulation that cannot,
+    and a lone trial, which wins whatever its attacks read, runs none.
     """
     if not 0 < alpha <= 1:
         raise InputError("protection rate must lie in (0, 1]")
-    if trials < 1 or emulations < 1:
-        raise InputError("trials and emulations must be >= 1")
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     if assignment not in ("top", "even"):
         raise InputError(f"unknown assignment mode {assignment!r}")
-    budget.validate()
-    pool = val_set if attack_pool is None else attack_pool
-    if len(pool) < budget.batch_size:
-        raise InputError(f"attack pool holds {len(pool)} samples, need {budget.batch_size}")
 
     sens = sensitivity.scores
     sizes = model.layer_sizes()
@@ -125,9 +118,9 @@ def search_protection(model, alpha: float, trials: int, emulations: int,
             protected = apply_protection(
                 model, UnaryPlan(alpha=alpha, layers={pidx: indices.tolist()}))
             worst = np.inf
-            for child in trial_seqs[t].spawn(1)[0].spawn(emulations):
-                worst = min(worst, evaluate(draw_attack(protected, pool, budget, child, noise)[0],
-                                            val_set))
+            for child in trial_seqs[t].spawn(1)[0].spawn(threat.emulations):
+                attacked, _ = draw_attack(protected, threat.pool, threat.top, child, threat.noise)
+                worst = min(worst, evaluate(attacked, val_set))
                 if worst <= best_worst:
                     break
             if worst > best_worst:

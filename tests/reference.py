@@ -354,11 +354,10 @@ def group_centroids(weights, h, group_size: int, include=None) -> np.ndarray:
     return np.where(h_sum > 0, aware, np.where(cnt > 0, mean, 0.0))
 
 
-def search_protection(model, alpha, trials, emulations, budget, val_set, sensitivity,
-                      seed=0, noise=None, attack_pool=None, assignment="top"):
+def search_protection(model, alpha, trials, threat, val_set, sensitivity, seed=0,
+                      assignment="top"):
     """unary_guard.search_protection scoring each trial by the minimum over
     all of its emulations, the lone trial included."""
-    pool = val_set if attack_pool is None else attack_pool
     sens, sizes = sensitivity.scores, model.layer_sizes()
     if assignment == "top":
         budgets = unary_guard.assign_budget(alpha, unary_guard.layer_sensitivity(sens), sizes)
@@ -377,8 +376,9 @@ def search_protection(model, alpha, trials, emulations, budget, val_set, sensiti
                                                   np.random.default_rng(trial_seqs[t]))
             protected = unary_guard.apply_protection(
                 model, unary_guard.UnaryPlan(alpha=alpha, layers={pidx: indices.tolist()}))
-            worst = min(evaluate(draw_attack(protected, pool, budget, child, noise)[0], val_set)
-                        for child in trial_seqs[t].spawn(1)[0].spawn(emulations))
+            worst = min(evaluate(draw_attack(protected, threat.pool, threat.top, child,
+                                             threat.noise)[0], val_set)
+                        for child in trial_seqs[t].spawn(1)[0].spawn(threat.emulations))
             if worst > best_worst:
                 best_worst, best_idx = worst, indices
         plan.layers[pidx] = best_idx.tolist()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from bitguard.engine import AffineNorm, Batch, QuantizedModel, ReLU, activations, evaluate
 from bitguard.errors import ConfigError, FormatError
-from bitguard.harness import load_config, run_experiment, run_noise_sweep
+from bitguard.harness import ExperimentConfig, load_config, run_experiment, run_noise_sweep
 from bitguard.harness.cli import main
 from bitguard.harness.datasets import parse_idx
 from bitguard.harness.pretrain import _recalibrate_norms, build_desk_model
@@ -163,6 +163,7 @@ def test_lock_stage_stops_after_lock(serial_report):
 
 def unshared_plan_and_eval_rows(config, seed):
     """Plan and eval rows of one seed rebuilt without sharing any stage work."""
+    from bitguard.attacker import AttackBudget, Threat
     from bitguard.harness import experiments as ex
     from bitguard.harness.pretrain import build_desk_model, pretrain
     from bitguard.planner import attack_panel, recover, synergy_search
@@ -175,18 +176,17 @@ def unshared_plan_and_eval_rows(config, seed):
                              classes=cfg.model.classes, seed=seed)
     pretrain(model, splits, epochs=cfg.model.epochs, batch_size=cfg.model.batch_size,
              lr=cfg.model.lr, seed=seed, floor=cfg.model.floor)
-    budgets, noise = ex._primary_budgets(cfg), ex._noise(att.noise_std, att.grad_samples)
+    threat = Threat([AttackBudget(att.max_flips, units, att.batch_size, att.grad_samples)
+                     for units in att.inference_units], dfn.emulations, splits.attack,
+                    ex._noise(att.noise_std, att.grad_samples))
     sens = weight_sensitivity(model, splits.val)
     clean_acc = evaluate(model, splits.val)
-    chosen, log = synergy_search(model, budgets, splits.val, sens, clean_acc,
-                                 alpha_grid=dfn.alpha_grid,
-                                 eta_grid=dfn.eta_grid, trials=dfn.trials,
-                                 emulations=dfn.emulations, seed=seed, noise=noise,
-                                 attack_pool=splits.attack, target_drop=dfn.target_drop,
+    chosen, log = synergy_search(model, threat, splits.val, sens, clean_acc,
+                                 alpha_grid=dfn.alpha_grid, eta_grid=dfn.eta_grid,
+                                 trials=dfn.trials, seed=seed, target_drop=dfn.target_drop,
                                  assignment=dfn.assignment)
-    panel = attack_panel(apply_protection(model, chosen.unary), budgets, dfn.emulations,
-                         splits.val, clean_acc, seed=1000 + seed, noise=noise,
-                         attack_pool=splits.attack)
+    panel = attack_panel(apply_protection(model, chosen.unary), threat, splits.val, clean_acc,
+                         seed=1000 + seed)
     rep = recover(panel, chosen)
     return log, ex._tag(rep.rows, "eval", seed, "synergy", chosen, rep.memory)
 
@@ -271,9 +271,10 @@ def test_clean_accuracy_is_pretrainings_last_evaluate(tmp_path, monkeypatch):
 
     for module in (experiments, pretrain):
         monkeypatch.setattr(module, "evaluate", counted)
-    config = tiny_config(seeds=[0], **{"model.epochs": 2, "model.floor": 1.1})
+    config = tiny_config(seeds=[0], out_dir=str(tmp_path),
+                         **{"model.epochs": 2, "model.floor": 1.1})
     with pytest.warns(UserWarning, match="below the 1.10 floor"):
-        rows = run_experiment(config, stage="train", write=True, out_dir=str(tmp_path)).rows
+        rows = run_experiment(config, stage="train", write=True).rows
     assert rows[0]["epochs_ran"] == 2
     assert calls == [TINY["dataset.val"]] * 2
     model = load_model(str(tmp_path / "checkpoints" / "seed0.json"))
@@ -415,6 +416,23 @@ def test_cli_runtime_error_exits_1(tmp_path, capsys, clean_env):
     assert json.loads(lines[0])["error"]["type"] == "FormatError"
 
 
+@pytest.mark.parametrize("label", ["idx_images", "idx_labels"])
+@pytest.mark.parametrize("kind", ["empty", "directory"])
+def test_idx_path_that_names_no_file_exits_2(tmp_path, capsys, clean_env, label, kind):
+    paths = {"idx_images": tmp_path / "images.idx", "idx_labels": tmp_path / "labels.idx"}
+    for path in paths.values():
+        path.write_bytes(b"\x00")
+    paths[label] = "" if kind == "empty" else tmp_path
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps(nested({
+        **TINY, "dataset.kind": "idx", **{f"dataset.{k}": str(v) for k, v in paths.items()}})))
+    assert main(["--config", str(path), "--no-write"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ConfigError" and error["message"].startswith(f"{label} file not found")
+
+
 def test_load_config_precedence(tmp_path):
     # file < environment < explicit overrides, field by field
     path = tmp_path / "cfg.json"
@@ -472,6 +490,56 @@ def test_env_override_parses_as_the_declared_type(tmp_path, section, fname, in_f
     assert getattr(getattr(cfg, section), fname) == want
 
 
+# a valid value of every config field, none of them its default
+EVERY_FIELD = {
+    "model.bits": 6, "model.hw": 8, "model.classes": 2, "model.epochs": 2,
+    "model.batch_size": 32, "model.lr": 0.005, "model.floor": 0.5,
+    "dataset.kind": "arcs", "dataset.train": 100, "dataset.val": 30, "dataset.test": 20,
+    "dataset.attack": 24, "dataset.noise": 0.5, "dataset.seed": 3,
+    "dataset.idx_images": "images.idx", "dataset.idx_labels": "labels.idx",
+    "attacker.max_flips": 5, "attacker.inference_units": [9, 15], "attacker.batch_size": 8,
+    "attacker.batch_grid": [8, 12], "attacker.grad_samples": 2, "attacker.noise_std": 0.5,
+    "defense.alpha_grid": [0.5, 0.25], "defense.eta_grid": [0.5, 0.125], "defense.trials": 2,
+    "defense.emulations": 2, "defense.target_drop": 0.25, "defense.assignment": "even",
+    "seeds": [3, 4], "out_dir": "elsewhere",
+}
+
+
+def env_name(key: str) -> str:
+    return "BITGUARD_" + key.replace(".", "_").upper()
+
+
+def test_every_field_resolves_alike_from_file_environment_and_overrides(tmp_path):
+    defaults = ExperimentConfig().to_dict()
+    assert set(EVERY_FIELD) == {f"{section}.{name}" for section, part in defaults.items()
+                                if isinstance(part, dict) for name in part} | {"seeds", "out_dir"}
+    path = tmp_path / "every.json"
+    path.write_text(json.dumps(nested(EVERY_FIELD)))
+    environ = {env_name(key): ",".join(map(str, v)) if isinstance(v, list) else str(v)
+               for key, v in EVERY_FIELD.items()}
+    configs = [load_config(str(path), environ={}), load_config(environ=environ),
+               load_config(overrides=EVERY_FIELD, environ={})]
+    for cfg in configs:
+        got = cfg.to_dict()
+        for key, value in EVERY_FIELD.items():
+            section, _, name = key.rpartition(".")
+            assert (got[section][name] if section else got[name]) == value != (
+                defaults[section][name] if section else defaults[name]), key
+        assert canonical_json(got) == canonical_json(configs[0].to_dict())
+
+
+@pytest.mark.parametrize("key, shown", [("model.depth", "model.depth"), ("nosuch.field", "nosuch"),
+                                        ("model", "model"), ("bogus", "bogus")])
+def test_unknown_name_is_a_config_error_by_every_route(tmp_path, key, shown):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(nested({key: 1})))
+    for route in (lambda: load_config(str(path), environ={}),
+                  lambda: load_config(environ={env_name(key): "1"}),
+                  lambda: load_config(overrides={key: 1}, environ={})):
+        with pytest.raises(ConfigError, match=shown.replace(".", r"\.")):
+            route()
+
+
 def test_unknown_key_inside_a_section_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"epochs": 3, "depth": 4}}))
@@ -523,6 +591,15 @@ def test_unknown_key_inside_a_section_rejected(tmp_path):
 def test_invalid_config_value_raises_config_error(key, value):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         tiny_config(**{key: value})
+
+
+def test_repeated_grid_entry_is_a_config_error():
+    # the plan stage tells plans apart by their (alpha, eta) value, so a
+    # repeated entry would mark plans of different draws chosen
+    with pytest.raises(ConfigError, match=r"defense\.alpha_grid repeats 0\.02"):
+        tiny_config(**{"defense.alpha_grid": [0.02, 0.01, 0.02]})
+    with pytest.raises(ConfigError, match=r"defense\.eta_grid repeats inf"):
+        tiny_config(**{"defense.eta_grid": [float("inf"), 0.05, float("inf")]})
 
 
 def test_attack_pool_must_hold_the_largest_batch_of_the_grid():

@@ -1,11 +1,13 @@
 """Planner tests: attack panels, recovery, ledgers, greedy (alpha, eta) search."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
-from bitguard.attacker import AttackBudget
+from bitguard.attacker import AttackBudget, Threat
 from bitguard.engine import ActivationPrefix, Batch, evaluate
-from bitguard.errors import InputError
+from bitguard.errors import ConfigError, InputError
 import bitguard.planner as planner
 from bitguard.planner import (
     DefensePlan,
@@ -46,25 +48,62 @@ def budgets_pair():
     return [AttackBudget(6, 18, 16), AttackBudget(10, 30, 16)]
 
 
+def pair(emulations, pool):
+    return Threat(budgets_pair(), emulations, pool)
+
+
+class TestThreat:
+    def test_no_entry_runs_without_an_emulation(self, fitted, sens, monkeypatch):
+        # a Threat refuses 0 emulations however it is made, so no planner
+        # entry reaches an attack; build_defense(alpha=0) used to run one
+        model, train, val = fitted
+        draws = count_draws(monkeypatch)
+        valid = pair(1, train)
+        plan = DefensePlan(0.0, float("inf"), UnaryPlan(alpha=0.0), disabled_lock_plan(model))
+        entries = [
+            lambda t: attack_panel(model, t, val, 1.0),
+            lambda t: end_to_end_eval(model, plan, t, val, 1.0),
+            lambda t: emulate_hit_weights(model, t),
+            lambda t: build_defense(model, 0.0, [0.02], t, val, sens, 1, 0),
+            lambda t: build_defense(model, 0.02, [float("inf")], t, val, sens, 2, 0),
+            lambda t: synergy_search(model, t, val, sens, 1.0, alpha_grid=(0.01,),
+                                     eta_grid=(0.02,), trials=1, target_drop=0.5),
+            lambda t: planner.search_protection(model, 0.02, 2, t, val, sens),
+        ]
+        for entry in entries:
+            for zero in (lambda: pair(0, train), lambda: replace(valid, emulations=0)):
+                with pytest.raises(InputError, match="emulations must be >= 1"):
+                    entry(zero())
+        with pytest.raises(FrozenInstanceError):
+            valid.emulations = 0
+        assert draws == []
+
+    def test_budgets_checked_and_top_picked(self, fitted):
+        _, train, _ = fitted
+        with pytest.raises(ConfigError, match="flip budget"):
+            Threat([*budgets_pair(), AttackBudget(0, 18, 16)], 1, train)
+        budgets = [AttackBudget(10, 12, 16), *budgets_pair(), AttackBudget(6, 90, 16)]
+        threat = Threat(budgets, 1, train)
+        assert threat.top == AttackBudget(10, 30, 16)
+        budgets.append(AttackBudget(0, 18, 16))  # the checked grid is the threat's own
+        assert threat.budgets == tuple(budgets[:4])
+
+
 class TestCorners:
     def test_pure_unary_plan(self, fitted, sens):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, etas=[float("inf")],
-                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
-                             trials=2, emulations=1, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val),
-                                 seed=0, attack_pool=train)
+        plan = build_defense(model, alpha=0.02, etas=[float("inf")], threat=pair(1, train),
+                             val_set=val, sensitivity=sens, trials=2, seed=0)[0]
+        report = end_to_end_eval(model, plan, pair(2, train), val, evaluate(model, val), seed=0)
         assert report.memory["m_lock"] == 0.0
         assert report.memory["total"] == report.memory["m_tcu"]
         assert plan.lockdown.lockable() == []
 
     def test_pure_lock_plan(self, fitted, sens):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.0, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
-                             trials=2, emulations=1, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val),
-                                 seed=0, attack_pool=train)
+        plan = build_defense(model, alpha=0.0, etas=[0.02], threat=pair(1, train), val_set=val,
+                             sensitivity=sens, trials=2, seed=0)[0]
+        report = end_to_end_eval(model, plan, pair(2, train), val, evaluate(model, val), seed=0)
         assert report.memory["m_tcu"] == 0.0
         assert plan.unary.total == 0
         assert report.memory["total"] == report.memory["m_lock"]
@@ -74,8 +113,8 @@ class TestCorners:
         model, train, val = fitted
         plan = DefensePlan(0.0, float("inf"), UnaryPlan(alpha=0.0),
                            disabled_lock_plan(model))
-        report = end_to_end_eval(model, plan, [], 1, val, evaluate(model, val), seed=0,
-                                 attack_pool=train)
+        report = end_to_end_eval(model, plan, Threat([], 1, train), val, evaluate(model, val),
+                                 seed=0)
         assert report.rows == []
         assert report.summary["resumed_mean"] == evaluate(model, val)
         assert report.summary["resumed_worst"] == evaluate(model, val)
@@ -84,9 +123,8 @@ class TestCorners:
 class TestLedgers:
     def test_total_is_component_sum(self, fitted, sens):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
-                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
+        plan = build_defense(model, alpha=0.02, etas=[0.02], threat=pair(1, train), val_set=val,
+                             sensitivity=sens, trials=1, seed=0)[0]
         mem = measure_memory(model, plan.unary, plan.lockdown)
         baseline = mem["baseline_bits"]
         assert mem["total"] == (mem["tcu_bits"] + mem["lock_bits"]) / baseline
@@ -95,9 +133,8 @@ class TestLedgers:
 
     def test_bit_counts_are_integers(self, fitted, sens):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.01, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
-                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
+        plan = build_defense(model, alpha=0.01, etas=[0.02], threat=pair(1, train), val_set=val,
+                             sensitivity=sens, trials=1, seed=0)[0]
         mem = measure_memory(model, plan.unary, plan.lockdown)
         for key in ("tcu_bits", "lock_bits", "baseline_bits"):
             assert mem[key] == int(mem[key])
@@ -106,11 +143,9 @@ class TestLedgers:
 class TestPipeline:
     def test_rows_cover_budget_grid(self, fitted, sens):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
-                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 3, val, evaluate(model, val),
-                                 seed=1, attack_pool=train)
+        plan = build_defense(model, alpha=0.02, etas=[0.02], threat=pair(1, train), val_set=val,
+                             sensitivity=sens, trials=1, seed=0)[0]
+        report = end_to_end_eval(model, plan, pair(3, train), val, evaluate(model, val), seed=1)
         assert len(report.rows) == 2 * 3
         for row in report.rows:
             assert 0.0 <= row["resumed_acc"] <= 1.0
@@ -121,11 +156,10 @@ class TestPipeline:
 
     def test_bitwise_deterministic(self, fitted, sens):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.01, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
-                             trials=1, emulations=1, seed=0, attack_pool=train)[0]
-        reports = [end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val),
-                                   seed=9, attack_pool=train) for _ in range(2)]
+        plan = build_defense(model, alpha=0.01, etas=[0.02], threat=pair(1, train), val_set=val,
+                             sensitivity=sens, trials=1, seed=0)[0]
+        reports = [end_to_end_eval(model, plan, pair(2, train), val, evaluate(model, val), seed=9)
+                   for _ in range(2)]
         assert reports[0] == reports[1]
 
     def test_emulation_count_validated(self, fitted):
@@ -133,8 +167,7 @@ class TestPipeline:
         plan = DefensePlan(0.0, float("inf"), UnaryPlan(alpha=0.0),
                            disabled_lock_plan(model))
         with pytest.raises(InputError):
-            end_to_end_eval(model, plan, budgets_pair(), 0, val, evaluate(model, val),
-                            attack_pool=train)
+            end_to_end_eval(model, plan, pair(0, train), val, evaluate(model, val))
 
     def test_fully_protected_flips_land_on_tcu(self):
         # alpha = 1: every attack flip hits flip-tolerant storage and the
@@ -149,8 +182,8 @@ class TestPipeline:
             disabled_lock_plan(apply_protection(model, UnaryPlan(alpha=1.0, layers={0: list(range(18))}))),
         )
         hd = 12
-        report = end_to_end_eval(model, plan, [AttackBudget(hd, 99, 6)], 2,
-                                 val, evaluate(model, val), seed=0, attack_pool=val)
+        report = end_to_end_eval(model, plan, Threat([AttackBudget(hd, 99, 6)], 2, val), val,
+                                 evaluate(model, val), seed=0)
         for row in report.rows:
             assert row["flips_on_protected"] == hd
 
@@ -168,8 +201,8 @@ class TestPipeline:
             1, 1, np.array([0]), np.zeros(18, dtype=np.int64))})
         lockdown.signatures = compute_signatures(apply_protection(model, unary), lockdown)
         report = end_to_end_eval(model, DefensePlan(1.0, 0.1, unary, lockdown),
-                                 [AttackBudget(6, 99, 6)], 2, val, evaluate(model, val),
-                                 seed=0, attack_pool=val)
+                                 Threat([AttackBudget(6, 99, 6)], 2, val), val,
+                                 evaluate(model, val), seed=0)
         for row in report.rows:
             assert row["flips_on_protected"] == 6
             assert (row["tp"], row["fp"], row["fn"]) == (0, 0, 0)
@@ -178,18 +211,16 @@ class TestPipeline:
         # locking flagged groups should on average not hurt relative to the
         # attacked model (loose sanity margin at toy scale)
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, etas=[0.02],
-                             budgets=budgets_pair(), val_set=val, sensitivity=sens,
-                             trials=2, emulations=2, seed=0, attack_pool=train)[0]
-        report = end_to_end_eval(model, plan, budgets_pair(), 3, val, evaluate(model, val),
-                                 seed=2, attack_pool=train)
+        plan = build_defense(model, alpha=0.02, etas=[0.02], threat=pair(2, train), val_set=val,
+                             sensitivity=sens, trials=2, seed=0)[0]
+        report = end_to_end_eval(model, plan, pair(3, train), val, evaluate(model, val), seed=2)
         post_attack_mean = np.mean([r["post_attack_acc"] for r in report.rows])
         assert report.summary["resumed_mean"] >= post_attack_mean - 0.05
 
 
 def panel_for(model, plan, emulations, val, seed, pool):
-    return attack_panel(apply_protection(model, plan.unary), budgets_pair(),
-                        emulations, val, evaluate(model, val), seed=seed, attack_pool=pool)
+    return attack_panel(apply_protection(model, plan.unary), pair(emulations, pool), val,
+                        evaluate(model, val), seed=seed)
 
 
 def count_draws(monkeypatch):
@@ -214,14 +245,13 @@ def model_state(model):
 class TestAttackPanel:
     def test_panel_covers_budget_grid(self, fitted, sens, monkeypatch):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.02, etas=[0.02], budgets=budgets_pair(),
-                             val_set=val, sensitivity=sens, trials=1, emulations=1, seed=0,
-                             attack_pool=train)[0]
+        plan = build_defense(model, alpha=0.02, etas=[0.02], threat=pair(1, train), val_set=val,
+                             sensitivity=sens, trials=1, seed=0)[0]
         draws = count_draws(monkeypatch)
         # a lower unit budget of the 10-flip group shares its draws
         budgets = [*budgets_pair(), AttackBudget(10, 12, 16)]
-        panel = attack_panel(apply_protection(model, plan.unary), budgets, 3, val,
-                             evaluate(model, val), seed=4, attack_pool=train)
+        panel = attack_panel(apply_protection(model, plan.unary), Threat(budgets, 3, train), val,
+                             evaluate(model, val), seed=4)
         assert len(draws) == 2 * 3  # one per (budget group, emulation)
         assert [(e.budget_index, e.emulation) for e in panel.entries] == [
             (b, e) for b in range(3) for e in range(3)]
@@ -236,8 +266,7 @@ class TestAttackPanel:
         # attack on its group's draw.
         model, train, val = fitted
         budgets = [AttackBudget(10, 12, 16), AttackBudget(6, 18, 16), AttackBudget(10, 30, 16)]
-        panel = attack_panel(model, budgets, 2, val, evaluate(model, val), seed=4,
-                             attack_pool=train)
+        panel = attack_panel(model, Threat(budgets, 2, train), val, evaluate(model, val), seed=4)
         draws = [g.spawn(2) for g in np.random.SeedSequence(4).spawn(2)]
         for entry in panel.entries:
             group = 1 if entry.budget_index == 1 else 0
@@ -250,8 +279,8 @@ class TestAttackPanel:
     def test_recover_twice_leaves_panel_unchanged(self, fitted, sens):
         model, train, val = fitted
         plans = build_defense(model, alpha=0.02, etas=[0.01, 0.02, float("inf")],
-                              budgets=budgets_pair(), val_set=val, sensitivity=sens, trials=1,
-                              emulations=1, seed=0, attack_pool=train)
+                              threat=pair(1, train), val_set=val, sensitivity=sens, trials=1,
+                              seed=0)
         panel = panel_for(model, plans[0], 2, val, seed=5, pool=train)
         before = [model_state(panel.attacked(e)) for e in panel.entries]
         protected = model_state(panel.protected)
@@ -262,12 +291,10 @@ class TestAttackPanel:
 
     def test_recover_equals_end_to_end_eval(self, fitted, sens):
         model, train, val = fitted
-        plan = build_defense(model, alpha=0.01, etas=[0.02], budgets=budgets_pair(),
-                             val_set=val, sensitivity=sens, trials=1, emulations=1, seed=0,
-                             attack_pool=train)[0]
+        plan = build_defense(model, alpha=0.01, etas=[0.02], threat=pair(1, train), val_set=val,
+                             sensitivity=sens, trials=1, seed=0)[0]
         panel = panel_for(model, plan, 2, val, seed=6, pool=train)
-        whole = end_to_end_eval(model, plan, budgets_pair(), 2, val, evaluate(model, val), seed=6,
-                                attack_pool=train)
+        whole = end_to_end_eval(model, plan, pair(2, train), val, evaluate(model, val), seed=6)
         assert recover(panel, plan) == whole
 
     def test_panels_and_recovery_evaluate_only_changed_models(self, fitted, sens,
@@ -275,9 +302,8 @@ class TestAttackPanel:
         # the clean accuracy is the caller's, and an attack nothing flags
         # resumes at its post-attack accuracy: contain would change no code
         model, train, val = fitted
-        plans = build_defense(model, alpha=0.02, etas=[0.02, float("inf")],
-                              budgets=budgets_pair(), val_set=val, sensitivity=sens, trials=1,
-                              emulations=1, seed=0, attack_pool=train)
+        plans = build_defense(model, alpha=0.02, etas=[0.02, float("inf")], threat=pair(1, train),
+                              val_set=val, sensitivity=sens, trials=1, seed=0)
         clean = model_state(apply_protection(model, plans[0].unary))
         evaluated = []
         real = planner.evaluate
@@ -299,9 +325,8 @@ class TestAttackPanel:
 
     def test_recover_rejects_other_protection(self, fitted, sens):
         model, train, val = fitted
-        plans = [build_defense(model, alpha=a, etas=[float("inf")],
-                               budgets=budgets_pair(), val_set=val, sensitivity=sens, trials=1,
-                               emulations=1, seed=0, attack_pool=train)[0]
+        plans = [build_defense(model, alpha=a, etas=[float("inf")], threat=pair(1, train),
+                               val_set=val, sensitivity=sens, trials=1, seed=0)[0]
                  for a in (0.0, 0.02)]
         panel = panel_for(model, plans[0], 1, val, seed=0, pool=train)
         with pytest.raises(InputError):
@@ -310,9 +335,8 @@ class TestAttackPanel:
     def test_handed_unary_plan_must_match_alpha(self, fitted, sens):
         model, train, val = fitted
         with pytest.raises(InputError):
-            build_defense(model, alpha=0.01, etas=[0.02], budgets=budgets_pair(),
-                          val_set=val, sensitivity=sens, trials=1, emulations=1, seed=0,
-                          attack_pool=train, unary=UnaryPlan(alpha=0.02))
+            build_defense(model, alpha=0.01, etas=[0.02], threat=pair(1, train), val_set=val,
+                          sensitivity=sens, trials=1, seed=0, unary=UnaryPlan(alpha=0.02))
 
 
 class TestSynergySearch:
@@ -321,14 +345,13 @@ class TestSynergySearch:
         # fresh panel per plan reports
         model, train, val = fitted
         etas = (0.01, 0.02, float("inf"))
-        chosen, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
-                                     alpha_grid=(0.01, 0.02), eta_grid=etas,
-                                     trials=1, emulations=2, seed=2,
-                                     attack_pool=train, target_drop=0.5)
+        chosen, log = synergy_search(model, pair(2, train), val, sens, evaluate(model, val),
+                                     alpha_grid=(0.01, 0.02), eta_grid=etas, trials=1, seed=2,
+                                     target_drop=0.5)
         fresh = []
         for a_idx, alpha in enumerate((0.02, 0.01)[: len(log) // len(etas)]):
-            for plan in build_defense(model, alpha, etas, budgets_pair(), val, sens, 1, 2,
-                                      seed=2 + a_idx, attack_pool=train):
+            for plan in build_defense(model, alpha, etas, pair(2, train), val, sens, 1,
+                                      seed=2 + a_idx):
                 rep = recover(panel_for(model, plan, 2, val, seed=2, pool=train), plan)
                 fresh.append((rep.memory["total"], rep.summary["resumed_mean"],
                               rep.summary["resumed_worst"]))
@@ -344,10 +367,9 @@ class TestSynergySearch:
         etas, emulations = (0.01, 0.015, 0.02), 2
         # three budgets in two groups: the 10-flip ones differ only in units
         budgets = [*budgets_pair(), AttackBudget(10, 12, 16)]
-        _, log = synergy_search(model, budgets, val, sens, evaluate(model, val),
-                                alpha_grid=(0.02, 0.01), eta_grid=etas,
-                                trials=1, emulations=emulations, seed=0,
-                                attack_pool=train, target_drop=0.5)
+        _, log = synergy_search(model, Threat(budgets, emulations, train), val, sens,
+                                evaluate(model, val), alpha_grid=(0.02, 0.01), eta_grid=etas,
+                                trials=1, seed=0, target_drop=0.5)
         alphas = len(log) // len(etas)
         # per alpha: one emulated footprint and one panel, each one attack
         # per (budget group, emulation), whatever the number of etas
@@ -355,11 +377,10 @@ class TestSynergySearch:
 
     def test_searched_unary_plan_is_reused(self, fitted, sens, monkeypatch):
         model, train, val = fitted
-        searched = build_defense(model, 0.02, [float("inf")], budgets_pair(), val,
-                                 sens, 1, 1, seed=0, attack_pool=train)[0].unary
-        kw = dict(alpha_grid=(0.02, 0.01), eta_grid=(0.02,), trials=1,
-                  emulations=1, seed=0, attack_pool=train, target_drop=0.5)
-        fresh = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val), **kw)
+        searched = build_defense(model, 0.02, [float("inf")], pair(1, train), val, sens, 1,
+                                 seed=0)[0].unary
+        kw = dict(alpha_grid=(0.02, 0.01), eta_grid=(0.02,), trials=1, seed=0, target_drop=0.5)
+        fresh = synergy_search(model, pair(1, train), val, sens, evaluate(model, val), **kw)
         calls = []
         real = planner.search_protection
 
@@ -368,7 +389,7 @@ class TestSynergySearch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(planner, "search_protection", counted)
-        handed = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
+        handed = synergy_search(model, pair(1, train), val, sens, evaluate(model, val),
                                 searched={(0.02, 0): searched}, **kw)
         assert calls == [0.01]
         assert handed[1] == fresh[1]
@@ -376,29 +397,26 @@ class TestSynergySearch:
 
     def test_selects_cheapest_feasible(self, fitted, sens):
         model, train, val = fitted
-        plan, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
-                                   alpha_grid=(0.02, 0.01), eta_grid=(0.02,),
-                                   trials=2, emulations=2, seed=0,
-                                   attack_pool=train, target_drop=0.05)
+        plan, log = synergy_search(model, pair(2, train), val, sens, evaluate(model, val),
+                                   alpha_grid=(0.02, 0.01), eta_grid=(0.02,), trials=2, seed=0,
+                                   target_drop=0.05)
         assert plan.feasible
         feasible_rows = [r for r in log if r["feasible"]]
         assert plan.memory["total"] == min(r["total_memory"] for r in feasible_rows)
 
     def test_alpha_descent_order(self, fitted, sens):
         model, train, val = fitted
-        _, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
-                                alpha_grid=(0.005, 0.02, 0.01), eta_grid=(0.02,),
-                                trials=1, emulations=1, seed=0,
-                                attack_pool=train, target_drop=0.5)
+        _, log = synergy_search(model, pair(1, train), val, sens, evaluate(model, val),
+                                alpha_grid=(0.005, 0.02, 0.01), eta_grid=(0.02,), trials=1, seed=0,
+                                target_drop=0.5)
         seen = [r["alpha"] for r in log]
         assert seen == sorted(seen, reverse=True)
 
     def test_infeasible_target_flagged(self, fitted, sens):
         model, train, val = fitted
-        plan, log = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
-                                   alpha_grid=(0.01,), eta_grid=(0.02,),
-                                   trials=1, emulations=1, seed=0,
-                                   attack_pool=train, target_drop=-0.5)
+        plan, log = synergy_search(model, pair(1, train), val, sens, evaluate(model, val),
+                                   alpha_grid=(0.01,), eta_grid=(0.02,), trials=1, seed=0,
+                                   target_drop=-0.5)
         assert not plan.feasible
         assert all(not r["feasible"] for r in log)
         # best-effort plan is the most accurate one evaluated
@@ -418,35 +436,31 @@ class TestSynergySearch:
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(planner, "evaluate", counted)
-        kw = dict(alpha_grid=(0.01,), eta_grid=(0.02, float("inf")), trials=1, emulations=1,
-                  seed=0, target_drop=0.03, attack_pool=train)
+        kw = dict(alpha_grid=(0.01,), eta_grid=(0.02, float("inf")), trials=1, seed=0,
+                  target_drop=0.03)
         for held, feasible in ((2.0, False), (-1.0, True)):
-            _, log = synergy_search(model, budgets_pair(), val, sens, held, **kw)
+            _, log = synergy_search(model, pair(1, train), val, sens, held, **kw)
             assert [entry["feasible"] for entry in log] == [feasible] * 2
         assert passes and clean not in passes
 
     def test_empty_grids_rejected(self, fitted, sens):
         model, train, val = fitted
         with pytest.raises(InputError):
-            synergy_search(model, budgets_pair(), val, sens, evaluate(model, val), alpha_grid=(),
-                           eta_grid=(0.02,), trials=1, emulations=1,
-                           target_drop=0.03, attack_pool=train)
+            synergy_search(model, pair(1, train), val, sens, evaluate(model, val), alpha_grid=(),
+                           eta_grid=(0.02,), trials=1, target_drop=0.03)
         with pytest.raises(InputError):
-            synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
-                           alpha_grid=(0.01,),
-                           eta_grid=(), trials=1, emulations=1,
-                           target_drop=0.03, attack_pool=train)
+            synergy_search(model, pair(1, train), val, sens, evaluate(model, val),
+                           alpha_grid=(0.01,), eta_grid=(), trials=1, target_drop=0.03)
 
     def test_chosen_plan_matches_build_defense(self, fitted, sens):
         # the a-th alpha of the descending grid is built with seed + a
         model, train, val = fitted
-        plan, _ = synergy_search(model, budgets_pair(), val, sens, evaluate(model, val),
-                                 alpha_grid=(0.01, 0.02), eta_grid=(0.02,),
-                                 trials=1, emulations=1, seed=3,
-                                 attack_pool=train, target_drop=0.5)
+        plan, _ = synergy_search(model, pair(1, train), val, sens, evaluate(model, val),
+                                 alpha_grid=(0.01, 0.02), eta_grid=(0.02,), trials=1, seed=3,
+                                 target_drop=0.5)
         a_idx = [0.02, 0.01].index(plan.alpha)
-        rebuilt = build_defense(model, plan.alpha, [plan.eta], budgets_pair(),
-                                val, sens, 1, 1, seed=3 + a_idx, attack_pool=train)[0]
+        rebuilt = build_defense(model, plan.alpha, [plan.eta], pair(1, train), val, sens, 1,
+                                seed=3 + a_idx)[0]
         for part in ("alpha", "eta", "unary", "lockdown"):
             assert plain(getattr(rebuilt, part)) == plain(getattr(plan, part)), part
 
@@ -511,8 +525,8 @@ class TestContainment:
     def test_emulated_hits_deterministic_and_in_range(self):
         model, val, plan = self.locked_setup()
         budgets = [AttackBudget(4, 12, 16), AttackBudget(4, 4, 16)]
-        a = emulate_hit_weights(model, budgets, 2, val, seed=3)
-        b = emulate_hit_weights(model, budgets, 2, val, seed=3)
+        a = emulate_hit_weights(model, Threat(budgets, 2, val), seed=3)
+        b = emulate_hit_weights(model, Threat(budgets, 2, val), seed=3)
         assert set(a) == set(b)
         sizes = {pidx: layer.weight.size for pidx, layer in model.parametric()}
         for pidx in a:
@@ -523,8 +537,8 @@ class TestContainment:
         # A one-budget emulation can only shrink the union footprint.
         model, val, plan = self.locked_setup()
         budgets = [AttackBudget(4, 12, 16), AttackBudget(6, 4, 16)]
-        union = emulate_hit_weights(model, budgets, 1, val, seed=3)
-        solo = emulate_hit_weights(model, budgets[:1], 1, val, seed=3)
+        union = emulate_hit_weights(model, Threat(budgets, 1, val), seed=3)
+        solo = emulate_hit_weights(model, Threat(budgets[:1], 1, val), seed=3)
         for pidx, weights in solo.items():
             assert set(weights) <= set(union[pidx])
 

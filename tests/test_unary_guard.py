@@ -1,9 +1,11 @@
 """Protection-search tests: plan application, sampling, worst-case selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bitguard.attacker import AttackBudget, bfa_attack, draw_attack
+from bitguard.attacker import AttackBudget, Threat, bfa_attack, draw_attack
 from bitguard.bitcodec import to_unsigned
 from bitguard.engine import Batch, evaluate
 from bitguard.errors import InputError, PlanError
@@ -106,9 +108,9 @@ class TestSampling:
 class TestSearchProtection:
     def test_budget_exactness(self, fitted, sens):
         model, train, val = fitted
-        plan = search_protection(model, alpha=0.05, trials=2, emulations=1,
-                                 budget=small_budget(), val_set=val, sensitivity=sens, seed=7,
-                                 attack_pool=train)
+        plan = search_protection(model, alpha=0.05, trials=2,
+                                 threat=Threat([small_budget()], 1, train), val_set=val,
+                                 sensitivity=sens, seed=7)
         assert plan.total == -(-int(model.layer_sizes().sum()) * 5 // 100)
         for pidx, indices in plan.layers.items():
             assert len(set(indices)) == len(indices)
@@ -118,8 +120,8 @@ class TestSearchProtection:
         # of all its emulations keeps, and a trial stops at its first
         # emulation that leaves it no better than the best worst case so far
         model, train, val = fitted
-        kw = dict(alpha=0.05, trials=4, emulations=3, budget=small_budget(), val_set=val,
-                  sensitivity=sens, seed=7, attack_pool=train)
+        kw = dict(alpha=0.05, trials=4, threat=Threat([small_budget()], 3, train), val_set=val,
+                  sensitivity=sens, seed=7)
         want = reference.search_protection(model, **kw)
         trials = []  # (layer, accuracy of each emulation run)
 
@@ -151,8 +153,8 @@ class TestSearchProtection:
 
     def test_lone_trial_runs_no_attack(self, fitted, sens, monkeypatch):
         model, train, val = fitted
-        kw = dict(alpha=0.05, trials=1, emulations=2, budget=small_budget(), val_set=val,
-                  sensitivity=sens, seed=7, attack_pool=train)
+        kw = dict(alpha=0.05, trials=1, threat=Threat([small_budget()], 2, train), val_set=val,
+                  sensitivity=sens, seed=7)
         want = reference.search_protection(model, **kw)
         attacks = []
         monkeypatch.setattr(unary_guard, "draw_attack",
@@ -162,16 +164,16 @@ class TestSearchProtection:
 
     def test_deterministic_per_seed(self, fitted, sens):
         model, train, val = fitted
-        kw = dict(alpha=0.05, trials=2, emulations=1, budget=small_budget(),
-                  val_set=val, sensitivity=sens, seed=11, attack_pool=train)
+        kw = dict(alpha=0.05, trials=2, threat=Threat([small_budget()], 1, train),
+                  val_set=val, sensitivity=sens, seed=11)
         p1 = search_protection(model, **kw)
         p2 = search_protection(model, **kw)
         assert p1.layers == p2.layers
 
     def test_assignment_modes_differ_in_spread(self, fitted, sens):
         model, train, val = fitted
-        kw = dict(alpha=0.05, trials=1, emulations=1, budget=small_budget(),
-                  val_set=val, sensitivity=sens, seed=3, attack_pool=train)
+        kw = dict(alpha=0.05, trials=1, threat=Threat([small_budget()], 1, train),
+                  val_set=val, sensitivity=sens, seed=3)
         top = search_protection(model, assignment="top", **kw)
         even = search_protection(model, assignment="even", **kw)
         assert top.total == even.total
@@ -181,26 +183,30 @@ class TestSearchProtection:
 
     def test_input_validation(self, fitted, sens):
         model, train, val = fitted
-        kw = dict(budget=small_budget(), val_set=val, sensitivity=sens, attack_pool=train)
+        kw = dict(threat=Threat([small_budget()], 1, train), val_set=val, sensitivity=sens)
         with pytest.raises(InputError):
-            search_protection(model, alpha=0.0, trials=1, emulations=1, **kw)
+            search_protection(model, alpha=0.0, trials=1, **kw)
         with pytest.raises(InputError):
-            search_protection(model, alpha=1.5, trials=1, emulations=1, **kw)
+            search_protection(model, alpha=1.5, trials=1, **kw)
         with pytest.raises(InputError):
-            search_protection(model, alpha=0.1, trials=0, emulations=1, **kw)
+            search_protection(model, alpha=0.1, trials=0, **kw)
         with pytest.raises(InputError):
-            search_protection(model, alpha=0.1, trials=1, emulations=0, **kw)
+            search_protection(model, alpha=0.1, trials=1,
+                              threat=Threat([small_budget()], 0, train), val_set=val,
+                              sensitivity=sens)
         with pytest.raises(InputError):
-            search_protection(model, alpha=0.1, trials=1, emulations=1,
-                              assignment="magic", **kw)
+            search_protection(model, alpha=0.1, trials=1, assignment="magic", **kw)
 
-    def test_pool_smaller_than_batch_rejected(self, fitted, sens):
-        model, _, val = fitted
-        tiny = val.take(np.arange(4))
-        with pytest.raises(InputError):
-            search_protection(model, alpha=0.05, trials=1, emulations=1,
-                              budget=small_budget(), val_set=val, sensitivity=sens,
-                              attack_pool=tiny)
+    def test_pool_smaller_than_batch_rejected(self, fitted):
+        # the threat is checked when it is built, before any search or attack
+        # runs: a lone trial attacks nothing, yet its pool must hold the
+        # largest batch of the grid
+        _, _, val = fitted
+        pool = val.take(np.arange(8))
+        small, large = AttackBudget(8, 24, 4), AttackBudget(8, 24, 16)
+        with pytest.raises(InputError, match="holds 8 samples, need 16"):
+            Threat([small, large], 1, pool)
+        assert len(Threat([small, replace(large, batch_size=8)], 1, pool).pool) == 8
 
 
 class TestFullProtectionBound:
@@ -233,9 +239,8 @@ class TestFullProtectionBound:
         # the unprotected model's worst accuracy under the same protocol
         model, train, val = fitted
         budget = small_budget()
-        plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
-                                 budget=budget, val_set=val, sensitivity=sens, seed=7,
-                                 attack_pool=train)
+        plan = search_protection(model, alpha=0.05, trials=3, threat=Threat([budget], 2, train),
+                                 val_set=val, sensitivity=sens, seed=7)
 
         def worst(target, seq):
             return min(evaluate(draw_attack(target, train, budget, child)[0], val)
@@ -247,9 +252,9 @@ class TestFullProtectionBound:
 
     def test_protected_weights_skew_small_magnitude(self, fitted, sens):
         model, train, val = fitted
-        plan = search_protection(model, alpha=0.05, trials=3, emulations=2,
-                                 budget=small_budget(), val_set=val, sensitivity=sens, seed=7,
-                                 attack_pool=train)
+        plan = search_protection(model, alpha=0.05, trials=3,
+                                 threat=Threat([small_budget()], 2, train), val_set=val,
+                                 sensitivity=sens, seed=7)
         prot, everything = [], []
         for pidx, layer in model.parametric():
             flat = np.abs(layer.weight.codes.reshape(-1))

@@ -74,7 +74,6 @@ class DefenseConfig:
     trials: int = 4
     emulations: int = 3
     target_drop: float = 0.03
-    assignment: str = "top"
 
 
 @dataclass
@@ -137,8 +136,6 @@ class ExperimentConfig:
             bad.append(f"dataset.noise must be >= 0, got {ds.noise!r}")
         if ds.kind == "arcs" and m.classes != 2:
             bad.append(f"dataset.kind arcs has two classes, got model.classes {m.classes!r}")
-        if d.assignment not in ("top", "even"):
-            bad.append(f"defense.assignment must be top or even, got {d.assignment!r}")
         if self.dataset.kind not in DATASET_KINDS:
             bad.append(f"unknown dataset.kind {self.dataset.kind!r}")
         if bad:
@@ -173,6 +170,15 @@ def _fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
+def _as(value, kind):
+    """value, which fits kind, with a float field's number and each entry of
+    a float list made a float: an int written there then hashes as the
+    float the environment parses."""
+    if get_origin(kind) is list:
+        return [_as(v, get_args(kind)[0]) for v in value]
+    return float(value) if kind is float else value
+
+
 def _field(cfg: ExperimentConfig, key: str):
     """The object holding the field key names ("section.name", "seeds" or
     "out_dir") and the field's declared type; ConfigError for any other key."""
@@ -189,7 +195,7 @@ def _set(cfg: ExperimentConfig, key: str, value) -> None:
     if not _fits(value, kind):
         shown = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
         raise ConfigError(f"{key} must be {shown}, got {value!r}")
-    setattr(owner, key.rpartition(".")[2], value)
+    setattr(owner, key.rpartition(".")[2], _as(value, kind))
 
 
 def _build(data: dict) -> ExperimentConfig:

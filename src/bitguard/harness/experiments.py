@@ -95,9 +95,9 @@ def _tag(rows: List[dict], stage: str, seed: int, method: str,
             "method": method,
             "alpha": plan.alpha,
             "eta": eta,
-            "m_tcu": memory.get("m_tcu", 0.0),
-            "m_lock": memory.get("m_lock", 0.0),
-            "m_total": memory.get("total", 0.0),
+            "m_tcu": memory["m_tcu"],
+            "m_lock": memory["m_lock"],
+            "m_total": memory["total"],
             **r,
         })
     return out
@@ -209,8 +209,7 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
     sens = threat = None
 
     def build(alpha: float, eta: float) -> DefensePlan:
-        return build_defense(model, alpha, [eta], threat, splits.val, sens, dfn.trials, seed,
-                             assignment=dfn.assignment)[0]
+        return build_defense(model, alpha, [eta], threat, splits.val, sens, dfn.trials, seed)[0]
 
     def evaluate_plan(stage_name: str, method: str, plan: DefensePlan,
                       panel: Optional[AttackPanel] = None) -> None:
@@ -246,7 +245,6 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
                                      eta_grid=dfn.eta_grid,
                                      trials=dfn.trials, seed=seed,
                                      target_drop=dfn.target_drop,
-                                     assignment=dfn.assignment,
                                      searched={(protect_plan.alpha, seed):
                                                protect_plan.unary})
         chosen_eta = chosen.eta if np.isfinite(chosen.eta) else None

@@ -16,10 +16,9 @@ Components:
     budgets x emulations; recover detects, contains and evaluates those
     attacks under one plan.  Every reported defense number is a recover
     of a panel; end_to_end_eval composes the two for a single plan.
-  * synergy_search: greedy descent over the alpha grid crossed with the eta
-    grid, building each alpha through build_defense and scoring all its
-    etas on one panel, stopping when total memory stops improving,
-    constrained by a resumed-accuracy target.
+  * synergy_search: the whole alpha grid crossed with the eta grid,
+    building each alpha through build_defense and scoring all its etas on
+    one panel; the cheapest plan that meets a resumed-accuracy target wins.
 
 Memory totals price TCU words by bitcodec.tcu_payload_bits: the truncated
 run rounded up to a power of two, with no per-word metadata.
@@ -59,14 +58,11 @@ class DefensePlan:
 
 
 def measure_memory(model, unary: UnaryPlan, lockdown: LockPlan) -> Dict[str, float]:
-    """Integer bit ledgers for both plan components plus derived ratios."""
+    """Both plan components' ledgers as shares of the BCD baseline b * |W|, and their total."""
     tcu = ledger_tcu(unary, model)
     locking = ledger_lock(lockdown, model)
     baseline = tcu.baseline_bits
     return {
-        "tcu_bits": tcu.component_bits,
-        "lock_bits": locking.component_bits,
-        "baseline_bits": baseline,
         "m_tcu": tcu.component_bits / baseline,
         "m_lock": locking.component_bits / baseline,
         "total": (tcu.component_bits + locking.component_bits) / baseline,
@@ -342,7 +338,6 @@ def end_to_end_eval(model, plan: DefensePlan, threat: Threat, val_set: Batch,
 
 def build_defense(model, alpha: float, etas: List[float], threat: Threat,
                   val_set: Batch, sensitivity: Sensitivity, trials: int, seed: int,
-                  assignment: str = "top",
                   unary: Optional[UnaryPlan] = None) -> List[DefensePlan]:
     """Construct one (alpha, eta) plan per eta on a clean model.
 
@@ -361,8 +356,7 @@ def build_defense(model, alpha: float, etas: List[float], threat: Threat,
         if unary.alpha != alpha:
             raise InputError(f"unary plan has alpha {unary.alpha}, expected {alpha}")
     elif alpha > 0:
-        unary = search_protection(model, alpha, trials, threat, val_set, sensitivity,
-                                  seed=seed, assignment=assignment)
+        unary = search_protection(model, alpha, trials, threat, val_set, sensitivity, seed=seed)
     else:
         unary = UnaryPlan(alpha=0.0)
     protected = apply_protection(model, unary)
@@ -390,22 +384,23 @@ def synergy_search(model, threat: Threat, val_set: Batch,
                    sensitivity: Sensitivity, clean_acc: float,
                    alpha_grid: List[float], eta_grid: List[float],
                    trials: int, target_drop: float, seed: int = 0,
-                   assignment: str = "top",
                    searched: Optional[Dict[Tuple[float, int], UnaryPlan]] = None
                    ) -> Tuple[DefensePlan, List[dict]]:
-    """Greedy (alpha, eta) sweep minimizing memory under an accuracy floor.
+    """Full (alpha, eta) grid sweep minimizing memory under an accuracy floor.
 
-    Alphas are visited in descending order, the a-th one built by
-    build_defense with seed + a and the model's `sensitivity`
-    (weight_sensitivity(model, val_set)); clean_acc is evaluate(model,
-    val_set), which the caller holds; `searched` maps (alpha, search seed) to a
-    unary plan already searched on this model with the same threat, trials
-    and assignment.  Every eta of an alpha is scored by recover on one
-    attack panel drawn from `seed`.  The descent stops when the best total
-    memory seen for an alpha exceeds the previous alpha's best.  Among
-    feasible plans (mean resumed accuracy >= clean - target_drop) the
-    cheapest wins; if none is feasible the most accurate plan is returned
-    flagged infeasible.  The full evaluation log is returned for reporting.
+    Every (alpha, eta) pair is scored, so the chosen plan depends only on
+    the grids.  Alphas are visited in descending order, the a-th one built
+    by build_defense with seed + a and the model's `sensitivity`
+    (weight_sensitivity(model, val_set)): the order fixes each alpha's
+    search seed, which is also the key under which the protect stage hands
+    over plans it has already searched.  clean_acc is evaluate(model,
+    val_set), which the caller holds; `searched` maps (alpha, search seed)
+    to a unary plan already searched on this model with the same threat
+    and trials.  Every eta of an alpha is scored by recover on one attack
+    panel drawn from `seed`.  Among feasible plans (mean resumed accuracy
+    >= clean - target_drop) the cheapest wins; if none is feasible the most
+    accurate plan is returned flagged infeasible.  The full evaluation log
+    is returned for reporting.
     """
     if not alpha_grid or not eta_grid:
         raise InputError("alpha and eta grids must be nonempty")
@@ -415,12 +410,9 @@ def synergy_search(model, threat: Threat, val_set: Batch,
 
     log: List[dict] = []
     evaluated: List[DefensePlan] = []
-    prev_best: Optional[float] = None
     for a_idx, alpha in enumerate(alphas):
-        alpha_best = np.inf
         plans = build_defense(model, alpha, eta_grid, threat, val_set, sensitivity,
-                              trials, seed + a_idx, assignment=assignment,
-                              unary=searched.get((alpha, seed + a_idx)))
+                              trials, seed + a_idx, unary=searched.get((alpha, seed + a_idx)))
         panel = attack_panel(apply_protection(model, plans[0].unary), threat, val_set,
                              clean_acc, seed=seed)
         for plan in plans:
@@ -429,7 +421,6 @@ def synergy_search(model, threat: Threat, val_set: Batch,
             plan.accuracy = report.summary
             plan.feasible = report.summary["resumed_mean"] >= target
             evaluated.append(plan)
-            alpha_best = min(alpha_best, report.memory["total"])
             log.append({
                 "alpha": alpha,
                 "eta": plan.eta if np.isfinite(plan.eta) else None,
@@ -440,9 +431,6 @@ def synergy_search(model, threat: Threat, val_set: Batch,
                 "resumed_worst": report.summary["resumed_worst"],
                 "feasible": plan.feasible,
             })
-        if prev_best is not None and alpha_best > prev_best:
-            break
-        prev_best = alpha_best
 
     feasible = [p for p in evaluated if p.feasible]
     if feasible:

@@ -74,12 +74,6 @@ def layer_sensitivity(scores: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _budget_total(rate: float, sizes: np.ndarray) -> int:
-    if rate < 0 or rate > 1 or not np.isfinite(rate):
-        raise InputError(f"protection rate must lie in [0, 1], got {rate}")
-    return int(np.ceil(rate * int(sizes.sum())))
-
-
 def assign_budget(rate: float, layer_scores: Sequence[float], layer_sizes: Sequence[int]) -> np.ndarray:
     """Fill the most sensitive layers first until the budget is spent.
 
@@ -91,7 +85,9 @@ def assign_budget(rate: float, layer_scores: Sequence[float], layer_sizes: Seque
     sizes = np.asarray(layer_sizes, dtype=np.int64)
     if scores.shape != sizes.shape:
         raise InputError("layer score and size arrays must align")
-    remaining = _budget_total(rate, sizes)
+    if rate < 0 or rate > 1 or not np.isfinite(rate):
+        raise InputError(f"protection rate must lie in [0, 1], got {rate}")
+    remaining = int(np.ceil(rate * int(sizes.sum())))
     budgets = np.zeros_like(sizes)
     order = sorted(range(sizes.size), key=lambda i: (-scores[i], i))
     for i in order:
@@ -102,29 +98,3 @@ def assign_budget(rate: float, layer_scores: Sequence[float], layer_sizes: Seque
             break
     return budgets
 
-
-def even_assign_budget(rate: float, layer_sizes: Sequence[int]) -> np.ndarray:
-    """Spread the budget equally across layers, capping at layer size.
-
-    Whatever a small layer cannot absorb is redistributed; when the split
-    is uneven the extra units go to the largest layers first.
-    """
-    sizes = np.asarray(layer_sizes, dtype=np.int64)
-    remaining = _budget_total(rate, sizes)
-    budgets = np.zeros_like(sizes)
-    while remaining > 0:
-        active = [i for i in range(sizes.size) if budgets[i] < sizes[i]]
-        if not active:
-            break
-        share, extra = divmod(remaining, len(active))
-        order = sorted(active, key=lambda i: (-sizes[i], i))
-        gave = 0
-        for rank, i in enumerate(order):
-            want = share + (1 if rank < extra else 0)
-            add = min(want, int(sizes[i] - budgets[i]))
-            budgets[i] += add
-            gave += add
-        if gave == 0:
-            break
-        remaining -= gave
-    return budgets

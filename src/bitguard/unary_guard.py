@@ -19,7 +19,7 @@ import numpy as np
 from .attacker import Threat, draw_attack
 from .engine import Batch, evaluate
 from .errors import InputError, PlanError
-from .sensitivity import Sensitivity, assign_budget, even_assign_budget, layer_sensitivity
+from .sensitivity import Sensitivity, assign_budget, layer_sensitivity
 
 
 @dataclass
@@ -70,14 +70,15 @@ def _sample_indices(scores: np.ndarray, count: int,
 
 
 def search_protection(model, alpha: float, trials: int, threat: Threat, val_set: Batch,
-                      sensitivity: Sensitivity, seed: int = 0,
-                      assignment: str = "top") -> UnaryPlan:
+                      sensitivity: Sensitivity, seed: int = 0) -> UnaryPlan:
     """Pick protection indices that maximize worst-case post-attack accuracy.
 
     `sensitivity` is weight_sensitivity(model, val_set), computed once per
-    trained model by the caller.  Per budgeted layer: `trials` candidate
-    index sets are sampled with probability softmax(standardized
-    sensitivity score), each scored by the worst validation accuracy over
+    trained model by the caller.  The ceil(alpha * |W|) protected weights
+    fill the layers in layer_sensitivity order, most exposed first
+    (assign_budget).  Per budgeted layer: `trials` candidate index sets
+    are sampled with probability softmax(standardized sensitivity
+    score), each scored by the worst validation accuracy over
     threat.emulations independent attacks at threat.top; the first set
     with the best worst case wins.  A trial reads only whether it beats the
     best worst case so far, so it stops at its first emulation that cannot,
@@ -87,15 +88,10 @@ def search_protection(model, alpha: float, trials: int, threat: Threat, val_set:
         raise InputError("protection rate must lie in (0, 1]")
     if trials < 1:
         raise InputError("trials must be >= 1")
-    if assignment not in ("top", "even"):
-        raise InputError(f"unknown assignment mode {assignment!r}")
 
     sens = sensitivity.scores
     sizes = model.layer_sizes()
-    if assignment == "top":
-        budgets = assign_budget(alpha, layer_sensitivity(sens), sizes)
-    else:
-        budgets = even_assign_budget(alpha, sizes)
+    budgets = assign_budget(alpha, layer_sensitivity(sens), sizes)
 
     root = np.random.SeedSequence(seed)
     layer_seqs = root.spawn(len(sizes))

@@ -354,15 +354,11 @@ def group_centroids(weights, h, group_size: int, include=None) -> np.ndarray:
     return np.where(h_sum > 0, aware, np.where(cnt > 0, mean, 0.0))
 
 
-def search_protection(model, alpha, trials, threat, val_set, sensitivity, seed=0,
-                      assignment="top"):
+def search_protection(model, alpha, trials, threat, val_set, sensitivity, seed=0):
     """unary_guard.search_protection scoring each trial by the minimum over
     all of its emulations, the lone trial included."""
     sens, sizes = sensitivity.scores, model.layer_sizes()
-    if assignment == "top":
-        budgets = unary_guard.assign_budget(alpha, unary_guard.layer_sensitivity(sens), sizes)
-    else:
-        budgets = unary_guard.even_assign_budget(alpha, sizes)
+    budgets = unary_guard.assign_budget(alpha, unary_guard.layer_sensitivity(sens), sizes)
     layer_seqs = np.random.SeedSequence(seed).spawn(len(sizes))
     plan = unary_guard.UnaryPlan(alpha=alpha)
     for pidx, _ in model.parametric():

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from typing import List
 
 import numpy as np
 import pytest
@@ -183,8 +184,7 @@ def unshared_plan_and_eval_rows(config, seed):
     clean_acc = evaluate(model, splits.val)
     chosen, log = synergy_search(model, threat, splits.val, sens, clean_acc,
                                  alpha_grid=dfn.alpha_grid, eta_grid=dfn.eta_grid,
-                                 trials=dfn.trials, seed=seed, target_drop=dfn.target_drop,
-                                 assignment=dfn.assignment)
+                                 trials=dfn.trials, seed=seed, target_drop=dfn.target_drop)
     panel = attack_panel(apply_protection(model, chosen.unary), threat, splits.val, clean_acc,
                          seed=1000 + seed)
     rep = recover(panel, chosen)
@@ -500,7 +500,7 @@ EVERY_FIELD = {
     "attacker.max_flips": 5, "attacker.inference_units": [9, 15], "attacker.batch_size": 8,
     "attacker.batch_grid": [8, 12], "attacker.grad_samples": 2, "attacker.noise_std": 0.5,
     "defense.alpha_grid": [0.5, 0.25], "defense.eta_grid": [0.5, 0.125], "defense.trials": 2,
-    "defense.emulations": 2, "defense.target_drop": 0.25, "defense.assignment": "even",
+    "defense.emulations": 2, "defense.target_drop": 0.25,
     "seeds": [3, 4], "out_dir": "elsewhere",
 }
 
@@ -528,6 +528,48 @@ def test_every_field_resolves_alike_from_file_environment_and_overrides(tmp_path
         assert canonical_json(got) == canonical_json(configs[0].to_dict())
 
 
+# an int in every float field, as a config file or an override may write it
+INT_IN_FLOAT_FIELD = {
+    "model.lr": 1, "model.floor": 0, "dataset.noise": 1, "attacker.noise_std": 0,
+    "defense.target_drop": 0, "defense.alpha_grid": [1, 0], "defense.eta_grid": [2, 1],
+}
+
+
+def test_int_in_a_float_field_gives_one_config_hash_by_every_route(tmp_path):
+    # the environment always parses a float field as a float; the file and
+    # the overrides must store one too, or one experiment has two hashes
+    defaults = ExperimentConfig()
+    assert set(INT_IN_FLOAT_FIELD) == {
+        f"{section}.{name}" for section in ("model", "dataset", "attacker", "defense")
+        for name, f in getattr(defaults, section).__dataclass_fields__.items()
+        if f.type in (float, List[float])}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(nested(INT_IN_FLOAT_FIELD)))
+    environ = {env_name(key): ",".join(map(str, v)) if isinstance(v, list) else str(v)
+               for key, v in INT_IN_FLOAT_FIELD.items()}
+    as_floats = {key: [float(x) for x in v] if isinstance(v, list) else float(v)
+                 for key, v in INT_IN_FLOAT_FIELD.items()}
+    configs = [load_config(str(path), environ={}), load_config(environ=environ),
+               load_config(overrides=INT_IN_FLOAT_FIELD, environ={}),
+               load_config(overrides=as_floats, environ={})]
+    assert len({cfg.config_hash() for cfg in configs}) == 1
+    for cfg in configs:
+        for key in INT_IN_FLOAT_FIELD:
+            section, _, name = key.partition(".")
+            value = getattr(getattr(cfg, section), name)
+            assert all(type(x) is float for x in (value if isinstance(value, list) else [value]))
+
+
+def test_removed_assignment_key_exits_2(tmp_path, capsys, clean_env):
+    # the unary search has one layer-budget rule, the sensitivity-ranked
+    # one, so a config that still picks a rule is refused, not run
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(nested({**TINY, "defense.assignment": "top"})))
+    assert main(["--config", str(path), "--no-write"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ConfigError", "message": "unknown config key 'defense.assignment'"}
+
+
 @pytest.mark.parametrize("key, shown", [("model.depth", "model.depth"), ("nosuch.field", "nosuch"),
                                         ("model", "model"), ("bogus", "bogus")])
 def test_unknown_name_is_a_config_error_by_every_route(tmp_path, key, shown):
@@ -550,7 +592,7 @@ def test_unknown_key_inside_a_section_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("defense.assignment", "bogus"),
+    ("defense.assignment", "bogus"),  # no such key, whatever its value
     ("dataset.kind", "mnist"),
     ("defense.trials", 0),
     ("defense.emulations", 0),
@@ -633,8 +675,7 @@ def test_attack_pool_smaller_than_batch_size_fails_before_training(tmp_path, cap
 
 def test_config_range_edges_are_valid():
     edges = {"defense.alpha_grid": [1, 0.0], "defense.eta_grid": [float("inf")],
-             "defense.assignment": "even", "model.bits": 2, "dataset.kind": "arcs",
-             "model.classes": 2}
+             "model.bits": 2, "dataset.kind": "arcs", "model.classes": 2}
     cfg = tiny_config(**edges)
     assert (cfg.defense.alpha_grid, cfg.model.bits) == ([1, 0.0], 2)
 
@@ -660,7 +701,7 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, clea
 def test_cli_invalid_value_exits_2_before_any_stage(tmp_path, capsys, clean_env, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(nested({**TINY, "defense.assignment": "bogus"})))
+    path.write_text(json.dumps(nested({**TINY, "defense.trials": 0})))
     assert main(["--config", str(path), "--stage", "train"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

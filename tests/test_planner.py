@@ -1,4 +1,4 @@
-"""Planner tests: attack panels, recovery, ledgers, greedy (alpha, eta) search."""
+"""Planner tests: attack panels, recovery, ledgers, the (alpha, eta) grid search."""
 
 from dataclasses import FrozenInstanceError, replace
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bitguard.attacker import AttackBudget, Threat
+from bitguard.bitcodec import ledger_lock, ledger_tcu
 from bitguard.engine import ActivationPrefix, Batch, evaluate
 from bitguard.errors import ConfigError, InputError
 import bitguard.planner as planner
@@ -126,18 +127,19 @@ class TestLedgers:
         plan = build_defense(model, alpha=0.02, etas=[0.02], threat=pair(1, train), val_set=val,
                              sensitivity=sens, trials=1, seed=0)[0]
         mem = measure_memory(model, plan.unary, plan.lockdown)
-        baseline = mem["baseline_bits"]
-        assert mem["total"] == (mem["tcu_bits"] + mem["lock_bits"]) / baseline
-        assert mem["m_tcu"] == mem["tcu_bits"] / baseline
-        assert mem["m_lock"] == mem["lock_bits"] / baseline
+        tcu, locking = ledger_tcu(plan.unary, model), ledger_lock(plan.lockdown, model)
+        baseline = tcu.baseline_bits
+        assert mem["total"] == (tcu.component_bits + locking.component_bits) / baseline
+        assert mem["m_tcu"] == tcu.component_bits / baseline
+        assert mem["m_lock"] == locking.component_bits / baseline
 
     def test_bit_counts_are_integers(self, fitted, sens):
         model, train, val = fitted
         plan = build_defense(model, alpha=0.01, etas=[0.02], threat=pair(1, train), val_set=val,
                              sensitivity=sens, trials=1, seed=0)[0]
-        mem = measure_memory(model, plan.unary, plan.lockdown)
-        for key in ("tcu_bits", "lock_bits", "baseline_bits"):
-            assert mem[key] == int(mem[key])
+        for ledger in (ledger_tcu(plan.unary, model), ledger_lock(plan.lockdown, model)):
+            for bits in (ledger.component_bits, ledger.baseline_bits):
+                assert bits == int(bits)
 
 
 class TestPipeline:
@@ -349,7 +351,7 @@ class TestSynergySearch:
                                      alpha_grid=(0.01, 0.02), eta_grid=etas, trials=1, seed=2,
                                      target_drop=0.5)
         fresh = []
-        for a_idx, alpha in enumerate((0.02, 0.01)[: len(log) // len(etas)]):
+        for a_idx, alpha in enumerate((0.02, 0.01)):
             for plan in build_defense(model, alpha, etas, pair(2, train), val, sens, 1,
                                       seed=2 + a_idx):
                 rep = recover(panel_for(model, plan, 2, val, seed=2, pool=train), plan)
@@ -370,10 +372,10 @@ class TestSynergySearch:
         _, log = synergy_search(model, Threat(budgets, emulations, train), val, sens,
                                 evaluate(model, val), alpha_grid=(0.02, 0.01), eta_grid=etas,
                                 trials=1, seed=0, target_drop=0.5)
-        alphas = len(log) // len(etas)
+        assert len(log) == 2 * len(etas)
         # per alpha: one emulated footprint and one panel, each one attack
         # per (budget group, emulation), whatever the number of etas
-        assert len(calls) == alphas * 2 * 2 * emulations
+        assert len(calls) == 2 * 2 * 2 * emulations
 
     def test_searched_unary_plan_is_reused(self, fitted, sens, monkeypatch):
         model, train, val = fitted
@@ -411,6 +413,23 @@ class TestSynergySearch:
                                 target_drop=0.5)
         seen = [r["alpha"] for r in log]
         assert seen == sorted(seen, reverse=True)
+
+    def test_every_alpha_scored_when_lower_alphas_cost_more(self, fitted, sens, monkeypatch):
+        # total memory rises as alpha falls, yet every (alpha, eta) is
+        # scored: the chosen plan depends on the grid alone
+        model, train, val = fitted
+        real = planner.measure_memory
+        monkeypatch.setattr(planner, "measure_memory",
+                            lambda m, unary, lockdown: {**real(m, unary, lockdown),
+                                                        "total": 1.0 - unary.alpha})
+        etas = (0.02, float("inf"))
+        plan, log = synergy_search(model, pair(1, train), val, sens, evaluate(model, val),
+                                   alpha_grid=(0.005, 0.02, 0.01), eta_grid=etas, trials=1,
+                                   seed=0, target_drop=1.0)
+        assert [(r["alpha"], r["eta"]) for r in log] == [
+            (alpha, eta if np.isfinite(eta) else None)
+            for alpha in (0.02, 0.01, 0.005) for eta in etas]
+        assert plan.alpha == 0.02 and plan.memory["total"] == 0.98
 
     def test_infeasible_target_flagged(self, fitted, sens):
         model, train, val = fitted

@@ -10,7 +10,6 @@ from bitguard.engine import Batch, forward, loss_and_grads
 from bitguard.errors import InputError
 from bitguard.sensitivity import (
     assign_budget,
-    even_assign_budget,
     layer_sensitivity,
     msb_flip_deltas,
     weight_sensitivity,
@@ -110,13 +109,6 @@ def test_assign_budget_bounds():
     assert assign_budget(1.0, [0.5, 0.1], [3, 4]).sum() == 7
 
 
-def test_even_assignment_examples():
-    assert even_assign_budget(10 / 20, [10, 10]).tolist() == [5, 5]
-    # small layer caps, remainder flows to the big layer
-    assert even_assign_budget(20 / 104, [4, 100]).tolist() == [4, 16]
-    assert even_assign_budget(0.0, [4, 100]).tolist() == [0, 0]
-
-
 @given(
     st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=6),
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -126,10 +118,7 @@ def test_budget_conservation_properties(sizes, rate):
     sizes_arr = np.array(sizes)
     total = int(np.ceil(rate * sizes_arr.sum()))
     scores = np.linspace(1, 0, len(sizes))
-    for budgets in (
-        assign_budget(rate, scores, sizes),
-        even_assign_budget(rate, sizes),
-    ):
-        assert budgets.sum() == min(total, sizes_arr.sum())
-        assert np.all(budgets >= 0)
-        assert np.all(budgets <= sizes_arr)
+    budgets = assign_budget(rate, scores, sizes)
+    assert budgets.sum() == min(total, sizes_arr.sum())
+    assert np.all(budgets >= 0)
+    assert np.all(budgets <= sizes_arr)

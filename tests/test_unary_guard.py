@@ -170,17 +170,6 @@ class TestSearchProtection:
         p2 = search_protection(model, **kw)
         assert p1.layers == p2.layers
 
-    def test_assignment_modes_differ_in_spread(self, fitted, sens):
-        model, train, val = fitted
-        kw = dict(alpha=0.05, trials=1, threat=Threat([small_budget()], 1, train),
-                  val_set=val, sensitivity=sens, seed=3)
-        top = search_protection(model, assignment="top", **kw)
-        even = search_protection(model, assignment="even", **kw)
-        assert top.total == even.total
-        # even assignment spreads over every layer; top concentrates
-        assert len(even.layers) == len(model.parametric())
-        assert len(top.layers) <= len(even.layers)
-
     def test_input_validation(self, fitted, sens):
         model, train, val = fitted
         kw = dict(threat=Threat([small_budget()], 1, train), val_set=val, sensitivity=sens)
@@ -194,8 +183,6 @@ class TestSearchProtection:
             search_protection(model, alpha=0.1, trials=1,
                               threat=Threat([small_budget()], 0, train), val_set=val,
                               sensitivity=sens)
-        with pytest.raises(InputError):
-            search_protection(model, alpha=0.1, trials=1, assignment="magic", **kw)
 
     def test_pool_smaller_than_batch_rejected(self, fitted):
         # the threat is checked when it is built, before any search or attack

@@ -31,18 +31,6 @@ def code_range(bits: int) -> Tuple[int, int]:
     return -half, half - 1
 
 
-def _check_code(code: int, bits: int) -> None:
-    lo, hi = code_range(bits)
-    if not lo <= code <= hi:
-        raise InputError(f"code {code} outside [{lo}, {hi}] for {bits}-bit storage")
-
-
-def to_unsigned(code: int, bits: int) -> int:
-    """Reinterpret a signed code as its unsigned bit pattern."""
-    _check_code(code, bits)
-    return code & ((1 << bits) - 1)
-
-
 def to_signed(pattern: int, bits: int) -> int:
     """Reinterpret an unsigned b-bit pattern as a signed code."""
     if not 0 <= pattern < (1 << bits):
@@ -85,20 +73,6 @@ def tcu_layout(codes: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray, np
     stored = np.minimum(level, zeros)
     width = np.where(stored > 0, 2 << _top_index(np.maximum(stored, 1)), 1)
     return ones_stored, width, np.where(ones_stored, stored, width - stored)
-
-
-def tcu_payload_bits(code: int, bits: int) -> int:
-    """Storage bits charged for one TCU-protected weight.
-
-    The ledger convention: 2^ceil(log2 c) slots for the truncated run
-    c = min(u, 2^b - u), with runs of 0 or 1 priced at one slot and no
-    metadata.
-    """
-    u = to_unsigned(code, bits)
-    c = min((1 << bits) - u, u)
-    if c <= 1:
-        return 1
-    return 1 << _ceil_log2(c)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +125,19 @@ def _baseline_bits(model) -> int:
 def ledger_tcu(plan, model) -> MemoryLedger:
     """Price a protection plan under TCU storage.
 
-    Payload follows tcu_payload_bits for each protected weight's current
-    code.  Index cost charges ceil(log2 |W_l|) bits per protected weight,
-    enough to address any position in its layer.
+    Payload is the width tcu_layout gives each protected weight's current
+    code, the words the attacker and the checkpoint read.  Index cost
+    charges ceil(log2 |W_l|) bits per protected weight, enough to address
+    any position in its layer.
     """
     ledger = MemoryLedger(baseline_bits=_baseline_bits(model))
     layers = {pidx: layer for pidx, layer in model.parametric()}
     for pidx, indices in plan.layers.items():
-        if len(indices) == 0:
-            continue
-        layer = layers[pidx]
-        bits = layer.weight.bits
-        codes = layer.weight.codes.reshape(-1)
-        addr = _ceil_log2(codes.size) if codes.size > 1 else 0
-        for i in indices:
-            ledger.payload_bits += tcu_payload_bits(int(codes[i]), bits)
-            ledger.index_bits += addr
+        weight = layers[pidx].weight
+        codes = weight.codes.reshape(-1)
+        _, width, _ = tcu_layout(codes[np.asarray(indices, dtype=np.int64)], weight.bits)
+        ledger.payload_bits += int(width.sum())
+        ledger.index_bits += _ceil_log2(codes.size) * len(indices)
     return ledger
 
 
@@ -185,7 +156,9 @@ def ledger_lock(plan, model) -> MemoryLedger:
 
     Each lockable layer costs lock_layer_bits, and a stored containment
     watch list one group index per entry.  Layers without a feasible lock
-    contribute nothing.
+    contribute nothing.  The K centroid codes a lockable layer stores are
+    not priced: pricing them would change lock_layer_bits, and with it the
+    order in which the lock search tries its candidates.
     """
     ledger = MemoryLedger(baseline_bits=_baseline_bits(model))
     layers = {pidx: layer for pidx, layer in model.parametric()}

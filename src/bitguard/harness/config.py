@@ -134,8 +134,6 @@ class ExperimentConfig:
             bad.append(f"attacker.noise_std must be >= 0, got {a.noise_std!r}")
         if ds.noise < 0:
             bad.append(f"dataset.noise must be >= 0, got {ds.noise!r}")
-        if ds.kind == "arcs" and m.classes != 2:
-            bad.append(f"dataset.kind arcs has two classes, got model.classes {m.classes!r}")
         if self.dataset.kind not in DATASET_KINDS:
             bad.append(f"unknown dataset.kind {self.dataset.kind!r}")
         if bad:
@@ -144,7 +142,7 @@ class ExperimentConfig:
             for label, p in (("idx_images", self.dataset.idx_images),
                              ("idx_labels", self.dataset.idx_labels)):
                 if p is None:
-                    raise ConfigError(f"idx datasets require {label}")
+                    raise ConfigError(f"dataset.kind idx requires dataset.{label}")
                 if not Path(p).is_file():
                     raise ConfigError(f"{label} file not found: {p}")
         return self

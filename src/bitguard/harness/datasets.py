@@ -1,8 +1,8 @@
 """Dataset generation and ingestion for the experiment harness.
 
-Two synthetic generators (class-prototype images and a two-arc variant) plus
-a bit-exact IDX reader with transparent gzip handling.  All splits are
-disjoint and reproducible from the seed alone.
+A synthetic generator (class-prototype images) plus a bit-exact IDX reader
+with transparent gzip handling.  All splits are disjoint and reproducible
+from the seed alone.
 """
 
 import gzip
@@ -112,24 +112,7 @@ def _synthetic_images(count: int, classes: int, hw: int, noise: float,
     return _quantize_pixels(images)[:, None, :, :], labels
 
 
-def _two_arc_images(count: int, hw: int, noise: float,
-                    rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Two interleaved arcs rendered as bright blobs on an image grid."""
-    labels = rng.integers(0, 2, size=count)
-    theta = rng.uniform(0, np.pi, size=count)
-    cx = np.where(labels == 0, np.cos(theta), 1.0 - np.cos(theta))
-    cy = np.where(labels == 0, np.sin(theta), 0.5 - np.sin(theta))
-    cx = (cx + 1.5) / 4.0 * (hw - 1)
-    cy = (cy + 1.0) / 2.5 * (hw - 1)
-    cx += noise * hw * 0.05 * rng.standard_normal(count)
-    cy += noise * hw * 0.05 * rng.standard_normal(count)
-    yy, xx = np.mgrid[0:hw, 0:hw]
-    d2 = (xx[None] - cx[:, None, None]) ** 2 + (yy[None] - cy[:, None, None]) ** 2
-    images = np.exp(-d2 / (2.0 * (hw / 8.0) ** 2))
-    return _quantize_pixels(images)[:, None, :, :], labels
-
-
-DATASET_KINDS = ("prototype", "arcs", "idx")
+DATASET_KINDS = ("prototype", "idx")
 
 
 def make_dataset(kind: str = "prototype", classes: int = 10, hw: int = 12,
@@ -139,8 +122,8 @@ def make_dataset(kind: str = "prototype", classes: int = 10, hw: int = 12,
                  idx_labels: Optional[str] = None) -> DatasetSplits:
     """Build disjoint train/val/test/attack splits.
 
-    kind: "prototype" (classes Gaussian-noised template images), "arcs"
-    (two interleaved arcs), or "idx" (read images and labels from IDX files).
+    kind: "prototype" (classes Gaussian-noised template images) or "idx"
+    (read images and labels from IDX files).
     The attack split realizes the attacker's data access and stays disjoint
     from every other split.
     """
@@ -148,8 +131,6 @@ def make_dataset(kind: str = "prototype", classes: int = 10, hw: int = 12,
     rng = np.random.default_rng(seed)
     if kind == "prototype":
         images, labels = _synthetic_images(total, classes, hw, noise, rng)
-    elif kind == "arcs":
-        images, labels = _two_arc_images(total, hw, noise, rng)
     elif kind == "idx":
         if not idx_images or not idx_labels:
             raise InputError("idx dataset needs idx_images and idx_labels paths")

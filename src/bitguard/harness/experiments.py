@@ -111,9 +111,14 @@ def _seed_job(cfg_dict: dict, seed: int, stage: str,
 
     The model is trained once, and its clean accuracy is the one pretraining
     measured after its last epoch; every panel and the plan search reuse
-    it, since protection changes no dequantized weight.  With sweep = (stds, samples_grid) it is
-    then attacked undefended under every (noise std, averaging) cell;
-    otherwise the pipeline runs through `stage`.
+    it, since protection changes no dequantized weight.  With sweep =
+    (stds, samples_grid) it is then attacked undefended under every (noise
+    std, averaging) cell; otherwise the pipeline runs through `stage`.
+
+    Every reported accuracy is measured on splits.val, the set the unary,
+    lock and margin searches also select on; splits.test (dataset.test
+    samples) is drawn but never read.  Stage panels, drawn from seed
+    1000 + seed, hold out attack draws from the searches, not data.
 
     Every undefended cell is one attack at the largest unit budget, read
     at each budget of the grid through bfa_attack's cuts: the attack stage

@@ -101,12 +101,15 @@ def _recalibrate_norms(model: QuantizedModel, sample: Batch) -> None:
     """Point each affine layer at unit statistics of its input activations.
 
     One pass under the old affine parameters yields the layer inputs one at
-    a time; the new parameters are set after it, so no layer's statistics
-    see another affine layer's new parameters.
+    a time, up to the last affine layer's input; the new parameters are set
+    after it, so no layer's statistics see another affine layer's new
+    parameters.
     """
+    last = max((i for i, layer in enumerate(model.layers) if layer.kind == "affine_norm"),
+               default=-1)
     inputs = itertools.chain([sample.inputs], activations(model, sample))
     updates = []
-    for layer, pre in zip(model.layers, inputs):
+    for layer, pre in zip(model.layers[: last + 1], inputs):
         if layer.kind != "affine_norm":
             continue
         axes = (0, 2, 3) if pre.ndim == 4 else (0,)

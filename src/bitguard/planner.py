@@ -20,8 +20,9 @@ Components:
     building each alpha through build_defense and scoring all its etas on
     one panel; the cheapest plan that meets a resumed-accuracy target wins.
 
-Memory totals price TCU words by bitcodec.tcu_payload_bits: the truncated
-run rounded up to a power of two, with no per-word metadata.
+Memory totals price each TCU word at the width bitcodec.tcu_layout lays
+out, the word the attacker and the checkpoint read, with no per-word
+metadata.
 """
 
 from dataclasses import dataclass, field

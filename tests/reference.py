@@ -7,7 +7,8 @@ that runs the whole model on each chunk of samples, a strided col2im in
 (N, C, H, W) order, a max-pool backward that re-derives its routing from
 the input, elementwise rules that allocate every result, a move table
 that keeps an (n, bits) used-bit array and a padded slot matrix per layer,
-a one-code-at-a-time TCU encoder, the checkpoint writer built on it, the
+a one-code-at-a-time TCU encoder (with the signed-to-unsigned helper it
+reads codes through), the checkpoint writer built on it, the
 lock search's three separate group layouts (a zero-padded parity, a
 -inf-padded flip-score maximum and a concatenate-padded centroid), and a
 protection search that runs every emulation of every trial.
@@ -25,7 +26,7 @@ import numpy as np
 
 from bitguard import unary_guard
 from bitguard.attacker import _Candidate, draw_attack
-from bitguard.bitcodec import MemoryLedger, _baseline_bits, _ceil_log2, to_signed, to_unsigned
+from bitguard.bitcodec import MemoryLedger, _baseline_bits, _ceil_log2, code_range, to_signed
 from bitguard.engine import Batch, QuantizedModel, checkpoint, evaluate, functional, ops
 from bitguard.engine.functional import _infer
 from bitguard.errors import FormatError, InputError
@@ -140,6 +141,14 @@ def affine_backward(dout: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray
     if dout.ndim == 4:
         return dout * scale[None, :, None, None]
     return dout * scale[None, :]
+
+
+def to_unsigned(code: int, bits: int) -> int:
+    """Reinterpret a signed code as its unsigned bit pattern."""
+    lo, hi = code_range(bits)
+    if not lo <= code <= hi:
+        raise InputError(f"code {code} outside [{lo}, {hi}] for {bits}-bit storage")
+    return code & ((1 << bits) - 1)
 
 
 def unary_width(bits: int) -> int:

@@ -22,14 +22,14 @@ from bitguard.attacker import (
     bfa_attack,
     draw_attack,
 )
-from bitguard.bitcodec import to_signed, to_unsigned
+from bitguard.bitcodec import to_signed
 from bitguard.engine import (ActivationPrefix, Batch, Dense, NoiseSpec, QuantizedModel, QuantizedTensor,
                              forward, loss_and_grads)
 from bitguard.errors import ConfigError, InputError, NumericError
 
 import reference
 from conftest import chain_dense_model, dense_model, random_batch, toy_cnn_model
-from reference import TcuCodeword, flip_bit, tcu_decode, tcu_encode
+from reference import TcuCodeword, flip_bit, tcu_decode, tcu_encode, to_unsigned
 
 
 def linear_batch(xs, ys):

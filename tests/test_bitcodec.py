@@ -18,16 +18,13 @@ from bitguard.bitcodec import (
     ledger_lock,
     ledger_tcu,
     tcu_layout,
-    tcu_payload_bits,
-    to_signed,
-    to_unsigned,
 )
 from bitguard.errors import FormatError, InputError
 from bitguard.lockdown import LayerLockPlan
 
 from conftest import chain_dense_model, dense_model
 from reference import (TcuCodeword, flip_bit, ledger_unary, lock_ratio, tcu_decode, tcu_encode,
-                       unary_decode, unary_encode, unary_width, word_to_str)
+                       to_unsigned, unary_decode, unary_encode, unary_width, word_to_str)
 
 
 def all_codes(bits):
@@ -194,19 +191,6 @@ def test_tcu_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# payload accounting
-# ---------------------------------------------------------------------------
-
-
-def test_payload_frozen_examples():
-    assert tcu_payload_bits(3, 4) == 4
-    assert tcu_payload_bits(-3, 4) == 4
-    assert tcu_payload_bits(0, 4) == 1
-    assert tcu_payload_bits(1, 4) == 1
-    assert tcu_payload_bits(to_signed(4, 4), 4) == 4
-
-
-# ---------------------------------------------------------------------------
 # ledgers
 # ---------------------------------------------------------------------------
 
@@ -245,20 +229,35 @@ def naive_unary_bits(plan, model):
     return payload, index
 
 
-def naive_tcu_bits(plan, model):
+def encoded_tcu_bits(plan, model):
+    """(payload, index) bits: each protected weight's reference.tcu_encode
+    word, and an address into its layer."""
     layers = dict(model.parametric())
     payload = index = 0
     for pidx, idxs in plan.layers.items():
-        layer = layers[pidx]
-        b = layer.weight.bits
-        codes = layer.weight.codes.reshape(-1)
-        for i in idxs:
-            u = int(codes[i]) & ((1 << b) - 1)
-            c = min((1 << b) - u, u)
-            payload += 1 if c <= 1 else 1 << math.ceil(math.log2(c))
-            if codes.size > 1:
-                index += math.ceil(math.log2(codes.size))
+        weight = layers[pidx].weight
+        codes = weight.codes.reshape(-1)
+        payload += sum(tcu_encode(int(codes[i]), weight.bits).width for i in idxs)
+        index += math.ceil(math.log2(codes.size)) * len(idxs)
     return payload, index
+
+
+def test_ledger_tcu_prices_the_word_of_every_code():
+    # a one-weight plan pays the width of the word the encoder stores, which
+    # is tcu_layout's width, for every code; listed by code, so a rule that
+    # misprices some codes names each of them
+    wrong = {}
+    for bits in (4, 6, 8):
+        codes = np.array(all_codes(bits), dtype=np.int64)
+        model = dense_model(codes.reshape(1, -1), bits=bits)
+        _, widths, _ = tcu_layout(codes, bits)
+        wrong[bits] = []
+        for i, code in enumerate(codes.tolist()):
+            ledger = ledger_tcu(unary_plan({0: [i]}), model)
+            width = tcu_encode(code, bits).width
+            if (ledger.payload_bits, ledger.index_bits, widths[i]) != (width, bits, width):
+                wrong[bits].append(code)
+    assert wrong == {4: [], 6: [], 8: []}
 
 
 def test_ledger_randomized_against_naive(rng):
@@ -276,7 +275,7 @@ def test_ledger_randomized_against_naive(rng):
         led_u = ledger_unary(plan, model)
         assert (led_u.payload_bits, led_u.index_bits) == naive_unary_bits(plan, model)
         led_t = ledger_tcu(plan, model)
-        assert (led_t.payload_bits, led_t.index_bits) == naive_tcu_bits(plan, model)
+        assert (led_t.payload_bits, led_t.index_bits) == encoded_tcu_bits(plan, model)
 
 
 def test_lock_ratio_spot_values():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitguard.engine import AffineNorm, Batch, QuantizedModel, ReLU, activations, evaluate
+from bitguard.engine import AffineNorm, Batch, QuantizedModel, ReLU, activations, evaluate, ops
 from bitguard.errors import ConfigError, FormatError
 from bitguard.harness import ExperimentConfig, load_config, run_experiment, run_noise_sweep
 from bitguard.harness.cli import main
@@ -138,6 +138,23 @@ def test_recalibrate_norms_equals_list_reference(case):
         assert _affine_bytes(model) == _affine_bytes(ref)
 
 
+def test_recalibrate_norms_runs_no_layer_after_the_last_affine_input(monkeypatch):
+    # the desk CNN's two dense layers follow its last affine layer
+    calls = []
+    real = ops.dense_forward
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "dense_forward", counted)
+    model, sample = _norm_cases()[2]
+    _recalibrate_norms(model, sample)
+    assert calls == []
+    list(activations(model, sample))
+    assert calls == [len(sample)] * 2
+
+
 def test_recalibrate_norms_holds_one_layer_output_at_a_time():
     # every layer output of the desk CNN on 256 samples takes 27 MiB
     rng = np.random.default_rng(3)
@@ -151,6 +168,18 @@ def test_experiment_pool_matches_serial(serial_report):
     assert canonical_json(pooled.to_json()) == canonical_json(serial_report.to_json())
     assert [r["seed"] for r in serial_report.rows] == sorted(
         r["seed"] for r in serial_report.rows)
+
+
+def test_memory_totals_are_the_sum_of_their_parts(serial_report):
+    # stage rows carry m_total and plan rows total_memory, each m_tcu + m_lock
+    seen = set()
+    for r in serial_report.rows:
+        for total in ("m_total", "total_memory"):
+            if total in r:
+                seen.add(total)
+                assert math.isclose(r[total], r["m_tcu"] + r["m_lock"], rel_tol=1e-12), (r, total)
+    assert seen == {"m_total", "total_memory"}
+    assert any(r.get("m_tcu", 0) > 0 for r in serial_report.rows)  # some plan protects weights
 
 
 def test_lock_stage_stops_after_lock(serial_report):
@@ -494,7 +523,7 @@ def test_env_override_parses_as_the_declared_type(tmp_path, section, fname, in_f
 EVERY_FIELD = {
     "model.bits": 6, "model.hw": 8, "model.classes": 2, "model.epochs": 2,
     "model.batch_size": 32, "model.lr": 0.005, "model.floor": 0.5,
-    "dataset.kind": "arcs", "dataset.train": 100, "dataset.val": 30, "dataset.test": 20,
+    "dataset.kind": "idx", "dataset.train": 100, "dataset.val": 30, "dataset.test": 20,
     "dataset.attack": 24, "dataset.noise": 0.5, "dataset.seed": 3,
     "dataset.idx_images": "images.idx", "dataset.idx_labels": "labels.idx",
     "attacker.max_flips": 5, "attacker.inference_units": [9, 15], "attacker.batch_size": 8,
@@ -509,7 +538,10 @@ def env_name(key: str) -> str:
     return "BITGUARD_" + key.replace(".", "_").upper()
 
 
-def test_every_field_resolves_alike_from_file_environment_and_overrides(tmp_path):
+def test_every_field_resolves_alike_from_file_environment_and_overrides(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the relative idx paths name files
+    for key in ("dataset.idx_images", "dataset.idx_labels"):
+        (tmp_path / EVERY_FIELD[key]).write_bytes(b"")
     defaults = ExperimentConfig().to_dict()
     assert set(EVERY_FIELD) == {f"{section}.{name}" for section, part in defaults.items()
                                 if isinstance(part, dict) for name in part} | {"seeds", "out_dir"}
@@ -625,10 +657,10 @@ def test_unknown_key_inside_a_section_rejected(tmp_path):
     ("defense.target_drop", float("nan")),
     ("dataset.noise", float("inf")),
     ("model.floor", float("nan")),
-    # a negative noise would give the data of its absolute value; arcs draws two
-    # labels whatever the head's class count (TINY keeps the default 10)
+    # a negative noise would give the data of its absolute value; an idx set
+    # needs the image and label files, which TINY does not name
     ("dataset.noise", -0.25),
-    ("dataset.kind", "arcs"),
+    ("dataset.kind", "idx"),
 ])
 def test_invalid_config_value_raises_config_error(key, value):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -675,7 +707,7 @@ def test_attack_pool_smaller_than_batch_size_fails_before_training(tmp_path, cap
 
 def test_config_range_edges_are_valid():
     edges = {"defense.alpha_grid": [1, 0.0], "defense.eta_grid": [float("inf")],
-             "model.bits": 2, "dataset.kind": "arcs", "model.classes": 2}
+             "model.bits": 2, "dataset.kind": "prototype", "model.classes": 2}
     cfg = tiny_config(**edges)
     assert (cfg.defense.alpha_grid, cfg.model.bits) == ([1, 0.0], 2)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bitguard.attacker import AttackBudget, Threat, bfa_attack, draw_attack
-from bitguard.bitcodec import to_unsigned
 from bitguard.engine import Batch, evaluate
 from bitguard.errors import InputError, PlanError
 from bitguard import unary_guard
@@ -212,7 +211,7 @@ class TestFullProtectionBound:
         attacked, trace = bfa_attack(protected, batch, AttackBudget(hd, 99, 6))
         assert len(trace.flips) == hd
         for flip in trace.flips:
-            du = to_unsigned(flip.post_code, 4) - to_unsigned(flip.pre_code, 4)
+            du = reference.to_unsigned(flip.post_code, 4) - reference.to_unsigned(flip.pre_code, 4)
             assert abs(du) == 1
         before = model.layers[0].weight.codes.reshape(-1)
         after = attacked.layers[0].weight.codes.reshape(-1)
